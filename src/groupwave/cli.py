@@ -363,11 +363,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code) if exc.code is not None else 2
-    # default psi per group
-    if getattr(args, "psi", None) is None and hasattr(args, "psi"):
-        args.psi = {"gabor": "gaussian", "affine": "morlet"}.get(
-            getattr(args, "group", ""), "gaussian"
-        )
+    # default analyzing vector per group; verify adds a psi check only on request
+    if args.command in ("analyze", "synthesize") and args.psi is None:
+        args.psi = {"gabor": "gaussian", "affine": "morlet"}[args.group]
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

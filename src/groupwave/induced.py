@@ -198,8 +198,9 @@ def intertwine_defect(
     worst = 0.0
     g = np.asarray(g, dtype=float)
     for v in test_states:
+        a_v = np.asarray(A(v))
         lhs = np.asarray(A(u_left(g, v)))
-        rhs = np.asarray(u_right(g, np.asarray(A(v))))
-        scale = max(xgrid_norm(np.asarray(A(v)), grid), 1e-300)
+        rhs = np.asarray(u_right(g, a_v))
+        scale = max(xgrid_norm(a_v, grid), 1e-300)
         worst = max(worst, xgrid_norm(lhs - rhs, grid) / scale)
     return worst

@@ -21,7 +21,7 @@ import numpy as np
 from .groups import GroupDescriptor, QuadratureGrid, haar_grid
 from .multipliers import Section, kappa_from_section
 from .states import DiscretizedState, bump_profile
-from .representations import UnitaryRepSpec, coefficient
+from .representations import UnitaryRepSpec, projective_from_section
 
 __all__ = [
     "RelCentralSubgroup",
@@ -259,15 +259,16 @@ def center_divergence_probe(
     For a representation whose relatively central subgroup is noncompact the
     partial integrals grow linearly in the K-box measure, with slope equal to
     the X-side integral of |c o s|^2 -- the numerical face of "square
-    integrable only modulo K, never over all of G".
+    integrable only modulo K, never over all of G".  Both integrals run on
+    the batched engine: ``rep`` needs an action table, and the K coordinate
+    leads the G chart of the coordinate section ``subgroup.sections[0]``.
 
     Returns (partials, slope_fit, x_integral).
     """
-    section = subgroup.sections[0]
-    s_nodes = section.map(x_grid.nodes)
-    c_x = np.array(
-        [coefficient(rep, psi, phi, g) for g in s_nodes], dtype=complex
-    )
+    proj = projective_from_section(rep, subgroup.sections[0])
+    if proj.fast_coefficients is None:
+        raise ValueError(f"{proj.label}: the probe needs an action table and a coordinate section")
+    c_x = proj.fast_coefficients(psi, phi, x_grid)
     x_integral = float(np.sum(np.abs(c_x) ** 2 * x_grid.weights))
 
     partials = []
@@ -277,11 +278,7 @@ def center_divergence_probe(
             [(-r, r)] + list(x_grid.box),
             [k_resolution] + list(x_grid.resolution),
         )
-        c = None
-        if rep.fast_coefficients is not None:
-            c = rep.fast_coefficients(psi, phi, g_grid)
-        if c is None:
-            c = np.array([coefficient(rep, psi, phi, g) for g in g_grid.nodes])
+        c = rep.fast_coefficients(psi, phi, g_grid)
         partials.append(float(np.sum(np.abs(c) ** 2 * g_grid.weights)))
 
     lengths = np.array([2.0 * r for r in r_list])

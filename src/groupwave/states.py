@@ -90,13 +90,18 @@ class StateGrid:
 
 @dataclass(frozen=True)
 class DiscretizedState:
-    """Complex samples over a :class:`StateGrid`.  Treated as immutable."""
+    """Complex samples over a :class:`StateGrid`.  Treated as immutable.
+
+    Leading axes in front of the grid's hold a stack of states, which only
+    :func:`translate` and :func:`axis_resample` accept.
+    """
 
     samples: np.ndarray
     grid: StateGrid
 
     def __post_init__(self):
-        if tuple(self.samples.shape) != self.grid.counts:
+        shape = tuple(self.samples.shape)
+        if len(shape) < self.grid.dim or shape[len(shape) - self.grid.dim :] != self.grid.counts:
             raise ValueError(
                 f"sample shape {self.samples.shape} does not match grid {self.grid.counts}"
             )
@@ -214,18 +219,23 @@ def inverse_fourier_plancherel(
 
 
 def translate(state: DiscretizedState, shift) -> DiscretizedState:
-    """(T_a f)(x) = f(x - a) through an FFT phase ramp; exactly unitary."""
+    """(T_a f)(x) = f(x - a) through an FFT phase ramp; exactly unitary.
+
+    Leading axes of ``shift`` (..., dim) broadcast against a stacked state's:
+    one forward FFT serves every shift."""
     g = state.grid
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.shape != (g.dim,):
+    if shift.shape[-1] != g.dim:
         raise ValueError(f"shift must have {g.dim} components")
-    spec = np.fft.fftn(state.samples)
+    axes = tuple(range(-g.dim, 0))
+    lead = shift.shape[:-1] + (1,) * g.dim
+    spec = np.fft.fftn(state.samples, axes=axes)
     for i in range(g.dim):
         w = 2.0 * np.pi * np.fft.fftfreq(g.counts[i], d=g.spacings[i])
         shape = [1] * g.dim
         shape[i] = g.counts[i]
-        spec = spec * np.exp(-1j * w * shift[i]).reshape(shape)
-    return DiscretizedState(np.fft.ifftn(spec), g)
+        spec = spec * np.exp(-1j * w.reshape(shape) * shift[..., i].reshape(lead))
+    return DiscretizedState(np.fft.ifftn(spec, axes=axes), g)
 
 
 def modulate(state: DiscretizedState, freq, extra_phase: float = 0.0) -> DiscretizedState:
@@ -277,12 +287,15 @@ def axis_resample(
     states -- periodic wrap-around would re-capture spectral mass under
     dilations with scale >~ 2).  The uniformly spaced evaluation points make
     this a chirp-z transform, computed with Bluestein FFTs in O(N log N).
+    ``axis`` counts grid axes, so a stacked state is resampled as a whole.
     """
     g = state.grid
     n = g.counts[axis]
     h = g.spacings[axis]
     x0 = g.offsets[axis]
     y = scale * g.axis(axis) + shift
+    # grid axis -> array axis, past the stack axes of a batched state
+    axis += state.samples.ndim - g.dim
     coeff = np.fft.fft(state.samples, axis=axis)
     moved = np.moveaxis(coeff, axis, 0)
     # reorder m to contiguous m~ = m - N/2 (fftshift) so the exponent is a
@@ -514,6 +527,8 @@ def load_state_csv(path, grid: StateGrid | None = None) -> DiscretizedState:
     if not rows:
         raise ValueError("signal CSV contains no data rows")
     data = np.asarray(rows)
+    if not np.all(np.isfinite(data)):
+        raise ValueError("signal CSV contains non-finite values")
     values = data[:, -2] + 1j * data[:, -1]
     if grid is None:
         if n_coords != 1:
@@ -522,6 +537,10 @@ def load_state_csv(path, grid: StateGrid | None = None) -> DiscretizedState:
         if len(x) < 2:
             raise ValueError("need at least two samples to infer a grid")
         h = x[1] - x[0]
+        # the writer prints 17 significant digits, so a uniform grid reads
+        # back with spacings equal to rounding
+        if not h > 0 or np.max(np.abs(np.diff(x) - h)) > 1e-9 * h:
+            raise ValueError("signal CSV x values are not uniformly spaced and increasing")
         grid = StateGrid(offsets=(float(x[0]),), spacings=(float(h),), counts=(len(x),))
     if values.size != int(np.prod(grid.counts)):
         raise ValueError("sample count does not match grid")

@@ -20,10 +20,17 @@ Duflo-Moore operators shipped:
 * exotic configuration: multiplication by bcheck^{-1/2} on the state grid --
   unbounded, witnessed by the symbol growing like sqrt(2) per halving of the
   node coordinate.
+
+``analyze`` and ``synthesize`` run on the representation's action table
+(see ``representations``): one batched engine for every bundled
+configuration and any n, on G or on X through a coordinate section.  A spec
+without a table is evaluated one action per node, and a warning with its
+label and node count goes to the ``groupwave`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -36,7 +43,6 @@ from .representations import UnitaryRepSpec, coefficient
 from .states import (
     DiscretizedState,
     fourier_plancherel,
-    frequency_grid,
     inner,
     inverse_fourier_plancherel,
     norm,
@@ -60,6 +66,9 @@ __all__ = [
     "save_result_csv",
     "load_result_csv",
 ]
+
+
+_log = logging.getLogger("groupwave")
 
 
 class NotAdmissibleError(ValueError):
@@ -208,21 +217,22 @@ def analyze(
     phi: DiscretizedState,
     grid: QuadratureGrid,
     dm_norm: Optional[float] = None,
-    use_fast_path: bool = True,
 ) -> TransformResult:
     """Sample c_{psi,phi}(g) = <U(g) psi, phi> at every grid node.
 
-    The batched evaluator of the representation is used when available (it
-    computes the same inner products through chirp transforms); otherwise
-    the nodes are evaluated one action at a time.
+    A spec with an action table -- every bundled configuration, any n, on G
+    or on X through a coordinate section -- runs in one batch; others
+    (central-extension lifts, non-coordinate sections) one action per node,
+    with a warning naming the rep and node count on the ``groupwave`` logger.
     """
     if norm(psi) == 0.0:
         raise ValueError("analyzing vector must be nonzero")
     grid, clipped = _clip_to_safe_box(rep, grid)
-    coeffs = None
-    if use_fast_path and rep.fast_coefficients is not None:
+    if rep.fast_coefficients is not None:
         coeffs = rep.fast_coefficients(psi, phi, grid)
-    if coeffs is None:
+    else:
+        _log.warning("%s has no action table: %d nodes analyzed node by node",
+                     rep.label, grid.n_nodes)
         coeffs = np.array(
             [coefficient(rep, psi, phi, g) for g in grid.nodes], dtype=complex
         )
@@ -263,14 +273,16 @@ def synthesize(
 
     Because the normalized transform is an isometry, the adjoint is a left
     inverse; on a truncated grid the reconstruction error is the quadrature
-    plus truncation error of the reproducing integral.
+    plus truncation error of the reproducing integral.  Batched or node by
+    node (with a warning) exactly as in :func:`analyze`.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm metadata is unset; synthesize needs it")
     if rep.fast_adjoint is not None:
         out = rep.fast_adjoint(result.coefficients, result.grid, psi)
-        if out is not None:
-            return out.with_samples(out.samples / result.dm_norm ** 2)
+        return out.with_samples(out.samples / result.dm_norm ** 2)
+    _log.warning("%s has no action table: %d nodes synthesized node by node",
+                 rep.label, result.grid.n_nodes)
     acc = np.zeros(psi.grid.counts, dtype=complex)
     for c, g, w in zip(result.coefficients, result.grid.nodes, result.grid.weights):
         if c == 0.0:

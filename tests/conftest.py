@@ -17,6 +17,14 @@ def gabor_wide():
 
 
 @pytest.fixture(scope="session")
+def gabor_n2():
+    # small n = 2 configuration: a 4^4 X grid over a 48^2 state grid
+    return configs.gabor_setup(
+        n=2, state_halfwidth=6.0, state_points=48, x_halfwidth=4.0, x_resolution=4
+    )
+
+
+@pytest.fixture(scope="session")
 def affine():
     return configs.affine_setup()
 

@@ -69,6 +69,13 @@ def test_verify_expected_negative_psi_still_passes(tmp_path):
     assert last["passed"] is True
 
 
+def test_verify_without_psi_adds_no_psi_check(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--group", "affine", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert not any("requested psi" in c["name"] for c in report["groups"]["affine"])
+
+
 def test_analyze_synthesize_round_trip(tmp_path):
     setup = gabor_setup()
     sig = tmp_path / "sig.csv"
@@ -128,6 +135,34 @@ def test_analyze_malformed_csv(tmp_path, capsys):
         == 2
     )
     assert "row 2" in capsys.readouterr().err
+
+
+def _signal_rows(tmp_path):
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, gabor_setup().states["hermite2"])
+    return sig, sig.read_text().splitlines()
+
+
+def test_analyze_nonuniform_csv(tmp_path, capsys):
+    sig, rows = _signal_rows(tmp_path)
+    fields = rows[100].split(",")
+    fields[1] = repr(float(fields[1]) + 0.01)
+    rows[100] = ",".join(fields)
+    sig.write_text("\n".join(rows) + "\n")
+    assert main(["analyze", "--group", "gabor", "--input", str(sig),
+                 "--output", str(tmp_path / "c")]) == 2
+    assert "uniformly spaced" in capsys.readouterr().err
+
+
+def test_analyze_nonfinite_csv(tmp_path, capsys):
+    sig, rows = _signal_rows(tmp_path)
+    fields = rows[100].split(",")
+    fields[2] = "nan"
+    rows[100] = ",".join(fields)
+    sig.write_text("\n".join(rows) + "\n")
+    assert main(["analyze", "--group", "gabor", "--input", str(sig),
+                 "--output", str(tmp_path / "c")]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_analyze_grid_mismatch(tmp_path, capsys):

@@ -255,8 +255,17 @@ def test_coefficient_bounds_and_k_independence(gabor, rng):
         )
 
 
-@pytest.mark.parametrize("config", ["gabor", "affine", "exotic"])
-def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic):
+def per_node(rep):
+    """The spec without its batched engine: the node-by-node oracle."""
+    from dataclasses import replace
+
+    return replace(rep, fast_coefficients=None, fast_adjoint=None)
+
+
+@pytest.mark.parametrize(
+    "config", ["gabor", "affine", "exotic", "gabor_n2", "exotic_full_chart"]
+)
+def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic, gabor_n2):
     from groupwave.groups import haar_grid
 
     if config == "gabor":
@@ -267,7 +276,7 @@ def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic):
         setup, rep = affine, affine.rep
         psi, phi = setup.states["morlet"], setup.states["gauss_mod"]
         grid = haar_grid(setup.group, [(-3, 3), (0.5, 2.5)], [8, 6], log_axes=(1,))
-    else:
+    elif config == "exotic":
         setup, rep = exotic, exotic.proj
         psi, phi = setup.states["psi"], setup.states["phi"]
         grid = haar_grid(
@@ -276,8 +285,21 @@ def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic):
             [5, 4, 5, 4],
             log_axes=(3,),
         )
-    fast = analyze(rep, psi, phi, grid, use_fast_path=True)
-    slow = analyze(rep, psi, phi, grid, use_fast_path=False)
+    elif config == "gabor_n2":
+        rep, grid = gabor_n2.proj, gabor_n2.x_grid
+        psi = gaussian_state(gabor_n2.state_grid)
+        phi = gaussian_state(gabor_n2.state_grid, center=[0.4, -0.3], momentum=[0.5, 0.2])
+    else:
+        rep = exotic.rep
+        psi, phi = exotic.states["psi"], exotic.states["phi"]
+        grid = haar_grid(
+            exotic.group,
+            [(-1, 1), (-1, 1), (-3, 3), (-3, 3), (-2, 2), (-1, 1), (0.5, 2.0)],
+            [2, 2, 3, 3, 3, 2, 3],
+            log_axes=(6,),
+        )
+    fast = analyze(rep, psi, phi, grid)
+    slow = analyze(per_node(rep), psi, phi, grid)
     assert np.max(np.abs(fast.coefficients - slow.coefficients)) < 1e-11
 
 
@@ -286,6 +308,6 @@ def test_full_chart_fast_coefficients_match(gabor):
 
     grid = haar_grid(gabor.group, [(-2, 2), (-4, 4), (-4, 4)], [6, 10, 10])
     psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
-    fast = analyze(gabor.rep, psi, phi, grid, use_fast_path=True)
-    slow = analyze(gabor.rep, psi, phi, grid, use_fast_path=False)
+    fast = analyze(gabor.rep, psi, phi, grid)
+    slow = analyze(per_node(gabor.rep), psi, phi, grid)
     assert np.max(np.abs(fast.coefficients - slow.coefficients)) < 1e-11

@@ -76,6 +76,14 @@ def test_translate_composes_exactly():
     ab = translate(translate(f, [0.3]), [0.4])
     once = translate(f, [0.7])
     assert np.max(np.abs(ab.samples - once.samples)) < 1e-13
+    # a stack of shifts broadcasts against a stacked state
+    stack = DiscretizedState(np.stack([f.samples, once.samples])[:, None], GRID)
+    shifts = np.array([[0.7], [-0.2], [1.5]])
+    both = translate(stack, shifts)
+    assert both.samples.shape == (2, 3) + GRID.counts
+    for i, g in enumerate((f, once)):
+        for k, s in enumerate(shifts):
+            assert np.max(np.abs(both.samples[i, k] - translate(g, s).samples)) < 1e-13
 
 
 def test_axis_resample_matches_dense_reference(rng):
@@ -93,10 +101,14 @@ def test_axis_resample_2d(rng):
     f = DiscretizedState(
         rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)), grid2
     )
+    stack = DiscretizedState(np.stack([f.samples, 2j * f.samples]), grid2)
     for ax in (0, 1):
         a = axis_resample(f, ax, 1.3, 0.2)
         b = axis_resample_dense(f, ax, 1.3, 0.2)
         assert np.max(np.abs(a.samples - b.samples)) < 1e-11
+        # a stacked state is resampled along the same grid axis
+        both = axis_resample(stack, ax, 1.3, 0.2).samples
+        assert np.max(np.abs(both - np.stack([a.samples, 2j * a.samples]))) < 1e-13
 
 
 def test_axis_resample_evaluates_dilation():

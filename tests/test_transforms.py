@@ -300,24 +300,88 @@ def test_synthesize_requires_dm_norm(gabor):
         synthesize(res, gabor.proj, gabor.states["gauss"])
 
 
-def test_fast_adjoint_matches_generic(gabor, affine):
+@pytest.mark.parametrize(
+    "config", ["gabor", "affine", "gabor_n2", "exotic", "exotic_bundled"]
+)
+def test_fast_adjoint_matches_generic(config, gabor, affine, gabor_n2, exotic):
     from dataclasses import replace
 
-    psi = gabor.states["gauss"]
-    small = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10] * 2)
-    res = analyze(gabor.proj, psi, gabor.states["hermite1"], small, dm_norm=1.0)
-    fast = synthesize(res, gabor.proj, psi)
-    slow = synthesize(res, replace(gabor.proj, fast_adjoint=None), psi)
-    assert np.max(np.abs(fast.samples - slow.samples)) < 1e-13
+    from groupwave.states import gaussian_state, inner
 
-    psi_a = affine.states["morlet"]
-    small_a = haar_grid(affine.group, [(-3, 3), (0.5, 2.5)], [8, 6], log_axes=(1,))
-    dm = duflo_moore("affine")
-    res_a = analyze(affine.rep, psi_a, affine.states["signal"], small_a,
-                    dm_norm=dm.norm_of(psi_a))
-    fast_a = synthesize(res_a, affine.rep, psi_a)
-    slow_a = synthesize(res_a, replace(affine.rep, fast_adjoint=None), psi_a)
-    assert np.max(np.abs(fast_a.samples - slow_a.samples)) < 1e-12
+    tol = 1e-12
+    if config == "gabor":
+        rep, psi, phi = gabor.proj, gabor.states["gauss"], gabor.states["hermite1"]
+        grid = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10] * 2)
+        dm_norm, tol = 1.0, 1e-13
+    elif config == "affine":
+        rep, psi, phi = affine.rep, affine.states["morlet"], affine.states["signal"]
+        grid = haar_grid(affine.group, [(-3, 3), (0.5, 2.5)], [8, 6], log_axes=(1,))
+        dm_norm = duflo_moore("affine").norm_of(psi)
+    elif config == "gabor_n2":
+        rep, grid = gabor_n2.proj, gabor_n2.x_grid
+        psi = gaussian_state(gabor_n2.state_grid)
+        phi = gaussian_state(gabor_n2.state_grid, center=[0.4, -0.3], momentum=[0.5, 0.2])
+        dm_norm = 1.0
+    else:
+        rep, psi, phi = exotic.proj, exotic.states["psi"], exotic.states["phi"]
+        grid = haar_grid(
+            exotic.x_group,
+            [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)],
+            [5, 4, 5, 4],
+            log_axes=(3,),
+        )
+        dm_norm = duflo_moore("exotic").norm_of(psi)
+    if config == "exotic_bundled":
+        # 2.9 M nodes: node by node this takes about 3,000 s, so it is checked
+        # by the adjoint identity <phi, S(A phi)> ||D psi||^2 = sum w |c|^2
+        res = analyze(rep, psi, phi, exotic.x_grid, dm_norm=dm_norm)
+        back = synthesize(res, rep, psi)
+        identity = inner(phi, back) * dm_norm ** 2
+        assert abs(identity - res.energy()) / res.energy() < 1e-9
+        return
+    res = analyze(rep, psi, phi, grid, dm_norm=dm_norm)
+    fast = synthesize(res, rep, psi)
+    slow = synthesize(res, replace(rep, fast_adjoint=None), psi)
+    assert np.max(np.abs(fast.samples - slow.samples)) < tol
+
+
+def test_per_node_fallback_warns(gabor, caplog):
+    from groupwave.representations import lift_to_extension
+
+    lift = lift_to_extension(gabor.proj)
+    grid = haar_grid(lift.group, [(-1, 1), (-2, 2), (-2, 2)], [2, 3, 3])
+    psi = gabor.states["gauss"]
+    with caplog.at_level("WARNING", logger="groupwave"):
+        res = analyze(lift, psi, gabor.states["hermite1"], grid, dm_norm=1.0)
+        synthesize(res, lift, psi)
+    messages = [r.getMessage() for r in caplog.records if r.name == "groupwave"]
+    assert len(messages) == 2
+    assert all(lift.label in m and "18 nodes" in m for m in messages)
+
+
+def test_bundled_configurations_run_batched(gabor, affine, exotic, gabor_n2, caplog):
+    small = {
+        "gabor": (gabor.proj, gabor.states["gauss"],
+                  haar_grid(gabor.x_group, [(-4, 4)] * 2, [6] * 2)),
+        "gabor_full_chart": (gabor.rep, gabor.states["gauss"],
+                             haar_grid(gabor.group, [(-2, 2)] + [(-4, 4)] * 2, [3, 6, 6])),
+        "gabor_n2": (gabor_n2.proj, DiscretizedState(
+            np.ones(gabor_n2.state_grid.counts, dtype=complex), gabor_n2.state_grid),
+            gabor_n2.x_grid),
+        "affine": (affine.rep, affine.states["morlet"],
+                   haar_grid(affine.group, [(-3, 3), (0.5, 2.5)], [4, 3], log_axes=(1,))),
+        "exotic": (exotic.proj, exotic.states["psi"],
+                   haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)],
+                             [2, 2, 2, 2], log_axes=(3,))),
+        "exotic_full_chart": (exotic.rep, exotic.states["psi"],
+                              haar_grid(exotic.group, [(-1, 1)] * 6 + [(0.5, 2.0)],
+                                        [2] * 7, log_axes=(6,))),
+    }
+    with caplog.at_level("WARNING", logger="groupwave"):
+        for rep, psi, grid in small.values():
+            res = analyze(rep, psi, psi, grid, dm_norm=1.0)
+            synthesize(res, rep, psi)
+    assert [r for r in caplog.records if r.name == "groupwave"] == []
 
 
 # ---------------------------------------------------------------------------
