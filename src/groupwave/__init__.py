@@ -74,6 +74,7 @@ from .transforms import (
     kernel,
     mod_K_equiv_check,
     orthogonality_check,
+    orthogonality_relation,
     reproduce_check,
     semi_invariance_check,
     synthesize,

@@ -50,7 +50,7 @@ from .transforms import (
     duflo_moore,
     kernel,
     load_result_csv,
-    orthogonality_check,
+    orthogonality_relation,
     save_result_csv,
     semi_invariance_check,
     synthesize,
@@ -220,40 +220,52 @@ def _write_table(path, header: list[str], rows) -> None:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _orthogonality_rows(group: str, rep, dm, grid, pairs: dict) -> list:
+    """Table rows of the orthogonality relation for each labelled
+    (psi1, psi2, phi1, phi2); every distinct (psi, phi) is analyzed once."""
+    coefficients = {}
+
+    def c(psi, phi):
+        key = (id(psi), id(phi))
+        if key not in coefficients:
+            coefficients[key] = analyze(rep, psi, phi, grid).coefficients
+        return coefficients[key]
+
+    rows = []
+    for label, (p1, p2, f1, f2) in pairs.items():
+        lhs, rhs, rel = orthogonality_relation(c(p1, f1), c(p2, f2), p1, p2, f1, f2, dm, grid)
+        rows.append([group, label, lhs.real, lhs.imag, rhs.real, rhs.imag, rel])
+    return rows
+
+
 def cmd_report(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     written = []
 
-    # orthogonality tables
+    # orthogonality tables; each distinct (psi, phi) is analyzed once per group
     rows = []
     gab = configs.gabor_setup()
     dm = duflo_moore("gabor")
     s = gab.states
-    for label, (p1, p2, f1, f2) in {
+    rows += _orthogonality_rows("gabor", gab.proj, dm, gab.x_grid, {
         "gauss/gauss": (s["gauss"], s["gauss"], s["gauss"], s["gauss"]),
         "hermite1/gauss": (s["hermite1"], s["hermite1"], s["gauss"], s["gauss"]),
         "mix/hermite2": (s["mix"], s["mix"], s["hermite2"], s["hermite2"]),
-    }.items():
-        lhs, rhs, rel = orthogonality_check(gab.proj, p1, p2, f1, f2, dm, gab.x_grid)
-        rows.append(["gabor", label, lhs.real, lhs.imag, rhs.real, rhs.imag, rel])
+    })
     aff = configs.affine_setup()
     dma = duflo_moore("affine")
     sa = aff.states
-    for label, (p1, p2, f1, f2) in {
+    rows += _orthogonality_rows("affine", aff.rep, dma, aff.x_grid, {
         "morlet/gauss_mod3": (sa["morlet"], sa["morlet"], sa["gauss_mod3"], sa["gauss_mod3"]),
         "dog2/dog4": (sa["dog2"], sa["dog4"], sa["gauss_mod"], sa["gauss_mod2"]),
-    }.items():
-        lhs, rhs, rel = orthogonality_check(aff.rep, p1, p2, f1, f2, dma, aff.x_grid)
-        rows.append(["affine", label, lhs.real, lhs.imag, rhs.real, rhs.imag, rel])
+    })
     exo = configs.exotic_setup()
     dme = duflo_moore("exotic")
     se = exo.states
-    for label, (p1, p2, f1, f2) in {
+    rows += _orthogonality_rows("exotic", exo.proj, dme, exo.x_grid, {
         "psi/phi": (se["psi"], se["psi"], se["phi"], se["phi"]),
         "psi2/phi2": (se["psi"], se["psi2"], se["phi"], se["phi2"]),
-    }.items():
-        lhs, rhs, rel = orthogonality_check(exo.proj, p1, p2, f1, f2, dme, exo.x_grid)
-        rows.append(["exotic", label, lhs.real, lhs.imag, rhs.real, rhs.imag, rel])
+    })
     path = os.path.join(args.outdir, "orthogonality.csv")
     _write_table(path, ["group", "pair", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "relerr"], rows)
     written.append(path)

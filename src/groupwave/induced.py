@@ -191,16 +191,22 @@ def intertwine_defect(
     test_states,
     grid: QuadratureGrid,
 ) -> float:
-    """max over test states of  ||A U_left(g) v - U_right(g) A v|| / ||A v||.
+    """max over test states v and group elements g of
+    ||A U_left(g) v - U_right(g) A v|| / ||A v||.
 
-    A maps states to X-grid functions; U_right acts on X-grid functions.
+    ``g`` is one element or a sequence of them; A v is computed once per test
+    state.  A maps states to X-grid functions; U_right acts on X-grid
+    functions.
     """
+    elements = np.asarray(g, dtype=float)
+    if elements.ndim == 1:
+        elements = elements[None]
     worst = 0.0
-    g = np.asarray(g, dtype=float)
     for v in test_states:
         a_v = np.asarray(A(v))
-        lhs = np.asarray(A(u_left(g, v)))
-        rhs = np.asarray(u_right(g, a_v))
         scale = max(xgrid_norm(a_v, grid), 1e-300)
-        worst = max(worst, xgrid_norm(lhs - rhs, grid) / scale)
+        for h in elements:
+            lhs = np.asarray(A(u_left(h, v)))
+            rhs = np.asarray(u_right(h, a_v))
+            worst = max(worst, xgrid_norm(lhs - rhs, grid) / scale)
     return worst

@@ -370,14 +370,17 @@ def exotic_rep(
     This is the representation display of the worked example, implemented
     literally.  The s coordinate never acts (the inducing character has
     scheck = 0 on the orbit), and the restriction to T x S x R is the scalar
-    e^{i(t + k.r)} by construction.  Note that for k_vec != 0 the display is
-    not a homomorphism in the r-a sector; the bundled configurations use
-    k_vec = 0, for which it is.  States live on a (bc > 0) x (pc in R^n)
-    grid with half-cell offset from bc = 0.
+    e^{i(t + k.r)} by construction.  For k_vec != 0 the display is not a
+    homomorphism in the r-a sector, so only k_vec = 0 is accepted (ValueError
+    otherwise).  States live on a (bc > 0) x (pc in R^n) grid with half-cell
+    offset from bc = 0.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     kv = np.broadcast_to(np.atleast_1d(np.asarray(k_vec, dtype=float)), (n,))
+    if np.any(kv != 0.0):
+        raise ValueError("exotic_rep needs k_vec = 0: for k_vec != 0 the display "
+                         "is not a homomorphism")
     sl_p = slice(3, 3 + n)
     sl_q = slice(3 + n, 3 + 2 * n)
     sl_r = slice(3 + 2 * n, 3 + 3 * n)

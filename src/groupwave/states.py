@@ -222,15 +222,20 @@ def translate(state: DiscretizedState, shift) -> DiscretizedState:
     """(T_a f)(x) = f(x - a) through an FFT phase ramp; exactly unitary.
 
     Leading axes of ``shift`` (..., dim) broadcast against a stacked state's:
-    one forward FFT serves every shift."""
+    one forward FFT serves every shift.  Only the axes with a nonzero shift
+    component are transformed; a zero shift returns a broadcast copy."""
     g = state.grid
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     if shift.shape[-1] != g.dim:
         raise ValueError(f"shift must have {g.dim} components")
-    axes = tuple(range(-g.dim, 0))
+    moved = [i for i in range(g.dim) if np.any(shift[..., i] != 0.0)]
     lead = shift.shape[:-1] + (1,) * g.dim
+    if not moved:
+        shape = np.broadcast_shapes(state.samples.shape, lead)
+        return DiscretizedState(np.array(np.broadcast_to(state.samples, shape), dtype=complex), g)
+    axes = tuple(i - g.dim for i in moved)
     spec = np.fft.fftn(state.samples, axes=axes)
-    for i in range(g.dim):
+    for i in moved:
         w = 2.0 * np.pi * np.fft.fftfreq(g.counts[i], d=g.spacings[i])
         shape = [1] * g.dim
         shape[i] = g.counts[i]

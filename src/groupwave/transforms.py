@@ -59,6 +59,7 @@ __all__ = [
     "calibrate_affine_dm",
     "admissibility",
     "orthogonality_check",
+    "orthogonality_relation",
     "kernel",
     "reproduce_check",
     "semi_invariance_check",
@@ -195,20 +196,22 @@ class TransformResult:
         return float(np.sum(np.abs(self.coefficients) ** 2 * self.grid.weights))
 
 
-def _shell_fraction(coefficients: np.ndarray, grid: QuadratureGrid) -> float:
-    """Share of the coefficient energy carried by the outermost 10% shell of
-    the box -- a cheap truncation-tail estimate recorded in metadata."""
-    nodes = grid.nodes
-    outer = np.zeros(grid.n_nodes, dtype=bool)
+def _shell_fraction(energy: np.ndarray, grid: QuadratureGrid) -> float:
+    """Share of the coefficient energy (``energy`` = |c|^2 w per node) carried
+    by the outermost 10% shell of the box -- a cheap truncation-tail estimate
+    recorded in metadata.  The shell is the union of per-axis slabs, built
+    from the grid's axes."""
+    dim = len(grid.resolution)
+    outer = np.zeros(grid.resolution, dtype=bool)
     for i, (lo, hi) in enumerate(grid.box):
         width = hi - lo
-        outer |= nodes[:, i] < lo + 0.05 * width
-        outer |= nodes[:, i] > hi - 0.05 * width
-    total = float(np.sum(np.abs(coefficients) ** 2 * grid.weights))
+        ax = grid.axis(i)
+        slab = (ax < lo + 0.05 * width) | (ax > hi - 0.05 * width)
+        outer = outer | slab.reshape([-1 if m == i else 1 for m in range(dim)])
+    total = float(np.sum(energy))
     if total == 0.0:
         return 0.0
-    tail = float(np.sum((np.abs(coefficients) ** 2 * grid.weights)[outer]))
-    return tail / total
+    return float(np.sum(energy[outer.ravel()])) / total
 
 
 def analyze(
@@ -245,8 +248,9 @@ def analyze(
         meta={"box": [list(b) for b in grid.box], "resolution": list(grid.resolution),
               "clipped": clipped},
     )
-    result.meta["energy"] = result.energy()
-    result.meta["shell_fraction"] = _shell_fraction(result.coefficients, grid)
+    energy = np.abs(result.coefficients) ** 2 * grid.weights
+    result.meta["energy"] = float(np.sum(energy))
+    result.meta["shell_fraction"] = _shell_fraction(energy, grid)
     return result
 
 
@@ -381,12 +385,34 @@ def orthogonality_check(
 ):
     """Quadrature check of the orthogonality relation.
 
+    Returns (lhs, rhs, relerr) of :func:`orthogonality_relation`; an identical
+    pair (psi2 is psi1 and phi2 is phi1) is analyzed once.
+    """
+    c1 = analyze(rep, psi1, phi1, grid).coefficients
+    if psi2 is psi1 and phi2 is phi1:
+        c2 = c1
+    else:
+        c2 = analyze(rep, psi2, phi2, grid).coefficients
+    return orthogonality_relation(c1, c2, psi1, psi2, phi1, phi2, dm, grid)
+
+
+def orthogonality_relation(
+    c1: np.ndarray,
+    c2: np.ndarray,
+    psi1: DiscretizedState,
+    psi2: DiscretizedState,
+    phi1: DiscretizedState,
+    phi2: DiscretizedState,
+    dm: DMOperator,
+    grid: QuadratureGrid,
+):
+    """Both sides of the orthogonality relation from sampled coefficients
+    c1 = c_{psi1,phi1} and c2 = c_{psi2,phi2} on ``grid``.
+
     Returns (lhs, rhs, relerr): lhs is the group-side quadrature of
     conj(c1) c2, rhs = <phi1, phi2> <D psi2, D psi1>; relerr is relative to
     the product of norms when rhs is (near) zero.
     """
-    c1 = analyze(rep, psi1, phi1, grid).coefficients
-    c2 = analyze(rep, psi2, phi2, grid).coefficients
     lhs = complex(np.sum(np.conj(c1) * c2 * grid.weights))
     d2 = dm.apply(psi2)
     d1 = dm.apply(psi1)
@@ -565,15 +591,14 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
     csv_path = f"{path_prefix}.csv"
     json_path = f"{path_prefix}.json"
     dim = result.grid.nodes.shape[1]
+    # 17 significant digits read back as the same double
+    row = "%d," + ",".join(["%.17g"] * (dim + 3)) + "\n"
+    c = np.asarray(result.coefficients)
+    data = np.column_stack([result.grid.nodes, result.grid.weights, c.real, c.imag]).tolist()
     with open(csv_path, "w") as fh:
         coord_names = ",".join(f"g{i}" for i in range(dim))
         fh.write(f"index,{coord_names},weight,re,im\n")
-        for i in range(result.grid.n_nodes):
-            coords = ",".join(f"{v:.17g}" for v in result.grid.nodes[i])
-            c = result.coefficients[i]
-            fh.write(
-                f"{i},{coords},{result.grid.weights[i]:.17g},{c.real:.17g},{c.imag:.17g}\n"
-            )
+        fh.write("".join([row % (i, *values) for i, values in enumerate(data)]))
     header = {
         "group": result.grid.group.name,
         "rep": result.rep_id,
@@ -596,6 +621,11 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
 
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
+    if header.get("group") != grid.group.name:
+        raise ValueError(
+            f"coefficient file is for group {header.get('group')!r}, "
+            f"not {grid.group.name!r}"
+        )
     data = np.loadtxt(f"{path_prefix}.csv", delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
     coeffs = data[:, -2] + 1j * data[:, -1]

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupwave
 from groupwave.cli import main
 from groupwave.states import load_state_csv, save_state_csv
 from groupwave.configs import gabor_setup
@@ -37,6 +42,24 @@ def test_verify_single_group_and_determinism(tmp_path):
     # expected-negative case is reported as a passing check
     names = [c["name"] for c in report["groups"]["affine"]]
     assert any("gaussian flagged divergent" in n for n in names)
+
+
+def test_verify_report_independent_of_blas_threads(tmp_path):
+    """Separate processes with 1 and 2 BLAS threads write the same bytes."""
+    src = str(Path(groupwave.__file__).resolve().parents[1])
+    paths = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"wh-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupwave.cli", "verify", "--group", "wh",
+             "--seed", "0", "--output", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        paths.append(out)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_verify_config_file_flags_win(tmp_path):
@@ -103,6 +126,21 @@ def test_analyze_synthesize_round_trip(tmp_path):
     assert report["round_trip_relative_error"] < 1e-2
     back = load_state_csv(out_sig, setup.state_grid)
     assert back.grid == setup.state_grid
+
+
+def test_synthesize_rejects_coefficients_of_other_group(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, gabor_setup().states["hermite2"])
+    prefix = str(tmp_path / "coef")
+    assert main(["analyze", "--group", "gabor", "--input", str(sig),
+                 "--assume-grid", "--output", prefix]) == 0
+    header_path = tmp_path / "coef.json"
+    header = json.loads(header_path.read_text())
+    header["group"] = "affine_n1"
+    header_path.write_text(json.dumps(header))
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv")]) == 2
+    assert "affine_n1" in capsys.readouterr().err
 
 
 def test_analyze_zero_signal(tmp_path):

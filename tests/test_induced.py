@@ -181,6 +181,35 @@ def test_gabor_intertwining_relations(gabor_wide, rng):
         assert d2 < 1e-6
 
 
+def test_intertwine_defect_over_elements_is_max_of_single_calls(gabor_wide, rng):
+    grid = haar_grid(gabor_wide.x_group, [(-10, 10)] * 2, [80] * 2)
+    psi = gabor_wide.states["gauss"]
+    tests = [gabor_wide.states["hermite1"], gabor_wide.states["mix"]]
+    calls = []
+
+    def A(v):
+        calls.append(v)
+        return analyze(gabor_wide.proj, psi, v, grid).coefficients.reshape(grid.resolution)
+
+    def defect(g):
+        return intertwine_defect(
+            A,
+            lambda gg, v: gabor_wide.rep.act(gg, v),
+            lambda gg, F: R_chi_s(gabor_wide.subgroup, gabor_wide.section, gg, F, grid),
+            g,
+            tests,
+            grid,
+        )
+
+    gs = [np.concatenate([rng.uniform(-2, 2, 1), rng.uniform(-1.5, 1.5, 2)]) for _ in range(3)]
+    singles = [defect(g) for g in gs]
+    calls.clear()
+    assert defect(gs) == max(singles)
+    # A v once per test state, A U(g) v once per (state, element)
+    assert len(calls) == len(tests) * (1 + len(gs))
+    assert defect(np.stack(gs)) == max(singles)
+
+
 def test_intertwine_fault_injection(gabor_wide):
     """A deliberately wrong multiplier phase breaks the intertwining at O(1)."""
     grid = haar_grid(gabor_wide.x_group, [(-10, 10)] * 2, [80] * 2)

@@ -185,6 +185,15 @@ def test_exotic_rep_composition_at_zero_character(rng):
     assert worst < 1e-8
 
 
+def test_exotic_rep_rejects_nonzero_k_vec():
+    from groupwave.configs import exotic_setup
+
+    with pytest.raises(ValueError, match="k_vec"):
+        exotic_rep(k_vec=0.5)
+    with pytest.raises(ValueError, match="k_vec"):
+        exotic_setup(k_vec=0.5)
+
+
 def test_exotic_rep_rejects_grid_touching_singularity(exotic):
     from groupwave.states import StateGrid
 

@@ -86,6 +86,41 @@ def test_translate_composes_exactly():
             assert np.max(np.abs(both.samples[i, k] - translate(g, s).samples)) < 1e-13
 
 
+def _translate_all_axes(state, shift):
+    """Reference: the FFT phase ramp over every state axis."""
+    g = state.grid
+    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+    axes = tuple(range(-g.dim, 0))
+    lead = shift.shape[:-1] + (1,) * g.dim
+    spec = np.fft.fftn(state.samples, axes=axes)
+    for i in range(g.dim):
+        w = 2.0 * np.pi * np.fft.fftfreq(g.counts[i], d=g.spacings[i])
+        shape = [1] * g.dim
+        shape[i] = g.counts[i]
+        spec = spec * np.exp(-1j * w.reshape(shape) * shift[..., i].reshape(lead))
+    return np.fft.ifftn(spec, axes=axes)
+
+
+def test_translate_with_zero_shift_component_matches_all_axes(rng):
+    grid = product_grid(halfline_grid(8.0, 48), centered_grid(6.0, 40))
+    f = DiscretizedState(rng.standard_normal(grid.counts) + 1j * rng.standard_normal(grid.counts), grid)
+    for shift in ([0.0, 0.37], [-0.61, 0.0], [0.0, 0.0]):
+        out = translate(f, shift).samples
+        assert np.max(np.abs(out - _translate_all_axes(f, shift))) < 1e-14
+    # stacked states and shifts, axis 0 never shifted
+    stack = DiscretizedState(np.stack([f.samples, 2j * f.samples])[:, None], grid)
+    shifts = np.array([[0.0, 0.5], [0.0, -1.25], [0.0, 0.0]])
+    out = translate(stack, shifts).samples
+    assert out.shape == (2, 3) + grid.counts
+    assert np.max(np.abs(out - _translate_all_axes(stack, shifts))) < 1e-14
+    # no axis shifted: an exact copy, broadcast over the shifts, not a view
+    still = translate(stack, np.zeros((3, 2))).samples
+    assert still.shape == (2, 3) + grid.counts
+    assert np.array_equal(still, np.broadcast_to(stack.samples, still.shape))
+    still[0, 0, 0, 0] += 1.0
+    assert stack.samples[0, 0, 0, 0] == f.samples[0, 0]
+
+
 def test_axis_resample_matches_dense_reference(rng):
     f = DiscretizedState(
         rng.standard_normal(256) + 1j * rng.standard_normal(256), GRID

@@ -11,6 +11,7 @@ from groupwave.states import (
     random_bandlimited_state,
 )
 from groupwave.transforms import (
+    _shell_fraction,
     admissibility,
     analyze,
     calibrate_affine_dm,
@@ -19,6 +20,7 @@ from groupwave.transforms import (
     load_result_csv,
     mod_K_equiv_check,
     orthogonality_check,
+    orthogonality_relation,
     reproduce_check,
     save_result_csv,
     semi_invariance_check,
@@ -164,9 +166,52 @@ def test_gabor_everything_admissible(gabor, rng):
     assert report.dm_norm_sq == pytest.approx(norm(psi) ** 2, rel=1e-3)
 
 
+def _shell_fraction_node_mask(coefficients, grid):
+    """Reference: the outer-shell mask tested node by node."""
+    outer = np.zeros(grid.n_nodes, dtype=bool)
+    for i, (lo, hi) in enumerate(grid.box):
+        width = hi - lo
+        outer |= grid.nodes[:, i] < lo + 0.05 * width
+        outer |= grid.nodes[:, i] > hi - 0.05 * width
+    total = float(np.sum(np.abs(coefficients) ** 2 * grid.weights))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum((np.abs(coefficients) ** 2 * grid.weights)[outer])) / total
+
+
+@pytest.mark.parametrize("case", ["gabor_x", "wh_3d", "affine_log_axis"])
+def test_shell_fraction_matches_node_mask(case, gabor, affine, rng):
+    grid = {
+        "gabor_x": gabor.x_grid,
+        "wh_3d": haar_grid(gabor.group, [(-3, 5), (-2, 2), (-4, 1)], [12, 10, 8]),
+        "affine_log_axis": affine.x_grid,
+    }[case]
+    c = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
+    assert _shell_fraction(np.abs(c) ** 2 * grid.weights, grid) == _shell_fraction_node_mask(c, grid)
+    assert _shell_fraction(np.zeros(grid.n_nodes), grid) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # orthogonality
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config, psi_name, phi_name",
+                         [("gabor", "gauss", "hermite2"), ("affine", "morlet", "gauss_mod3")])
+def test_orthogonality_check_identical_pair_matches_two_analyses(config, psi_name, phi_name,
+                                                                 request):
+    """An identical pair is analyzed once; the result is exactly that of two
+    independent analyses fed to the relation."""
+    setup = request.getfixturevalue(config)
+    rep = setup.proj if config == "gabor" else setup.rep
+    psi, phi = setup.states[psi_name], setup.states[phi_name]
+    dm = duflo_moore(config)
+    c1 = analyze(rep, psi, phi, setup.x_grid).coefficients
+    c2 = analyze(rep, psi, phi, setup.x_grid).coefficients
+    lhs = complex(np.sum(np.conj(c1) * c2 * setup.x_grid.weights))
+    expected = orthogonality_relation(c1, c2, psi, psi, phi, phi, dm, setup.x_grid)
+    assert expected[0] == lhs
+    assert orthogonality_check(rep, psi, psi, phi, phi, dm, setup.x_grid) == expected
 
 
 def test_gabor_orthogonality_pairs(gabor):
@@ -481,3 +526,37 @@ def test_result_csv_round_trip(gabor, tmp_path):
     assert np.max(np.abs(loaded.coefficients - res.coefficients)) < 1e-15
     assert loaded.dm_norm == res.dm_norm
     assert loaded.rep_id == res.rep_id
+
+
+def _save_result_csv_rows(path, result):
+    """Reference: the row-by-row coefficient writer."""
+    dim = result.grid.nodes.shape[1]
+    with open(path, "w") as fh:
+        coord_names = ",".join(f"g{i}" for i in range(dim))
+        fh.write(f"index,{coord_names},weight,re,im\n")
+        for i in range(result.grid.n_nodes):
+            coords = ",".join(f"{v:.17g}" for v in result.grid.nodes[i])
+            c = result.coefficients[i]
+            fh.write(
+                f"{i},{coords},{result.grid.weights[i]:.17g},{c.real:.17g},{c.imag:.17g}\n"
+            )
+
+
+def test_result_csv_bytes_match_row_writer(gabor, affine, tmp_path):
+    res = analyze(affine.rep, affine.states["morlet"], affine.states["signal"], affine.x_grid)
+    # signed zeros, tiny and huge values and integers-as-floats keep their text
+    res.coefficients[:6] = [0.0, -0.0 + 0j, 1e-300j, -1e300, 3.0 - 2j, complex(-0.0, -0.0)]
+    gab = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid)
+    for k, result in enumerate((res, gab)):
+        prefix = str(tmp_path / f"coef{k}")
+        save_result_csv(prefix, result)
+        _save_result_csv_rows(tmp_path / f"ref{k}.csv", result)
+        assert (tmp_path / f"coef{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+
+
+def test_load_result_csv_rejects_other_group(gabor, affine, tmp_path):
+    res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid)
+    prefix = str(tmp_path / "coef")
+    save_result_csv(prefix, res)
+    with pytest.raises(ValueError, match="group"):
+        load_result_csv(prefix, affine.x_grid)
