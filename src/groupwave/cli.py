@@ -10,8 +10,7 @@ synthesize   reconstruct a signal from a coefficient file
 report       emit orthogonality / kernel / semi-invariance / divergence
              tables as CSV for plotting
 
-Configuration comes from flags, optionally seeded by a JSON config file
-(--config); flags win.  Reports are deterministic: fixed seeds, no
+Configuration comes from flags.  Reports are deterministic: fixed seeds, no
 timestamps, sorted keys.  Exit codes: 0 pass, 1 check failure, 2 usage/IO
 error.
 """
@@ -74,21 +73,6 @@ def _dump_json(path, payload) -> None:
             fh.write(text)
 
 
-def _resolve_config(args) -> dict:
-    """Merge an optional JSON config file under the flags (flags win)."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
-    for key, value in vars(args).items():
-        # IO destinations are not analysis parameters; keeping them out makes
-        # reports byte-identical regardless of where they are written
-        if key in ("config", "func", "output", "outdir") or value is None:
-            continue
-        cfg[key] = value
-    return cfg
-
-
 def cmd_conventions(args) -> int:
     groups = {
         "wh": [make_polarized_wh(1), make_standard_wh(1)],
@@ -109,13 +93,15 @@ def cmd_conventions(args) -> int:
 
 def cmd_verify(args) -> int:
     groups = ALL_GROUPS if args.group == "all" else [args.group]
-    config = _resolve_config(args)
-    report = run_suites(groups, seed=args.seed, psi_kind=getattr(args, "psi", None))
-    report["config"] = {k: v for k, v in sorted(config.items())}
+    report = run_suites(groups, seed=args.seed, psi_kind=args.psi)
+    # the resolved flags; IO destinations are not analysis parameters, and
+    # keeping them out makes reports byte-identical wherever they are written
+    report["config"] = {
+        key: value for key, value in sorted(vars(args).items())
+        if key not in ("func", "output") and value is not None
+    }
     _dump_json(args.output, report)
-    if not args.output:
-        pass
-    else:
+    if args.output:
         n_fail = sum(
             1 for checks in report["groups"].values() for c in checks if not c["passed"]
         )
@@ -334,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", choices=["gaussian", "morlet"], default=None,
                    help="extra analyzing vector whose admissibility status is "
                         "reported (expected-negative outcomes still pass)")
-    p.add_argument("--config", default=None, help="JSON config file (flags win)")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_verify)
 
@@ -346,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output path prefix")
     p.add_argument("--assume-grid", action="store_true",
                    help="read the signal onto the configuration grid")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synthesize", help="coefficient CSV -> signal CSV")
@@ -356,13 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coefficients", required=True, help="coefficient path prefix")
     p.add_argument("--output", required=True, help="signal CSV path")
     p.add_argument("--reference", default=None, help="original signal for round-trip error")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("report", help="emit verification tables as CSV")
     p.add_argument("--outdir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_report)
 
     return parser

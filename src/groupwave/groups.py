@@ -106,12 +106,6 @@ class GroupElement:
         object.__setattr__(self, "coords", c)
 
 
-def as_coords(g) -> np.ndarray:
-    if isinstance(g, GroupElement):
-        return g.coords
-    return np.asarray(g, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Group factories
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ Duflo-Moore operators shipped:
 * Gabor (Weyl-Heisenberg modulo its centre, |central parameter| = 1,
   mu_X = dp dq / (2 pi)^n): the identity -- the quotient is unimodular and
   the Haar normalization pins the scalar to 1.
-* affine: Fourier multiplier kappa |w|^{-1/2}; kappa is calibrated once by a
-  least-squares fit of the orthogonality relation over two analyzing/analyzed
-  pairs and recorded in the operator metadata (analytically kappa^2 = pi for
-  haar = a^{-2} db da, n = 1).
+* affine: Fourier multiplier kappa |w|^{-1/2} with kappa = sqrt(pi), the
+  closed form for haar = a^{-2} db da, n = 1.  ``calibrate_affine_dm`` fits
+  kappa by quadrature and serves only as an audit of that value.
 * exotic configuration: multiplication by bcheck^{-1/2} on the state grid --
   unbounded, witnessed by the symbol growing like sqrt(2) per halving of the
   node coordinate.
@@ -141,13 +140,12 @@ def _abs_sqrt_inv_symbol(omega: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
-def duflo_moore(config: str, calibration: Optional[dict] = None) -> DMOperator:
+def duflo_moore(config: str) -> DMOperator:
     """Duflo-Moore operator for one of the bundled configurations.
 
     config = 'gabor'  : identity (scalar 1);
-             'affine' : kappa |w|^{-1/2} Fourier multiplier, kappa from
-                        ``calibration`` (see :func:`calibrate_affine_dm`) or
-                        the bundled default calibration;
+             'affine' : sqrt(pi) |w|^{-1/2} Fourier multiplier, kappa = sqrt(pi)
+                        in closed form; :func:`calibrate_affine_dm` is the audit;
              'exotic' : coordinate multiplier bcheck^{-1/2}.
     """
     if config == "gabor":
@@ -157,14 +155,12 @@ def duflo_moore(config: str, calibration: Optional[dict] = None) -> DMOperator:
             meta={"note": "unimodular quotient; scalar fixed by mu_X = dp dq/(2 pi)^n"},
         )
     if config == "affine":
-        if calibration is None:
-            calibration = _default_affine_calibration()
-        kappa = float(calibration["kappa"])
+        kappa = float(np.sqrt(np.pi))
 
         def symbol(w, h):
             return kappa * _abs_sqrt_inv_symbol(w, h)
 
-        return DMOperator(kind="fourier_multiplier", symbol=symbol, meta=dict(calibration))
+        return DMOperator(kind="fourier_multiplier", symbol=symbol, meta={"kappa": kappa})
     if config == "exotic":
         def symbol(x, h):
             x = np.asarray(x, dtype=float)
@@ -267,7 +263,9 @@ def _clip_to_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid):
         new_box.append((nlo, nhi))
     if not clipped:
         return grid, False
-    return haar_grid(grid.group, new_box, grid.resolution, log_axes=grid.log_axes), True
+    safe = haar_grid(grid.group, new_box, grid.resolution, log_axes=grid.log_axes)
+    _log.warning("%s: grid box %s clipped to %s", rep.label, list(grid.box), list(safe.box))
+    return safe, True
 
 
 def synthesize(
@@ -459,26 +457,6 @@ def calibrate_affine_dm(
         "kappa_per_pair": per_pair,
         "n_pairs": len(pairs),
     }
-
-
-_AFFINE_CALIBRATION_CACHE: dict = {}
-
-
-def _default_affine_calibration() -> dict:
-    """Calibration on two bundled derivative-of-Gaussian pairs (cached)."""
-    key = "default"
-    if key not in _AFFINE_CALIBRATION_CACHE:
-        from .configs import affine_setup  # deferred; configs imports transforms
-
-        setup = affine_setup()
-        cal = calibrate_affine_dm(
-            setup.rep,
-            [(setup.states["dog2"], setup.states["dog2"]),
-             (setup.states["dog4"], setup.states["gauss_mod"])],
-            setup.x_grid,
-        )
-        _AFFINE_CALIBRATION_CACHE[key] = cal
-    return _AFFINE_CALIBRATION_CACHE[key]
 
 
 def kernel(

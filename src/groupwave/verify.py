@@ -48,6 +48,7 @@ from .states import DiscretizedState, fourier_plancherel, norm, translate, modul
 from .transforms import (
     admissibility,
     analyze,
+    calibrate_affine_dm,
     duflo_moore,
     kernel,
     mod_K_equiv_check,
@@ -66,12 +67,9 @@ class Check:
     name: str
     defect: float
     threshold: float
-    expect: str = "below"  # below | detected
 
     @property
     def passed(self) -> bool:
-        if self.expect == "detected":
-            return self.defect == 0.0
         return self.defect <= self.threshold
 
     def as_dict(self) -> dict:
@@ -329,14 +327,21 @@ def affine_suite(seed: int = 0) -> list[Check]:
     checks.append(Check("affine rep: unitarity", worst_u, 1e-6))
     checks.append(Check("affine rep: composition", worst_c, 1e-6))
 
+    # audit of the closed-form kappa = sqrt(pi) by a quadrature fit
     dm = duflo_moore("affine")
-    per_pair = dm.meta["kappa_per_pair"]
+    cal = calibrate_affine_dm(
+        setup.rep, [(s["dog2"], s["dog2"]), (s["dog4"], s["gauss_mod"])], setup.x_grid
+    )
+    per_pair = cal["kappa_per_pair"]
     checks.append(
         Check(
             "affine DM: calibration pair consistency",
-            abs(per_pair[0] - per_pair[1]) / dm.meta["kappa"],
+            abs(per_pair[0] - per_pair[1]) / cal["kappa"],
             1e-2,
         )
+    )
+    checks.append(
+        Check("affine DM: fitted kappa vs sqrt(pi)", abs(cal["kappa"] / dm.meta["kappa"] - 1.0), 5e-3)
     )
 
     grids = configs.affine_nested_grids(setup, levels=6)
@@ -359,7 +364,6 @@ def affine_suite(seed: int = 0) -> list[Check]:
             "admissibility: gaussian flagged divergent",
             0.0 if rep_g.status == "divergent" else 1.0,
             0.0,
-            expect="detected",
         )
     )
 
@@ -447,7 +451,7 @@ def exotic_suite(seed: int = 0) -> list[Check]:
     bseq = 2.0 ** (-np.arange(8.0)) * setup.state_grid.axis(0)[8]
     syms = dm.symbol_values(bseq)
     growth = float(np.min(syms[1:] / syms[:-1]))
-    checks.append(Check("exotic DM: unbounded symbol growth", 0.0 if growth >= np.sqrt(2.0) - 1e-12 else 1.0, 0.0, expect="detected"))
+    checks.append(Check("exotic DM: unbounded symbol growth", 0.0 if growth >= np.sqrt(2.0) - 1e-12 else 1.0, 0.0))
 
     # the cross pair reuses c(psi, phi) of the diagonal pair
     c11 = analyze(setup.proj, s["psi"], s["phi"], setup.x_grid).coefficients
@@ -480,7 +484,6 @@ def _psi_status_check(psi_kind: str) -> Check:
         f"requested psi ({psi_kind}): admissibility status = {rep.status}",
         0.0 if definite else 1.0,
         0.0,
-        expect="detected",
     )
 
 

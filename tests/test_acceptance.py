@@ -46,6 +46,7 @@ from groupwave.states import (
 from groupwave.transforms import (
     admissibility,
     analyze,
+    calibrate_affine_dm,
     duflo_moore,
     kernel,
     mod_K_equiv_check,
@@ -197,15 +198,18 @@ def test_criterion_05_affine_admissibility_dichotomy(affine):
 
 
 def test_criterion_06_affine_orthogonality_calibrated(affine):
-    dm = duflo_moore("affine")  # calibrated on (dog2, dog2) and (dog4, gauss_mod)
+    dm = duflo_moore("affine")  # kappa = sqrt(pi) in closed form
     s = affine.states
     # validation pair disjoint from both calibration pairs
     _, _, rel = orthogonality_check(
         affine.rep, s["morlet"], s["morlet"], s["gauss_mod3"], s["gauss_mod3"],
         dm, affine.x_grid,
     )
-    per_pair = dm.meta["kappa_per_pair"]
-    cal_dev = abs(per_pair[0] - per_pair[1]) / dm.meta["kappa"]
+    cal = calibrate_affine_dm(
+        affine.rep, [(s["dog2"], s["dog2"]), (s["dog4"], s["gauss_mod"])], affine.x_grid
+    )
+    per_pair = cal["kappa_per_pair"]
+    cal_dev = abs(per_pair[0] - per_pair[1]) / cal["kappa"]
     report(6, "calibration constants agree across pairs", cal_dev, 1e-2, cal_dev <= 1e-2)
     report(6, "affine orthogonality on validation pair", rel, 1e-2, rel <= 1e-2)
 

@@ -62,20 +62,12 @@ def test_verify_report_independent_of_blas_threads(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_verify_config_file_flags_win(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 5, "note": "from-file"}))
+def test_config_flag_removed_and_report_echoes_flags(tmp_path, capsys):
+    assert main(["verify", "--group", "affine", "--config", "cfg.json"]) == 2
     out = tmp_path / "r.json"
-    assert (
-        main(
-            ["verify", "--group", "affine", "--seed", "0",
-             "--config", str(cfg), "--output", str(out)]
-        )
-        == 0
-    )
+    assert main(["verify", "--group", "affine", "--seed", "0", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["config"]["note"] == "from-file"
-    assert report["config"]["seed"] == 0  # flag wins
+    assert report["config"]["seed"] == 0
     assert "output" not in report["config"]
 
 

@@ -70,11 +70,16 @@ def test_analyze_energy_bound_and_metadata(gabor):
     assert res.meta["clipped"] is False
 
 
-def test_analyze_clips_to_safe_box(gabor):
+def test_analyze_clips_to_safe_box(gabor, caplog):
     wide = haar_grid(gabor.x_group, [(-30, 30)] * 2, [64] * 2)
-    res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["gauss"], wide)
+    with caplog.at_level("WARNING", logger="groupwave"):
+        res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["gauss"], wide)
     assert res.meta["clipped"] is True
     assert res.grid.box[1][1] <= 8.0  # q clipped to the state box halfwidth
+    messages = [r.getMessage() for r in caplog.records if r.name == "groupwave"]
+    assert len(messages) == 1
+    assert gabor.proj.label in messages[0]
+    assert str(list(wide.box)) in messages[0] and str(list(res.grid.box)) in messages[0]
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +105,25 @@ def test_affine_calibration_constants(affine):
     assert abs(k1 - k2) / cal["kappa"] < 0.01
     # the analytic value for haar = a^{-2} db da is sqrt(pi)
     assert cal["kappa"] == pytest.approx(np.sqrt(np.pi), rel=5e-3)
+
+
+def test_affine_dm_kappa_is_closed_form():
+    assert duflo_moore("affine").meta["kappa"] == np.sqrt(np.pi)
+
+
+def test_affine_dm_needs_no_fit(affine, monkeypatch):
+    import groupwave.configs
+    import groupwave.transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("duflo_moore('affine') must not fit kappa")
+
+    monkeypatch.setattr(groupwave.configs, "affine_setup", refuse)
+    monkeypatch.setattr(groupwave.transforms, "analyze", refuse)
+    dm = duflo_moore("affine")
+    psi_hat = fourier_plancherel(affine.states["morlet"])
+    w, dw = psi_hat.grid.axis(0), psi_hat.grid.spacings[0]
+    assert np.all(dm.symbol_values(w, dw) > 0)
 
 
 def test_exotic_dm_symbol(exotic):
@@ -560,3 +584,10 @@ def test_load_result_csv_rejects_other_group(gabor, affine, tmp_path):
     save_result_csv(prefix, res)
     with pytest.raises(ValueError, match="group"):
         load_result_csv(prefix, affine.x_grid)
+
+
+def test_bundled_affine_grid_is_not_clipped(affine, caplog):
+    with caplog.at_level("WARNING", logger="groupwave"):
+        res = analyze(affine.rep, affine.states["morlet"], affine.states["morlet"], affine.x_grid)
+    assert not res.meta["clipped"]
+    assert [r for r in caplog.records if r.name == "groupwave"] == []
