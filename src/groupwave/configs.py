@@ -26,8 +26,7 @@ from .groups import (
     make_vector_group,
     make_wh_quotient,
 )
-from .measures import RelCentralSubgroup
-from .multipliers import Section
+from .multipliers import RelCentralSubgroup, Section
 from .representations import (
     ProjectiveRepSpec,
     UnitaryRepSpec,
@@ -97,58 +96,23 @@ def gabor_setup(
     k_group = make_vector_group(1, f"wh_center_n{n}", density=1.0)
     kc = float(k_check)
 
-    def k_embed(k):
-        k = np.asarray(k, dtype=float)
-        out = np.zeros(k.shape[:-1] + (group.dim,))
-        out[..., 0] = k[..., 0]
-        return out
-
-    def k_project(g):
-        return np.asarray(g, dtype=float)[..., :1]
-
-    def project(g):
-        return np.asarray(g, dtype=float)[..., 1:]
-
-    def chi_phase(k):
-        return kc * np.asarray(k, dtype=float)[..., 0]
-
-    def smap(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (group.dim,))
-        out[..., 1:] = x
-        return out
-
-    def smap_prime(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (group.dim,))
-        out[..., 0] = 0.5 * np.sum(x[..., :n] * x[..., n:], axis=-1)
-        out[..., 1:] = x
-        return out
-
-    common = dict(
-        x_group=x_group,
-        g_group=group,
-        projection=project,
-        subgroup_embed=k_embed,
-        subgroup_project=k_project,
-        chi_phase=chi_phase,
-    )
-    section = Section(
-        label="s0", map=smap, is_coordinate_section=True,
-        coordinate_axes=tuple(range(1, 2 * n + 1)), **common
-    )
-    section_prime = Section(label="s_sym", map=smap_prime, **common)
-
     subgroup = RelCentralSubgroup(
         ambient=group,
         k_group=k_group,
         quotient=x_group,
-        K_embed=k_embed,
-        K_project=k_project,
-        project=project,
-        chi_phase=chi_phase,
-        sections=(section, section_prime),
+        k_axes=(0,),
+        x_axes=tuple(range(1, 2 * n + 1)),
+        chi_phase=lambda k: kc * np.asarray(k, dtype=float)[..., 0],
     )
+    section = subgroup.coordinate_section
+
+    def smap_prime(x):
+        x = np.asarray(x, dtype=float)
+        out = section.map(x)
+        out[..., 0] = 0.5 * np.sum(x[..., :n] * x[..., n:], axis=-1)
+        return out
+
+    section_prime = Section("s_sym", subgroup, smap_prime)
 
     state_grid = centered_grid(state_halfwidth, state_points, dim=n)
     # grid safety: translations must stay clear of the periodic wrap of the
@@ -318,67 +282,28 @@ def exotic_setup(
     k_group = make_exotic_k_group(n)
     kv = np.broadcast_to(np.atleast_1d(np.asarray(k_vec, dtype=float)), (n,))
 
-    # chart layout (t, s, b, p, q, r, a); X chart (p, q, b, a); K chart (t, s, r)
-    def k_embed(k):
-        k = np.asarray(k, dtype=float)
-        out = np.zeros(k.shape[:-1] + (group.dim,))
-        out[..., 0] = k[..., 0]
-        out[..., 1] = k[..., 1]
-        out[..., 5] = k[..., 2]
-        out[..., 6] = 1.0
-        return out
-
-    def k_project(g):
-        g = np.asarray(g, dtype=float)
-        return np.stack([g[..., 0], g[..., 1], g[..., 5]], axis=-1)
-
-    def project(g):
-        g = np.asarray(g, dtype=float)
-        return np.stack([g[..., 3], g[..., 4], g[..., 2], g[..., 6]], axis=-1)
-
     def chi_phase(k):
         k = np.asarray(k, dtype=float)
         return k[..., 0] + kv[0] * k[..., 2]
 
-    def smap(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (group.dim,))
-        out[..., 2] = x[..., 2]
-        out[..., 3] = x[..., 0]
-        out[..., 4] = x[..., 1]
-        out[..., 6] = x[..., 3]
-        return out
-
-    def smap_prime(x):
-        x = np.asarray(x, dtype=float)
-        out = smap(x)
-        out[..., 0] = 0.5 * x[..., 0] * x[..., 1]
-        return out
-
-    common = dict(
-        x_group=x_group,
-        g_group=group,
-        projection=project,
-        subgroup_embed=k_embed,
-        subgroup_project=k_project,
-        chi_phase=chi_phase,
-    )
-    section = Section(
-        label="s0", map=smap, is_coordinate_section=True,
-        coordinate_axes=(3, 4, 2, 6), **common
-    )
-    section_prime = Section(label="s_tw", map=smap_prime, **common)
-
+    # chart layout (t, s, b, p, q, r, a); X chart (p, q, b, a); K chart (t, s, r)
     subgroup = RelCentralSubgroup(
         ambient=group,
         k_group=k_group,
         quotient=x_group,
-        K_embed=k_embed,
-        K_project=k_project,
-        project=project,
+        k_axes=(0, 1, 5),
+        x_axes=(3, 4, 2, 6),
         chi_phase=chi_phase,
-        sections=(section, section_prime),
     )
+    section = subgroup.coordinate_section
+
+    def smap_prime(x):
+        x = np.asarray(x, dtype=float)
+        out = section.map(x)
+        out[..., 0] = 0.5 * x[..., 0] * x[..., 1]
+        return out
+
+    section_prime = Section("s_tw", subgroup, smap_prime)
 
     rep = exotic_rep(kv, n, shift_max=p_halfwidth)
     proj = projective_from_section(rep, section)

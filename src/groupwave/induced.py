@@ -67,7 +67,7 @@ class CovariantFunction:
                 raise ValueError("X-part of the evaluation point is off the grid")
             idx.append(j)
         base = flat[tuple(idx)]
-        return complex(np.exp(-1j * float(self.section.chi_phase(k))) * base)
+        return complex(np.exp(-1j * float(self.subgroup.chi_phase(k))) * base)
 
 
 def F_s(
@@ -105,7 +105,7 @@ def R_chi_s(
     cs = section_cocycle(
         section, np.broadcast_to(g_inv, (grid.n_nodes, G.dim)), grid.nodes
     )
-    phase = np.exp(1j * np.asarray(section.chi_phase(cs))).reshape(grid.resolution)
+    phase = np.exp(1j * np.asarray(subgroup.chi_phase(cs))).reshape(grid.resolution)
     return phase * moved
 
 

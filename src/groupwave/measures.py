@@ -1,6 +1,7 @@
-"""Relatively central subgroups, the coordinate isomorphism gamma_s,
-the measure decomposition over X x K, and densities realizing the measure
-class used for square-integrability modulo the subgroup.
+"""The coordinate isomorphism gamma_s of a relatively central subgroup
+(``multipliers.RelCentralSubgroup``), the measure decomposition over X x K,
+and densities realizing the measure class used for square-integrability
+modulo the subgroup.
 
 A measure of the class is rho dmu_G with
 
@@ -8,7 +9,8 @@ A measure of the class is rho dmu_G with
 
 so integrating |c|^2 against it collapses, along every K-coset, to the
 quadrature of |c o s|^2 over X.  All implemented K's are abelian coordinate
-subgroups with Lebesgue Haar measure on their chart.
+subgroups with Lebesgue Haar measure on their chart; the reference section
+is ``subgroup.coordinate_section``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import GroupDescriptor, QuadratureGrid, haar_grid
-from .multipliers import Section, kappa_from_section
+from .groups import QuadratureGrid, haar_grid
+from .multipliers import RelCentralSubgroup, Section, kappa_from_section
 from .states import DiscretizedState, bump_profile
 from .representations import UnitaryRepSpec, projective_from_section
 
@@ -39,33 +41,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RelCentralSubgroup:
-    """A closed normal subgroup K on which the representation acts by the
-    character chi (phase given in radians), plus the quotient data."""
-
-    ambient: GroupDescriptor
-    k_group: GroupDescriptor
-    quotient: GroupDescriptor
-    K_embed: Callable[[np.ndarray], np.ndarray]
-    K_project: Callable[[np.ndarray], np.ndarray]
-    project: Callable[[np.ndarray], np.ndarray]  # p : G -> X
-    chi_phase: Callable[[np.ndarray], np.ndarray]
-    sections: tuple[Section, ...] = ()
-
-    def membership_defect(self, g_coords: np.ndarray) -> float:
-        g_coords = np.asarray(g_coords, dtype=float)
-        back = self.K_embed(self.K_project(g_coords))
-        return float(np.max(self.ambient.distance(back, g_coords)))
-
-    def normality_defect(self, g: np.ndarray, k: np.ndarray) -> float:
-        """max defect of g K g^{-1} subset K over sample pairs."""
-        G = self.ambient
-        conj = G.product(G.product(g, self.K_embed(k)), G.inverse(g))
-        back = self.K_embed(self.K_project(conj))
-        return float(np.max(G.distance(back, conj)))
-
-
 def gamma_s(subgroup: RelCentralSubgroup, section: Section, x, k) -> np.ndarray:
     """gamma_s(x, k) = s(x) k in G-chart coordinates."""
     return subgroup.ambient.product(
@@ -80,9 +55,7 @@ def gamma_s_inv(subgroup: RelCentralSubgroup, section: Section, g):
     G = subgroup.ambient
     x = subgroup.project(g)
     k_g = G.product(G.inverse(section.map(x)), g)
-    if subgroup.membership_defect(k_g) > 1e-10:
-        raise ValueError("gamma_s_inv: K-component left the subgroup")
-    return x, subgroup.K_project(k_g)
+    return x, subgroup.extract_k(k_g, context="gamma_s_inv")
 
 
 def coord_product(subgroup: RelCentralSubgroup, section: Section, x, k, x2, k2):
@@ -100,9 +73,7 @@ def coord_product(subgroup: RelCentralSubgroup, section: Section, x, k, x2, k2):
     kappa = kappa_from_section(section, x, x2)
     s2 = section.map(x2)
     conj = G.product(G.product(G.inverse(s2), subgroup.K_embed(np.asarray(k, float))), s2)
-    if subgroup.membership_defect(conj) > 1e-10:
-        raise ValueError("coord_product: conjugated element left K (K not normal?)")
-    k_conj = subgroup.K_project(conj)
+    k_conj = subgroup.extract_k(conj, context="coord_product (K not normal?)")
     k_out = K.product(K.product(K.inverse(kappa), k_conj), np.asarray(k2, float))
     return X.product(x, x2), k_out
 
@@ -156,7 +127,7 @@ def make_rho(
     identity exactly by translation invariance of Lebesgue measure.
     """
     m = subgroup.k_group.dim
-    section = subgroup.sections[0]
+    section = subgroup.coordinate_section
     if kind == "gaussian":
         def profile(k):
             k = np.asarray(k, dtype=float)
@@ -261,11 +232,11 @@ def center_divergence_probe(
     the X-side integral of |c o s|^2 -- the numerical face of "square
     integrable only modulo K, never over all of G".  Both integrals run on
     the batched engine: ``rep`` needs an action table, and the K coordinate
-    leads the G chart of the coordinate section ``subgroup.sections[0]``.
+    leads the G chart of ``subgroup.coordinate_section``.
 
     Returns (partials, slope_fit, x_integral).
     """
-    proj = projective_from_section(rep, subgroup.sections[0])
+    proj = projective_from_section(rep, subgroup.coordinate_section)
     if proj.fast_coefficients is None:
         raise ValueError(f"{proj.label}: the probe needs an action table and a coordinate section")
     c_x = proj.fast_coefficients(psi, phi, x_grid)

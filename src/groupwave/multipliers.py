@@ -1,5 +1,11 @@
-"""T-valued multipliers (2-cocycles), sections of quotient maps and the
-cocycles they induce, multiplier similarity, and central-extension groups.
+"""T-valued multipliers (2-cocycles), the relatively central subgroup K of G
+with its character chi, sections s: X = G/K -> G and the cocycles they
+induce, multiplier similarity, and central-extension groups.
+
+A ``RelCentralSubgroup`` declares K and X by the G-chart axes they occupy;
+each ``Section`` carries its subgroup, and the subgroup's cached
+``coordinate_section`` places X at its axes with every other coordinate at
+the identity.
 
 Phases are stored in radians and compared modulo 2 pi with a wrap-aware
 distance, so branch cuts never produce false failures.
@@ -8,6 +14,7 @@ distance, so branch cuts never produce false failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -16,6 +23,7 @@ from .groups import GroupDescriptor, random_chart_points
 
 __all__ = [
     "Multiplier",
+    "RelCentralSubgroup",
     "Section",
     "InconsistentSectionError",
     "wrap_phase",
@@ -56,82 +64,117 @@ class Multiplier:
 
 
 class InconsistentSectionError(ValueError):
-    """A section's derived cocycle left the embedded subgroup."""
+    """A point expected in K -- a section's derived cocycle, a K-part of
+    gamma_s^{-1}, a conjugate of K -- left the subgroup."""
+
+
+@dataclass(frozen=True)
+class RelCentralSubgroup:
+    """A closed normal subgroup K of G on which the representation acts by
+    the character chi (phase in radians), with the quotient X = G/K.
+
+    Every implemented K is a coordinate subspace of the G chart: K sits at
+    the chart axes ``k_axes`` and X at ``x_axes``.  ``K_embed`` places
+    K-chart coordinates at ``k_axes`` with every other coordinate at its
+    identity value, ``K_project`` and ``project`` (p : G -> X) pick the
+    coordinates back out.
+    """
+
+    ambient: GroupDescriptor
+    k_group: GroupDescriptor
+    quotient: GroupDescriptor
+    k_axes: tuple[int, ...]
+    x_axes: tuple[int, ...]
+    chi_phase: Callable[[np.ndarray], np.ndarray]
+
+    def _place(self, axes: tuple[int, ...], coords) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        out = np.empty(coords.shape[:-1] + (self.ambient.dim,))
+        out[...] = self.ambient.identity
+        out[..., list(axes)] = coords
+        return out
+
+    def K_embed(self, k) -> np.ndarray:
+        return self._place(self.k_axes, k)
+
+    def K_project(self, g) -> np.ndarray:
+        return np.asarray(g, dtype=float)[..., list(self.k_axes)]
+
+    def project(self, g) -> np.ndarray:
+        return np.asarray(g, dtype=float)[..., list(self.x_axes)]
+
+    def membership_defect(self, g_coords: np.ndarray) -> float:
+        g_coords = np.asarray(g_coords, dtype=float)
+        back = self.K_embed(self.K_project(g_coords))
+        return float(np.max(self.ambient.distance(back, g_coords)))
+
+    def normality_defect(self, g: np.ndarray, k: np.ndarray) -> float:
+        """max defect of g K g^{-1} subset K over sample pairs."""
+        G = self.ambient
+        return self.membership_defect(G.product(G.product(g, self.K_embed(k)), G.inverse(g)))
+
+    def extract_k(self, g_coords: np.ndarray, context: str = "K") -> np.ndarray:
+        """Project a G-point expected to lie in K onto the K-chart, verifying
+        that the non-K coordinates sit at their identity values."""
+        defect = self.membership_defect(g_coords)
+        if defect > K_MEMBERSHIP_TOL:
+            raise InconsistentSectionError(f"{context}: point leaves K by {defect:.3e}")
+        return self.K_project(g_coords)
+
+    @cached_property
+    def coordinate_section(self) -> Section:
+        """s0: the X coordinates placed at ``x_axes``, every other
+        coordinate at its identity value."""
+        return Section("s0", self, lambda x: self._place(self.x_axes, x), self.x_axes)
 
 
 @dataclass(frozen=True)
 class Section:
-    """A map X -> G splitting the projection p: G -> X, with the character
-    of the subgroup K it is transverse to.
-
-    ``map``/``projection`` are vectorized over leading axes.  ``subgroup_embed``
-    and ``subgroup_project`` convert between the K-chart and the K-coordinate
-    subspace of the G-chart; all implemented K's are coordinate subspaces.
-    """
+    """A map s: X -> G splitting the projection of ``subgroup``, vectorized
+    over leading axes.  ``coordinate_axes`` is set when s places the X
+    coordinates at those G-chart axes with every other coordinate at its
+    identity value; batched evaluators then reuse X grids."""
 
     label: str
-    x_group: GroupDescriptor
-    g_group: GroupDescriptor
+    subgroup: RelCentralSubgroup
     map: Callable[[np.ndarray], np.ndarray]
-    projection: Callable[[np.ndarray], np.ndarray]
-    subgroup_embed: Callable[[np.ndarray], np.ndarray]
-    subgroup_project: Callable[[np.ndarray], np.ndarray]
-    chi_phase: Callable[[np.ndarray], np.ndarray]
-    # True when s places the X coordinates into the G-chart with every other
-    # coordinate at its identity value; lets batched evaluators reuse X-grids.
-    is_coordinate_section: bool = False
-    # for coordinate sections: G-chart index of each X coordinate (used to
-    # restrict grid-safety boxes of G-representations to the quotient)
     coordinate_axes: tuple[int, ...] | None = None
-
-    def extract_k(self, g_coords: np.ndarray, context: str = "section") -> np.ndarray:
-        """Project a G-point expected to lie in K onto the K-chart, verifying
-        that the non-K coordinates sit at their identity values."""
-        g_coords = np.asarray(g_coords, dtype=float)
-        k = self.subgroup_project(g_coords)
-        back = self.subgroup_embed(k)
-        defect = float(np.max(self.g_group.distance(back, g_coords)))
-        if defect > K_MEMBERSHIP_TOL:
-            raise InconsistentSectionError(
-                f"{context}: point leaves K by {defect:.3e} (section {self.label!r})"
-            )
-        return k
 
 
 def kappa_from_section(section: Section, x1, x2) -> np.ndarray:
     """kappa_s(x1, x2) in the K-chart, from s(x1 x2) = s(x1) s(x2) kappa_s(x1, x2)."""
-    G = section.g_group
-    X = section.x_group
+    G = section.subgroup.ambient
+    X = section.subgroup.quotient
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     s12 = section.map(X.product(x1, x2))
     head = G.product(section.map(x1), section.map(x2))
     kappa_g = G.product(G.inverse(head), s12)
-    return section.extract_k(kappa_g, context="kappa_s")
+    return section.subgroup.extract_k(kappa_g, context=f"kappa_s (section {section.label!r})")
 
 
 def multiplier_from_section(section: Section) -> Multiplier:
     """m_s(x1, x2) = chi(kappa_s(x1, x2))."""
 
     def phase(x1, x2):
-        return np.asarray(section.chi_phase(kappa_from_section(section, x1, x2)))
+        return np.asarray(section.subgroup.chi_phase(kappa_from_section(section, x1, x2)))
 
     return Multiplier(
-        phase=phase, base_group=section.x_group, label=f"m[{section.label}]"
+        phase=phase, base_group=section.subgroup.quotient, label=f"m[{section.label}]"
     )
 
 
 def section_cocycle(section: Section, g, x) -> np.ndarray:
     """c_s(g, x) = s(x)^{-1} g^{-1} s(g[x]) in the K-chart; g[x] = p(g) x."""
-    G = section.g_group
-    X = section.x_group
+    sub = section.subgroup
+    G = sub.ambient
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
-    gx = X.product(section.projection(g), x)
+    gx = sub.quotient.product(sub.project(g), x)
     val = G.product(
         G.product(G.inverse(section.map(x)), G.inverse(g)), section.map(gx)
     )
-    return section.extract_k(val, context="c_s")
+    return sub.extract_k(val, context=f"c_s (section {section.label!r})")
 
 
 def check_normalization(m: Multiplier, points: np.ndarray) -> float:

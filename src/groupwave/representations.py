@@ -435,7 +435,7 @@ def projective_from_section(rep: UnitaryRepSpec, section: Section) -> Projective
     For a coordinate section the rep's action table and safe box are
     restricted to ``section.coordinate_axes``, so P_s runs batched on X grids.
     """
-    if section.g_group.name != rep.group.name:
+    if section.subgroup.ambient.name != rep.group.name:
         raise ValueError("section codomain does not match the representation's group")
     m = multiplier_from_section(section)
 
@@ -446,12 +446,12 @@ def projective_from_section(rep: UnitaryRepSpec, section: Section) -> Projective
     safe_box = table = None
     if rep.safe_box is not None and axes is not None:
         safe_box = tuple(rep.safe_box[i] for i in axes)
-    if rep.table is not None and section.is_coordinate_section and axes is not None:
+    if rep.table is not None and axes is not None:
         # the other coordinates sit at the identity, where every role is trivial
         table = replace(rep.table, roles=tuple(rep.table.roles[i] for i in axes))
 
     return ProjectiveRepSpec(
-        group=section.x_group,
+        group=section.subgroup.quotient,
         action=action,
         label=f"P[{rep.label};{section.label}]",
         multiplier=m,

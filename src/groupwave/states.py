@@ -281,13 +281,12 @@ def _bluestein_uniform_eval(coeff: np.ndarray, beta: float, u0: float) -> np.nda
 
 
 def axis_resample(
-    state: DiscretizedState, axis: int, scale: float, shift: float = 0.0,
-    periodic: bool = False,
+    state: DiscretizedState, axis: int, scale: float, shift: float = 0.0
 ) -> DiscretizedState:
     """Sample the trig interpolant at y = scale * x + shift along one axis.
 
     Returns g with g(x_j) = f(scale * x_j + shift).  The interpolant is the
-    band-limited periodic extension of the samples; by default points mapped
+    band-limited periodic extension of the samples, but points mapped
     outside the sampled box read zero (the right semantics for decaying
     states -- periodic wrap-around would re-capture spectral mass under
     dilations with scale >~ 2).  The uniformly spaced evaluation points make
@@ -314,15 +313,12 @@ def axis_resample(
     half = n // 2
     prefac = np.exp(-2j * np.pi * half * u / n) / n
     out = series * prefac.reshape((n,) + (1,) * (series.ndim - 1))
-    if not periodic:
-        outside = (y < x0) | (y >= x0 + n * h)
-        out[outside] = 0.0
+    out[(y < x0) | (y >= x0 + n * h)] = 0.0
     return DiscretizedState(np.moveaxis(out, 0, axis), g)
 
 
 def axis_resample_dense(
-    state: DiscretizedState, axis: int, scale: float, shift: float = 0.0,
-    periodic: bool = False,
+    state: DiscretizedState, axis: int, scale: float, shift: float = 0.0
 ) -> DiscretizedState:
     """Reference implementation of :func:`axis_resample` via the dense
     interpolation matrix; used to cross-check the chirp-z path."""
@@ -334,9 +330,7 @@ def axis_resample_dense(
     coeff = np.fft.fft(state.samples, axis=axis)
     w = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     interp = np.exp(1j * np.outer(y - x0, w)) / n
-    if not periodic:
-        outside = (y < x0) | (y >= x0 + n * h)
-        interp[outside, :] = 0.0
+    interp[(y < x0) | (y >= x0 + n * h), :] = 0.0
     moved = np.moveaxis(coeff, axis, 0)
     out = np.tensordot(interp, moved, axes=(1, 0))
     return DiscretizedState(np.moveaxis(out, 0, axis), g)

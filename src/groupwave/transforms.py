@@ -50,7 +50,6 @@ from .states import (
 __all__ = [
     "TransformResult",
     "DMOperator",
-    "NotAdmissibleError",
     "AdmissibilityReport",
     "analyze",
     "synthesize",
@@ -69,10 +68,6 @@ __all__ = [
 
 
 _log = logging.getLogger("groupwave")
-
-
-class NotAdmissibleError(ValueError):
-    """Raised when an operation requires an admissible analyzing vector."""
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +579,7 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
         "dm_norm": result.dm_norm,
         "box": [list(b) for b in result.grid.box],
         "resolution": list(result.grid.resolution),
+        "log_axes": list(result.grid.log_axes),
         "meta": {
             k: v for k, v in result.meta.items() if isinstance(v, (int, float, str, bool, list))
         },
@@ -595,6 +591,8 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
 
 
 def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
+    """Read a result written by :func:`save_result_csv`; ``grid`` supplies the
+    group, the header the box, resolution and log axes (clipping moves the box)."""
     import json
 
     with open(f"{path_prefix}.json") as fh:
@@ -604,9 +602,17 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
             f"coefficient file is for group {header.get('group')!r}, "
             f"not {grid.group.name!r}"
         )
-    data = np.loadtxt(f"{path_prefix}.csv", delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    coeffs = data[:, -2] + 1j * data[:, -1]
+    try:
+        box = tuple(tuple(map(float, b)) for b in header.get("box", grid.box))
+        resolution = tuple(map(int, header.get("resolution", grid.resolution)))
+        log_axes = tuple(map(int, header.get("log_axes", grid.log_axes)))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"coefficient header: malformed grid ({exc})") from None
+    if (box, resolution, log_axes) != (grid.box, grid.resolution, grid.log_axes):
+        grid = haar_grid(grid.group, box, resolution, log_axes=log_axes)
+    re, im = np.loadtxt(f"{path_prefix}.csv", delimiter=",", skiprows=1,
+                        usecols=(-2, -1), ndmin=2).T
+    coeffs = re + 1j * im
     if coeffs.size != grid.n_nodes:
         raise ValueError("coefficient count does not match the grid")
     return TransformResult(

@@ -118,7 +118,7 @@ def test_criterion_01_algebraic_suite(gabor, exotic, rng):
         x1 = random_chart_points(setup.x_group, rng, 1000)
         x2 = random_chart_points(setup.x_group, rng, 1000)
         kappa = kappa_from_section(setup.section, x1, x2)
-        back = setup.section.subgroup_embed(kappa)
+        back = setup.subgroup.K_embed(kappa)
         head = setup.group.product(setup.section.map(x1), setup.section.map(x2))
         recon = setup.group.product(head, back)
         worst = max(

@@ -135,6 +135,21 @@ def test_synthesize_rejects_coefficients_of_other_group(tmp_path, capsys):
     assert "affine_n1" in capsys.readouterr().err
 
 
+def test_synthesize_rejects_malformed_grid_header(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, gabor_setup().states["hermite2"])
+    prefix = str(tmp_path / "coef")
+    assert main(["analyze", "--group", "gabor", "--input", str(sig),
+                 "--assume-grid", "--output", prefix]) == 0
+    header_path = tmp_path / "coef.json"
+    header = json.loads(header_path.read_text())
+    header["box"][0] = [None, 8.0]
+    header_path.write_text(json.dumps(header))
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv")]) == 2
+    assert "malformed grid" in capsys.readouterr().err
+
+
 def test_analyze_zero_signal(tmp_path):
     setup = gabor_setup()
     zero = setup.states["gauss"].with_samples(

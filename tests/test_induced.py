@@ -40,7 +40,7 @@ def test_F_s_covariant_extension(gabor, gabor_field, rng):
         i = int(rng.integers(0, grid.n_nodes))
         k = rng.uniform(-3, 3, 1)
         g = gamma_s(gabor.subgroup, gabor.section, grid.nodes[i], k)
-        expected = np.exp(-1j * float(gabor.section.chi_phase(k))) * flat[i]
+        expected = np.exp(-1j * float(gabor.subgroup.chi_phase(k))) * flat[i]
         assert cov.evaluate(g) == pytest.approx(expected, abs=1e-13)
 
 

@@ -183,16 +183,7 @@ def test_inconsistent_section_detected(gabor):
         out[..., 2] = x[..., 1]
         return out
 
-    bad = gabor.section.__class__(
-        label="broken",
-        x_group=gabor.section.x_group,
-        g_group=gabor.section.g_group,
-        map=bad_map,
-        projection=gabor.section.projection,
-        subgroup_embed=gabor.section.subgroup_embed,
-        subgroup_project=gabor.section.subgroup_project,
-        chi_phase=gabor.section.chi_phase,
-    )
+    bad = gabor.section.__class__(label="broken", subgroup=gabor.subgroup, map=bad_map)
     with pytest.raises(InconsistentSectionError):
         kappa_from_section(bad, np.array([4.0, 2.0]), np.array([1.0, 1.0]))
 
@@ -214,8 +205,88 @@ def test_any_two_sections_similar_via_upsilon(which, gabor, exotic, rng):
 
     def beta(x):
         ups = G.product(G.inverse(s.map(x)), sp.map(x))
-        return s.chi_phase(s.extract_k(ups, context="upsilon"))
+        return s.subgroup.chi_phase(s.subgroup.extract_k(ups, context="upsilon"))
 
     m = multiplier_from_section(s)
     mp = multiplier_from_section(sp)
     assert similar(mp, m, beta, 200, rng) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# axis declarations of the bundled subgroups against hand-written charts
+# ---------------------------------------------------------------------------
+
+
+def _gabor_charts(n):
+    """The coordinate maps of the Gabor configuration, written out by hand."""
+    dim = 2 * n + 1
+
+    def k_embed(k):
+        k = np.asarray(k, dtype=float)
+        out = np.zeros(k.shape[:-1] + (dim,))
+        out[..., 0] = k[..., 0]
+        return out
+
+    def k_project(g):
+        return np.asarray(g, dtype=float)[..., :1]
+
+    def project(g):
+        return np.asarray(g, dtype=float)[..., 1:]
+
+    def smap(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (dim,))
+        out[..., 1:] = x
+        return out
+
+    return k_embed, k_project, project, smap
+
+
+def _exotic_charts():
+    """The coordinate maps of the exotic configuration, written out by hand:
+    chart (t, s, b, p, q, r, a), X chart (p, q, b, a), K chart (t, s, r)."""
+
+    def k_embed(k):
+        k = np.asarray(k, dtype=float)
+        out = np.zeros(k.shape[:-1] + (7,))
+        out[..., 0] = k[..., 0]
+        out[..., 1] = k[..., 1]
+        out[..., 5] = k[..., 2]
+        out[..., 6] = 1.0
+        return out
+
+    def k_project(g):
+        g = np.asarray(g, dtype=float)
+        return np.stack([g[..., 0], g[..., 1], g[..., 5]], axis=-1)
+
+    def project(g):
+        g = np.asarray(g, dtype=float)
+        return np.stack([g[..., 3], g[..., 4], g[..., 2], g[..., 6]], axis=-1)
+
+    def smap(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (7,))
+        out[..., 2] = x[..., 2]
+        out[..., 3] = x[..., 0]
+        out[..., 4] = x[..., 1]
+        out[..., 6] = x[..., 3]
+        return out
+
+    return k_embed, k_project, project, smap
+
+
+@pytest.mark.parametrize("which", ["gabor", "gabor_n2", "exotic"])
+def test_axis_declarations_match_hand_written_charts(which, gabor, gabor_n2, exotic, rng):
+    setup = {"gabor": gabor, "gabor_n2": gabor_n2, "exotic": exotic}[which]
+    charts = _exotic_charts() if which == "exotic" else _gabor_charts(setup.n)
+    k_embed, k_project, project, smap = charts
+    sub = setup.subgroup
+    g = random_chart_points(sub.ambient, rng, 200)
+    k = random_chart_points(sub.k_group, rng, 200)
+    x = random_chart_points(sub.quotient, rng, 200)
+    assert np.array_equal(sub.K_embed(k), k_embed(k))
+    assert np.array_equal(sub.K_project(g), k_project(g))
+    assert np.array_equal(sub.project(g), project(g))
+    assert np.array_equal(sub.coordinate_section.map(x), smap(x))
+    assert setup.section is sub.coordinate_section
+    assert setup.section.coordinate_axes == sub.x_axes

@@ -127,34 +127,21 @@ def test_wh_n2_composition(wh2, rng):
 
 def test_wh_n2_coefficient_via_generic_analyze(wh2):
     from groupwave.transforms import analyze
-    from groupwave.groups import make_wh_quotient
-    from groupwave.multipliers import Section
+    from groupwave.groups import make_vector_group, make_wh_quotient
+    from groupwave.multipliers import RelCentralSubgroup
     from groupwave.representations import projective_from_section
 
     rep, grid, psi = wh2
     x_group = make_wh_quotient(2)
-
-    def smap(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (5,))
-        out[..., 1:] = x
-        return out
-
-    section = Section(
-        label="s0",
-        x_group=x_group,
-        g_group=rep.group,
-        map=smap,
-        projection=lambda g: np.asarray(g)[..., 1:],
-        subgroup_embed=lambda k: np.concatenate(
-            [np.asarray(k), np.zeros(np.asarray(k).shape[:-1] + (4,))], axis=-1
-        ),
-        subgroup_project=lambda g: np.asarray(g)[..., :1],
+    subgroup = RelCentralSubgroup(
+        ambient=rep.group,
+        k_group=make_vector_group(1, "wh_center_n2", density=1.0),
+        quotient=x_group,
+        k_axes=(0,),
+        x_axes=(1, 2, 3, 4),
         chi_phase=lambda k: -np.asarray(k)[..., 0],
-        is_coordinate_section=True,
-        coordinate_axes=(1, 2, 3, 4),
     )
-    proj = projective_from_section(rep, section)
+    proj = projective_from_section(rep, subgroup.coordinate_section)
     x_grid = haar_grid(x_group, [(-5, 5)] * 4, [12] * 4)
     res = analyze(proj, psi, psi, x_grid)
     # closed form for unit gaussians generalizes: |c| = e^{-|x|^2/4}

@@ -1,0 +1,50 @@
+"""The benchmark's span tracer against the library it wraps.
+
+``perfbench/tracing.py`` looks library names up with ``getattr`` and
+rebuilds representation specs with ``dataclasses.replace``; a rename or a
+changed spec field in the library breaks ``perfbench/run.py --trace 1``.
+The tracer patches module attributes, so it runs in its own process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import groupwave
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import sys
+sys.path.insert(0, {perfbench!r})
+import tracing
+from groupwave import configs, groups, transforms
+
+tracer = tracing.Tracer()
+tracer.install()
+tracer.active = True
+gab = configs.gabor_setup()
+configs.affine_setup()
+configs.exotic_setup()
+res = transforms.analyze(gab.rep, gab.states["gauss"], gab.states["gauss"],
+                         groups.haar_grid(gab.group, [(-2, 2)] * 3, [4, 8, 8]))
+tracer.active = False
+names = sorted({{span[0] for span in tracer.spans}})
+print(" ".join(names))
+"""
+
+
+def test_tracer_installs_and_traces_analyze():
+    src = str(Path(groupwave.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT.format(perfbench=str(ROOT / "perfbench"))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = set(proc.stdout.split())
+    for name in ("configs.gabor_setup", "configs.affine_setup", "configs.exotic_setup",
+                 "transforms.analyze", "representations.fast_coefficients"):
+        assert name in names, (name, sorted(names))

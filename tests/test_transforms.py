@@ -552,6 +552,22 @@ def test_result_csv_round_trip(gabor, tmp_path):
     assert loaded.rep_id == res.rep_id
 
 
+def test_load_result_csv_restores_clipped_grid(gabor, tmp_path):
+    """A clipped analysis keeps the resolution; loading it against the
+    unclipped grid must still synthesize on the clipped grid."""
+    wide = haar_grid(gabor.x_group, [(-30, 30)] * 2, [64] * 2)
+    psi = gabor.states["gauss"]
+    res = analyze(gabor.proj, psi, gabor.states["hermite1"], wide, dm_norm=1.0)
+    assert res.meta["clipped"] is True
+    prefix = str(tmp_path / "coef")
+    save_result_csv(prefix, res)
+    loaded = load_result_csv(prefix, wide)
+    assert loaded.grid.box == res.grid.box
+    assert np.array_equal(loaded.grid.weights, res.grid.weights)
+    expected = synthesize(res, gabor.proj, psi)
+    assert np.array_equal(synthesize(loaded, gabor.proj, psi).samples, expected.samples)
+
+
 def _save_result_csv_rows(path, result):
     """Reference: the row-by-row coefficient writer."""
     dim = result.grid.nodes.shape[1]
