@@ -22,7 +22,6 @@ from .groups import (
     make_exotic_k_group,
     make_exotic_quotient,
     make_polarized_wh,
-    make_standard_wh,
     make_vector_group,
     make_wh_quotient,
 )

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import QuadratureGrid
-from .measures import RelCentralSubgroup, gamma_s_inv
+from .measures import gamma_s_inv
 from .multipliers import Multiplier, Section, section_cocycle
 from .states import DiscretizedState, axis_resample, StateGrid, translate
 
@@ -49,7 +49,6 @@ class CovariantFunction:
 
     values: np.ndarray
     grid: QuadratureGrid
-    subgroup: RelCentralSubgroup
     section: Section
 
     def norm(self) -> float:
@@ -57,7 +56,7 @@ class CovariantFunction:
 
     def evaluate(self, g) -> complex:
         """Evaluate at a G-point whose X-part lies on the grid."""
-        x, k = gamma_s_inv(self.subgroup, self.section, np.asarray(g, dtype=float))
+        x, k = gamma_s_inv(self.section, np.asarray(g, dtype=float))
         flat = self.values.reshape(self.grid.resolution)
         idx = []
         for i in range(len(self.grid.resolution)):
@@ -67,34 +66,24 @@ class CovariantFunction:
                 raise ValueError("X-part of the evaluation point is off the grid")
             idx.append(j)
         base = flat[tuple(idx)]
-        return complex(np.exp(-1j * float(self.subgroup.chi_phase(k))) * base)
+        return complex(np.exp(-1j * float(self.section.subgroup.chi_phase(k))) * base)
 
 
-def F_s(
-    phi_values: np.ndarray,
-    subgroup: RelCentralSubgroup,
-    section: Section,
-    grid: QuadratureGrid,
-) -> CovariantFunction:
+def F_s(phi_values: np.ndarray, section: Section, grid: QuadratureGrid) -> CovariantFunction:
     """The isometry L2(X) -> covariant functions:  (F_s phi)(g) =
     chi(s(p(g))^{-1} g)^{-1} phi(p(g)).  On the grid it is the identity on
     values, so ||F_s phi|| = ||phi|| exactly."""
     values = np.asarray(phi_values, dtype=complex)
-    return CovariantFunction(values=values, grid=grid, subgroup=subgroup, section=section)
+    return CovariantFunction(values=values, grid=grid, section=section)
 
 
-def R_chi_s(
-    subgroup: RelCentralSubgroup,
-    section: Section,
-    g,
-    values: np.ndarray,
-    grid: QuadratureGrid,
-) -> np.ndarray:
+def R_chi_s(section: Section, g, values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """(R^{chi,s}_g f)(x) = chi(c_s(g^{-1}, x)) f(g^{-1}[x]) on the X grid.
 
     g^{-1}[x] = p(g)^{-1} x is evaluated through band-limited interpolation;
     the phase cocycle is evaluated exactly at the grid nodes.
     """
+    subgroup = section.subgroup
     G = subgroup.ambient
     X = subgroup.quotient
     g = np.asarray(g, dtype=float)

@@ -41,30 +41,32 @@ __all__ = [
 ]
 
 
-def gamma_s(subgroup: RelCentralSubgroup, section: Section, x, k) -> np.ndarray:
+def gamma_s(section: Section, x, k) -> np.ndarray:
     """gamma_s(x, k) = s(x) k in G-chart coordinates."""
-    return subgroup.ambient.product(
+    return section.subgroup.ambient.product(
         section.map(np.asarray(x, dtype=float)),
-        subgroup.K_embed(np.asarray(k, dtype=float)),
+        section.subgroup.K_embed(np.asarray(k, dtype=float)),
     )
 
 
-def gamma_s_inv(subgroup: RelCentralSubgroup, section: Section, g):
+def gamma_s_inv(section: Section, g):
     """Inverse of gamma_s: g |-> (p(g), s(p(g))^{-1} g)."""
     g = np.asarray(g, dtype=float)
+    subgroup = section.subgroup
     G = subgroup.ambient
     x = subgroup.project(g)
     k_g = G.product(G.inverse(section.map(x)), g)
     return x, subgroup.extract_k(k_g, context="gamma_s_inv")
 
 
-def coord_product(subgroup: RelCentralSubgroup, section: Section, x, k, x2, k2):
+def coord_product(section: Section, x, k, x2, k2):
     """Product of G in (x, k) coordinates:
 
         (x, k)(x', k') = (x x', kappa_s(x, x')^{-1} k_{s(x')} k')
 
     with k_{s(x')} = s(x')^{-1} k s(x').
     """
+    subgroup = section.subgroup
     G = subgroup.ambient
     X = subgroup.quotient
     K = subgroup.k_group
@@ -80,7 +82,6 @@ def coord_product(subgroup: RelCentralSubgroup, section: Section, x, k, x2, k2):
 
 def decompose_check(
     test_fn: Callable[[np.ndarray], np.ndarray],
-    subgroup: RelCentralSubgroup,
     section: Section,
     g_grid: QuadratureGrid,
     x_grid: QuadratureGrid,
@@ -93,7 +94,6 @@ def decompose_check(
     """
     lhs = float(np.sum(np.asarray(test_fn(g_grid.nodes)) * g_grid.weights))
     xk_nodes = gamma_s(
-        subgroup,
         section,
         np.repeat(x_grid.nodes, k_grid.n_nodes, axis=0),
         np.tile(k_grid.nodes, (x_grid.n_nodes, 1)),
@@ -184,9 +184,8 @@ def rho_validate(
 ) -> float:
     """max over sampled x of | int_K rho(s(x) k) dmu_K - 1 |."""
     worst = 0.0
-    sub = rho.subgroup
     for x in np.asarray(x_samples, dtype=float):
-        nodes = gamma_s(sub, section, np.broadcast_to(x, (k_grid.n_nodes, len(x))), k_grid.nodes)
+        nodes = gamma_s(section, np.broadcast_to(x, (k_grid.n_nodes, len(x))), k_grid.nodes)
         val = float(np.sum(rho.eval(nodes) * k_grid.weights))
         worst = max(worst, abs(val - 1.0))
     return worst
@@ -231,14 +230,11 @@ def center_divergence_probe(
     partial integrals grow linearly in the K-box measure, with slope equal to
     the X-side integral of |c o s|^2 -- the numerical face of "square
     integrable only modulo K, never over all of G".  Both integrals run on
-    the batched engine: ``rep`` needs an action table, and the K coordinate
-    leads the G chart of ``subgroup.coordinate_section``.
+    the batched engine; the K coordinate leads the G chart.
 
     Returns (partials, slope_fit, x_integral).
     """
     proj = projective_from_section(rep, subgroup.coordinate_section)
-    if proj.fast_coefficients is None:
-        raise ValueError(f"{proj.label}: the probe needs an action table and a coordinate section")
     c_x = proj.fast_coefficients(psi, phi, x_grid)
     x_integral = float(np.sum(np.abs(c_x) ** 2 * x_grid.weights))
 

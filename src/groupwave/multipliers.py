@@ -125,20 +125,20 @@ class RelCentralSubgroup:
     def coordinate_section(self) -> Section:
         """s0: the X coordinates placed at ``x_axes``, every other
         coordinate at its identity value."""
-        return Section("s0", self, lambda x: self._place(self.x_axes, x), self.x_axes)
+        return Section("s0", self, lambda x: self._place(self.x_axes, x))
 
 
 @dataclass(frozen=True)
 class Section:
     """A map s: X -> G splitting the projection of ``subgroup``, vectorized
-    over leading axes.  ``coordinate_axes`` is set when s places the X
-    coordinates at those G-chart axes with every other coordinate at its
-    identity value; batched evaluators then reuse X grids."""
+    over leading axes.  The subgroup's ``x_axes`` declare the chart layout;
+    s differs from ``subgroup.coordinate_section`` by a K-valued factor,
+    s(x) = s0(x) k(x), which the batched evaluators turn into a gauge phase
+    chi(k(x))."""
 
     label: str
     subgroup: RelCentralSubgroup
     map: Callable[[np.ndarray], np.ndarray]
-    coordinate_axes: tuple[int, ...] | None = None
 
 
 def kappa_from_section(section: Section, x1, x2) -> np.ndarray:

@@ -19,11 +19,15 @@ dilation f(g x) of listed state axes with weight g^{m/2}, or inert (a phase
 with c = 0); the affine table acts on Fourier samples.  One engine turns a
 table into the spec's batched ``fast_coefficients`` (c(g) = <U(g) psi, phi>
 over a quadrature grid) and ``fast_adjoint`` (sum_g c(g) w(g) U(g) psi), for
-any n, on the G chart or on the quotient after ``projective_from_section``
-restricts the table to a coordinate section's axes.  Every bundled
-configuration runs batched; the literal ``action`` stays the independent
-reference; specs without a table (central-extension lifts, non-coordinate
-sections) run node by node.
+any n, on the G chart or on the quotient X.  Every spec has a table:
+``projective_from_section`` restricts the rep's table to the subgroup's X
+axes, and a section s other than the coordinate section s0 adds the gauge
+phase of s(x) = s0(x) k(x), k(x) in K, U(k) = e^{i chi(k)}:
+
+    c_s(x) = e^{-i chi(k(x))} c_{s0}(x);
+
+``lift_to_extension`` puts a phase role for the T axis in front of the
+projective table.  The literal ``action`` stays the independent reference.
 
 Non-grid translations use FFT phase ramps, dilations band-limited
 resampling; states are treated as band-limited, so every action declares a
@@ -98,10 +102,13 @@ class ActionTable:
 
     where a dilates the m state axes of the one dilation role (if any).  With
     ``fourier`` the roles act on Fourier-Plancherel samples, U = F^-1 (.) F.
+    A ``gauge`` gamma (chart nodes -> phases) multiplies the whole action by
+    e^{i gamma(g)}: the scalar that a non-coordinate section adds.
     """
 
     roles: tuple[AxisRole, ...]
     fourier: bool = False
+    gauge: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if sum(r.kind == "dilate" for r in self.roles) > 1:
@@ -118,6 +125,8 @@ class ActionTable:
         for index, labels, block in self._dictionary(psi, grid):
             np.einsum(np.conj(block) * weight, labels, *factors, list(range(len(self.roles))),
                       out=out[index], optimize=True)
+        if self.gauge is not None:
+            return out.ravel() * np.exp(-1j * self.gauge(grid.nodes))
         return out.ravel()
 
     def adjoint(self, coeffs: np.ndarray, grid: QuadratureGrid,
@@ -125,7 +134,10 @@ class ActionTable:
         """sum_g coeffs(g) w(g) U(g) psi over the nodes of ``grid``: the exact
         adjoint of :meth:`coefficients` in phi."""
         hat = self._domain(psi)
-        cw = (np.asarray(coeffs) * grid.weights).reshape(grid.resolution)
+        cw = np.asarray(coeffs) * grid.weights
+        if self.gauge is not None:
+            cw = cw * np.exp(1j * self.gauge(grid.nodes))
+        cw = cw.reshape(grid.resolution)
         factors = self._factors(grid, hat.grid, 1)
         state_labels = [len(self.roles) + j for j in range(hat.grid.dim)]
         acc = np.zeros(hat.grid.counts, dtype=complex)
@@ -201,22 +213,17 @@ class UnitaryRepSpec:
     action(g, action(h, f)) = action(gh, f) up to the declared tolerance.
     ``table`` is the same action in factored form (see the module header);
     ``fast_coefficients(psi, phi, grid)`` and ``fast_adjoint(coeffs, grid,
-    psi)`` are its batched engine, with the values of the node-by-node loop.
-    All three are None for a spec without a table, which ``analyze`` and
-    ``synthesize`` then evaluate node by node.
+    psi)`` are its batched engine, which ``analyze`` and ``synthesize`` run
+    for every spec.
     """
 
     group: GroupDescriptor
     action: Callable[[np.ndarray, DiscretizedState], DiscretizedState]
     label: str
+    table: ActionTable
+    fast_coefficients: Callable[[DiscretizedState, DiscretizedState, QuadratureGrid], np.ndarray]
+    fast_adjoint: Callable[[np.ndarray, QuadratureGrid, DiscretizedState], DiscretizedState]
     safe_box: tuple[tuple[float, float], ...] | None = None
-    fast_coefficients: Optional[
-        Callable[[DiscretizedState, DiscretizedState, QuadratureGrid], np.ndarray]
-    ] = None
-    fast_adjoint: Optional[
-        Callable[[np.ndarray, QuadratureGrid, DiscretizedState], DiscretizedState]
-    ] = None
-    table: Optional[ActionTable] = None
 
     def act(self, g, state: DiscretizedState) -> DiscretizedState:
         g = np.asarray(g, dtype=float)
@@ -230,10 +237,8 @@ class UnitaryRepSpec:
         return self.action(g, state)
 
 
-def _engine(table: Optional[ActionTable]) -> dict:
-    """Spec fields of the batched engine of ``table``; none without one."""
-    if table is None:
-        return {}
+def _engine(table: ActionTable) -> dict:
+    """Spec fields of the batched engine of ``table``."""
     return dict(table=table, fast_coefficients=table.coefficients, fast_adjoint=table.adjoint)
 
 
@@ -432,31 +437,34 @@ def exotic_rep(
 def projective_from_section(rep: UnitaryRepSpec, section: Section) -> ProjectiveRepSpec:
     """P_s(x) = U(s(x)): projective representation of X with multiplier m_s.
 
-    For a coordinate section the rep's action table and safe box are
-    restricted to ``section.coordinate_axes``, so P_s runs batched on X grids.
+    The rep's action table and safe box are restricted to the subgroup's X
+    axes: that is U(s0(x)) for the coordinate section s0, and since
+    p(s(x)) = x and K acts by the scalar chi, any other section only adds the
+    gauge phase gamma(x) = chi(s0(x)^{-1} s(x)) (see the module header).
     """
-    if section.subgroup.ambient.name != rep.group.name:
+    sub = section.subgroup
+    if sub.ambient.name != rep.group.name:
         raise ValueError("section codomain does not match the representation's group")
-    m = multiplier_from_section(section)
 
     def action(x, state):
         return rep.act(section.map(np.asarray(x, dtype=float)), state)
 
-    axes = section.coordinate_axes
-    safe_box = table = None
-    if rep.safe_box is not None and axes is not None:
-        safe_box = tuple(rep.safe_box[i] for i in axes)
-    if rep.table is not None and axes is not None:
-        # the other coordinates sit at the identity, where every role is trivial
-        table = replace(rep.table, roles=tuple(rep.table.roles[i] for i in axes))
+    gauge = None
+    if section is not sub.coordinate_section:
+        G, s0 = sub.ambient, sub.coordinate_section
+
+        def gauge(x):
+            k = G.product(G.inverse(s0.map(x)), section.map(x))
+            return sub.chi_phase(sub.extract_k(k, context=f"gauge (section {section.label!r})"))
 
     return ProjectiveRepSpec(
-        group=section.subgroup.quotient,
+        group=sub.quotient,
         action=action,
         label=f"P[{rep.label};{section.label}]",
-        multiplier=m,
-        safe_box=safe_box,
-        **_engine(table),
+        multiplier=multiplier_from_section(section),
+        safe_box=None if rep.safe_box is None else tuple(rep.safe_box[i] for i in sub.x_axes),
+        **_engine(replace(rep.table, roles=tuple(rep.table.roles[i] for i in sub.x_axes),
+                          gauge=gauge)),
     )
 
 
@@ -465,6 +473,9 @@ def lift_to_extension(proj: ProjectiveRepSpec, variant: str = "standard") -> Uni
 
     standard: U_P(tau, x) = tau^{-1} P(x)  on X_m;
     starred : U_*P(tau, x) = tau P(x)      on X_{m*}.
+
+    Its table is a phase role for theta (tau = e^{i theta}) followed by the
+    projective table, whose gauge, if any, reads the X part of the chart.
     """
     if variant not in ("standard", "starred"):
         raise ValueError("variant must be 'standard' or 'starred'")
@@ -478,9 +489,15 @@ def lift_to_extension(proj: ProjectiveRepSpec, variant: str = "standard") -> Uni
         out = proj.act(x, state)
         return out.with_samples(out.samples * np.exp(1j * sign * theta))
 
+    gauge = proj.table.gauge
     return UnitaryRepSpec(
         group=extension,
         action=action,
         label=f"lift[{proj.label};{variant}]",
-        safe_box=None,
+        safe_box=None if proj.safe_box is None else ((-np.inf, np.inf),) + proj.safe_box,
+        **_engine(ActionTable(
+            (AxisRole("phase", coef=sign),) + proj.table.roles,
+            fourier=proj.table.fourier,
+            gauge=None if gauge is None else (lambda g: gauge(g[..., 1:])),
+        )),
     )

@@ -21,10 +21,9 @@ Duflo-Moore operators shipped:
   node coordinate.
 
 ``analyze`` and ``synthesize`` run on the representation's action table
-(see ``representations``): one batched engine for every bundled
-configuration and any n, on G or on X through a coordinate section.  A spec
-without a table is evaluated one action per node, and a warning with its
-label and node count goes to the ``groupwave`` logger.
+(see ``representations``): one batched engine for every spec -- every
+bundled configuration and any n, on G, on X through any section, and on
+central-extension lifts.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .groups import QuadratureGrid, haar_grid
-from .measures import RelCentralSubgroup, RhoDensity, integrate_mod_K
-from .multipliers import Section
-from .representations import UnitaryRepSpec, coefficient
+from .measures import RhoDensity, integrate_mod_K
+from .representations import UnitaryRepSpec
 from .states import (
     DiscretizedState,
     fourier_plancherel,
@@ -212,24 +210,14 @@ def analyze(
     grid: QuadratureGrid,
     dm_norm: Optional[float] = None,
 ) -> TransformResult:
-    """Sample c_{psi,phi}(g) = <U(g) psi, phi> at every grid node.
-
-    A spec with an action table -- every bundled configuration, any n, on G
-    or on X through a coordinate section -- runs in one batch; others
-    (central-extension lifts, non-coordinate sections) one action per node,
-    with a warning naming the rep and node count on the ``groupwave`` logger.
+    """Sample c_{psi,phi}(g) = <U(g) psi, phi> at every grid node, in one
+    batch on the rep's action table.  A grid reaching outside the rep's safe
+    box is clipped to it, with a warning on the ``groupwave`` logger.
     """
     if norm(psi) == 0.0:
         raise ValueError("analyzing vector must be nonzero")
     grid, clipped = _clip_to_safe_box(rep, grid)
-    if rep.fast_coefficients is not None:
-        coeffs = rep.fast_coefficients(psi, phi, grid)
-    else:
-        _log.warning("%s has no action table: %d nodes analyzed node by node",
-                     rep.label, grid.n_nodes)
-        coeffs = np.array(
-            [coefficient(rep, psi, phi, g) for g in grid.nodes], dtype=complex
-        )
+    coeffs = rep.fast_coefficients(psi, phi, grid)
     result = TransformResult(
         coefficients=np.asarray(coeffs, dtype=complex),
         grid=grid,
@@ -270,22 +258,13 @@ def synthesize(
 
     Because the normalized transform is an isometry, the adjoint is a left
     inverse; on a truncated grid the reconstruction error is the quadrature
-    plus truncation error of the reproducing integral.  Batched or node by
-    node (with a warning) exactly as in :func:`analyze`.
+    plus truncation error of the reproducing integral.  Runs in one batch on
+    the exact adjoint of :func:`analyze`'s engine.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm metadata is unset; synthesize needs it")
-    if rep.fast_adjoint is not None:
-        out = rep.fast_adjoint(result.coefficients, result.grid, psi)
-        return out.with_samples(out.samples / result.dm_norm ** 2)
-    _log.warning("%s has no action table: %d nodes synthesized node by node",
-                 rep.label, result.grid.n_nodes)
-    acc = np.zeros(psi.grid.counts, dtype=complex)
-    for c, g, w in zip(result.coefficients, result.grid.nodes, result.grid.weights):
-        if c == 0.0:
-            continue
-        acc += (c * w) * rep.act(g, psi).samples
-    return DiscretizedState(acc / result.dm_norm ** 2, psi.grid)
+    out = rep.fast_adjoint(result.coefficients, result.grid, psi)
+    return out.with_samples(out.samples / result.dm_norm ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +503,7 @@ def semi_invariance_check(
 
 def mod_K_equiv_check(
     rep: UnitaryRepSpec,
-    subgroup: RelCentralSubgroup,
     rho: RhoDensity,
-    section: Section,
     psi: DiscretizedState,
     phi: DiscretizedState,
     g_grid: QuadratureGrid,

@@ -29,8 +29,6 @@ from .induced import R_chi_s, intertwine_defect, left_reg_m
 from .measures import (
     center_divergence_probe,
     decompose_check,
-    gamma_s,
-    gamma_s_inv,
     make_rho,
     rho_validate,
     translate_rho,
@@ -43,7 +41,7 @@ from .multipliers import (
     kappa_from_section,
     similar,
 )
-from .representations import displacement
+from .representations import coefficient, displacement, projective_from_section
 from .states import DiscretizedState, fourier_plancherel, norm, translate, modulate
 from .transforms import (
     admissibility,
@@ -83,6 +81,15 @@ class Check:
 
 def _state_diff(a: DiscretizedState, b: DiscretizedState) -> float:
     return norm(DiscretizedState(a.samples - b.samples, a.grid))
+
+
+def _section_gauge_defect(rep, section, psi, phi, grid, rng) -> float:
+    """max |c_s(x) - <U(s(x)) psi, phi>| at 16 seeded nodes: the batched
+    coefficients through a non-coordinate section s (the coordinate table
+    plus the gauge phase) against the literal action at s(x)."""
+    c = analyze(projective_from_section(rep, section), psi, phi, grid).coefficients
+    idx = rng.choice(grid.n_nodes, size=16, replace=False)
+    return max(abs(c[i] - coefficient(rep, psi, phi, section.map(grid.nodes[i]))) for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +219,12 @@ def gabor_suite(seed: int = 0) -> list[Check]:
     x_g = haar_grid(setup.x_group, [(-7, 7)] * 2, [32] * 2)
     k_g = haar_grid(sub.k_group, [(-7, 7)], [32])
     gaussian = lambda nodes: np.exp(-np.sum(np.asarray(nodes) ** 2, axis=-1) / 2.0)
-    _, _, rel = decompose_check(gaussian, sub, setup.section, g_grid, x_g, k_g)
+    _, _, rel = decompose_check(gaussian, setup.section, g_grid, x_g, k_g)
     checks.append(Check("measure decomposition (Lemma on X x K)", rel, 1e-6))
     x_small = haar_grid(setup.x_group, [(-2, 2)] * 2, [24] * 2)
     k_wide = haar_grid(sub.k_group, [(-12, 12)], [128])
-    _, r1, _ = decompose_check(gaussian, sub, setup.section, g_grid, x_small, k_wide)
-    _, r2, _ = decompose_check(gaussian, sub, setup.section_prime, g_grid, x_small, k_wide)
+    _, r1, _ = decompose_check(gaussian, setup.section, g_grid, x_small, k_wide)
+    _, r2, _ = decompose_check(gaussian, setup.section_prime, g_grid, x_small, k_wide)
     checks.append(Check("measure decomposition: section swap", abs(r1 - r2) / abs(r1), 1e-10))
 
     rho_g = make_rho("gaussian", sub)
@@ -232,11 +239,11 @@ def gabor_suite(seed: int = 0) -> list[Check]:
     gm = haar_grid(setup.group, [(-8, 8), (-6, 6), (-6, 6)], [512, 24, 24])
     xm = haar_grid(setup.x_group, [(-6, 6)] * 2, [24] * 2)
     lhs, rhs, rel = mod_K_equiv_check(
-        setup.rep, sub, rho_g, setup.section, s["gauss"], s["hermite1"], gm, xm, setup.proj
+        setup.rep, rho_g, s["gauss"], s["hermite1"], gm, xm, setup.proj
     )
     checks.append(Check("modulo-K equivalence (gaussian rho)", rel, 1e-10))
     lhs_b, _, rel_b = mod_K_equiv_check(
-        setup.rep, sub, rho_b, setup.section, s["gauss"], s["hermite1"], gm, xm, setup.proj
+        setup.rep, rho_b, s["gauss"], s["hermite1"], gm, xm, setup.proj
     )
     checks.append(Check("modulo-K equivalence: rho swap", abs(lhs - lhs_b) / abs(lhs), 1e-10))
 
@@ -271,13 +278,17 @@ def gabor_suite(seed: int = 0) -> list[Check]:
     worst_i = intertwine_defect(
         C,
         lambda gg, v: wide.rep.act(gg, v),
-        lambda gg, F: R_chi_s(wide.subgroup, wide.section, gg, F, grid10),
+        lambda gg, F: R_chi_s(wide.section, gg, F, grid10),
         gs,
         tests,
         grid10,
     )
     checks.append(Check("intertwining: C_psi P_s vs left regular m-rep", worst_p, 1e-6))
     checks.append(Check("intertwining: C_psi U vs induced rep", worst_i, 1e-6))
+
+    gauge = _section_gauge_defect(setup.rep, setup.section_prime, s["gauss"], s["hermite1"],
+                                  setup.x_grid, rng)
+    checks.append(Check("section gauge: s_sym vs literal action", gauge, 1e-12))
 
     return checks
 
@@ -460,6 +471,10 @@ def exotic_suite(seed: int = 0) -> list[Check]:
     checks.append(Check("exotic: orthogonality relation", rel, 5e-2))
     _, _, rel2 = orthogonality_relation(c11, c22, s["psi"], s["psi2"], s["phi"], s["phi2"], dm, setup.x_grid)
     checks.append(Check("exotic: orthogonality (cross pair)", rel2, 5e-2))
+
+    grid = haar_grid(X, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [6, 5, 6, 6], log_axes=(3,))
+    gauge = _section_gauge_defect(setup.rep, setup.section_prime, s["psi"], s["phi"], grid, rng)
+    checks.append(Check("section gauge: s_tw vs literal action", gauge, 1e-12))
 
     return checks
 

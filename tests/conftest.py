@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from groupwave import configs
+from groupwave.groups import haar_grid
+from groupwave.representations import coefficient, lift_to_extension, projective_from_section
+from groupwave.states import DiscretizedState
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +42,46 @@ def exotic():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def _per_node_coefficients(rep, psi, phi, grid):
+    """c(g) = <U(g) psi, phi>, one literal action per grid node."""
+    return np.array([coefficient(rep, psi, phi, g) for g in grid.nodes], dtype=complex)
+
+
+def _per_node_adjoint(rep, coeffs, grid, psi):
+    """sum_g coeffs(g) w(g) U(g) psi, one literal action per grid node."""
+    acc = np.zeros(psi.grid.counts, dtype=complex)
+    for c, g, w in zip(coeffs, grid.nodes, grid.weights):
+        acc += (c * w) * rep.act(g, psi).samples
+    return DiscretizedState(acc, psi.grid)
+
+
+@pytest.fixture(scope="session")
+def per_node():
+    """The node-by-node oracle that the batched engine is compared against."""
+    return SimpleNamespace(coefficients=_per_node_coefficients, adjoint=_per_node_adjoint)
+
+
+@pytest.fixture(scope="session")
+def gauged_and_lifted(gabor, exotic):
+    """(rep, psi, phi, grid) of the specs whose tables carry a section gauge
+    or a lift's T axis, on small grids inside their safe boxes."""
+    gauss, herm = gabor.states["gauss"], gabor.states["hermite1"]
+    x_grid = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10] * 2)
+    cases = {
+        "gabor_s_sym": (gabor.proj_prime, gauss, herm, x_grid),
+        "exotic_s_tw": (
+            projective_from_section(exotic.rep, exotic.section_prime),
+            exotic.states["psi"], exotic.states["phi"],
+            haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)],
+                      [5, 4, 5, 4], log_axes=(3,)),
+        ),
+    }
+    for name, proj, variant in (("lift_standard", gabor.proj, "standard"),
+                                ("lift_starred", gabor.proj, "starred"),
+                                ("lift_s_sym", gabor.proj_prime, "standard")):
+        lift = lift_to_extension(proj, variant)
+        grid = haar_grid(lift.group, [(-3, 3), (-4, 4), (-4, 4)], [4, 6, 6])
+        cases[name] = (lift, gauss, herm, grid)
+    return cases

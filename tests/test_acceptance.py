@@ -139,11 +139,11 @@ def test_criterion_02_measure_decomposition(gabor):
     g_grid = haar_grid(gabor.group, [(-7, 7)] * 3, [32] * 3)
     x_grid = haar_grid(gabor.x_group, [(-7, 7)] * 2, [32] * 2)
     k_grid = haar_grid(sub.k_group, [(-7, 7)], [32])
-    _, _, rel = decompose_check(gaussian, sub, gabor.section, g_grid, x_grid, k_grid)
+    _, _, rel = decompose_check(gaussian, gabor.section, g_grid, x_grid, k_grid)
     x_small = haar_grid(gabor.x_group, [(-2, 2)] * 2, [24] * 2)
     k_wide = haar_grid(sub.k_group, [(-12, 12)], [128])
-    _, r1, _ = decompose_check(gaussian, sub, gabor.section, g_grid, x_small, k_wide)
-    _, r2, _ = decompose_check(gaussian, sub, gabor.section_prime, g_grid, x_small, k_wide)
+    _, r1, _ = decompose_check(gaussian, gabor.section, g_grid, x_small, k_wide)
+    _, r2, _ = decompose_check(gaussian, gabor.section_prime, g_grid, x_small, k_wide)
     swap = abs(r1 - r2) / abs(r1)
     report(2, "measure decomposition at 32^3", rel, 1e-6, rel <= 1e-6)
     report(2, "section-swap invariance", swap, 1e-10, swap <= 1e-10)
@@ -244,10 +244,10 @@ def test_criterion_09_modulo_K_equivalence(gabor):
     rho_g = make_rho("gaussian", sub)
     rho_b = make_rho("bump", sub)
     lhs, _, rel = mod_K_equiv_check(
-        gabor.rep, sub, rho_g, gabor.section, psi, phi, g_grid, x_grid, gabor.proj
+        gabor.rep, rho_g, psi, phi, g_grid, x_grid, gabor.proj
     )
     lhs_b, _, _ = mod_K_equiv_check(
-        gabor.rep, sub, rho_b, gabor.section, psi, phi, g_grid, x_grid, gabor.proj
+        gabor.rep, rho_b, psi, phi, g_grid, x_grid, gabor.proj
     )
     swap = abs(lhs - lhs_b) / abs(lhs)
     report(9, "int_G |c|^2 dmu_{G,K} vs int_X |c|^2 dmu_X", rel, 1e-10, rel <= 1e-10)
@@ -328,7 +328,7 @@ def test_criterion_12_intertwining(gabor_wide, rng):
             intertwine_defect(
                 C,
                 lambda gg, v: gabor_wide.rep.act(gg, v),
-                lambda gg, F: R_chi_s(gabor_wide.subgroup, gabor_wide.section, gg, F, grid),
+                lambda gg, F: R_chi_s(gabor_wide.section, gg, F, grid),
                 g, tests, grid,
             ),
         )

@@ -26,20 +26,20 @@ def gabor_field(gabor):
 
 def test_F_s_isometry_and_zero(gabor, gabor_field):
     grid, values = gabor_field
-    cov = F_s(values, gabor.subgroup, gabor.section, grid)
+    cov = F_s(values, gabor.section, grid)
     assert cov.norm() == xgrid_norm(values, grid)
-    zero = F_s(np.zeros_like(values), gabor.subgroup, gabor.section, grid)
+    zero = F_s(np.zeros_like(values), gabor.section, grid)
     assert zero.norm() == 0.0
 
 
 def test_F_s_covariant_extension(gabor, gabor_field, rng):
     grid, values = gabor_field
-    cov = F_s(values, gabor.subgroup, gabor.section, grid)
+    cov = F_s(values, gabor.section, grid)
     flat = values.reshape(-1)
     for _ in range(10):
         i = int(rng.integers(0, grid.n_nodes))
         k = rng.uniform(-3, 3, 1)
-        g = gamma_s(gabor.subgroup, gabor.section, grid.nodes[i], k)
+        g = gamma_s(gabor.section, grid.nodes[i], k)
         expected = np.exp(-1j * float(gabor.subgroup.chi_phase(k))) * flat[i]
         assert cov.evaluate(g) == pytest.approx(expected, abs=1e-13)
 
@@ -48,7 +48,7 @@ def test_F_s_section_trace_relation(gabor, gabor_field):
     """Evaluating the covariant extension at the other section obeys
     f(s'(x)) = chi(upsilon(x))^{-1} f(s(x)) with upsilon = s^{-1} s'."""
     grid, values = gabor_field
-    cov = F_s(values, gabor.subgroup, gabor.section, grid)
+    cov = F_s(values, gabor.section, grid)
     flat = values.reshape(-1)
     for i in (100, 2000, 3333):
         x = grid.nodes[i]
@@ -60,11 +60,11 @@ def test_F_s_section_trace_relation(gabor, gabor_field):
 
 def test_R_chi_s_identity_and_K_phase(gabor, gabor_field):
     grid, values = gabor_field
-    out = R_chi_s(gabor.subgroup, gabor.section, gabor.group.identity, values, grid)
+    out = R_chi_s(gabor.section, gabor.group.identity, values, grid)
     assert np.max(np.abs(out - values)) < 1e-12
     # restriction to K multiplies by the character
     k_el = np.array([0.9, 0.0, 0.0])
-    out_k = R_chi_s(gabor.subgroup, gabor.section, k_el, values, grid)
+    out_k = R_chi_s(gabor.section, k_el, values, grid)
     phase = np.exp(1j * gabor.k_check * 0.9)
     assert np.max(np.abs(out_k - phase * values)) < 1e-10
     # pure phase in particular: modulus preserved pointwise
@@ -78,15 +78,15 @@ def test_R_chi_s_unitary_and_composition(gabor_wide, rng):
     values = analyze(
         gabor_wide.proj, gabor_wide.states["gauss"], gabor_wide.states["gauss"], grid
     ).coefficients.reshape(grid.resolution)
-    sub, sec = gabor_wide.subgroup, gabor_wide.section
+    sec = gabor_wide.section
     worst_u = worst_c = 0.0
     for _ in range(8):
         g = np.concatenate([rng.uniform(-2, 2, 1), rng.uniform(-1, 1, 2)])
         h = np.concatenate([rng.uniform(-2, 2, 1), rng.uniform(-1, 1, 2)])
-        Rg = R_chi_s(sub, sec, g, values, grid)
+        Rg = R_chi_s(sec, g, values, grid)
         worst_u = max(worst_u, abs(xgrid_norm(Rg, grid) - xgrid_norm(values, grid)))
-        lhs = R_chi_s(sub, sec, g, R_chi_s(sub, sec, h, values, grid), grid)
-        rhs = R_chi_s(sub, sec, gabor_wide.group.product(g, h), values, grid)
+        lhs = R_chi_s(sec, g, R_chi_s(sec, h, values, grid), grid)
+        rhs = R_chi_s(sec, gabor_wide.group.product(g, h), values, grid)
         worst_c = max(worst_c, xgrid_norm(lhs - rhs, grid))
     assert worst_u < 1e-8
     assert worst_c < 1e-8
@@ -173,7 +173,7 @@ def test_gabor_intertwining_relations(gabor_wide, rng):
         d2 = intertwine_defect(
             A,
             lambda gg, v: gabor_wide.rep.act(gg, v),
-            lambda gg, F: R_chi_s(gabor_wide.subgroup, gabor_wide.section, gg, F, grid),
+            lambda gg, F: R_chi_s(gabor_wide.section, gg, F, grid),
             g,
             tests,
             grid,
@@ -195,7 +195,7 @@ def test_intertwine_defect_over_elements_is_max_of_single_calls(gabor_wide, rng)
         return intertwine_defect(
             A,
             lambda gg, v: gabor_wide.rep.act(gg, v),
-            lambda gg, F: R_chi_s(gabor_wide.subgroup, gabor_wide.section, gg, F, grid),
+            lambda gg, F: R_chi_s(gabor_wide.section, gg, F, grid),
             g,
             tests,
             grid,
@@ -248,7 +248,7 @@ def test_exotic_intertwining_truncation_bound(exotic, rng):
     d = intertwine_defect(
         A,
         lambda gg, v: exotic.rep.act(gg, v),
-        lambda gg, F: R_chi_s(exotic.subgroup, exotic.section, gg, F, grid),
+        lambda gg, F: R_chi_s(exotic.section, gg, F, grid),
         g,
         [exotic.states["phi"]],
         grid,

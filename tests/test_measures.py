@@ -23,20 +23,20 @@ def gaussian_fn(nodes):
 
 def test_gamma_round_trip_wh(gabor, rng):
     g = random_chart_points(gabor.group, rng, 1000)
-    x, k = gamma_s_inv(gabor.subgroup, gabor.section, g)
-    back = gamma_s(gabor.subgroup, gabor.section, x, k)
+    x, k = gamma_s_inv(gabor.section, g)
+    back = gamma_s(gabor.section, x, k)
     assert np.max(np.abs(back - g)) < 1e-12
     # gamma_s((p,q), k) = (k, p, q) for the coordinate section
-    out = gamma_s(gabor.subgroup, gabor.section, np.array([2.0, 3.0]), np.array([1.5]))
+    out = gamma_s(gabor.section, np.array([2.0, 3.0]), np.array([1.5]))
     assert np.allclose(out, [1.5, 2.0, 3.0])
-    e = gamma_s(gabor.subgroup, gabor.section, np.zeros(2), np.zeros(1))
+    e = gamma_s(gabor.section, np.zeros(2), np.zeros(1))
     assert np.max(np.abs(e)) == 0.0
 
 
 def test_gamma_round_trip_exotic(exotic, rng):
     g = random_chart_points(exotic.group, rng, 500)
-    x, k = gamma_s_inv(exotic.subgroup, exotic.section, g)
-    back = gamma_s(exotic.subgroup, exotic.section, x, k)
+    x, k = gamma_s_inv(exotic.section, g)
+    back = gamma_s(exotic.section, x, k)
     assert np.max(np.abs(back - g)) < 1e-12
 
 
@@ -46,7 +46,7 @@ def test_coord_product_matches_direct_product(which, gabor, exotic, rng):
     sub, section = setup.subgroup, setup.section
     # identity pair
     ex, ek = coord_product(
-        sub, section,
+        section,
         setup.x_group.identity, np.zeros(sub.k_group.dim),
         setup.x_group.identity, np.zeros(sub.k_group.dim),
     )
@@ -58,11 +58,11 @@ def test_coord_product_matches_direct_product(which, gabor, exotic, rng):
     kd = sub.k_group.dim
     k1 = rng.uniform(-2, 2, (n, kd))
     k2 = rng.uniform(-2, 2, (n, kd))
-    xx, kk = coord_product(sub, section, x1, k1, x2, k2)
+    xx, kk = coord_product(section, x1, k1, x2, k2)
     direct = setup.group.product(
-        gamma_s(sub, section, x1, k1), gamma_s(sub, section, x2, k2)
+        gamma_s(section, x1, k1), gamma_s(section, x2, k2)
     )
-    xd, kd_coords = gamma_s_inv(sub, section, direct)
+    xd, kd_coords = gamma_s_inv(section, direct)
     assert np.max(np.abs(xx - xd)) < 1e-12
     assert np.max(np.abs(kk - kd_coords)) < 1e-12
 
@@ -79,7 +79,7 @@ def test_decompose_check_wh_gaussian(gabor):
     g_grid = haar_grid(gabor.group, [(-7, 7)] * 3, [32] * 3)
     x_grid = haar_grid(gabor.x_group, [(-7, 7)] * 2, [32] * 2)
     k_grid = haar_grid(sub.k_group, [(-7, 7)], [32])
-    lhs, rhs, rel = decompose_check(gaussian_fn, sub, gabor.section, g_grid, x_grid, k_grid)
+    lhs, rhs, rel = decompose_check(gaussian_fn, gabor.section, g_grid, x_grid, k_grid)
     assert rel < 1e-6
     assert lhs == pytest.approx((2 * np.pi) ** 1.5 / (2 * np.pi), rel=1e-6)
 
@@ -90,7 +90,7 @@ def test_decompose_zero_function(gabor):
     x_grid = haar_grid(gabor.x_group, [(-3, 3)] * 2, [8] * 2)
     k_grid = haar_grid(sub.k_group, [(-3, 3)], [8])
     zero = lambda nodes: np.zeros(np.asarray(nodes).shape[:-1])
-    lhs, rhs, _ = decompose_check(zero, sub, gabor.section, g_grid, x_grid, k_grid)
+    lhs, rhs, _ = decompose_check(zero, gabor.section, g_grid, x_grid, k_grid)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -99,8 +99,8 @@ def test_decompose_section_independent(gabor):
     g_grid = haar_grid(gabor.group, [(-7, 7)] * 3, [32] * 3)
     x_grid = haar_grid(gabor.x_group, [(-2, 2)] * 2, [24] * 2)
     k_grid = haar_grid(sub.k_group, [(-12, 12)], [128])
-    _, r1, _ = decompose_check(gaussian_fn, sub, gabor.section, g_grid, x_grid, k_grid)
-    _, r2, _ = decompose_check(gaussian_fn, sub, gabor.section_prime, g_grid, x_grid, k_grid)
+    _, r1, _ = decompose_check(gaussian_fn, gabor.section, g_grid, x_grid, k_grid)
+    _, r2, _ = decompose_check(gaussian_fn, gabor.section_prime, g_grid, x_grid, k_grid)
     assert abs(r1 - r2) / abs(r1) < 1e-10
 
 

@@ -289,4 +289,4 @@ def test_axis_declarations_match_hand_written_charts(which, gabor, gabor_n2, exo
     assert np.array_equal(sub.project(g), project(g))
     assert np.array_equal(sub.coordinate_section.map(x), smap(x))
     assert setup.section is sub.coordinate_section
-    assert setup.section.coordinate_axes == sub.x_axes
+    assert setup.proj.table.gauge is None

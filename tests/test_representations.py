@@ -264,17 +264,13 @@ def test_coefficient_bounds_and_k_independence(gabor, rng):
         )
 
 
-def per_node(rep):
-    """The spec without its batched engine: the node-by-node oracle."""
-    from dataclasses import replace
-
-    return replace(rep, fast_coefficients=None, fast_adjoint=None)
-
-
 @pytest.mark.parametrize(
-    "config", ["gabor", "affine", "exotic", "gabor_n2", "exotic_full_chart"]
+    "config",
+    ["gabor", "affine", "exotic", "gabor_n2", "exotic_full_chart", "gabor_s_sym",
+     "exotic_s_tw", "lift_standard", "lift_starred", "lift_s_sym"],
 )
-def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic, gabor_n2):
+def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic, gabor_n2,
+                                              gauged_and_lifted, per_node):
     from groupwave.groups import haar_grid
 
     if config == "gabor":
@@ -298,7 +294,7 @@ def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic, gab
         rep, grid = gabor_n2.proj, gabor_n2.x_grid
         psi = gaussian_state(gabor_n2.state_grid)
         phi = gaussian_state(gabor_n2.state_grid, center=[0.4, -0.3], momentum=[0.5, 0.2])
-    else:
+    elif config == "exotic_full_chart":
         rep = exotic.rep
         psi, phi = exotic.states["psi"], exotic.states["phi"]
         grid = haar_grid(
@@ -307,16 +303,18 @@ def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic, gab
             [2, 2, 3, 3, 3, 2, 3],
             log_axes=(6,),
         )
+    else:
+        rep, psi, phi, grid = gauged_and_lifted[config]
     fast = analyze(rep, psi, phi, grid)
-    slow = analyze(per_node(rep), psi, phi, grid)
-    assert np.max(np.abs(fast.coefficients - slow.coefficients)) < 1e-11
+    slow = per_node.coefficients(rep, psi, phi, grid)
+    assert np.max(np.abs(fast.coefficients - slow)) < 1e-11
 
 
-def test_full_chart_fast_coefficients_match(gabor):
+def test_full_chart_fast_coefficients_match(gabor, per_node):
     from groupwave.groups import haar_grid
 
     grid = haar_grid(gabor.group, [(-2, 2), (-4, 4), (-4, 4)], [6, 10, 10])
     psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
     fast = analyze(gabor.rep, psi, phi, grid)
-    slow = analyze(per_node(gabor.rep), psi, phi, grid)
-    assert np.max(np.abs(fast.coefficients - slow.coefficients)) < 1e-11
+    slow = per_node.coefficients(gabor.rep, psi, phi, grid)
+    assert np.max(np.abs(fast.coefficients - slow)) < 1e-11

@@ -19,7 +19,7 @@ SCRIPT = """
 import sys
 sys.path.insert(0, {perfbench!r})
 import tracing
-from groupwave import configs, groups, transforms
+from groupwave import configs, groups, representations, transforms
 
 tracer = tracing.Tracer()
 tracer.install()
@@ -27,15 +27,26 @@ tracer.active = True
 gab = configs.gabor_setup()
 configs.affine_setup()
 configs.exotic_setup()
-res = transforms.analyze(gab.rep, gab.states["gauss"], gab.states["gauss"],
+psi = gab.states["gauss"]
+res = transforms.analyze(gab.rep, psi, psi,
                          groups.haar_grid(gab.group, [(-2, 2)] * 3, [4, 8, 8]))
+transforms.analyze(gab.proj_prime, psi, psi,
+                   groups.haar_grid(gab.x_group, [(-2, 2)] * 2, [8, 8]))
+lift = representations.lift_to_extension(gab.proj)
+res = transforms.analyze(lift, psi, psi, groups.haar_grid(lift.group, [(-2, 2)] * 3, [4, 8, 8]),
+                         dm_norm=1.0)
+transforms.synthesize(res, lift, psi)
 tracer.active = False
+metrics = tracing.per_module_metrics(tracing.summarize([tracer.spans]), {{}})
+assert metrics["transforms.per_node_share"] == 0, metrics["transforms.per_node_share"]
+assert metrics["transforms.analyze.nodes"] == 2 * 256 + 64, metrics["transforms.analyze.nodes"]
 names = sorted({{span[0] for span in tracer.spans}})
 print(" ".join(names))
 """
 
 
 def test_tracer_installs_and_traces_analyze():
+    """Also: twisted-section and lift transforms make no per-node calls."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

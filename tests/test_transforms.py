@@ -370,11 +370,12 @@ def test_synthesize_requires_dm_norm(gabor):
 
 
 @pytest.mark.parametrize(
-    "config", ["gabor", "affine", "gabor_n2", "exotic", "exotic_bundled"]
+    "config",
+    ["gabor", "affine", "gabor_n2", "exotic", "exotic_bundled", "gabor_s_sym", "exotic_s_tw",
+     "lift_standard", "lift_starred", "lift_s_sym"],
 )
-def test_fast_adjoint_matches_generic(config, gabor, affine, gabor_n2, exotic):
-    from dataclasses import replace
-
+def test_fast_adjoint_matches_generic(config, gabor, affine, gabor_n2, exotic,
+                                      gauged_and_lifted, per_node):
     from groupwave.states import gaussian_state, inner
 
     tol = 1e-12
@@ -390,6 +391,9 @@ def test_fast_adjoint_matches_generic(config, gabor, affine, gabor_n2, exotic):
         rep, grid = gabor_n2.proj, gabor_n2.x_grid
         psi = gaussian_state(gabor_n2.state_grid)
         phi = gaussian_state(gabor_n2.state_grid, center=[0.4, -0.3], momentum=[0.5, 0.2])
+        dm_norm = 1.0
+    elif config in gauged_and_lifted:
+        rep, psi, phi, grid = gauged_and_lifted[config]
         dm_norm = 1.0
     else:
         rep, psi, phi = exotic.proj, exotic.states["psi"], exotic.states["phi"]
@@ -410,22 +414,23 @@ def test_fast_adjoint_matches_generic(config, gabor, affine, gabor_n2, exotic):
         return
     res = analyze(rep, psi, phi, grid, dm_norm=dm_norm)
     fast = synthesize(res, rep, psi)
-    slow = synthesize(res, replace(rep, fast_adjoint=None), psi)
-    assert np.max(np.abs(fast.samples - slow.samples)) < tol
+    slow = per_node.adjoint(rep, res.coefficients, res.grid, psi).samples / dm_norm ** 2
+    assert np.max(np.abs(fast.samples - slow)) < tol
 
 
-def test_per_node_fallback_warns(gabor, caplog):
+def test_lift_grid_clipped_to_safe_box(gabor, caplog):
     from groupwave.representations import lift_to_extension
 
     lift = lift_to_extension(gabor.proj)
-    grid = haar_grid(lift.group, [(-1, 1), (-2, 2), (-2, 2)], [2, 3, 3])
+    p_max = lift.safe_box[1][1]
+    grid = haar_grid(lift.group, [(-1, 1), (-2 * p_max, 2 * p_max), (-2, 2)], [2, 3, 3])
     psi = gabor.states["gauss"]
     with caplog.at_level("WARNING", logger="groupwave"):
         res = analyze(lift, psi, gabor.states["hermite1"], grid, dm_norm=1.0)
-        synthesize(res, lift, psi)
     messages = [r.getMessage() for r in caplog.records if r.name == "groupwave"]
-    assert len(messages) == 2
-    assert all(lift.label in m and "18 nodes" in m for m in messages)
+    assert len(messages) == 1 and lift.label in messages[0] and "clipped" in messages[0]
+    assert res.meta["clipped"] and res.grid.box[1] == (-p_max, p_max)
+    assert res.grid.box[0] == (-1, 1) and res.grid.box[2] == (-2, 2)
 
 
 def test_bundled_configurations_run_batched(gabor, affine, exotic, gabor_n2, caplog):
@@ -491,11 +496,11 @@ def test_mod_K_equivalence_and_rho_swap(gabor):
     rho_b = make_rho("bump", sub)
     psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
     lhs, rhs, rel = mod_K_equiv_check(
-        gabor.rep, sub, rho_g, gabor.section, psi, phi, g_grid, x_grid, gabor.proj
+        gabor.rep, rho_g, psi, phi, g_grid, x_grid, gabor.proj
     )
     assert rel < 1e-10
     lhs_b, _, rel_b = mod_K_equiv_check(
-        gabor.rep, sub, rho_b, gabor.section, psi, phi, g_grid, x_grid, gabor.proj
+        gabor.rep, rho_b, psi, phi, g_grid, x_grid, gabor.proj
     )
     assert rel_b < 1e-10
     assert abs(lhs - lhs_b) / abs(lhs) < 1e-10
@@ -510,7 +515,7 @@ def test_mod_K_zero_phi(gabor):
     x_grid = haar_grid(gabor.x_group, [(-3, 3)] * 2, [8] * 2)
     rho = make_rho("gaussian", sub)
     lhs, rhs, _ = mod_K_equiv_check(
-        gabor.rep, sub, rho, gabor.section, gabor.states["gauss"], zero,
+        gabor.rep, rho, gabor.states["gauss"], zero,
         g_grid, x_grid, gabor.proj,
     )
     assert lhs == 0.0 and rhs == 0.0
