@@ -181,6 +181,13 @@ def cmd_synthesize(args) -> int:
         result = load_result_csv(args.coefficients, grid)
     except (ValueError, OSError) as exc:
         return _fail_usage(str(exc))
+    # coefficients synthesize correctly only with the rep and psi that made them
+    if result.rep_id != rep.label:
+        return _fail_usage(f"coefficient file is for rep {result.rep_id!r}, not {rep.label!r}")
+    if result.analyzing_vector_sha256 != psi.sha256():
+        return _fail_usage(
+            "coefficient file was analyzed with another analyzing vector (psi): sha256 "
+            f"{result.analyzing_vector_sha256}, not {psi.sha256()}")
     if result.dm_norm is None:
         result.dm_norm = dm.norm_of(psi)
     state = synthesize(result, rep, psi)

@@ -13,6 +13,9 @@ covers the groups this package verifies:
   worked example of a non-central relatively central subgroup ("exotic");
 * quotients and abelian vector groups needed by the quotient constructions.
 
+A :class:`QuadratureGrid` keeps its chart axes: its Haar weights are eager,
+computed over blocks of ``BLOCK`` nodes; its (n_nodes x dim) node array is lazy.
+
 Normalization conventions (also emitted by ``groupwave conventions``):
 
 * H'_n, H_n : haar density (2 pi)^{-n}; with mu_K = dk on the centre this
@@ -28,7 +31,9 @@ Normalization conventions (also emitted by ``groupwave conventions``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -363,8 +368,7 @@ def make_vector_group(
 
 def make_wh_quotient(n: int) -> GroupDescriptor:
     """X = H'_n / K, the vector group R^{2n} in chart (p, q), haar dp dq/(2 pi)^n."""
-    g = make_vector_group(2 * n, f"wh_quotient_n{n}", density=(2.0 * np.pi) ** (-n))
-    return g
+    return make_vector_group(2 * n, f"wh_quotient_n{n}", density=(2.0 * np.pi) ** (-n))
 
 
 def make_exotic_quotient(n: int) -> GroupDescriptor:
@@ -429,34 +433,57 @@ def make_exotic_k_group(n: int) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 
 
+BLOCK = 1 << 18  # nodes per block of the weight and gauge passes, in whole first-axis rows
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Midpoint-rule nodes and left-Haar weights over a chart box.
 
     Axes listed in ``log_axes`` carry geometrically spaced nodes (midpoint
     rule in the log coordinate, cell Jacobian folded into the weights) --
-    the natural ladder for scale coordinates a > 0.
+    the natural ladder for scale coordinates a > 0.  ``weights`` are eager:
+    per-axis :meth:`cell` lengths times the Haar density, which is evaluated
+    (and checked) on :meth:`node_blocks`.  ``nodes`` (n_nodes x dim) is lazy,
+    built from the axes on first access; the transform engine never reads it.
     """
 
     group: GroupDescriptor
     box: tuple[tuple[float, float], ...]
     resolution: tuple[int, ...]
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
     log_axes: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        cells = [self.cell(i) for i in range(len(self.resolution))]
+        weights = functools.reduce(np.multiply.outer, cells).ravel()
+        for sl, nodes in self.node_blocks():
+            if not np.all(self.group.domain_constraint(nodes)):
+                raise ValueError("grid nodes violate the chart domain constraint")
+            weights[sl] *= np.asarray(self.group.haar_density(nodes), dtype=float)
+            if np.any(weights[sl] <= 0):
+                raise ValueError("non-positive Haar weights on the grid")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return math.prod(self.resolution)
 
-    def axis(self, i: int) -> np.ndarray:
-        lo, hi = self.box[i]
-        n = self.resolution[i]
-        if i in self.log_axes:
-            h = (np.log(hi) - np.log(lo)) / n
-            return np.exp(np.log(lo) + h * (np.arange(n) + 0.5))
-        h = (hi - lo) / n
-        return lo + h * (np.arange(n) + 0.5)
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return self._points(slice(None))
+
+    def node_blocks(self):
+        """Yield (slice, self.nodes[slice]) over blocks of about ``BLOCK`` nodes."""
+        row = self.n_nodes // self.resolution[0]
+        step = max(1, BLOCK // row)
+        for i0 in range(0, self.resolution[0], step):
+            rows = slice(i0, min(i0 + step, self.resolution[0]))
+            yield slice(rows.start * row, rows.stop * row), self._points(rows)
+
+    def _points(self, rows: slice) -> np.ndarray:
+        """Chart points of the first-axis ``rows``, last axis fastest."""
+        axes = [self.axis(0)[rows]] + [self.axis(i) for i in range(1, len(self.resolution))]
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1).reshape(-1, len(axes))
 
     def spacing(self, i: int) -> float:
         """Uniform step of the axis (in the log coordinate for log axes)."""
@@ -465,8 +492,15 @@ class QuadratureGrid:
             return (np.log(hi) - np.log(lo)) / self.resolution[i]
         return (hi - lo) / self.resolution[i]
 
-    def reshape(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values).reshape(self.resolution)
+    def axis(self, i: int) -> np.ndarray:
+        lo = self.box[i][0]
+        mid = self.spacing(i) * (np.arange(self.resolution[i]) + 0.5)
+        return np.exp(np.log(lo) + mid) if i in self.log_axes else lo + mid
+
+    def cell(self, i: int) -> np.ndarray:
+        """Lebesgue length of the cell at each node of the axis."""
+        h = self.spacing(i)
+        return self.axis(i) * h if i in self.log_axes else np.full(self.resolution[i], h)
 
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
@@ -483,6 +517,7 @@ def haar_grid(
     The box is clipped to the chart domain first (e.g. a > 0); midpoint
     nodes then sit half a cell away from any chart singularity.  Scale-type
     axes can be declared in ``log_axes`` to get geometric node ladders.
+    Weights are computed here, nodes on demand (see :class:`QuadratureGrid`).
     """
     box = [tuple(map(float, b)) for b in box]
     resolution = tuple(int(r) for r in resolution)
@@ -502,39 +537,7 @@ def haar_grid(
                 f"axis {i}: box [{box[i][0]}, {box[i][1]}] does not intersect the chart domain"
             )
         clipped.append((lo, hi))
-    axes = []
-    cells = []
-    for i, (lo, hi) in enumerate(clipped):
-        n = resolution[i]
-        if i in log_axes:
-            h = (np.log(hi) - np.log(lo)) / n
-            ax = np.exp(np.log(lo) + h * (np.arange(n) + 0.5))
-            cells.append(ax * h)  # Lebesgue length of the log cell at the node
-        else:
-            h = (hi - lo) / n
-            ax = lo + h * (np.arange(n) + 0.5)
-            cells.append(np.full(n, h))
-        axes.append(ax)
-    meshes = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in meshes], axis=-1)
-    ok = group.domain_constraint(nodes)
-    if not np.all(ok):
-        raise ValueError("grid nodes violate the chart domain constraint")
-    cell_meshes = np.meshgrid(*cells, indexing="ij")
-    cell_vol = np.ones(nodes.shape[0])
-    for cm in cell_meshes:
-        cell_vol = cell_vol * cm.ravel()
-    weights = cell_vol * np.asarray(group.haar_density(nodes), dtype=float)
-    if np.any(weights <= 0):
-        raise ValueError("non-positive Haar weights on the grid")
-    return QuadratureGrid(
-        group=group,
-        box=tuple(clipped),
-        resolution=resolution,
-        nodes=nodes,
-        weights=weights,
-        log_axes=log_axes,
-    )
+    return QuadratureGrid(group, tuple(clipped), resolution, log_axes)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +551,10 @@ def random_chart_points(
     count: int,
     box: Sequence[tuple[float, float]] | None = None,
 ) -> np.ndarray:
-    box = box if box is not None else group.sample_box
     if box is None:
-        box = ((-3.0, 3.0),) * group.dim
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    pts = lo + (hi - lo) * rng.random((count, group.dim))
-    return pts
+        box = group.sample_box or ((-3.0, 3.0),) * group.dim
+    lo, hi = np.asarray(box, dtype=float).T
+    return lo + (hi - lo) * rng.random((count, group.dim))
 
 
 def identity_defect(group: GroupDescriptor, points: np.ndarray) -> float:

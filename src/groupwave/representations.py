@@ -125,19 +125,14 @@ class ActionTable:
         for index, labels, block in self._dictionary(psi, grid):
             np.einsum(np.conj(block) * weight, labels, *factors, list(range(len(self.roles))),
                       out=out[index], optimize=True)
-        if self.gauge is not None:
-            return out.ravel() * np.exp(-1j * self.gauge(grid.nodes))
-        return out.ravel()
+        return self._gauged(out.ravel(), grid, -1)
 
     def adjoint(self, coeffs: np.ndarray, grid: QuadratureGrid,
                 psi: DiscretizedState) -> DiscretizedState:
         """sum_g coeffs(g) w(g) U(g) psi over the nodes of ``grid``: the exact
         adjoint of :meth:`coefficients` in phi."""
         hat = self._domain(psi)
-        cw = np.asarray(coeffs) * grid.weights
-        if self.gauge is not None:
-            cw = cw * np.exp(1j * self.gauge(grid.nodes))
-        cw = cw.reshape(grid.resolution)
+        cw = self._gauged(np.asarray(coeffs) * grid.weights, grid, 1).reshape(grid.resolution)
         factors = self._factors(grid, hat.grid, 1)
         state_labels = [len(self.roles) + j for j in range(hat.grid.dim)]
         acc = np.zeros(hat.grid.counts, dtype=complex)
@@ -146,6 +141,14 @@ class ActionTable:
                              block, labels, state_labels, optimize=True)
         out = DiscretizedState(acc, hat.grid)
         return inverse_fourier_plancherel(out, psi.grid) if self.fourier else out
+
+    def _gauged(self, values, grid, sign):
+        """Multiply ``values`` (raveled over the grid) by e^{sign i gamma} in
+        place, evaluating gamma on the grid's node blocks."""
+        if self.gauge is not None:
+            for sl, nodes in grid.node_blocks():
+                values[sl] *= np.exp(sign * 1j * self.gauge(nodes))
+        return values
 
     def _domain(self, state):
         return fourier_plancherel(state) if self.fourier else state

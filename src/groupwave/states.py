@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+import hashlib
 import json
 
 import numpy as np
@@ -108,6 +109,13 @@ class DiscretizedState:
 
     def with_samples(self, samples: np.ndarray) -> "DiscretizedState":
         return DiscretizedState(np.asarray(samples, dtype=complex), self.grid)
+
+    def sha256(self) -> str:
+        """Hex digest of the samples and the grid: an identity that tells states apart."""
+        digest = hashlib.sha256(np.ascontiguousarray(self.samples, dtype=complex).tobytes())
+        for values in (self.grid.offsets, self.grid.spacings, self.grid.counts):
+            digest.update(np.asarray(values, dtype=float).tobytes())
+        return digest.hexdigest()
 
 
 class GridMismatchError(ValueError):

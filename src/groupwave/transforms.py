@@ -180,6 +180,7 @@ class TransformResult:
     rep_id: str
     dm_norm: Optional[float] = None
     meta: dict = field(default_factory=dict)
+    analyzing_vector_sha256: Optional[str] = None
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2 * self.grid.weights))
@@ -226,6 +227,7 @@ def analyze(
         dm_norm=dm_norm,
         meta={"box": [list(b) for b in grid.box], "resolution": list(grid.resolution),
               "clipped": clipped},
+        analyzing_vector_sha256=psi.sha256(),
     )
     energy = np.abs(result.coefficients) ** 2 * grid.weights
     result.meta["energy"] = float(np.sum(energy))
@@ -553,6 +555,7 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
         "group": result.grid.group.name,
         "rep": result.rep_id,
         "analyzing_vector": result.analyzing_vector_id,
+        "analyzing_vector_sha256": result.analyzing_vector_sha256,
         "dm_norm": result.dm_norm,
         "box": [list(b) for b in result.grid.box],
         "resolution": list(result.grid.resolution),
@@ -599,4 +602,5 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
         rep_id=header.get("rep", "?"),
         dm_norm=header.get("dm_norm"),
         meta=header.get("meta", {}),
+        analyzing_vector_sha256=header.get("analyzing_vector_sha256"),
     )

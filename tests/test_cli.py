@@ -9,7 +9,7 @@ import pytest
 
 import groupwave
 from groupwave.cli import main
-from groupwave.states import load_state_csv, save_state_csv
+from groupwave.states import gaussian_state, load_state_csv, save_state_csv
 from groupwave.configs import gabor_setup
 
 
@@ -240,3 +240,51 @@ def test_report_tables(tmp_path):
     assert (outdir / "semi_invariance.csv").exists()
     assert (outdir / "kernel.csv").exists()
     assert (outdir / "conventions.txt").exists()
+
+
+def test_synthesize_rejects_coefficients_of_other_psi(tmp_path, capsys):
+    """Morlet coefficients synthesized with the default Gaussian once gave a
+    round-trip error of 0.9998 and exit 0."""
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, gabor_setup().states["hermite2"])
+    prefix = str(tmp_path / "coef")
+    assert main(["analyze", "--group", "gabor", "--psi", "morlet", "--input", str(sig),
+                 "--assume-grid", "--output", prefix]) == 0
+    back = str(tmp_path / "back.csv")
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", back, "--reference", str(sig)]) == 2
+    assert "another analyzing vector" in capsys.readouterr().err
+    assert not os.path.exists(back)
+    assert main(["synthesize", "--group", "gabor", "--psi", "morlet", "--coefficients", prefix,
+                 "--output", back, "--reference", str(sig)]) == 0
+
+
+def test_synthesize_rejects_coefficients_of_other_rep(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, gabor_setup().states["hermite2"])
+    prefix = str(tmp_path / "coef")
+    assert main(["analyze", "--group", "gabor", "--input", str(sig),
+                 "--assume-grid", "--output", prefix]) == 0
+    header_path = tmp_path / "coef.json"
+    header = json.loads(header_path.read_text())
+    label = header["rep"]
+    header["rep"] = "P[wh[k=1.0];s0]"
+    header_path.write_text(json.dumps(header))
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "P[wh[k=1.0];s0]" in err and label in err
+
+
+def test_analyze_header_records_psi_identity(tmp_path):
+    setup = gabor_setup()
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, setup.states["hermite2"])
+    digests = set()
+    for psi in ("gaussian", "morlet"):
+        prefix = str(tmp_path / psi)
+        assert main(["analyze", "--group", "gabor", "--psi", psi, "--input", str(sig),
+                     "--assume-grid", "--output", prefix]) == 0
+        digests.add(json.loads((tmp_path / f"{psi}.json").read_text())["analyzing_vector_sha256"])
+    assert len(digests) == 2
+    assert gaussian_state(setup.state_grid).sha256() in digests

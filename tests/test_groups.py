@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from groupwave import configs, groups
 from groupwave.groups import (
     GroupElement,
     associativity_defect,
@@ -179,3 +182,71 @@ def test_exotic_quotient_modular_by_quadrature():
     for a0 in (0.6, 1.7):
         est = modular_quadrature_estimate(X, np.array([0.0, 0.0, 0.3, a0]), grid, f)
         assert abs(est - 1.0 / a0) * a0 < 1e-6
+
+
+def _meshgrid_reference(grid):
+    """Nodes and weights built eagerly with meshgrid over the whole grid."""
+    axes, cells = [], []
+    for i, (lo, hi) in enumerate(grid.box):
+        n = grid.resolution[i]
+        if i in grid.log_axes:
+            h = (np.log(hi) - np.log(lo)) / n
+            axes.append(np.exp(np.log(lo) + h * (np.arange(n) + 0.5)))
+            cells.append(axes[-1] * h)
+        else:
+            h = (hi - lo) / n
+            axes.append(lo + h * (np.arange(n) + 0.5))
+            cells.append(np.full(n, h))
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    cell_vol = np.ones(nodes.shape[0])
+    for cm in np.meshgrid(*cells, indexing="ij"):
+        cell_vol = cell_vol * cm.ravel()
+    return nodes, cell_vol * grid.group.haar_density(nodes)
+
+
+GRIDS = {
+    "gabor_64": lambda: configs.gabor_setup().x_grid,
+    "affine_160_log": lambda: configs.affine_setup().x_grid,
+    "exotic_bundled": lambda: configs.exotic_setup().x_grid,
+    "exotic_4": lambda: configs.exotic_setup(x_resolution=(4, 4, 4, 4)).x_grid,
+    "wh_n2": lambda: configs.gabor_setup(n=2, state_points=48, x_halfwidth=4.0,
+                                         x_resolution=4).x_grid,
+    # 70 rows of 64^2 nodes: a full block of 64 rows and a partial one
+    "wh_two_blocks": lambda: haar_grid(make_polarized_wh(1), [(-1, 1)] * 3, [70, 64, 64]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grid_weights_and_nodes_equal_meshgrid_reference(name):
+    grid = GRIDS[name]()
+    assert "nodes" not in vars(grid)  # built on demand
+    nodes, weights = _meshgrid_reference(grid)
+    assert np.array_equal(grid.weights, weights)
+    assert np.array_equal(grid.nodes, nodes)
+    assert grid.n_nodes == nodes.shape[0]
+
+
+def test_node_blocks_cover_the_nodes_in_order(monkeypatch):
+    monkeypatch.setattr(groups, "BLOCK", 8)  # 2 rows of 4 nodes per block
+    grid = haar_grid(make_affine(1), [(-1, 1), (0.5, 2.0)], [5, 4], log_axes=(1,))
+    blocks = list(grid.node_blocks())
+    assert [(sl.start, sl.stop) for sl, _ in blocks] == [(0, 8), (8, 16), (16, 20)]
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), grid.nodes)
+    assert np.array_equal(grid.weights, _meshgrid_reference(grid)[1])
+
+
+def test_haar_grid_rejects_bad_grids_at_construction(monkeypatch):
+    monkeypatch.setattr(groups, "BLOCK", 8)  # the faulty nodes sit in the last block
+    V = make_wh_quotient(1)
+    box, res = [(-1, 1)] * 2, [8, 8]
+    outside = dataclasses.replace(V, domain_constraint=lambda g: np.asarray(g)[..., 0] < 0.8)
+    with pytest.raises(ValueError, match="violate the chart domain"):
+        haar_grid(outside, box, res)
+    vanishing = dataclasses.replace(
+        V, haar_density=lambda g: np.where(np.asarray(g)[..., 0] < 0.8, 1.0, 0.0))
+    with pytest.raises(ValueError, match="non-positive Haar weights"):
+        haar_grid(vanishing, box, res)
+    with pytest.raises(ValueError, match="positive lower bound"):
+        haar_grid(V, box, res, log_axes=(1,))
+    with pytest.raises(ValueError, match="positive lower bound"):
+        haar_grid(make_affine(1), [(-1, 1), (-1.0, 2.0)], res, log_axes=(1,))

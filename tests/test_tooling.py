@@ -4,11 +4,14 @@
 rebuilds representation specs with ``dataclasses.replace``; a rename or a
 changed spec field in the library breaks ``perfbench/run.py --trace 1``.
 The tracer patches module attributes, so it runs in its own process.
+A memory guard keeps the bundled exotic grid from growing an eager node
+array again.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import groupwave
@@ -59,3 +62,19 @@ def test_tracer_installs_and_traces_analyze():
     for name in ("configs.gabor_setup", "configs.affine_setup", "configs.exotic_setup",
                  "transforms.analyze", "representations.fast_coefficients"):
         assert name in names, (name, sorted(names))
+
+
+def test_exotic_setup_memory_peak():
+    """The bundled exotic X grid (2.9 M nodes) keeps its axes and weights,
+    not an eager node array: the traced peak of building the configuration
+    stays far below the 93 MB that array alone would add."""
+    from groupwave import configs
+
+    tracemalloc.start()
+    try:
+        setup = configs.exotic_setup()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "nodes" not in vars(setup.x_grid)
+    assert peak < 64e6, peak

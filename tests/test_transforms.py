@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from groupwave import configs, groups
 from groupwave.groups import haar_grid
 from groupwave.configs import affine_nested_grids
+from groupwave.representations import projective_from_section
 from groupwave.measures import make_rho
 from groupwave.states import (
     DiscretizedState,
@@ -612,3 +614,28 @@ def test_bundled_affine_grid_is_not_clipped(affine, caplog):
         res = analyze(affine.rep, affine.states["morlet"], affine.states["morlet"], affine.x_grid)
     assert not res.meta["clipped"]
     assert [r for r in caplog.records if r.name == "groupwave"] == []
+
+
+def test_exotic_analyze_leaves_nodes_unbuilt():
+    """The engine works per chart axis and the gauge on node blocks: an
+    analysis through the twisted section (the coordinate section's table plus
+    the gauge) does not build the bundled exotic grid's 2.9 M x 4 node array."""
+    setup = configs.exotic_setup()
+    twisted = projective_from_section(setup.rep, setup.section_prime)
+    res = analyze(twisted, setup.states["psi"], setup.states["phi"], setup.x_grid)
+    assert res.grid is setup.x_grid
+    assert "nodes" not in vars(setup.x_grid)
+
+
+def test_gauge_on_node_blocks_matches_whole_grid(exotic, monkeypatch):
+    monkeypatch.setattr(groups, "BLOCK", 20)  # 5 blocks of one first-axis row
+    twisted = projective_from_section(exotic.rep, exotic.section_prime)
+    grid = haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [5, 4, 5, 4],
+                     log_axes=(3,))
+    psi, phi = exotic.states["psi"], exotic.states["phi"]
+    c = analyze(exotic.proj, psi, phi, grid).coefficients
+    gamma = twisted.table.gauge(grid.nodes)
+    assert np.array_equal(analyze(twisted, psi, phi, grid).coefficients, c * np.exp(-1j * gamma))
+    back = twisted.fast_adjoint(c, grid, psi).samples
+    expected = exotic.proj.fast_adjoint(c * np.exp(1j * gamma), grid, psi).samples
+    assert np.max(np.abs(back - expected)) <= 1e-14 * np.max(np.abs(expected))
