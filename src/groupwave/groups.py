@@ -472,6 +472,11 @@ class QuadratureGrid:
     def nodes(self) -> np.ndarray:
         return self._points(slice(None))
 
+    def node(self, i: int) -> np.ndarray:
+        """Chart point of node ``i`` (``nodes[i]``), read from the axes."""
+        index = np.unravel_index(i, self.resolution)
+        return np.array([self.axis(k)[j] for k, j in enumerate(index)])
+
     def node_blocks(self):
         """Yield (slice, self.nodes[slice]) over blocks of about ``BLOCK`` nodes."""
         row = self.n_nodes // self.resolution[0]

@@ -33,11 +33,19 @@ Non-grid translations use FFT phase ramps, dilations band-limited
 resampling; states are treated as band-limited, so every action declares a
 ``safe_box`` of group parameters for which aliasing stays negligible for the
 shipped test states.  ``analyze`` clips transform grids to this box.
+
+The engine dilates every scale of a block with one batched
+``axis_resample`` per dilated state axis.  The psi-independent factors (the
+phase and modulation matrices here, the chirp-z factors of each scale ladder
+in ``states``) are computed once per grid and held in bounded
+``functools.lru_cache``s of ``PLAN_CACHE`` entries, keyed by value (roles,
+chart-axis nodes, state grid, sign), so a rebuilt grid hits them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import functools
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,9 +59,11 @@ from .multipliers import (
     multiplier_from_section,
 )
 from .states import (
+    PLAN_CACHE,
     DiscretizedState,
     axis_resample,
     fourier_plancherel,
+    frozen_copy,
     inner,
     inverse_fourier_plancherel,
     modulate,
@@ -154,27 +164,17 @@ class ActionTable:
         return fourier_plancherel(state) if self.fourier else state
 
     def _factors(self, grid, state_grid, sign):
-        """einsum operands of the phase and modulation roles: e^{sign i c g}
-        over chart axis i, e^{sign i g x_j} over (chart axis i, state axis j);
-        sign -1 gives the factors of conj(U(g)), +1 those of U(g)."""
-        factors = []
-        for i, r in enumerate(self.roles):
-            g = grid.axis(i)
-            if r.kind == "phase":
-                factors += [np.exp(sign * 1j * r.coef * g), [i]]
-            elif r.kind == "modulate":
-                j = r.axes[0]
-                factors += [np.exp(sign * 1j * np.outer(g, state_grid.axis(j))),
-                            [i, len(self.roles) + j]]
-        return factors
+        axes = tuple(grid.axis(i).tobytes() for i in range(len(self.roles)))
+        return _factor_plan(self.roles, axes, state_grid, sign)
 
     def _dictionary(self, state, grid):
         """Stream a^{m/2} T_s D_a state over the dilation and translation
         nodes in blocks of about ``CHUNK`` samples (at least one node of the
         first translation axis): yields (index, labels, block), ``index``
         slicing the block's nodes out of a chart-shaped array and ``labels``
-        naming its einsum axes.  Each dilation node resamples the state once;
-        one FFT of the dilated states serves every translation of a block."""
+        naming its einsum axes.  One ``axis_resample`` per dilated state axis
+        dilates up to ``CHUNK`` samples' worth of scales at once; one FFT of
+        the dilated states serves every translation of a block."""
         dil = [i for i, r in enumerate(self.roles) if r.kind == "dilate"]
         tr = [i for i, r in enumerate(self.roles) if r.kind == "translate"]
         dim = state.grid.dim
@@ -189,14 +189,19 @@ class ActionTable:
         row = state.samples.size * int(np.prod(t_shape[1:]))
         t_step = max(1, CHUNK // row)
         d_step = max(1, CHUNK // (row * min(t_step, t_shape[0] if tr else 1)))
+        batch = d_step * max(1, CHUNK // (state.samples.size * d_step))
         for d0 in range(0, len(scales), d_step):
-            slices = []
-            for a in scales[d0 : d0 + d_step]:
+            if d0 % batch == 0:
+                a = scales[d0 : d0 + batch]
                 out = state
                 for j in dilated:
                     out = axis_resample(out, j, a, 0.0)
-                slices.append(out.samples * np.sqrt(a) ** len(dilated))
-            stack = np.stack(slices).reshape((len(slices),) + (1,) * len(tr) + state.grid.counts)
+                # float_power is libm's pow, as a per-scale a^{m/2} was; an
+                # array ``** 2`` squares and differs in the last bit
+                weight = np.float_power(np.sqrt(a), len(dilated)).reshape((-1,) + (1,) * dim)
+                dilated_stack = out.samples * weight
+            stack = dilated_stack[d0 % batch : d0 % batch + d_step].reshape(
+                (-1,) + (1,) * len(tr) + state.grid.counts)
             for t0 in range(0, t_shape[0] if tr else 1, t_step):
                 index = [slice(None)] * len(self.roles)
                 block = stack
@@ -206,6 +211,26 @@ class ActionTable:
                 if dil:
                     index[dil[0]] = slice(d0, d0 + d_step)
                 yield tuple(index), labels, block if dil else block[0]
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _factor_plan(roles, axes, state_grid, sign):
+    """einsum operands of the phase and modulation roles over the chart axes
+    ``axes`` (node values as bytes): e^{sign i c g} over chart axis i,
+    e^{sign i g x_j} over (chart axis i, state axis j); sign -1 gives the
+    factors of conj(U(g)), +1 those of U(g).  Cached by value, read-only
+    (see :func:`states.frozen_copy`)."""
+    factors = []
+    for i, r in enumerate(roles):
+        g = np.frombuffer(axes[i])
+        if r.kind == "phase":
+            factors += [np.exp(sign * 1j * r.coef * g), [i]]
+        elif r.kind == "modulate":
+            j = r.axes[0]
+            factors += [np.exp(sign * 1j * np.outer(g, state_grid.axis(j))),
+                        [i, len(roles) + j]]
+    factors[::2] = [frozen_copy(f) for f in factors[::2]]
+    return tuple(factors)
 
 
 @dataclass(frozen=True)

@@ -470,7 +470,7 @@ def reproduce_check(
     scale = max(np.max(np.abs(result.coefficients)), 1e-300)
     worst = 0.0
     for i in idx:
-        g_i = result.grid.nodes[i]
+        g_i = result.grid.node(i)
         row = analyze(rep, psi, rep.act(g_i, psi), result.grid).coefficients
         # row(g') = <U(g') psi, U(g_i) psi> = ||Dpsi||^2 kernel(g_i, g')*
         integ = complex(

@@ -89,7 +89,7 @@ def _section_gauge_defect(rep, section, psi, phi, grid, rng) -> float:
     plus the gauge phase) against the literal action at s(x)."""
     c = analyze(projective_from_section(rep, section), psi, phi, grid).coefficients
     idx = rng.choice(grid.n_nodes, size=16, replace=False)
-    return max(abs(c[i] - coefficient(rep, psi, phi, section.map(grid.nodes[i]))) for i in idx)
+    return max(abs(c[i] - coefficient(rep, psi, phi, section.map(grid.node(i)))) for i in idx)
 
 
 # ---------------------------------------------------------------------------

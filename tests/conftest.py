@@ -5,8 +5,13 @@ import pytest
 
 from groupwave import configs
 from groupwave.groups import haar_grid
-from groupwave.representations import coefficient, lift_to_extension, projective_from_section
-from groupwave.states import DiscretizedState
+from groupwave.representations import (
+    affine_rep,
+    coefficient,
+    lift_to_extension,
+    projective_from_section,
+)
+from groupwave.states import DiscretizedState, centered_grid, gaussian_state
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +37,18 @@ def gabor_n2():
 @pytest.fixture(scope="session")
 def affine():
     return configs.affine_setup()
+
+
+@pytest.fixture(scope="session")
+def affine_n2():
+    """(rep, psi, phi, grid) of the affine group on R^2: the one engine path
+    that dilates two state axes, on a 3·3·4 log-ladder grid."""
+    rep = affine_rep(2, shift_max=8.0)
+    state_grid = centered_grid(8.0, 32, dim=2)
+    psi = gaussian_state(state_grid, momentum=[2.0, -1.0])
+    phi = gaussian_state(state_grid, center=[0.3, -0.2], momentum=[1.5, 1.0])
+    grid = haar_grid(rep.group, [(-3, 3), (-3, 3), (0.5, 2.0)], [3, 3, 4], log_axes=(2,))
+    return rep, psi, phi, grid
 
 
 @pytest.fixture(scope="session")

@@ -222,6 +222,9 @@ def test_grid_weights_and_nodes_equal_meshgrid_reference(name):
     assert "nodes" not in vars(grid)  # built on demand
     nodes, weights = _meshgrid_reference(grid)
     assert np.array_equal(grid.weights, weights)
+    for i in (0, grid.n_nodes // 3, grid.n_nodes - 1):
+        assert grid.node(i).tobytes() == nodes[i].tobytes()
+    assert "nodes" not in vars(grid)
     assert np.array_equal(grid.nodes, nodes)
     assert grid.n_nodes == nodes.shape[0]
 

@@ -266,10 +266,10 @@ def test_coefficient_bounds_and_k_independence(gabor, rng):
 
 @pytest.mark.parametrize(
     "config",
-    ["gabor", "affine", "exotic", "gabor_n2", "exotic_full_chart", "gabor_s_sym",
+    ["gabor", "affine", "affine_n2", "exotic", "gabor_n2", "exotic_full_chart", "gabor_s_sym",
      "exotic_s_tw", "lift_standard", "lift_starred", "lift_s_sym"],
 )
-def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic, gabor_n2,
+def test_fast_coefficients_match_generic_loop(config, gabor, affine, affine_n2, exotic, gabor_n2,
                                               gauged_and_lifted, per_node):
     from groupwave.groups import haar_grid
 
@@ -281,6 +281,8 @@ def test_fast_coefficients_match_generic_loop(config, gabor, affine, exotic, gab
         setup, rep = affine, affine.rep
         psi, phi = setup.states["morlet"], setup.states["gauss_mod"]
         grid = haar_grid(setup.group, [(-3, 3), (0.5, 2.5)], [8, 6], log_axes=(1,))
+    elif config == "affine_n2":
+        rep, psi, phi, grid = affine_n2
     elif config == "exotic":
         setup, rep = exotic, exotic.proj
         psi, phi = setup.states["psi"], setup.states["phi"]
@@ -318,3 +320,74 @@ def test_full_chart_fast_coefficients_match(gabor, per_node):
     fast = analyze(gabor.rep, psi, phi, grid)
     slow = per_node.coefficients(gabor.rep, psi, phi, grid)
     assert np.max(np.abs(fast.coefficients - slow)) < 1e-11
+
+
+def _affine_and_exotic_case(config, affine, exotic):
+    from groupwave.groups import haar_grid
+
+    if config == "affine":
+        return affine.rep, affine.states["morlet"], affine.states["signal"], affine.x_grid
+    grid = haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [5, 4, 5, 4],
+                     log_axes=(3,))
+    return exotic.proj, exotic.states["psi"], exotic.states["phi"], grid
+
+
+@pytest.mark.parametrize("config", ["affine", "exotic"])
+def test_warm_plan_caches_give_identical_bits(config, affine, exotic):
+    from groupwave import representations, states
+    from groupwave.transforms import synthesize
+
+    rep, psi, phi, grid = _affine_and_exotic_case(config, affine, exotic)
+    caches = (representations._factor_plan, states._chirp_plan)
+    for cached in caches:
+        cached.cache_clear()
+    cold = analyze(rep, psi, phi, grid, dm_norm=1.0)
+    cold_back = synthesize(cold, rep, psi)
+    misses = [cached.cache_info().misses for cached in caches]
+    warm = analyze(rep, psi, phi, grid, dm_norm=1.0)
+    warm_back = synthesize(warm, rep, psi)
+    assert [cached.cache_info().misses for cached in caches] == misses
+    assert all(cached.cache_info().hits > 0 for cached in caches)
+    assert warm.coefficients.tobytes() == cold.coefficients.tobytes()
+    assert warm_back.samples.tobytes() == cold_back.samples.tobytes()
+
+
+def test_plan_caches_stay_bounded(affine):
+    from groupwave import representations, states
+    from groupwave.groups import haar_grid
+
+    caches = (representations._factor_plan, states._chirp_plan)
+    for cached in caches:
+        cached.cache_clear()
+    psi, phi = affine.states["morlet"], affine.states["signal"]
+    for k in range(states.PLAN_CACHE + 3):
+        grid = haar_grid(affine.group, [(-3, 3), (0.5, 2.5)], [4, 2 + k], log_axes=(1,))
+        analyze(affine.rep, psi, phi, grid)
+    for cached in caches:
+        info = cached.cache_info()
+        assert info.misses == states.PLAN_CACHE + 3
+        assert info.currsize == info.maxsize == states.PLAN_CACHE
+
+
+def test_single_scale_bypasses_plan_cache(affine, exotic):
+    from groupwave import states
+
+    before = states._chirp_plan.cache_info()
+    affine.rep.act(np.array([0.3, 1.7]), affine.states["morlet"])
+    exotic.rep.act(np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.7]), exotic.states["psi"])
+    assert states._chirp_plan.cache_info() == before
+
+
+def test_dictionary_dilations_equal_per_scale_bits(affine_n2):
+    from groupwave.groups import haar_grid
+    from groupwave.states import axis_resample
+
+    rep, psi, _, _ = affine_n2
+    # 500 scales (two dilation batches); for one of them sqrt(a) ** 2 differs
+    # in the last bit from the square of the array sqrt(a)
+    grid = haar_grid(rep.group, [(-2, 2), (-2, 2), (0.3, 3.0)], [2, 2, 500], log_axes=(2,))
+    hat = fourier_plancherel(psi)
+    stack = np.concatenate([block for _, _, block in rep.table._dictionary(hat, grid)])
+    ref = np.stack([axis_resample(axis_resample(hat, 0, a), 1, a).samples * np.sqrt(a) ** 2
+                    for a in grid.axis(2)])
+    assert stack.tobytes() == ref.tobytes()

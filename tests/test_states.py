@@ -146,6 +146,49 @@ def test_axis_resample_2d(rng):
         assert np.max(np.abs(both - np.stack([a.samples, 2j * a.samples]))) < 1e-13
 
 
+def test_axis_resample_scale_array_equals_scalar_calls(rng):
+    f = DiscretizedState(rng.standard_normal(256) + 1j * rng.standard_normal(256), GRID)
+    scales = np.array([0.31, 0.9, 1.0, 1.7, 2.6])
+    for shift in (0.0, -1.2):
+        batch = axis_resample(f, 0, scales, shift).samples
+        ref = np.stack([axis_resample(f, 0, a, shift).samples for a in scales])
+        assert batch.shape == (5, 256) and batch.tobytes() == ref.tobytes()
+
+
+def test_axis_resample_scale_array_matches_dense(rng):
+    grid2 = product_grid(halfline_grid(8.0, 64), centered_grid(8.0, 48))
+    f = DiscretizedState(rng.standard_normal((64, 48)) + 1j * rng.standard_normal((64, 48)), grid2)
+    stack = np.stack([f.samples, 2j * f.samples, -f.samples])
+    # 1.3 and 2.5 map part of the box outside it, where the result reads zero
+    scales = np.array([0.4, 1.3, 2.5])
+    for ax in (0, 1):
+        one = axis_resample(f, ax, scales, 0.2).samples
+        rows = axis_resample(DiscretizedState(stack, grid2), ax, scales, 0.2).samples
+        assert one.shape == rows.shape == (3, 64, 48)
+        for k, a in enumerate(scales):
+            ref = axis_resample_dense(f, ax, a, 0.2).samples
+            assert np.max(np.abs(one[k] - ref)) < 1e-11
+            ref_row = axis_resample_dense(DiscretizedState(stack[k], grid2), ax, a, 0.2).samples
+            assert np.max(np.abs(rows[k] - ref_row)) < 1e-11
+        assert np.all(one[2][(slice(None),) * ax + (-1,)] == 0.0)
+
+
+def test_affine_analyze_resamples_once(affine, monkeypatch):
+    from groupwave import representations
+    from groupwave.transforms import analyze
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return axis_resample(*args, **kwargs)
+
+    monkeypatch.setattr(representations, "axis_resample", counted)
+    analyze(affine.rep, affine.states["morlet"], affine.states["signal"], affine.x_grid)
+    # one batched call for all 160 scales of the bundled grid
+    assert len(calls) == 1 and np.shape(calls[0]) == (160,)
+
+
 def test_axis_resample_evaluates_dilation():
     f = gaussian_state(GRID)
     r = axis_resample(f, 0, 0.5, 0.3)
@@ -201,6 +244,21 @@ def test_state_csv_round_trip(tmp_path):
     g = load_state_csv(path)
     assert g.grid == GRID
     assert np.max(np.abs(g.samples - f.samples)) < 1e-15
+
+
+def test_state_csv_bytes_match_row_formula(tmp_path):
+    grid2 = product_grid(halfline_grid(4.0, 6), centered_grid(3.0, 5))
+    samples = np.arange(30).reshape(6, 5) * (0.1 - 0.7j)
+    # signed zeros, tiny and huge values and integers-as-floats keep their text
+    samples.flat[:5] = [0.0, -0.0 + 0j, 1e-300j, -1e300, complex(-0.0, -0.0)]
+    state = DiscretizedState(samples, grid2)
+    save_state_csv(tmp_path / "state.csv", state)
+    meshes = [m.ravel() for m in grid2.meshes()]
+    rows = ["index,x0,x1,re,im\n"] + [
+        f"{i},{meshes[0][i]:.17g},{meshes[1][i]:.17g},{v.real:.17g},{v.imag:.17g}\n"
+        for i, v in enumerate(samples.ravel())
+    ]
+    assert (tmp_path / "state.csv").read_bytes() == "".join(rows).encode()
 
 
 def test_grid_json_round_trip(tmp_path):

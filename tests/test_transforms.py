@@ -373,10 +373,10 @@ def test_synthesize_requires_dm_norm(gabor):
 
 @pytest.mark.parametrize(
     "config",
-    ["gabor", "affine", "gabor_n2", "exotic", "exotic_bundled", "gabor_s_sym", "exotic_s_tw",
-     "lift_standard", "lift_starred", "lift_s_sym"],
+    ["gabor", "affine", "affine_n2", "gabor_n2", "exotic", "exotic_bundled", "gabor_s_sym",
+     "exotic_s_tw", "lift_standard", "lift_starred", "lift_s_sym"],
 )
-def test_fast_adjoint_matches_generic(config, gabor, affine, gabor_n2, exotic,
+def test_fast_adjoint_matches_generic(config, gabor, affine, affine_n2, gabor_n2, exotic,
                                       gauged_and_lifted, per_node):
     from groupwave.states import gaussian_state, inner
 
@@ -389,6 +389,9 @@ def test_fast_adjoint_matches_generic(config, gabor, affine, gabor_n2, exotic,
         rep, psi, phi = affine.rep, affine.states["morlet"], affine.states["signal"]
         grid = haar_grid(affine.group, [(-3, 3), (0.5, 2.5)], [8, 6], log_axes=(1,))
         dm_norm = duflo_moore("affine").norm_of(psi)
+    elif config == "affine_n2":
+        rep, psi, phi, grid = affine_n2
+        dm_norm = 1.0
     elif config == "gabor_n2":
         rep, grid = gabor_n2.proj, gabor_n2.x_grid
         psi = gaussian_state(gabor_n2.state_grid)
@@ -625,6 +628,21 @@ def test_exotic_analyze_leaves_nodes_unbuilt():
     res = analyze(twisted, setup.states["psi"], setup.states["phi"], setup.x_grid)
     assert res.grid is setup.x_grid
     assert "nodes" not in vars(setup.x_grid)
+
+
+def test_sampled_checks_leave_nodes_unbuilt(gabor):
+    """reproduce_check and the verify section-gauge check read their 16
+    sampled nodes from the grid axes, not from the node array."""
+    from groupwave.verify import _section_gauge_defect
+
+    psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
+    grid = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10] * 2)
+    res = analyze(gabor.proj, psi, phi, grid, dm_norm=1.0)
+    assert reproduce_check(res, gabor.proj, psi, sample_count=16) < 1e-2
+    gauge = _section_gauge_defect(gabor.rep, gabor.section_prime, psi, phi, grid,
+                                  np.random.default_rng(0))
+    assert gauge < 1e-12
+    assert "nodes" not in vars(grid)
 
 
 def test_gauge_on_node_blocks_matches_whole_grid(exotic, monkeypatch):
