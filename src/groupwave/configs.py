@@ -104,14 +104,10 @@ def gabor_setup(
         chi_phase=lambda k: kc * np.asarray(k, dtype=float)[..., 0],
     )
     section = subgroup.coordinate_section
-
-    def smap_prime(x):
-        x = np.asarray(x, dtype=float)
-        out = section.map(x)
-        out[..., 0] = 0.5 * np.sum(x[..., :n] * x[..., n:], axis=-1)
-        return out
-
-    section_prime = Section("s_sym", subgroup, smap_prime)
+    # s_sym(x) = s0(x) K_embed(p.q / 2)
+    section_prime = Section(
+        "s_sym", subgroup, lambda x: 0.5 * np.sum(x[..., :n] * x[..., n:], axis=-1)[..., None]
+    )
 
     state_grid = centered_grid(state_halfwidth, state_points, dim=n)
     # grid safety: translations must stay clear of the periodic wrap of the
@@ -295,14 +291,11 @@ def exotic_setup(
         chi_phase=chi_phase,
     )
     section = subgroup.coordinate_section
-
-    def smap_prime(x):
-        x = np.asarray(x, dtype=float)
-        out = section.map(x)
-        out[..., 0] = 0.5 * x[..., 0] * x[..., 1]
-        return out
-
-    section_prime = Section("s_tw", subgroup, smap_prime)
+    # s_tw(x) = s0(x) K_embed(p q / 2, 0, 0), K chart (t, s, r)
+    section_prime = Section(
+        "s_tw", subgroup,
+        lambda x: np.stack(np.broadcast_arrays(0.5 * x[..., 0] * x[..., 1], 0.0, 0.0), -1),
+    )
 
     rep = exotic_rep(kv, n, shift_max=p_halfwidth)
     proj = projective_from_section(rep, section)

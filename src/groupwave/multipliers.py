@@ -3,9 +3,9 @@ with its character chi, sections s: X = G/K -> G and the cocycles they
 induce, multiplier similarity, and central-extension groups.
 
 A ``RelCentralSubgroup`` declares K and X by the G-chart axes they occupy;
-each ``Section`` carries its subgroup, and the subgroup's cached
-``coordinate_section`` places X at its axes with every other coordinate at
-the identity.
+each ``Section`` carries its subgroup and its K-offset k(x), and is
+s(x) = s0(x) k(x), where the subgroup's cached ``coordinate_section`` s0
+places X at its axes with every other coordinate at the identity.
 
 Phases are stored in radians and compared modulo 2 pi with a wrap-aware
 distance, so branch cuts never produce false failures.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -125,20 +125,28 @@ class RelCentralSubgroup:
     def coordinate_section(self) -> Section:
         """s0: the X coordinates placed at ``x_axes``, every other
         coordinate at its identity value."""
-        return Section("s0", self, lambda x: self._place(self.x_axes, x))
+        return Section("s0", self)
 
 
 @dataclass(frozen=True)
 class Section:
     """A map s: X -> G splitting the projection of ``subgroup``, vectorized
-    over leading axes.  The subgroup's ``x_axes`` declare the chart layout;
-    s differs from ``subgroup.coordinate_section`` by a K-valued factor,
-    s(x) = s0(x) k(x), which the batched evaluators turn into a gauge phase
-    chi(k(x))."""
+    over leading axes.  Since p(s(x)) = x, every section is the coordinate
+    section times a K-valued factor, s(x) = s0(x) k(x); ``offset`` maps x to
+    k(x) in the K chart, and ``None`` is s0 itself.  The batched evaluators
+    turn the offset into the gauge phase chi(k(x))."""
 
     label: str
     subgroup: RelCentralSubgroup
-    map: Callable[[np.ndarray], np.ndarray]
+    offset: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def map(self, x) -> np.ndarray:
+        """s(x) = s0(x) K_embed(k(x)) in G-chart coordinates."""
+        sub = self.subgroup
+        s0 = sub._place(sub.x_axes, x)
+        if self.offset is None:
+            return s0
+        return sub.ambient.product(s0, sub.K_embed(self.offset(np.asarray(x, dtype=float))))
 
 
 def kappa_from_section(section: Section, x1, x2) -> np.ndarray:

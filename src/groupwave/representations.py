@@ -21,8 +21,8 @@ table into the spec's batched ``fast_coefficients`` (c(g) = <U(g) psi, phi>
 over a quadrature grid) and ``fast_adjoint`` (sum_g c(g) w(g) U(g) psi), for
 any n, on the G chart or on the quotient X.  Every spec has a table:
 ``projective_from_section`` restricts the rep's table to the subgroup's X
-axes, and a section s other than the coordinate section s0 adds the gauge
-phase of s(x) = s0(x) k(x), k(x) in K, U(k) = e^{i chi(k)}:
+axes, and a section with K-offset k(x), s(x) = s0(x) k(x) for the coordinate
+section s0, adds the gauge phase of U(k) = e^{i chi(k)}:
 
     c_s(x) = e^{-i chi(k(x))} c_{s0}(x);
 
@@ -466,9 +466,9 @@ def projective_from_section(rep: UnitaryRepSpec, section: Section) -> Projective
     """P_s(x) = U(s(x)): projective representation of X with multiplier m_s.
 
     The rep's action table and safe box are restricted to the subgroup's X
-    axes: that is U(s0(x)) for the coordinate section s0, and since
-    p(s(x)) = x and K acts by the scalar chi, any other section only adds the
-    gauge phase gamma(x) = chi(s0(x)^{-1} s(x)) (see the module header).
+    axes: that is U(s0(x)) for the coordinate section s0, and since K acts by
+    the scalar chi, a section with K-offset k(x) only adds the gauge phase
+    gamma(x) = chi(k(x)) (see the module header).
     """
     sub = section.subgroup
     if sub.ambient.name != rep.group.name:
@@ -477,14 +477,7 @@ def projective_from_section(rep: UnitaryRepSpec, section: Section) -> Projective
     def action(x, state):
         return rep.act(section.map(np.asarray(x, dtype=float)), state)
 
-    gauge = None
-    if section is not sub.coordinate_section:
-        G, s0 = sub.ambient, sub.coordinate_section
-
-        def gauge(x):
-            k = G.product(G.inverse(s0.map(x)), section.map(x))
-            return sub.chi_phase(sub.extract_k(k, context=f"gauge (section {section.label!r})"))
-
+    gauge = None if section.offset is None else (lambda x: sub.chi_phase(section.offset(x)))
     return ProjectiveRepSpec(
         group=sub.quotient,
         action=action,

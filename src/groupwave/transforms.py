@@ -537,20 +537,22 @@ def mod_K_equiv_check(
 
 
 def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str]:
-    """Write <prefix>.csv (node coords, weight, re, im) and <prefix>.json."""
+    """Write <prefix>.csv (node coords, weight, re, im), formatted one node
+    block at a time, and <prefix>.json."""
     import json
 
     csv_path = f"{path_prefix}.csv"
     json_path = f"{path_prefix}.json"
-    dim = result.grid.nodes.shape[1]
+    dim = len(result.grid.resolution)
     # 17 significant digits read back as the same double
     row = "%d," + ",".join(["%.17g"] * (dim + 3)) + "\n"
-    c = np.asarray(result.coefficients)
-    data = np.column_stack([result.grid.nodes, result.grid.weights, c.real, c.imag]).tolist()
+    c, w = np.asarray(result.coefficients), result.grid.weights
     with open(csv_path, "w") as fh:
         coord_names = ",".join(f"g{i}" for i in range(dim))
         fh.write(f"index,{coord_names},weight,re,im\n")
-        fh.write("".join([row % (i, *values) for i, values in enumerate(data)]))
+        for sl, nodes in result.grid.node_blocks():
+            data = np.column_stack([nodes, w[sl], c.real[sl], c.imag[sl]]).tolist()
+            fh.write("".join([row % (i, *values) for i, values in enumerate(data, sl.start)]))
     header = {
         "group": result.grid.group.name,
         "rep": result.rep_id,

@@ -5,13 +5,14 @@ from groupwave.groups import haar_grid, random_chart_points
 from groupwave.induced import (
     F_s,
     R_chi_s,
+    _apply_x_translation,
     intertwine_defect,
     left_reg_m,
     xgrid_inner,
     xgrid_norm,
 )
 from groupwave.measures import gamma_s
-from groupwave.multipliers import Multiplier, trivial_multiplier
+from groupwave.multipliers import Multiplier, section_cocycle, trivial_multiplier
 from groupwave.transforms import analyze
 
 
@@ -254,6 +255,38 @@ def test_exotic_intertwining_truncation_bound(exotic, rng):
         grid,
     )
     assert d < 2e-3
+
+
+def _literal_R_chi_s(section, g, values, grid):
+    """Reference: chi(c_s(g^{-1}, x)) f(g^{-1}[x]), the cocycle evaluated by
+    G-chart products at every grid node."""
+    sub = section.subgroup
+    G, X = sub.ambient, sub.quotient
+    g_inv = G.inverse(np.asarray(g, dtype=float))
+    moved = _apply_x_translation(X, X.inverse(sub.project(g)), values, grid)
+    cs = section_cocycle(section, np.broadcast_to(g_inv, (grid.n_nodes, G.dim)), grid.nodes)
+    return np.exp(1j * sub.chi_phase(cs)).reshape(grid.resolution) * moved
+
+
+@pytest.mark.parametrize("which", ["gabor", "exotic"])
+def test_R_chi_s_matches_literal_cocycle(which, gabor, exotic, rng):
+    """chi(k) R^{m_s}_{x0} is the induced representation at g = s(x0) k, for
+    the coordinate and the twisted section; neither operator builds the
+    grid's node array."""
+    if which == "gabor":
+        setup, g = gabor, np.array([0.7, -0.4, 0.9])
+        box, resolution, log_axes = [(-8, 8)] * 2, [64] * 2, ()
+    else:
+        setup, g = exotic, np.array([0.5, -0.3, 0.2, 0.25, -0.3, 0.6, float(np.exp(0.12))])
+        box, resolution, log_axes = [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [6, 5, 6, 6], (3,)
+    values = rng.normal(size=resolution) + 1j * rng.normal(size=resolution)
+    for section in (setup.section, setup.section_prime):
+        grid = haar_grid(setup.x_group, box, resolution, log_axes=log_axes)
+        out = R_chi_s(section, g, values, grid)
+        left_reg_m(setup.proj.multiplier, setup.subgroup.project(g), values, grid)
+        assert "nodes" not in vars(grid)
+        expected = _literal_R_chi_s(section, g, values, grid)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_xgrid_inner_linear_second_argument(gabor, gabor_field):

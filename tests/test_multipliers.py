@@ -3,13 +3,18 @@ import pytest
 
 from groupwave.groups import (
     associativity_defect,
+    haar_grid,
     identity_defect,
     inverse_defect,
+    make_vector_group,
     random_chart_points,
 )
+from groupwave.induced import R_chi_s
+from groupwave.measures import gamma_s_inv
 from groupwave.multipliers import (
     InconsistentSectionError,
     Multiplier,
+    RelCentralSubgroup,
     central_extension,
     check_cocycle,
     check_normalization,
@@ -174,18 +179,23 @@ def test_exotic_kappa_membership_and_value(exotic, rng):
 
 
 def test_inconsistent_section_detected(gabor):
-    # a nonlinear distortion of the X coordinates is not a section of the
-    # projection: the derived cocycle leaves the embedded subgroup
-    def bad_map(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3,))
-        out[..., 1] = x[..., 0] + 0.01 * x[..., 0] ** 2
-        out[..., 2] = x[..., 1]
-        return out
-
-    bad = gabor.section.__class__(label="broken", subgroup=gabor.subgroup, map=bad_map)
+    """Every section is s0 times a K-offset, so only a subgroup declared on
+    non-normal axes can leave K: with K on the p axis of the polarized WH
+    chart, s(x)^{-1} g = (-q p, p, 0) has a k coordinate."""
+    sub = RelCentralSubgroup(
+        ambient=gabor.group,
+        k_group=make_vector_group(1, "wh_p_axis"),
+        quotient=make_vector_group(2, "wh_kq_axes"),
+        k_axes=(1,),
+        x_axes=(0, 2),
+        chi_phase=lambda k: np.asarray(k, dtype=float)[..., 0],
+    )
+    g = np.array([0.5, 1.5, 2.0])
+    with pytest.raises(InconsistentSectionError, match="leaves K by 3.000e"):
+        gamma_s_inv(sub.coordinate_section, g)
+    grid = haar_grid(sub.quotient, [(-2, 2)] * 2, [4] * 2)
     with pytest.raises(InconsistentSectionError):
-        kappa_from_section(bad, np.array([4.0, 2.0]), np.array([1.0, 1.0]))
+        R_chi_s(sub.coordinate_section, g, np.ones(grid.resolution, dtype=complex), grid)
 
 
 def test_multiplier_from_section_passes_cocycle(gabor, exotic, rng):
@@ -242,6 +252,32 @@ def _gabor_charts(n):
     return k_embed, k_project, project, smap
 
 
+def _gabor_s_sym(n):
+    """The symmetric Gabor section s_sym, written out by hand."""
+    smap = _gabor_charts(n)[3]
+
+    def s_sym(x):
+        x = np.asarray(x, dtype=float)
+        out = smap(x)
+        out[..., 0] = 0.5 * np.sum(x[..., :n] * x[..., n:], axis=-1)
+        return out
+
+    return s_sym
+
+
+def _exotic_s_tw():
+    """The twisted exotic section s_tw, written out by hand."""
+    smap = _exotic_charts()[3]
+
+    def s_tw(x):
+        x = np.asarray(x, dtype=float)
+        out = smap(x)
+        out[..., 0] = 0.5 * x[..., 0] * x[..., 1]
+        return out
+
+    return s_tw
+
+
 def _exotic_charts():
     """The coordinate maps of the exotic configuration, written out by hand:
     chart (t, s, b, p, q, r, a), X chart (p, q, b, a), K chart (t, s, r)."""
@@ -290,3 +326,15 @@ def test_axis_declarations_match_hand_written_charts(which, gabor, gabor_n2, exo
     assert np.array_equal(sub.coordinate_section.map(x), smap(x))
     assert setup.section is sub.coordinate_section
     assert setup.proj.table.gauge is None
+
+
+@pytest.mark.parametrize("which", ["gabor", "gabor_n2", "exotic"])
+def test_twisted_section_offsets_match_hand_written_maps(which, gabor, gabor_n2, exotic, rng):
+    """s0(x) K_embed(k(x)) reproduces the hand-written twisted sections bit for
+    bit."""
+    setup = {"gabor": gabor, "gabor_n2": gabor_n2, "exotic": exotic}[which]
+    hand = _exotic_s_tw() if which == "exotic" else _gabor_s_sym(setup.n)
+    x = random_chart_points(setup.x_group, rng, 200)
+    assert np.array_equal(setup.section_prime.map(x), hand(x))
+    assert np.array_equal(setup.section_prime.map(x[0]), hand(x[0]))
+    assert setup.section.offset is None

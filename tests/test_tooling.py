@@ -22,7 +22,7 @@ SCRIPT = """
 import sys
 sys.path.insert(0, {perfbench!r})
 import tracing
-from groupwave import configs, groups, representations, transforms
+from groupwave import configs, groups, induced, representations, transforms
 
 tracer = tracing.Tracer()
 tracer.install()
@@ -39,6 +39,8 @@ lift = representations.lift_to_extension(gab.proj)
 res = transforms.analyze(lift, psi, psi, groups.haar_grid(lift.group, [(-2, 2)] * 3, [4, 8, 8]),
                          dm_norm=1.0)
 transforms.synthesize(res, lift, psi)
+x_grid = groups.haar_grid(gab.x_group, [(-2, 2)] * 2, [8, 8])
+induced.R_chi_s(gab.section, [0.3, 0.5, -0.2], res.coefficients[:64].reshape(8, 8), x_grid)
 tracer.active = False
 metrics = tracing.per_module_metrics(tracing.summarize([tracer.spans]), {{}})
 assert metrics["transforms.per_node_share"] == 0, metrics["transforms.per_node_share"]
@@ -49,7 +51,8 @@ print(" ".join(names))
 
 
 def test_tracer_installs_and_traces_analyze():
-    """Also: twisted-section and lift transforms make no per-node calls."""
+    """Also: twisted-section and lift transforms make no per-node calls, and
+    R_chi_s runs through the traced left_reg_m."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -60,7 +63,8 @@ def test_tracer_installs_and_traces_analyze():
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stdout.split())
     for name in ("configs.gabor_setup", "configs.affine_setup", "configs.exotic_setup",
-                 "transforms.analyze", "representations.fast_coefficients"):
+                 "transforms.analyze", "representations.fast_coefficients",
+                 "induced.R_chi_s", "induced.left_reg_m"):
         assert name in names, (name, sorted(names))
 
 

@@ -604,6 +604,23 @@ def test_result_csv_bytes_match_row_writer(gabor, affine, tmp_path):
         assert (tmp_path / f"coef{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
 
 
+def test_result_csv_written_over_node_blocks(gabor, tmp_path, monkeypatch):
+    """Two node blocks write the bytes of the whole-array formula, and the
+    writer leaves the grid's node array unbuilt."""
+    monkeypatch.setattr(groups, "BLOCK", 40)  # 5 rows of 8 nodes per block
+    grid = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10, 8])
+    res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], grid)
+    assert len(list(grid.node_blocks())) == 2
+    prefix = str(tmp_path / "coef")
+    save_result_csv(prefix, res)
+    assert "nodes" not in vars(grid)
+    row = "%d," + ",".join(["%.17g"] * 5) + "\n"
+    data = np.column_stack([grid.nodes, grid.weights, res.coefficients.real,
+                            res.coefficients.imag]).tolist()
+    expected = "index,g0,g1,weight,re,im\n" + "".join(row % (i, *v) for i, v in enumerate(data))
+    assert (tmp_path / "coef.csv").read_bytes() == expected.encode()
+
+
 def test_load_result_csv_rejects_other_group(gabor, affine, tmp_path):
     res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid)
     prefix = str(tmp_path / "coef")
