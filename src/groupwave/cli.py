@@ -73,12 +73,17 @@ def _dump_json(path, payload) -> None:
             fh.write(text)
 
 
-def cmd_conventions(args) -> int:
-    groups = {
+def _convention_groups() -> dict:
+    """The groups of each conventions sheet, in sheet order."""
+    return {
         "wh": [make_polarized_wh(1), make_standard_wh(1)],
         "affine": [make_affine(1)],
         "exotic": [make_exotic(1), make_exotic_quotient(1)],
     }
+
+
+def cmd_conventions(args) -> int:
+    groups = _convention_groups()
     selected = ALL_GROUPS if args.group == "all" else [args.group]
     text = "\n".join(
         conventions_text(g) for name in selected for g in groups[name]
@@ -300,8 +305,8 @@ def cmd_report(args) -> int:
     # conventions sheet
     path = os.path.join(args.outdir, "conventions.txt")
     with open(path, "w") as fh:
-        for g in (make_polarized_wh(1), make_standard_wh(1), make_affine(1), make_exotic(1), make_exotic_quotient(1)):
-            fh.write(conventions_text(g) + "\n")
+        for groups in _convention_groups().values():
+            fh.write("".join(conventions_text(g) + "\n" for g in groups))
     written.append(path)
 
     for p in written:

@@ -151,15 +151,8 @@ def make_rho(
     else:
         raise ValueError(f"unknown density kind {kind!r} (expected gaussian|bump)")
 
-    G = subgroup.ambient
-
-    def eval_rho(g):
-        g = np.asarray(g, dtype=float)
-        x = subgroup.project(g)
-        k_g = G.product(G.inverse(section.map(x)), g)
-        return profile(subgroup.K_project(k_g))
-
-    return RhoDensity(eval=eval_rho, subgroup=subgroup, label=f"rho[{kind}]")
+    return RhoDensity(eval=lambda g: profile(gamma_s_inv(section, g)[1]),
+                      subgroup=subgroup, label=f"rho[{kind}]")
 
 
 def translate_rho(rho: RhoDensity, g0) -> RhoDensity:

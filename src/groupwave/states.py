@@ -59,6 +59,7 @@ class StateGrid:
     """Uniform sampling grid on a box in R^n.
 
     Axis i holds ``counts[i]`` samples at ``offsets[i] + j * spacings[i]``.
+    Grids are compatible only if they are equal field by field.
     """
 
     offsets: tuple[float, ...]
@@ -78,17 +79,6 @@ class StateGrid:
 
     def meshes(self) -> list[np.ndarray]:
         return np.meshgrid(*[self.axis(i) for i in range(self.dim)], indexing="ij")
-
-    def __eq__(self, other) -> bool:  # exact match is the compatibility contract
-        return (
-            isinstance(other, StateGrid)
-            and self.counts == other.counts
-            and self.offsets == other.offsets
-            and self.spacings == other.spacings
-        )
-
-    def __hash__(self):
-        return hash((self.offsets, self.spacings, self.counts))
 
 
 @dataclass(frozen=True)
@@ -524,16 +514,22 @@ def _coord_names(dim: int) -> list[str]:
     return ["x"] if dim == 1 else [f"x{i}" for i in range(dim)]
 
 
+def csv_rows(columns, start: int = 0) -> str:
+    """CSV rows of the column-stacked ``columns``, each led by its index
+    counted from ``start``; 17 significant digits read back as the same
+    double."""
+    data = np.column_stack(columns)
+    row = "%d," + ",".join(["%.17g"] * data.shape[1]) + "\n"
+    return "".join([row % (i, *values) for i, values in enumerate(data.tolist(), start)])
+
+
 def save_state_csv(path, state: DiscretizedState) -> None:
     """Write index, grid coordinates, re, im per sample, formatted in one pass."""
     g = state.grid
-    # 17 significant digits read back as the same double
-    row = "%d," + ",".join(["%.17g"] * (g.dim + 2)) + "\n"
     flat = state.samples.ravel()
-    data = np.column_stack([m.ravel() for m in g.meshes()] + [flat.real, flat.imag]).tolist()
     with open(path, "w") as fh:
         fh.write("index," + ",".join(_coord_names(g.dim)) + ",re,im\n")
-        fh.write("".join([row % (i, *values) for i, values in enumerate(data)]))
+        fh.write(csv_rows([m.ravel() for m in g.meshes()] + [flat.real, flat.imag]))
 
 
 def save_grid_json(path, grid: StateGrid) -> None:

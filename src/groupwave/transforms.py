@@ -8,17 +8,18 @@ Delta^{1/2}, and the equivalence between square-integrability modulo a
 relatively central subgroup and square-integrability of the section pullback
 on the quotient.
 
-Duflo-Moore operators shipped:
+Every Duflo-Moore operator is one positive symbol multiplying state axis 0,
+in position or, conjugated by the Fourier-Plancherel transform, in
+frequency.  Symbols shipped:
 
 * Gabor (Weyl-Heisenberg modulo its centre, |central parameter| = 1,
-  mu_X = dp dq / (2 pi)^n): the identity -- the quotient is unimodular and
-  the Haar normalization pins the scalar to 1.
-* affine: Fourier multiplier kappa |w|^{-1/2} with kappa = sqrt(pi), the
-  closed form for haar = a^{-2} db da, n = 1.  ``calibrate_affine_dm`` fits
-  kappa by quadrature and serves only as an audit of that value.
-* exotic configuration: multiplication by bcheck^{-1/2} on the state grid --
-  unbounded, witnessed by the symbol growing like sqrt(2) per halving of the
-  node coordinate.
+  mu_X = dp dq / (2 pi)^n): 1, so D is the identity -- the quotient is
+  unimodular and the Haar normalization pins the scalar to 1.
+* affine: kappa |w|^{-1/2} in frequency with kappa = sqrt(pi), the closed
+  form for haar = a^{-2} db da, n = 1.  ``calibrate_affine_dm`` fits kappa
+  by quadrature and serves only as an audit of that value.
+* exotic configuration: bcheck^{-1/2} in position -- unbounded, witnessed by
+  the symbol growing like sqrt(2) per halving of the node coordinate.
 
 ``analyze`` and ``synthesize`` run on the representation's action table
 (see ``representations``): one batched engine for every spec -- every
@@ -39,6 +40,7 @@ from .measures import RhoDensity, integrate_mod_K
 from .representations import UnitaryRepSpec
 from .states import (
     DiscretizedState,
+    csv_rows,
     fourier_plancherel,
     inner,
     inverse_fourier_plancherel,
@@ -75,49 +77,30 @@ _log = logging.getLogger("groupwave")
 
 @dataclass(frozen=True)
 class DMOperator:
-    """Positive selfadjoint injective operator of the orthogonality relation.
-
-    kind = identity_scalar      -> D = scalar * Id
-           fourier_multiplier   -> D = F^{-1} symbol(w) F
-           coordinate_multiplier-> D = symbol(x_axis) pointwise (axis 0)
-    The symbol must be strictly positive at every grid node (injectivity on
-    the grid); unbounded operators show up as symbols growing without bound
-    along a node sequence.
+    """Positive selfadjoint injective operator of the orthogonality relation:
+    multiplication along state axis 0 by ``symbol(coords, spacing)``, taken
+    in frequency (D = F^{-1} symbol(w) F) when ``fourier`` is set and in
+    position otherwise.  The symbol must be strictly positive at every grid
+    node (injectivity on the grid); unbounded operators show up as symbols
+    growing without bound along a node sequence.
     """
 
-    kind: str
-    scalar: float = 1.0
-    symbol: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    symbol: Callable[[np.ndarray, float], np.ndarray]
+    fourier: bool = False
     meta: dict = field(default_factory=dict)
 
     def apply(self, state: DiscretizedState) -> DiscretizedState:
-        if self.kind == "identity_scalar":
-            return state.with_samples(state.samples * self.scalar)
-        if self.kind == "fourier_multiplier":
-            spec = fourier_plancherel(state)
-            g = spec.grid
-            mult = np.ones(g.counts)
-            vals = self.symbol(g.axis(0), g.spacings[0])
-            shape = [1] * g.dim
-            shape[0] = g.counts[0]
-            mult = mult * np.asarray(vals).reshape(shape)
-            out = spec.with_samples(spec.samples * mult)
-            return inverse_fourier_plancherel(out, state.grid)
-        if self.kind == "coordinate_multiplier":
-            g = state.grid
-            vals = np.asarray(self.symbol(g.axis(0), g.spacings[0]))
-            shape = [1] * g.dim
-            shape[0] = g.counts[0]
-            return state.with_samples(state.samples * vals.reshape(shape))
-        raise ValueError(f"unknown DMOperator kind {self.kind!r}")
+        target = fourier_plancherel(state) if self.fourier else state
+        g = target.grid
+        vals = self.symbol_values(g.axis(0), g.spacings[0])
+        out = target.with_samples(target.samples * vals.reshape((-1,) + (1,) * (g.dim - 1)))
+        return inverse_fourier_plancherel(out, state.grid) if self.fourier else out
 
     def norm_of(self, state: DiscretizedState) -> float:
         """||D psi|| on the grid."""
         return norm(self.apply(state))
 
     def symbol_values(self, coords: np.ndarray, spacing: float = 1.0) -> np.ndarray:
-        if self.kind == "identity_scalar":
-            return np.full(np.asarray(coords).shape, self.scalar)
         return np.asarray(self.symbol(coords, spacing))
 
 
@@ -136,24 +119,20 @@ def _abs_sqrt_inv_symbol(omega: np.ndarray, spacing: float) -> np.ndarray:
 def duflo_moore(config: str) -> DMOperator:
     """Duflo-Moore operator for one of the bundled configurations.
 
-    config = 'gabor'  : identity (scalar 1);
-             'affine' : sqrt(pi) |w|^{-1/2} Fourier multiplier, kappa = sqrt(pi)
+    config = 'gabor'  : symbol 1 (the identity);
+             'affine' : Fourier symbol sqrt(pi) |w|^{-1/2}, kappa = sqrt(pi)
                         in closed form; :func:`calibrate_affine_dm` is the audit;
-             'exotic' : coordinate multiplier bcheck^{-1/2}.
+             'exotic' : position symbol bcheck^{-1/2}.
     """
     if config == "gabor":
         return DMOperator(
-            kind="identity_scalar",
-            scalar=1.0,
+            symbol=lambda x, h: np.ones(np.shape(x)),
             meta={"note": "unimodular quotient; scalar fixed by mu_X = dp dq/(2 pi)^n"},
         )
     if config == "affine":
         kappa = float(np.sqrt(np.pi))
-
-        def symbol(w, h):
-            return kappa * _abs_sqrt_inv_symbol(w, h)
-
-        return DMOperator(kind="fourier_multiplier", symbol=symbol, meta={"kappa": kappa})
+        return DMOperator(symbol=lambda w, h: kappa * _abs_sqrt_inv_symbol(w, h),
+                          fourier=True, meta={"kappa": kappa})
     if config == "exotic":
         def symbol(x, h):
             x = np.asarray(x, dtype=float)
@@ -161,7 +140,7 @@ def duflo_moore(config: str) -> DMOperator:
                 raise ValueError("coordinate symbol bcheck^{-1/2} needs bcheck > 0")
             return x ** (-0.5)
 
-        return DMOperator(kind="coordinate_multiplier", symbol=symbol, meta={})
+        return DMOperator(symbol=symbol)
     raise ValueError(f"unknown configuration {config!r}")
 
 
@@ -388,14 +367,9 @@ def orthogonality_relation(
     the product of norms when rhs is (near) zero.
     """
     lhs = complex(np.sum(np.conj(c1) * c2 * grid.weights))
-    d2 = dm.apply(psi2)
-    d1 = dm.apply(psi1)
+    d1, d2 = dm.apply(psi1), dm.apply(psi2)
     rhs = inner(phi1, phi2) * inner(d2, d1)
-    scale = max(
-        abs(rhs),
-        norm(phi1) * norm(phi2) * dm.norm_of(psi1) * dm.norm_of(psi2),
-        1e-300,
-    )
+    scale = max(abs(rhs), norm(phi1) * norm(phi2) * norm(d1) * norm(d2), 1e-300)
     return lhs, rhs, abs(lhs - rhs) / scale
 
 
@@ -543,16 +517,12 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
 
     csv_path = f"{path_prefix}.csv"
     json_path = f"{path_prefix}.json"
-    dim = len(result.grid.resolution)
-    # 17 significant digits read back as the same double
-    row = "%d," + ",".join(["%.17g"] * (dim + 3)) + "\n"
     c, w = np.asarray(result.coefficients), result.grid.weights
     with open(csv_path, "w") as fh:
-        coord_names = ",".join(f"g{i}" for i in range(dim))
+        coord_names = ",".join(f"g{i}" for i in range(len(result.grid.resolution)))
         fh.write(f"index,{coord_names},weight,re,im\n")
         for sl, nodes in result.grid.node_blocks():
-            data = np.column_stack([nodes, w[sl], c.real[sl], c.imag[sl]]).tolist()
-            fh.write("".join([row % (i, *values) for i, values in enumerate(data, sl.start)]))
+            fh.write(csv_rows([nodes, w[sl], c.real[sl], c.imag[sl]], sl.start))
     header = {
         "group": result.grid.group.name,
         "rep": result.rep_id,
@@ -592,11 +562,18 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
         raise ValueError(f"coefficient header: malformed grid ({exc})") from None
     if (box, resolution, log_axes) != (grid.box, grid.resolution, grid.log_axes):
         grid = haar_grid(grid.group, box, resolution, log_axes=log_axes)
-    re, im = np.loadtxt(f"{path_prefix}.csv", delimiter=",", skiprows=1,
-                        usecols=(-2, -1), ndmin=2).T
+    # rows are index, dim coordinates, weight, re, im: a short row raises
+    dim = len(resolution)
+    try:
+        re, im = np.loadtxt(f"{path_prefix}.csv", delimiter=",", skiprows=1,
+                            usecols=(dim + 2, dim + 3), ndmin=2).T
+    except ValueError as exc:
+        raise ValueError(f"coefficient CSV: malformed row ({exc})") from None
     coeffs = re + 1j * im
     if coeffs.size != grid.n_nodes:
         raise ValueError("coefficient count does not match the grid")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficient CSV contains non-finite values")
     return TransformResult(
         coefficients=coeffs,
         grid=grid,

@@ -83,6 +83,20 @@ def _state_diff(a: DiscretizedState, b: DiscretizedState) -> float:
     return norm(DiscretizedState(a.samples - b.samples, a.grid))
 
 
+def _group_axiom_checks(G, rng, label=None) -> list[Check]:
+    """Identity, inverse, associativity and modular homomorphism of G on
+    seeded chart points, named "<label>: <axiom>" (label defaults to G.name)."""
+    label = label or G.name
+    pts = random_chart_points(G, rng, 1000)
+    g, h, l = (random_chart_points(G, rng, 1000) for _ in range(3))
+    return [
+        Check(f"{label}: identity", identity_defect(G, pts), 1e-12),
+        Check(f"{label}: inverse", inverse_defect(G, pts), 1e-12),
+        Check(f"{label}: associativity", associativity_defect(G, g, h, l), 1e-12),
+        Check(f"{label}: modular homomorphism", modular_homomorphism_defect(G, g, h), 1e-12),
+    ]
+
+
 def _section_gauge_defect(rep, section, psi, phi, grid, rng) -> float:
     """max |c_s(x) - <U(s(x)) psi, phi>| at 16 seeded nodes: the batched
     coefficients through a non-coordinate section s (the coordinate table
@@ -105,12 +119,7 @@ def gabor_suite(seed: int = 0) -> list[Check]:
 
     # group algebra
     for G in (setup.group, make_standard_wh(1), setup.x_group):
-        pts = random_chart_points(G, rng, 1000)
-        g, h, l = (random_chart_points(G, rng, 1000) for _ in range(3))
-        checks.append(Check(f"{G.name}: identity", identity_defect(G, pts), 1e-12))
-        checks.append(Check(f"{G.name}: inverse", inverse_defect(G, pts), 1e-12))
-        checks.append(Check(f"{G.name}: associativity", associativity_defect(G, g, h, l), 1e-12))
-        checks.append(Check(f"{G.name}: modular homomorphism", modular_homomorphism_defect(G, g, h), 1e-12))
+        checks += _group_axiom_checks(G, rng)
 
     Hs = make_standard_wh(1)
     g, h = random_chart_points(Hs, rng, 1000), random_chart_points(Hs, rng, 1000)
@@ -305,12 +314,7 @@ def affine_suite(seed: int = 0) -> list[Check]:
     checks = []
 
     G = setup.group
-    pts = random_chart_points(G, rng, 1000)
-    g, h, l = (random_chart_points(G, rng, 1000) for _ in range(3))
-    checks.append(Check("affine: identity", identity_defect(G, pts), 1e-12))
-    checks.append(Check("affine: inverse", inverse_defect(G, pts), 1e-12))
-    checks.append(Check("affine: associativity", associativity_defect(G, g, h, l), 1e-12))
-    checks.append(Check("affine: modular homomorphism", modular_homomorphism_defect(G, g, h), 1e-12))
+    checks += _group_axiom_checks(G, rng, "affine")
 
     grid = haar_grid(G, [(-8, 8), (np.exp(-3), np.exp(3))], [256, 384])
     test_fn = lambda nodes: np.exp(-nodes[..., 0] ** 2 / 0.5) * np.exp(
@@ -414,12 +418,7 @@ def exotic_suite(seed: int = 0) -> list[Check]:
     G = setup.group
     X = setup.x_group
     for D in (G, X):
-        pts = random_chart_points(D, rng, 1000)
-        g, h, l = (random_chart_points(D, rng, 1000) for _ in range(3))
-        checks.append(Check(f"{D.name}: identity", identity_defect(D, pts), 1e-12))
-        checks.append(Check(f"{D.name}: inverse", inverse_defect(D, pts), 1e-12))
-        checks.append(Check(f"{D.name}: associativity", associativity_defect(D, g, h, l), 1e-12))
-        checks.append(Check(f"{D.name}: modular homomorphism", modular_homomorphism_defect(D, g, h), 1e-12))
+        checks += _group_axiom_checks(D, rng)
 
     # Delta_X = a^{-1} by Haar quadrature on the (b, a) block
     xg = haar_grid(

@@ -9,7 +9,8 @@ import pytest
 
 import groupwave
 from groupwave.cli import main
-from groupwave.states import gaussian_state, load_state_csv, save_state_csv
+from groupwave.states import gaussian_state, load_grid_json, load_state_csv, save_state_csv
+from groupwave.transforms import load_result_csv, synthesize
 from groupwave.configs import gabor_setup
 
 
@@ -288,3 +289,53 @@ def test_analyze_header_records_psi_identity(tmp_path):
         digests.add(json.loads((tmp_path / f"{psi}.json").read_text())["analyzing_vector_sha256"])
     assert len(digests) == 2
     assert gaussian_state(setup.state_grid).sha256() in digests
+
+
+def _gabor_coefficients(tmp_path):
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, gabor_setup().states["hermite2"])
+    prefix = str(tmp_path / "coef")
+    assert main(["analyze", "--group", "gabor", "--input", str(sig),
+                 "--assume-grid", "--output", prefix]) == 0
+    return sig, prefix
+
+
+def _edit_coefficient_row(prefix, edit):
+    path = Path(prefix + ".csv")
+    rows = path.read_text().splitlines()
+    rows[100] = edit(rows[100])
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_synthesize_rejects_nonfinite_coefficients(tmp_path, capsys):
+    """A nan coefficient once gave exit 0 and a report with a NaN error,
+    which is not valid JSON."""
+    sig, prefix = _gabor_coefficients(tmp_path)
+    _edit_coefficient_row(prefix, lambda row: row.rsplit(",", 1)[0] + ",nan")
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv"), "--reference", str(sig)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_synthesize_rejects_short_coefficient_row(tmp_path, capsys):
+    """A row missing its last field was once read with its weight as re."""
+    sig, prefix = _gabor_coefficients(tmp_path)
+    _edit_coefficient_row(prefix, lambda row: row.rsplit(",", 1)[0])
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv"), "--reference", str(sig)]) == 2
+    assert "malformed row" in capsys.readouterr().err
+
+
+def test_synthesize_output_reads_back_with_its_grid_json(tmp_path):
+    """The signal CSV and grid JSON that synthesize writes read back, with
+    load_grid_json, as the in-memory synthesis of the same coefficients."""
+    _, prefix = _gabor_coefficients(tmp_path)
+    out = str(tmp_path / "back.csv")
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", out]) == 0
+    back = load_state_csv(out, load_grid_json(out + ".grid.json"))
+    setup = gabor_setup()
+    want = synthesize(load_result_csv(prefix, setup.x_grid), setup.proj,
+                      gaussian_state(setup.state_grid))
+    assert back.grid == want.grid
+    assert np.array_equal(back.samples, want.samples)

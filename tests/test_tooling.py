@@ -22,7 +22,7 @@ SCRIPT = """
 import sys
 sys.path.insert(0, {perfbench!r})
 import tracing
-from groupwave import configs, groups, induced, representations, transforms
+from groupwave import configs, groups, induced, representations, states, transforms
 
 tracer = tracing.Tracer()
 tracer.install()
@@ -41,30 +41,38 @@ res = transforms.analyze(lift, psi, psi, groups.haar_grid(lift.group, [(-2, 2)] 
 transforms.synthesize(res, lift, psi)
 x_grid = groups.haar_grid(gab.x_group, [(-2, 2)] * 2, [8, 8])
 induced.R_chi_s(gab.section, [0.3, 0.5, -0.2], res.coefficients[:64].reshape(8, 8), x_grid)
+transforms.duflo_moore("affine").norm_of(psi)
+states.save_state_csv({outdir!r} + "/psi.csv", psi)
+transforms.save_result_csv({outdir!r} + "/coef", res)
 tracer.active = False
 metrics = tracing.per_module_metrics(tracing.summarize([tracer.spans]), {{}})
 assert metrics["transforms.per_node_share"] == 0, metrics["transforms.per_node_share"]
 assert metrics["transforms.analyze.nodes"] == 2 * 256 + 64, metrics["transforms.analyze.nodes"]
+assert metrics["transforms.duflo_moore.calls"] == 1, metrics["transforms.duflo_moore.calls"]
+assert metrics["cli.csv_bytes_written"] > 0, metrics["cli.csv_bytes_written"]
 names = sorted({{span[0] for span in tracer.spans}})
 print(" ".join(names))
 """
 
 
-def test_tracer_installs_and_traces_analyze():
-    """Also: twisted-section and lift transforms make no per-node calls, and
-    R_chi_s runs through the traced left_reg_m."""
+def test_tracer_installs_and_traces_analyze(tmp_path):
+    """Also: twisted-section and lift transforms make no per-node calls,
+    R_chi_s runs through the traced left_reg_m, and the Duflo-Moore factory
+    and both CSV writers are traced under their benchmark names."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(perfbench=str(ROOT / "perfbench"))],
+        [sys.executable, "-c", SCRIPT.format(perfbench=str(ROOT / "perfbench"), outdir=str(tmp_path))],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stdout.split())
     for name in ("configs.gabor_setup", "configs.affine_setup", "configs.exotic_setup",
                  "transforms.analyze", "representations.fast_coefficients",
-                 "induced.R_chi_s", "induced.left_reg_m"):
+                 "induced.R_chi_s", "induced.left_reg_m", "transforms.duflo_moore",
+                 "states.fourier_plancherel", "states.inverse_fourier_plancherel",
+                 "states.save_state_csv", "transforms.save_result_csv"):
         assert name in names, (name, sorted(names))
 
 

@@ -9,6 +9,7 @@ from groupwave.measures import make_rho
 from groupwave.states import (
     DiscretizedState,
     fourier_plancherel,
+    inverse_fourier_plancherel,
     norm,
     random_bandlimited_state,
 )
@@ -147,6 +148,43 @@ def test_dm_positive_injective_on_grids(affine, exotic):
     dme = duflo_moore("exotic")
     sym_e = dme.symbol_values(exotic.state_grid.axis(0))
     assert np.all(sym_e > 0) and np.all(np.isfinite(sym_e))
+
+
+def _oracle_affine_symbol(w, h):
+    with np.errstate(divide="ignore"):
+        return np.sqrt(np.pi) * np.where(w != 0.0, np.abs(w) ** (-0.5),
+                                         4.0 * np.sqrt(h / 2.0) / h)
+
+
+def _oracle_dm(config, state):
+    """The operator as three separate formulas: scalar * samples (Gabor),
+    F^{-1} (ones * sigma) F (affine) and pointwise sigma along axis 0 (exotic)."""
+    g = state.grid
+    shape = [g.counts[0]] + [1] * (g.dim - 1)
+    if config == "gabor":
+        return state.with_samples(state.samples * 1.0), np.full(g.counts[0], 1.0)
+    if config == "affine":
+        spec = fourier_plancherel(state)
+        sym = _oracle_affine_symbol(spec.grid.axis(0), spec.grid.spacings[0])
+        out = spec.with_samples(spec.samples * (np.ones(spec.grid.counts) * sym.reshape(shape)))
+        return inverse_fourier_plancherel(out, g), sym
+    sym = g.axis(0) ** (-0.5)
+    return state.with_samples(state.samples * sym.reshape(shape)), sym
+
+
+@pytest.mark.parametrize("config", ["gabor", "affine", "exotic"])
+def test_dm_symbol_form_matches_three_formulas(config, gabor, affine, exotic):
+    """One symbol multiplication, in frequency when ``fourier`` is set, gives
+    the bits of the identity, Fourier-multiplier and coordinate-multiplier
+    formulas on every bundled state."""
+    setup = {"gabor": gabor, "affine": affine, "exotic": exotic}[config]
+    dm = duflo_moore(config)
+    assert dm.fourier == (config == "affine")
+    for state in setup.states.values():
+        want, sym = _oracle_dm(config, state)
+        assert np.array_equal(dm.apply(state).samples, want.samples)
+        g = fourier_plancherel(state).grid if dm.fourier else state.grid
+        assert np.array_equal(dm.symbol_values(g.axis(0), g.spacings[0]), sym)
 
 
 # ---------------------------------------------------------------------------
