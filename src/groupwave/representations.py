@@ -34,12 +34,36 @@ resampling; states are treated as band-limited, so every action declares a
 ``safe_box`` of group parameters for which aliasing stays negligible for the
 shipped test states.  ``analyze`` clips transform grids to this box.
 
+The engine never translates a state.  Along its axis ``states.translate``
+is T_s = F^-1 diag(e^{-i w_k s}) F, with F the DFT and w_k = 2 pi k / (N h)
+its frequencies in ``np.fft`` order, so for any samples u and h
+
+    sum_x conj(T_s u)(x) h(x) = (1/N) sum_k e^{+i w_k s} conj(Fu)_k (Fh)_k
+
+exactly in exact arithmetic: a translation role is a matrix of phases over
+(chart axis, k_j), as a modulation role is one over (chart axis, x_j).
+``coefficients`` puts the phi side into k-space once per call,
+h^ = F_j(phi cell E_j) with the modulation E_j of the same state axis folded
+in (one transform per modulation node), and the dilated psi once per block.
+Per block it contracts each k_j with its translation matrix, one BLAS
+matmul batched over the untranslated state axes, then each untranslated
+state axis with its modulation matrix, and writes the result in chart order.
+``adjoint`` runs the steps backwards, accumulates in k-space, and runs one
+inverse FFT per modulation node of the translated axes before applying E_j.
+Blocks stream over the dilation nodes and the modulation nodes of the
+translated axes, about ``CHUNK`` samples each (at least one node).  h^
+is not streamed: it holds prod_j P_j x (state samples), P_j the modulation
+nodes of translated axis j (40 x 64^2 on the bundled exotic grid).  A table
+without a translation role (the affine one) runs the same steps with no
+transform and no phi-side modulation.
+
 The engine dilates every scale of a block with one batched
 ``axis_resample`` per dilated state axis.  The psi-independent factors (the
-phase and modulation matrices here, the chirp-z factors of each scale ladder
-in ``states``) are computed once per grid and held in bounded
-``functools.lru_cache``s of ``PLAN_CACHE`` entries, keyed by value (roles,
-chart-axis nodes, state grid, sign), so a rebuilt grid hits them too.
+phase, modulation and translation matrices here, the chirp-z factors of
+each scale ladder in ``states``) are computed once per grid and held in
+bounded ``functools.lru_cache``s of ``PLAN_CACHE`` entries, keyed by value
+(roles, chart-axis nodes, state grid, sign), so a rebuilt grid hits them
+too.
 """
 
 from __future__ import annotations
@@ -85,8 +109,9 @@ __all__ = [
     "coefficient",
 ]
 
-# complex samples per streamed block of the psi-dictionary: bounds the
-# engine's working memory on any grid (2^20 raised the peak memory of the
+# complex samples per streamed block of the engine (a block of dilated psi
+# times the modulation nodes of the translated axes it meets): bounds the
+# blocks' working memory on any grid (2^20 raised the peak memory of the
 # exotic verify suite by 40 MB and saved only about 3 % of its time)
 CHUNK = 1 << 18
 
@@ -110,10 +135,16 @@ class ActionTable:
 
         U(g) f (x) = e^{i sum c g} e^{i sum g x_j} a^{m/2} f(a (x - sum c g e_j))
 
-    where a dilates the m state axes of the one dilation role (if any).  With
+    where a dilates the m state axes of the one dilation role (if any); a
+    state axis has at most one modulation and one translation role.  With
     ``fourier`` the roles act on Fourier-Plancherel samples, U = F^-1 (.) F.
     A ``gauge`` gamma (chart nodes -> phases) multiplies the whole action by
     e^{i gamma(g)}: the scalar that a non-coordinate section adds.
+
+    :meth:`coefficients` and :meth:`adjoint` apply a translation by c g as
+    the phases e^{+i w_k c g} (of conj(U)) or e^{-i w_k c g} (of U) on the
+    DFT of its state axis, never as a translated state (see the module
+    header).
     """
 
     roles: tuple[AxisRole, ...]
@@ -121,8 +152,10 @@ class ActionTable:
     gauge: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if sum(r.kind == "dilate" for r in self.roles) > 1:
-            raise ValueError("an action table has at most one dilation axis")
+        acting = [(r.kind, j) for r in self.roles if r.kind != "phase" for j in r.axes]
+        if len(set(acting)) < len(acting) or sum(r.kind == "dilate" for r in self.roles) > 1:
+            raise ValueError("an action table has at most one dilation role, and one modulation "
+                             "and one translation role per state axis")
 
     def coefficients(self, psi: DiscretizedState, phi: DiscretizedState,
                      grid: QuadratureGrid) -> np.ndarray:
@@ -132,9 +165,17 @@ class ActionTable:
         out = np.empty(grid.resolution, dtype=complex)
         factors = self._factors(grid, psi.grid, -1)
         weight = phi.samples * psi.grid.cell_volume
-        for index, labels, block in self._dictionary(psi, grid):
-            np.einsum(np.conj(block) * weight, labels, *factors, list(range(len(self.roles))),
-                      out=out[index], optimize=True)
+        chart, state = self._labels(psi.grid.dim)
+        phases, mods, steps, moved, lead = self._k_plan(factors, psi.grid.dim)
+        hat = np.fft.fftn(np.einsum(weight, state, *mods, lead + state), axes=moved, norm="forward")
+        # a length-1 axis for the dilation, if any, to broadcast against the blocks
+        dilates = any(r.kind == "dilate" for r in self.roles)
+        hat = hat.reshape(hat.shape[: len(lead)] + (1,) * dilates + psi.grid.counts)
+        for at, labels, block in self._dictionary(psi, grid, moved, lead, np.conj):
+            g, labels = hat[tuple(at[i] for i in lead)] * block, lead + labels
+            for matrix, (new, old) in steps:
+                g, labels = _contract(g, labels, matrix, old, new)
+            np.einsum(g, labels, *phases, chart, out=out[at])
         return self._gauged(out.ravel(), grid, -1)
 
     def adjoint(self, coeffs: np.ndarray, grid: QuadratureGrid,
@@ -144,11 +185,18 @@ class ActionTable:
         hat = self._domain(psi)
         cw = self._gauged(np.asarray(coeffs) * grid.weights, grid, 1).reshape(grid.resolution)
         factors = self._factors(grid, hat.grid, 1)
-        state_labels = [len(self.roles) + j for j in range(hat.grid.dim)]
+        chart, state = self._labels(hat.grid.dim)
+        phases, mods, steps, moved, lead = self._k_plan(factors, hat.grid.dim)
+        unphased = [i for i in chart if self.roles[i].kind != "phase"]
         acc = np.zeros(hat.grid.counts, dtype=complex)
-        for index, labels, block in self._dictionary(hat, grid):
-            acc += np.einsum(cw[index], list(range(len(self.roles))), *factors,
-                             block, labels, state_labels, optimize=True)
+        for at, labels, block in self._dictionary(hat, grid, moved, lead):
+            v, v_labels = np.einsum(cw[at], chart, *phases, unphased), unphased
+            for matrix, (new, old) in reversed(steps):
+                v, v_labels = _contract(v, v_labels, matrix.T, new, old)
+            v = np.fft.ifftn(np.einsum(v, v_labels, block, labels, lead + state), axes=moved)
+            # the first modulation is that of lead[0], the axis the blocks slice
+            acc += np.einsum(v, lead + state, *([mods[0][at[lead[0]]]] + mods[1:] if mods else []),
+                             state)
         out = DiscretizedState(acc, hat.grid)
         return inverse_fourier_plancherel(out, psi.grid) if self.fourier else out
 
@@ -163,72 +211,96 @@ class ActionTable:
     def _domain(self, state):
         return fourier_plancherel(state) if self.fourier else state
 
+    def _labels(self, dim):
+        """einsum labels of the chart axes and of the state axes."""
+        return list(range(len(self.roles))), [len(self.roles) + j for j in range(dim)]
+
     def _factors(self, grid, state_grid, sign):
         axes = tuple(grid.axis(i).tobytes() for i in range(len(self.roles)))
         return _factor_plan(self.roles, axes, state_grid, sign)
 
-    def _dictionary(self, state, grid):
-        """Stream a^{m/2} T_s D_a state over the dilation and translation
-        nodes in blocks of about ``CHUNK`` samples (at least one node of the
-        first translation axis): yields (index, labels, block), ``index``
-        slicing the block's nodes out of a chart-shaped array and ``labels``
-        naming its einsum axes.  One ``axis_resample`` per dilated state axis
-        dilates up to ``CHUNK`` samples' worth of scales at once; one FFT of
-        the dilated states serves every translation of a block."""
+    def _k_plan(self, factors, dim):
+        """The factors of :func:`_factor_plan` sorted for the k-space
+        contraction: the ``phases`` and the modulations ``mods`` of the
+        translated state axes (einsum operands), the contraction ``steps``
+        (matrix, (axis made, axis contracted)), translations (of the last
+        state axis first, which needs no transposed copy) before the other
+        modulations, the translated array axes ``moved``, and the chart
+        axes ``lead`` of ``mods``."""
+        phases, mods, steps = [], [], []
+        moved = [r.axes[0] - dim for r in self.roles if r.kind == "translate"]
+        for f, labels in zip(factors[::2], factors[1::2]):
+            kind = self.roles[labels[0]].kind
+            if kind == "phase":
+                phases += [f, labels]
+            elif kind == "modulate" and labels[1] - len(self.roles) - dim in moved:
+                mods += [f, labels]
+            else:
+                steps.append((f, labels))
+        steps.sort(key=lambda step: (self.roles[step[1][0]].kind == "modulate", -step[1][1]))
+        return phases, mods, steps, moved, [labels[0] for labels in mods[1::2]]
+
+    def _dictionary(self, state, grid, moved, lead, fold=None):
+        """Stream ``fold`` (if any) of a^{m/2} D_a state, Fourier transformed
+        (``np.fft`` order) along the array axes ``moved``, over the dilation
+        nodes in blocks of about ``CHUNK`` samples, each block once per block
+        of the nodes of chart axis ``lead[0]`` (if any) such that it times
+        the nodes of ``lead[1:]`` is about ``CHUNK`` samples: yields (at,
+        labels, block), ``at`` slicing the nodes out of a chart-shaped array
+        and ``labels`` naming the block's axes.  One ``axis_resample`` per
+        dilated state axis dilates a whole block of scales at once."""
         dil = [i for i, r in enumerate(self.roles) if r.kind == "dilate"]
-        tr = [i for i, r in enumerate(self.roles) if r.kind == "translate"]
         dim = state.grid.dim
-        t_shape = [grid.resolution[i] for i in tr]
-        shifts = np.zeros(t_shape + [dim])
-        for k, i in enumerate(tr):
-            ramp = self.roles[i].coef * grid.axis(i)
-            shifts[..., self.roles[i].axes[0]] += ramp.reshape([-1 if m == k else 1 for m in range(len(tr))])
         scales = grid.axis(dil[0]) if dil else np.ones(1)
         dilated = self.roles[dil[0]].axes if dil else ()
-        labels = dil + tr + [len(self.roles) + j for j in range(dim)]
-        row = state.samples.size * int(np.prod(t_shape[1:]))
-        t_step = max(1, CHUNK // row)
-        d_step = max(1, CHUNK // (row * min(t_step, t_shape[0] if tr else 1)))
-        batch = d_step * max(1, CHUNK // (state.samples.size * d_step))
-        for d0 in range(0, len(scales), d_step):
-            if d0 % batch == 0:
-                a = scales[d0 : d0 + batch]
-                out = state
-                for j in dilated:
-                    out = axis_resample(out, j, a, 0.0)
-                # float_power is libm's pow, as a per-scale a^{m/2} was; an
-                # array ``** 2`` squares and differs in the last bit
-                weight = np.float_power(np.sqrt(a), len(dilated)).reshape((-1,) + (1,) * dim)
-                dilated_stack = out.samples * weight
-            stack = dilated_stack[d0 % batch : d0 % batch + d_step].reshape(
-                (-1,) + (1,) * len(tr) + state.grid.counts)
-            for t0 in range(0, t_shape[0] if tr else 1, t_step):
-                index = [slice(None)] * len(self.roles)
-                block = stack
-                if tr:
-                    index[tr[0]] = slice(t0, t0 + t_step)
-                    block = translate(DiscretizedState(stack, state.grid), shifts[t0 : t0 + t_step]).samples
-                if dil:
-                    index[dil[0]] = slice(d0, d0 + d_step)
-                yield tuple(index), labels, block if dil else block[0]
+        labels = dil + self._labels(dim)[1]
+        rows = int(np.prod([grid.resolution[i] for i in lead[1:]]))
+        step = max(1, CHUNK // state.samples.size)
+        for d0 in range(0, len(scales), step):
+            a = scales[d0 : d0 + step]
+            out = state
+            for j in dilated:
+                out = axis_resample(out, j, a, 0.0)
+            # float_power is libm's pow, as a per-scale a^{m/2} was; an
+            # array ``** 2`` squares and differs in the last bit
+            block = out.samples * np.float_power(np.sqrt(a), len(dilated)).reshape((-1,) + (1,) * dim)
+            block = np.fft.fftn(block, axes=moved)  # no translation role: ``block`` itself
+            block = fold(block) if fold else block
+            at = [slice(None)] * len(self.roles)
+            if dil:
+                at[dil[0]] = slice(d0, d0 + step)
+            p_step = max(1, CHUNK // (block.size * rows))
+            for p0 in range(0, grid.resolution[lead[0]] if lead else 1, p_step):
+                if lead:
+                    at[lead[0]] = slice(p0, p0 + p_step)
+                yield tuple(at), labels, block if dil else block[0]
+
+
+def _contract(a, labels, matrix, old, new):
+    """Contract axis ``old`` of ``a`` with the columns of ``matrix`` in one
+    BLAS matmul; the made axis ``new`` goes last."""
+    i = labels.index(old)
+    return np.tensordot(a, matrix, axes=(i, 1)), labels[:i] + labels[i + 1 :] + [new]
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _factor_plan(roles, axes, state_grid, sign):
-    """einsum operands of the phase and modulation roles over the chart axes
-    ``axes`` (node values as bytes): e^{sign i c g} over chart axis i,
-    e^{sign i g x_j} over (chart axis i, state axis j); sign -1 gives the
-    factors of conj(U(g)), +1 those of U(g).  Cached by value, read-only
-    (see :func:`states.frozen_copy`)."""
+    """einsum operands of the phase, modulation and translation roles over
+    the chart axes ``axes`` (node values as bytes): e^{sign i c g} over chart
+    axis i, e^{sign i g x_j} over (chart axis i, state axis j), and
+    e^{-sign i c g w_k} over (chart axis i, frequency w_k of state axis j in
+    ``np.fft`` order); sign -1 gives the factors of conj(U(g)), +1 those of
+    U(g).  Cached by value, read-only (see :func:`states.frozen_copy`)."""
     factors = []
     for i, r in enumerate(roles):
         g = np.frombuffer(axes[i])
         if r.kind == "phase":
             factors += [np.exp(sign * 1j * r.coef * g), [i]]
-        elif r.kind == "modulate":
+        elif r.kind != "dilate":
             j = r.axes[0]
-            factors += [np.exp(sign * 1j * np.outer(g, state_grid.axis(j))),
-                        [i, len(roles) + j]]
+            x = (state_grid.axis(j) if r.kind == "modulate" else -r.coef * 2.0 * np.pi
+                 * np.fft.fftfreq(state_grid.counts[j], d=state_grid.spacings[j]))
+            factors += [np.exp(sign * 1j * np.outer(g, x)), [i, len(roles) + j]]
     factors[::2] = [frozen_copy(f) for f in factors[::2]]
     return tuple(factors)
 

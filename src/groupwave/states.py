@@ -41,7 +41,6 @@ __all__ = [
     "translate",
     "modulate",
     "axis_resample",
-    "axis_resample_dense",
     "gaussian_state",
     "hermite_state",
     "morlet_state",
@@ -357,25 +356,6 @@ def axis_resample(
     out = conv * quad * prefac
     out[np.broadcast_to(outside, out.shape)] = 0.0
     return DiscretizedState(np.moveaxis(out, -1, axis), g)
-
-
-def axis_resample_dense(
-    state: DiscretizedState, axis: int, scale: float, shift: float = 0.0
-) -> DiscretizedState:
-    """Reference implementation of :func:`axis_resample` via the dense
-    interpolation matrix; used to cross-check the chirp-z path."""
-    g = state.grid
-    n = g.counts[axis]
-    h = g.spacings[axis]
-    x0 = g.offsets[axis]
-    y = scale * g.axis(axis) + shift
-    coeff = np.fft.fft(state.samples, axis=axis)
-    w = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    interp = np.exp(1j * np.outer(y - x0, w)) / n
-    interp[(y < x0) | (y >= x0 + n * h), :] = 0.0
-    moved = np.moveaxis(coeff, axis, 0)
-    out = np.tensordot(interp, moved, axes=(1, 0))
-    return DiscretizedState(np.moveaxis(out, 0, axis), g)
 
 
 # ---------------------------------------------------------------------------

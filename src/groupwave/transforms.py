@@ -562,13 +562,19 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
         raise ValueError(f"coefficient header: malformed grid ({exc})") from None
     if (box, resolution, log_axes) != (grid.box, grid.resolution, grid.log_axes):
         grid = haar_grid(grid.group, box, resolution, log_axes=log_axes)
-    # rows are index, dim coordinates, weight, re, im: a short row raises
+    # rows are index, dim coordinates, weight, re, im: a short row raises;
+    # usecols ignores extra fields, so the commas of the header and of the
+    # rows read tell a long row
     dim = len(resolution)
+    with open(f"{path_prefix}.csv", "rb") as fh:
+        commas = sum(b.count(b",") for b in iter(lambda: fh.read(1 << 16), b""))
     try:
         re, im = np.loadtxt(f"{path_prefix}.csv", delimiter=",", skiprows=1,
                             usecols=(dim + 2, dim + 3), ndmin=2).T
     except ValueError as exc:
         raise ValueError(f"coefficient CSV: malformed row ({exc})") from None
+    if commas != (re.size + 1) * (dim + 3):
+        raise ValueError(f"coefficient CSV: malformed row (a row has more than {dim + 4} fields)")
     coeffs = re + 1j * im
     if coeffs.size != grid.n_nodes:
         raise ValueError("coefficient count does not match the grid")

@@ -326,6 +326,16 @@ def test_synthesize_rejects_short_coefficient_row(tmp_path, capsys):
     assert "malformed row" in capsys.readouterr().err
 
 
+def test_synthesize_rejects_long_coefficient_row(tmp_path, capsys):
+    """A row with one field too many was once read with its columns shifted:
+    exit 0 and a round-trip error of 9.9e-5 instead of 2.35e-9."""
+    sig, prefix = _gabor_coefficients(tmp_path)
+    _edit_coefficient_row(prefix, lambda row: row.replace(",", ",0.5,", 1))
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv"), "--reference", str(sig)]) == 2
+    assert "malformed row" in capsys.readouterr().err
+
+
 def test_synthesize_output_reads_back_with_its_grid_json(tmp_path):
     """The signal CSV and grid JSON that synthesize writes read back, with
     load_grid_json, as the in-memory synthesis of the same coefficients."""

@@ -5,7 +5,6 @@ from groupwave.states import (
     DiscretizedState,
     GridMismatchError,
     axis_resample,
-    axis_resample_dense,
     centered_grid,
     dog_state,
     fourier_plancherel,
@@ -26,6 +25,20 @@ from groupwave.states import (
 )
 
 GRID = centered_grid(8.0, 256)
+
+
+def axis_resample_dense(state, axis, scale, shift=0.0):
+    """Reference for :func:`axis_resample` through the dense interpolation
+    matrix: the trig interpolant at y = scale * x + shift, zero outside the box."""
+    g = state.grid
+    n, h, x0 = g.counts[axis], g.spacings[axis], g.offsets[axis]
+    y = scale * g.axis(axis) + shift
+    coeff = np.fft.fft(state.samples, axis=axis)
+    w = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    interp = np.exp(1j * np.outer(y - x0, w)) / n
+    interp[(y < x0) | (y >= x0 + n * h), :] = 0.0
+    out = np.tensordot(interp, np.moveaxis(coeff, axis, 0), axes=(1, 0))
+    return DiscretizedState(np.moveaxis(out, 0, axis), g)
 
 
 def test_inner_product_properties():

@@ -50,6 +50,14 @@ assert metrics["transforms.per_node_share"] == 0, metrics["transforms.per_node_s
 assert metrics["transforms.analyze.nodes"] == 2 * 256 + 64, metrics["transforms.analyze.nodes"]
 assert metrics["transforms.duflo_moore.calls"] == 1, metrics["transforms.duflo_moore.calls"]
 assert metrics["cli.csv_bytes_written"] > 0, metrics["cli.csv_bytes_written"]
+translates = [span for span in tracer.spans if span[0] == "states.translate"]
+assert translates, "the script makes no translate call to look at"
+for span in translates:
+    parent = span[3]
+    while parent >= 0:
+        assert tracer.spans[parent][0] not in ("transforms.analyze", "transforms.synthesize"), \
+            tracer.spans[parent][0]
+        parent = tracer.spans[parent][3]
 names = sorted({{span[0] for span in tracer.spans}})
 print(" ".join(names))
 """
@@ -57,8 +65,11 @@ print(" ".join(names))
 
 def test_tracer_installs_and_traces_analyze(tmp_path):
     """Also: twisted-section and lift transforms make no per-node calls,
-    R_chi_s runs through the traced left_reg_m, and the Duflo-Moore factory
-    and both CSV writers are traced under their benchmark names."""
+    no ``states.translate`` runs inside ``analyze`` or ``synthesize`` (the
+    engine translates by Fourier-side phases, so ``states.translate.calls``
+    counts only the literal actions and ``R_chi_s``), R_chi_s runs through
+    the traced left_reg_m, and the Duflo-Moore factory and both CSV writers
+    are traced under their benchmark names."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
