@@ -10,7 +10,6 @@ wavelet transforms with their Duflo-Moore orthogonality relations.
 
 from .groups import (
     GroupDescriptor,
-    GroupElement,
     QuadratureGrid,
     haar_grid,
     make_affine,
@@ -21,13 +20,13 @@ from .groups import (
 )
 from .multipliers import (
     Multiplier,
+    RelCentralSubgroup,
     Section,
     central_extension,
     check_cocycle,
     conjugate,
     kappa_from_section,
     multiplier_from_section,
-    section_cocycle,
     similar,
 )
 from .states import (
@@ -53,7 +52,6 @@ from .representations import (
     wh_rep,
 )
 from .measures import (
-    RelCentralSubgroup,
     RhoDensity,
     center_divergence_probe,
     coord_product,
@@ -64,7 +62,7 @@ from .measures import (
     make_rho,
     translate_rho,
 )
-from .induced import CovariantFunction, F_s, R_chi_s, intertwine_defect, left_reg_m
+from .induced import R_chi_s, intertwine_defect, left_reg_m
 from .transforms import (
     DMOperator,
     TransformResult,

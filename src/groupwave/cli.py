@@ -98,6 +98,9 @@ def cmd_conventions(args) -> int:
 
 def cmd_verify(args) -> int:
     groups = ALL_GROUPS if args.group == "all" else [args.group]
+    if args.psi is not None and "affine" not in groups:
+        return _fail_usage(f"--psi is checked by the affine suite only; --group {args.group} "
+                           "does not run it (use --group affine or all)")
     report = run_suites(groups, seed=args.seed, psi_kind=args.psi)
     # the resolved flags; IO destinations are not analysis parameters, and
     # keeping them out makes reports byte-identical wherever they are written
@@ -330,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=ALL_GROUPS + ["all"], default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--psi", choices=["gaussian", "morlet"], default=None,
-                   help="extra analyzing vector whose admissibility status is "
-                        "reported (expected-negative outcomes still pass)")
+                   help="extra analyzing vector whose admissibility status the "
+                        "affine suite reports (expected-negative outcomes still pass); "
+                        "needs --group affine or all")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_verify)
 

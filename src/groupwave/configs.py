@@ -4,7 +4,10 @@ central subgroup, representation, default state and quadrature grids, test
 vectors).
 
 All grids and vectors here are defaults tuned so the shipped verification
-suites meet their tolerances; each function takes overrides.
+suites meet their tolerances; each function takes overrides of its grids.
+The exotic configuration is the paper's worked example with n = 1 and
+k = 0, the one case in which its display is a homomorphism, so it has no
+n or k to set.
 """
 
 from __future__ import annotations
@@ -245,8 +248,6 @@ def affine_nested_grids(
 
 @dataclass
 class ExoticSetup:
-    n: int
-    k_vec: np.ndarray
     group: GroupDescriptor
     x_group: GroupDescriptor
     k_group: GroupDescriptor
@@ -261,8 +262,6 @@ class ExoticSetup:
 
 
 def exotic_setup(
-    n: int = 1,
-    k_vec=0.0,
     b_length: float = 8.0,
     b_points: int = 64,
     p_halfwidth: float = 8.0,
@@ -270,16 +269,10 @@ def exotic_setup(
     x_box: tuple = ((-7.0, 7.0), (-6.0, 6.0), (-9.0, 9.0), (0.125, 8.0)),
     x_resolution: tuple = (40, 32, 48, 48),
 ) -> ExoticSetup:
-    if n != 1:
-        raise ValueError("the bundled exotic configuration is implemented for n = 1")
-    group = make_exotic(n)
-    x_group = make_exotic_quotient(n)
-    k_group = make_exotic_k_group(n)
-    kv = np.broadcast_to(np.atleast_1d(np.asarray(k_vec, dtype=float)), (n,))
-
-    def chi_phase(k):
-        k = np.asarray(k, dtype=float)
-        return k[..., 0] + kv[0] * k[..., 2]
+    """The worked example for n = 1 at k = 0: chi(t, s, r) = e^{it}."""
+    group = make_exotic(1)
+    x_group = make_exotic_quotient(1)
+    k_group = make_exotic_k_group(1)
 
     # chart layout (t, s, b, p, q, r, a); X chart (p, q, b, a); K chart (t, s, r)
     subgroup = RelCentralSubgroup(
@@ -288,7 +281,7 @@ def exotic_setup(
         quotient=x_group,
         k_axes=(0, 1, 5),
         x_axes=(3, 4, 2, 6),
-        chi_phase=chi_phase,
+        chi_phase=lambda k: np.asarray(k, dtype=float)[..., 0],
     )
     section = subgroup.coordinate_section
     # s_tw(x) = s0(x) K_embed(p q / 2, 0, 0), K chart (t, s, r)
@@ -297,14 +290,14 @@ def exotic_setup(
         lambda x: np.stack(np.broadcast_arrays(0.5 * x[..., 0] * x[..., 1], 0.0, 0.0), -1),
     )
 
-    rep = exotic_rep(kv, n, shift_max=p_halfwidth)
+    rep = exotic_rep(shift_max=p_halfwidth)
     proj = projective_from_section(rep, section)
 
     state_grid = product_grid(
         halfline_grid(b_length, b_points), centered_grid(p_halfwidth, p_points, dim=1)
     )
     x_grid = haar_grid(
-        x_group, list(x_box), list(x_resolution), log_axes=(2 * n + 1,)
+        x_group, list(x_box), list(x_resolution), log_axes=(3,)
     )
 
     def gauss(c, w):
@@ -323,8 +316,6 @@ def exotic_setup(
     }
 
     return ExoticSetup(
-        n=n,
-        k_vec=kv,
         group=group,
         x_group=x_group,
         k_group=k_group,

@@ -40,7 +40,6 @@ import numpy as np
 
 __all__ = [
     "GroupDescriptor",
-    "GroupElement",
     "QuadratureGrid",
     "haar_grid",
     "make_polarized_wh",
@@ -95,20 +94,6 @@ class GroupDescriptor:
         for ax in self.angle_axes:
             d[..., ax] = np.angle(np.exp(1j * d[..., ax]))
         return np.max(np.abs(d), axis=-1)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    coords: np.ndarray
-    group: GroupDescriptor
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (self.group.dim,):
-            raise ValueError(f"expected {self.group.dim} coordinates, got {c.shape}")
-        if not bool(self.group.domain_constraint(c)):
-            raise ValueError(f"coordinates {c} violate the chart domain of {self.group.name}")
-        object.__setattr__(self, "coords", c)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +192,9 @@ def make_standard_wh(n: int) -> GroupDescriptor:
 
 
 def delta_iso(g, n: int | None = None):
-    """Isomorphism H_n -> H'_n:  (k, p, q) |-> (k + p.q/2, p, q).
-
-    Accepts a GroupElement of the standard group (returning an element of the
-    polarized one) or a bare coordinate array together with ``n``.
+    """Isomorphism H_n -> H'_n:  (k, p, q) |-> (k + p.q/2, p, q) on chart
+    coordinates (..., 2n + 1); ``n`` defaults to the one the last axis implies.
     """
-    if isinstance(g, GroupElement):
-        n_loc = (g.group.dim - 1) // 2
-        out = delta_iso(g.coords, n_loc)
-        return GroupElement(out, make_polarized_wh(n_loc))
     coords = np.asarray(g, dtype=float)
     if n is None:
         n = (coords.shape[-1] - 1) // 2
@@ -342,9 +321,7 @@ def make_exotic(n: int) -> GroupDescriptor:
     )
 
 
-def make_vector_group(
-    dim: int, name: str, density: float = 1.0, sample_halfwidth: float = 3.0
-) -> GroupDescriptor:
+def make_vector_group(dim: int, name: str, density: float = 1.0) -> GroupDescriptor:
     """Abelian vector group R^dim with constant Haar density."""
 
     def product(g, h):
@@ -358,7 +335,7 @@ def make_vector_group(
         identity=np.zeros(dim),
         haar_density=lambda g: np.full(np.asarray(g).shape[:-1], float(density)),
         modular=lambda g: np.ones(np.asarray(g).shape[:-1]),
-        sample_box=((-sample_halfwidth, sample_halfwidth),) * dim,
+        sample_box=((-3.0, 3.0),) * dim,
         conventions=(
             f"vector group R^{dim} ({name})\n"
             f"haar       : {density!r} * Lebesgue\nmodular    : 1\n"
@@ -506,9 +483,6 @@ class QuadratureGrid:
         """Lebesgue length of the cell at each node of the axis."""
         h = self.spacing(i)
         return self.axis(i) * h if i in self.log_axes else np.full(self.resolution[i], h)
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
 
 def haar_grid(

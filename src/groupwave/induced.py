@@ -1,18 +1,18 @@
-"""Covariant functions, the isometry F_s, the induced representation realized
-on L2(X), the left regular m-representation, and intertwining defects.
+"""The induced representation realized on L2(X), the left regular
+m-representation, and intertwining defects.
 
 Functions on X are stored through their section trace f o s as arrays shaped
-like the X quadrature grid; the covariant extension f(s(x) k) = chi(k)^{-1}
-f(s(x)) is computed on demand, so the isometry F_s is a pure reindexing plus
-phase and is exact on the grid.
+like the X quadrature grid.  The chi-covariant function on G that a trace
+stands for is f(s(x) k) = chi(k)^{-1} f(s(x)), so the paper's isometry F_s
+from L2(X) onto the covariant functions is the identity on the stored
+values, and nothing here builds it.
 
 ``R_chi_s`` at g = s(x0) k is chi(k) times ``left_reg_m`` at x0; the literal
-cocycle ``multipliers.section_cocycle`` is the tests' reference.
+cocycle c_s(g, x) = s(x)^{-1} g^{-1} s(g[x]) is the tests' reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,61 +23,16 @@ from .multipliers import Multiplier, Section, multiplier_from_section
 from .states import DiscretizedState, axis_resample, StateGrid, translate
 
 __all__ = [
-    "CovariantFunction",
-    "xgrid_inner",
     "xgrid_norm",
-    "F_s",
     "R_chi_s",
     "left_reg_m",
     "intertwine_defect",
 ]
 
 
-def xgrid_inner(f: np.ndarray, h: np.ndarray, grid: QuadratureGrid) -> complex:
-    """Weighted L2(X, mu_X) inner product of grid functions (linear in h)."""
-    return complex(np.sum(np.conj(f).ravel() * h.ravel() * grid.weights))
-
-
 def xgrid_norm(f: np.ndarray, grid: QuadratureGrid) -> float:
+    """Weighted L2(X, mu_X) norm of a grid function."""
     return float(np.sqrt(np.sum(np.abs(f).ravel() ** 2 * grid.weights)))
-
-
-@dataclass(frozen=True)
-class CovariantFunction:
-    """A chi-covariant function on G, stored via its section trace on X.
-
-    ``values`` holds f(s(x)) on the X grid; evaluation anywhere on G uses
-    f(s(x) k) = chi(k)^{-1} f(s(x)).
-    """
-
-    values: np.ndarray
-    grid: QuadratureGrid
-    section: Section
-
-    def norm(self) -> float:
-        return xgrid_norm(self.values, self.grid)
-
-    def evaluate(self, g) -> complex:
-        """Evaluate at a G-point whose X-part lies on the grid."""
-        x, k = gamma_s_inv(self.section, np.asarray(g, dtype=float))
-        flat = self.values.reshape(self.grid.resolution)
-        idx = []
-        for i in range(len(self.grid.resolution)):
-            ax = self.grid.axis(i)
-            j = int(np.argmin(np.abs(ax - x[i])))
-            if abs(ax[j] - x[i]) > 1e-9 * max(1.0, abs(x[i])):
-                raise ValueError("X-part of the evaluation point is off the grid")
-            idx.append(j)
-        base = flat[tuple(idx)]
-        return complex(np.exp(-1j * float(self.section.subgroup.chi_phase(k))) * base)
-
-
-def F_s(phi_values: np.ndarray, section: Section, grid: QuadratureGrid) -> CovariantFunction:
-    """The isometry L2(X) -> covariant functions:  (F_s phi)(g) =
-    chi(s(p(g))^{-1} g)^{-1} phi(p(g)).  On the grid it is the identity on
-    values, so ||F_s phi|| = ||phi|| exactly."""
-    values = np.asarray(phi_values, dtype=complex)
-    return CovariantFunction(values=values, grid=grid, section=section)
 
 
 def R_chi_s(section: Section, g, values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:

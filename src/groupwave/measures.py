@@ -26,7 +26,6 @@ from .states import DiscretizedState, bump_profile
 from .representations import UnitaryRepSpec, projective_from_section
 
 __all__ = [
-    "RelCentralSubgroup",
     "RhoDensity",
     "gamma_s",
     "gamma_s_inv",
@@ -36,9 +35,10 @@ __all__ = [
     "translate_rho",
     "rho_validate",
     "integrate_mod_K",
-    "integrate_mod_K_nested",
     "center_divergence_probe",
 ]
+
+K_PROBE_RESOLUTION = 16  # K-axis nodes of every box of center_divergence_probe
 
 
 def gamma_s(section: Section, x, k) -> np.ndarray:
@@ -192,22 +192,6 @@ def integrate_mod_K(
     return float(np.sum(vals * rho.eval(grid.nodes) * grid.weights))
 
 
-def integrate_mod_K_nested(
-    f: Callable[[np.ndarray], np.ndarray],
-    rho: RhoDensity,
-    grids: Sequence[QuadratureGrid],
-    rel_tol: float = 1e-3,
-):
-    """Nested-box version; returns (values, converged) and flags
-    non-convergence (value still growing as the box doubles)."""
-    values = [integrate_mod_K(f, rho, g) for g in grids]
-    if len(values) < 2:
-        return values, True
-    last_inc = abs(values[-1] - values[-2])
-    converged = last_inc <= rel_tol * max(abs(values[-1]), 1e-300)
-    return values, converged
-
-
 def center_divergence_probe(
     rep: UnitaryRepSpec,
     subgroup: RelCentralSubgroup,
@@ -215,9 +199,9 @@ def center_divergence_probe(
     phi: DiscretizedState,
     r_list: Sequence[float],
     x_grid: QuadratureGrid,
-    k_resolution: int = 16,
 ):
-    """Partial integrals of |c_{psi,phi}|^2 over X x {|k| <= R}.
+    """Partial integrals of |c_{psi,phi}|^2 over X x {|k| <= R}, with
+    ``K_PROBE_RESOLUTION`` nodes on the K axis at every R.
 
     For a representation whose relatively central subgroup is noncompact the
     partial integrals grow linearly in the K-box measure, with slope equal to
@@ -236,7 +220,7 @@ def center_divergence_probe(
         g_grid = haar_grid(
             rep.group,
             [(-r, r)] + list(x_grid.box),
-            [k_resolution] + list(x_grid.resolution),
+            [K_PROBE_RESOLUTION] + list(x_grid.resolution),
         )
         c = rep.fast_coefficients(psi, phi, g_grid)
         partials.append(float(np.sum(np.abs(c) ** 2 * g_grid.weights)))

@@ -30,12 +30,10 @@ __all__ = [
     "phase_distance",
     "kappa_from_section",
     "multiplier_from_section",
-    "section_cocycle",
     "check_normalization",
     "check_cocycle",
     "similar",
     "conjugate",
-    "trivial_multiplier",
     "central_extension",
 ]
 
@@ -108,11 +106,6 @@ class RelCentralSubgroup:
         back = self.K_embed(self.K_project(g_coords))
         return float(np.max(self.ambient.distance(back, g_coords)))
 
-    def normality_defect(self, g: np.ndarray, k: np.ndarray) -> float:
-        """max defect of g K g^{-1} subset K over sample pairs."""
-        G = self.ambient
-        return self.membership_defect(G.product(G.product(g, self.K_embed(k)), G.inverse(g)))
-
     def extract_k(self, g_coords: np.ndarray, context: str = "K") -> np.ndarray:
         """Project a G-point expected to lie in K onto the K-chart, verifying
         that the non-K coordinates sit at their identity values."""
@@ -172,19 +165,6 @@ def multiplier_from_section(section: Section) -> Multiplier:
     )
 
 
-def section_cocycle(section: Section, g, x) -> np.ndarray:
-    """c_s(g, x) = s(x)^{-1} g^{-1} s(g[x]) in the K-chart; g[x] = p(g) x."""
-    sub = section.subgroup
-    G = sub.ambient
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
-    gx = sub.quotient.product(sub.project(g), x)
-    val = G.product(
-        G.product(G.inverse(section.map(x)), G.inverse(g)), section.map(gx)
-    )
-    return sub.extract_k(val, context=f"c_s (section {section.label!r})")
-
-
 def check_normalization(m: Multiplier, points: np.ndarray) -> float:
     """max phase defect of m(x, e) = m(e, x) = 1."""
     e = np.broadcast_to(m.base_group.identity, points.shape)
@@ -241,14 +221,6 @@ def conjugate(m: Multiplier) -> Multiplier:
         phase=lambda x1, x2: -np.asarray(m.phase(x1, x2)),
         base_group=m.base_group,
         label=f"{m.label}*",
-    )
-
-
-def trivial_multiplier(X: GroupDescriptor) -> Multiplier:
-    return Multiplier(
-        phase=lambda x1, x2: np.zeros(np.broadcast(np.asarray(x1)[..., 0], np.asarray(x2)[..., 0]).shape),
-        base_group=X,
-        label="trivial",
     )
 
 

@@ -413,18 +413,15 @@ def displacement(q, p) -> Callable[[DiscretizedState], DiscretizedState]:
 # ---------------------------------------------------------------------------
 
 
-def affine_rep(
-    n: int = 1,
-    scale_range: tuple[float, float] = (1.0 / 64.0, 64.0),
-    shift_max: float = 64.0,
-) -> UnitaryRepSpec:
+def affine_rep(n: int = 1, shift_max: float = 64.0) -> UnitaryRepSpec:
     """(U(b, a) f)(x) = a^{-n/2} f((x - b)/a), computed in the frequency domain.
 
     The Fourier side is a^{n/2} e^{i w.b} fhat(a w): resampling the spectrum
     keeps the small-scale (a << 1) coefficients accurate even when the
     position-space image of the state would fall below grid resolution.
-    The safe box bounds coefficient accuracy; unitarity of the action itself
-    additionally needs the dilated state to stay inside band and box.
+    The safe box (|b| <= shift_max, 1/64 <= a <= 64) bounds coefficient
+    accuracy; unitarity of the action itself additionally needs the dilated
+    state to stay inside band and box.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -449,7 +446,7 @@ def affine_rep(
         group=make_affine(n),
         action=action,
         label=f"affine[n={n}]",
-        safe_box=((-shift_max, shift_max),) * n + (scale_range,),
+        safe_box=((-shift_max, shift_max),) * n + ((1.0 / 64.0, 64.0),),
         **_engine(ActionTable(
             tuple(AxisRole("modulate", (j,)) for j in range(n))
             + (AxisRole("dilate", tuple(range(n))),),
@@ -463,32 +460,22 @@ def affine_rep(
 # ---------------------------------------------------------------------------
 
 
-def exotic_rep(
-    k_vec=0.0,
-    n: int = 1,
-    scale_range: tuple[float, float] = (1.0 / 16.0, 16.0),
-    shift_max: float = 8.0,
-) -> UnitaryRepSpec:
-    """(U(t,s,b,p,q,r,a) f)(bc, pc) = a^{1/2} e^{i(t + k.r)} e^{i(b bc + p.pc)}
+def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
+    """(U(t,s,b,p,q,r,a) f)(bc, pc) = a^{1/2} e^{it} e^{i(b bc + p.pc)}
     f(a bc, pc + q)  on L2((0, inf) x R^n, dbc dpc).
 
-    This is the representation display of the worked example, implemented
-    literally.  The s coordinate never acts (the inducing character has
-    scheck = 0 on the orbit), and the restriction to T x S x R is the scalar
-    e^{i(t + k.r)} by construction.  For k_vec != 0 the display is not a
-    homomorphism in the r-a sector, so only k_vec = 0 is accepted (ValueError
-    otherwise).  States live on a (bc > 0) x (pc in R^n) grid with half-cell
-    offset from bc = 0.
+    This is the representation display of the worked example at k = 0,
+    implemented literally; for k != 0 the display (a factor e^{i k.r}) is not
+    a homomorphism in the r-a sector.  The s coordinate never acts (the
+    inducing character has scheck = 0 on the orbit), nor does r at k = 0, so
+    the restriction to T x S x R is the scalar e^{it} by construction.  The safe box holds
+    |q| <= shift_max and 1/16 <= a <= 16.  States live on a (bc > 0) x
+    (pc in R^n) grid with half-cell offset from bc = 0.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    kv = np.broadcast_to(np.atleast_1d(np.asarray(k_vec, dtype=float)), (n,))
-    if np.any(kv != 0.0):
-        raise ValueError("exotic_rep needs k_vec = 0: for k_vec != 0 the display "
-                         "is not a homomorphism")
     sl_p = slice(3, 3 + n)
     sl_q = slice(3 + n, 3 + 2 * n)
-    sl_r = slice(3 + 2 * n, 3 + 3 * n)
     ia = 3 + 3 * n
 
     def _check_grid(state):
@@ -501,14 +488,13 @@ def exotic_rep(
         _check_grid(state)
         g = np.asarray(g, dtype=float)
         t, b, a = g[0], g[2], g[ia]
-        p, q, r = g[sl_p], g[sl_q], g[sl_r]
+        p, q = g[sl_p], g[sl_q]
         if not a > 0:
             raise ValueError("scale coordinate must be positive")
         out = axis_resample(state, 0, a, 0.0)  # f(a bc, pc)
         out = translate(out, np.concatenate([[0.0], -q]))  # pc -> pc + q
         freq = np.concatenate([[b], p])
-        phase0 = t + float(np.dot(kv, r))
-        return modulate(out.with_samples(out.samples * np.sqrt(a)), freq, phase0)
+        return modulate(out.with_samples(out.samples * np.sqrt(a)), freq, t)
 
     return UnitaryRepSpec(
         group=make_exotic(n),
@@ -518,12 +504,12 @@ def exotic_rep(
         + ((-32.0, 32.0),) * n
         + ((-shift_max, shift_max),) * n
         + ((-np.inf, np.inf),) * n
-        + (scale_range,),
+        + ((1.0 / 16.0, 16.0),),
         **_engine(ActionTable(
             (AxisRole("phase", coef=1.0), AxisRole("phase"), AxisRole("modulate", (0,)))
             + tuple(AxisRole("modulate", (1 + j,)) for j in range(n))
             + tuple(AxisRole("translate", (1 + j,), -1.0) for j in range(n))
-            + tuple(AxisRole("phase", coef=k) for k in kv)
+            + (AxisRole("phase"),) * n
             + (AxisRole("dilate", (0,)),)
         )),
     )

@@ -212,7 +212,7 @@ def gabor_suite(seed: int = 0) -> list[Check]:
     checks.append(Check("gabor: closed-form gaussian overlap", float(closed), 1e-6))
 
     res_h = analyze(setup.proj, s["gauss"], s["hermite2"], setup.x_grid, dm_norm=1.0)
-    checks.append(Check("gabor: kernel reproduction", reproduce_check(res_h, setup.proj, s["gauss"], 16), 1e-2))
+    checks.append(Check("gabor: kernel reproduction", reproduce_check(res_h, setup.proj, s["gauss"]), 1e-2))
     g1, g2 = np.array([1.0, 0.5]), np.array([-0.4, 1.2])
     herm = abs(
         kernel(setup.proj, s["gauss"], g1, g2, 1.0)

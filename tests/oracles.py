@@ -1,0 +1,60 @@
+"""Reference evaluators the tests compare the library against.
+
+Each one computes a quantity of the paper literally, by G-chart products
+at every point, where the library takes a shorter path (or, for the
+covariant extension, stores only its section trace).
+"""
+
+import numpy as np
+
+from groupwave.measures import gamma_s_inv
+from groupwave.multipliers import Multiplier
+
+
+def section_cocycle(section, g, x) -> np.ndarray:
+    """c_s(g, x) = s(x)^{-1} g^{-1} s(g[x]) in the K-chart; g[x] = p(g) x.
+    Raises ``InconsistentSectionError`` if a value leaves K."""
+    sub = section.subgroup
+    G = sub.ambient
+    g = np.asarray(g, dtype=float)
+    x = np.asarray(x, dtype=float)
+    gx = sub.quotient.product(sub.project(g), x)
+    val = G.product(G.product(G.inverse(section.map(x)), G.inverse(g)), section.map(gx))
+    return sub.extract_k(val, context=f"c_s (section {section.label!r})")
+
+
+def trivial_multiplier(X) -> Multiplier:
+    """m = 1 on the group X."""
+    return Multiplier(
+        phase=lambda x1, x2: np.zeros(np.broadcast(np.asarray(x1)[..., 0],
+                                                   np.asarray(x2)[..., 0]).shape),
+        base_group=X,
+        label="trivial",
+    )
+
+
+def normality_defect(subgroup, g, k) -> float:
+    """max defect of g K g^{-1} subset K over the pairs (g, k)."""
+    G = subgroup.ambient
+    return subgroup.membership_defect(G.product(G.product(g, subgroup.K_embed(k)), G.inverse(g)))
+
+
+def xgrid_inner(f, h, grid) -> complex:
+    """Weighted L2(X, mu_X) inner product of grid functions (linear in h)."""
+    return complex(np.sum(np.conj(f).ravel() * h.ravel() * grid.weights))
+
+
+def covariant_extension(values, grid, section, g) -> np.ndarray:
+    """(F_s f)(g) = chi(k)^{-1} f(s(x)) at G-points g = s(x) k, shape
+    (..., dim), whose X-part x lies on a node of ``grid``: the chi-covariant
+    function on G whose section trace on the grid is ``values``."""
+    x, k = gamma_s_inv(section, np.asarray(g, dtype=float))
+    index = []
+    for i in range(len(grid.resolution)):
+        ax = grid.axis(i)
+        j = np.argmin(np.abs(ax - x[..., i, None]), axis=-1)
+        if np.any(np.abs(ax[j] - x[..., i]) > 1e-9 * np.maximum(1.0, np.abs(x[..., i]))):
+            raise ValueError("X-part of an evaluation point is off the grid")
+        index.append(j)
+    base = np.asarray(values).reshape(grid.resolution)[tuple(index)]
+    return np.exp(-1j * np.asarray(section.subgroup.chi_phase(k))) * base

@@ -85,6 +85,15 @@ def test_verify_expected_negative_psi_still_passes(tmp_path):
     assert last["passed"] is True
 
 
+def test_verify_psi_without_affine_suite_is_a_usage_error(tmp_path, capsys):
+    """--psi is checked by the affine suite: with only another suite it
+    would be echoed in the report and never checked."""
+    out = tmp_path / "r.json"
+    assert main(["verify", "--group", "wh", "--psi", "morlet", "--output", str(out)]) == 2
+    assert "affine suite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_without_psi_adds_no_psi_check(tmp_path):
     out = tmp_path / "r.json"
     assert main(["verify", "--group", "affine", "--output", str(out)]) == 0

@@ -5,7 +5,6 @@ import pytest
 
 from groupwave import configs, groups
 from groupwave.groups import (
-    GroupElement,
     associativity_defect,
     delta_iso,
     haar_grid,
@@ -73,18 +72,20 @@ def test_delta_iso_examples(rng):
 
 
 def test_delta_iso_on_elements():
-    Hs = make_standard_wh(1)
-    out = delta_iso(GroupElement(np.array([0.0, 2.0, 3.0]), Hs))
-    assert out.group.name == "wh_polarized_n1"
-    assert np.allclose(out.coords, [3, 2, 3])
+    """n defaults to the one the chart width implies, for one element and
+    for a batch; the input is not modified."""
+    g = np.array([0.0, 2.0, 3.0])
+    assert np.allclose(delta_iso(g), [3, 2, 3])
+    assert np.allclose(g, [0, 2, 3])
+    g2 = np.array([[0.5, 1.0, -2.0, 3.0, 0.5]] * 2)
+    assert np.allclose(delta_iso(g2), [[0.5 + 0.5 * (3.0 - 1.0), 1.0, -2.0, 3.0, 0.5]] * 2)
 
 
 def test_affine_product_and_modular():
     A = make_affine(1)
     assert np.allclose(A.product([1, 2], [3, 4]), [7, 8])
     assert float(A.modular(A.identity)) == 1.0
-    with pytest.raises(ValueError):
-        GroupElement(np.array([0.0, -1.0]), A)
+    assert not A.domain_constraint(np.array([0.0, -1.0]))
 
 
 def test_exotic_product_example():
@@ -123,14 +124,14 @@ def test_haar_grid_clips_to_domain():
 def test_haar_grid_total_weight_wh():
     G = make_polarized_wh(1)
     grid = haar_grid(G, [(-1, 1)] * 3, [4, 4, 4])
-    assert grid.total_weight() == pytest.approx(8 / (2 * np.pi), rel=1e-14)
+    assert np.sum(grid.weights) == pytest.approx(8 / (2 * np.pi), rel=1e-14)
 
 
 def test_haar_grid_log_axis_weights():
     A = make_affine(1)
     grid = haar_grid(A, [(-1, 1), (0.25, 4.0)], [4, 32], log_axes=(1,))
     # integral of a^{-2} da over [1/4, 4] = 4 - 1/4; the b axis adds width 2
-    assert grid.total_weight() == pytest.approx(2 * (4 - 0.25), rel=1e-3)
+    assert np.sum(grid.weights) == pytest.approx(2 * (4 - 0.25), rel=1e-3)
 
 
 def test_quadrature_convergence_order():

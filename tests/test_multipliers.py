@@ -22,11 +22,10 @@ from groupwave.multipliers import (
     kappa_from_section,
     multiplier_from_section,
     phase_distance,
-    section_cocycle,
     similar,
-    trivial_multiplier,
     wrap_phase,
 )
+from oracles import section_cocycle, trivial_multiplier
 
 
 def test_wrap_phase_branch_cuts():

@@ -7,7 +7,6 @@ from groupwave.representations import (
     affine_rep,
     coefficient,
     displacement,
-    exotic_rep,
     lift_to_extension,
     projective_from_section,
     wh_rep,
@@ -183,15 +182,6 @@ def test_exotic_rep_composition_at_zero_character(rng):
         rhs = setup.rep.act(setup.group.product(g, h), psi)
         worst = max(worst, diff(lhs, rhs))
     assert worst < 1e-8
-
-
-def test_exotic_rep_rejects_nonzero_k_vec():
-    from groupwave.configs import exotic_setup
-
-    with pytest.raises(ValueError, match="k_vec"):
-        exotic_rep(k_vec=0.5)
-    with pytest.raises(ValueError, match="k_vec"):
-        exotic_setup(k_vec=0.5)
 
 
 def test_exotic_rep_rejects_grid_touching_singularity(exotic):

@@ -364,8 +364,8 @@ def test_kernel_diagonal_and_symmetry(gabor):
 def test_reproduce_check_and_determinism(gabor):
     psi = gabor.states["gauss"]
     res = analyze(gabor.proj, psi, gabor.states["hermite2"], gabor.x_grid, dm_norm=1.0)
-    d1 = reproduce_check(res, gabor.proj, psi, sample_count=16)
-    d2 = reproduce_check(res, gabor.proj, psi, sample_count=16)
+    d1 = reproduce_check(res, gabor.proj, psi)
+    d2 = reproduce_check(res, gabor.proj, psi)
     assert d1 < 1e-2
     assert d1 == d2  # pure function of its inputs
 
@@ -524,6 +524,15 @@ def test_affine_semi_invariance(affine):
     for a in (0.5, 2.0):
         assert semi_invariance_check(affine.rep, dm, np.array([0.0, a]), tests) < 1e-6
     assert semi_invariance_check(affine.rep, dm, np.array([1.2, 2.0]), tests) < 1e-6
+
+
+def test_exotic_projective_semi_invariance(exotic):
+    """On the projective exotic spec, U(x)^{-1} = m(x, x^{-1}) U(x^{-1}) and
+    the weight is Delta_X(x)^{1/2} = a^{-1/2} of the quotient (3.9e-4 here;
+    taking U(x^{-1}) for U(x)^{-1} gave |1 - e^{-0.06i}| = 0.06)."""
+    x = np.array([0.2, -0.3, 0.1, 0.8])
+    d = semi_invariance_check(exotic.proj, duflo_moore("exotic"), x, [exotic.states["phi"]])
+    assert d < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +702,7 @@ def test_sampled_checks_leave_nodes_unbuilt(gabor):
     psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
     grid = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10] * 2)
     res = analyze(gabor.proj, psi, phi, grid, dm_norm=1.0)
-    assert reproduce_check(res, gabor.proj, psi, sample_count=16) < 1e-2
+    assert reproduce_check(res, gabor.proj, psi) < 1e-2
     gauge = _section_gauge_defect(gabor.rep, gabor.section_prime, psi, phi, grid,
                                   np.random.default_rng(0))
     assert gauge < 1e-12
