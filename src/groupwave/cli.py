@@ -36,6 +36,7 @@ from .groups import (
 )
 from .measures import center_divergence_probe
 from .states import (
+    FLOAT_FORMAT,
     DiscretizedState,
     gaussian_state,
     load_state_csv,
@@ -218,7 +219,7 @@ def _write_table(path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+            fh.write(",".join(FLOAT_FORMAT % v if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _orthogonality_rows(group: str, rep, dm, grid, pairs: dict) -> list:

@@ -447,25 +447,28 @@ class QuadratureGrid:
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return self._points(slice(None))
+        return _mesh_points([self.axis(i) for i in range(len(self.resolution))])
 
     def node(self, i: int) -> np.ndarray:
         """Chart point of node ``i`` (``nodes[i]``), read from the axes."""
         index = np.unravel_index(i, self.resolution)
         return np.array([self.axis(k)[j] for k, j in enumerate(index)])
 
-    def node_blocks(self):
-        """Yield (slice, self.nodes[slice]) over blocks of about ``BLOCK`` nodes."""
+    def axis_blocks(self):
+        """Yield (node slice, per-axis coordinates) over blocks of whole
+        first-axis rows, about ``BLOCK`` nodes each; the block's nodes are
+        the C-order product of its coordinates."""
+        axes = [self.axis(i) for i in range(len(self.resolution))]
         row = self.n_nodes // self.resolution[0]
         step = max(1, BLOCK // row)
         for i0 in range(0, self.resolution[0], step):
-            rows = slice(i0, min(i0 + step, self.resolution[0]))
-            yield slice(rows.start * row, rows.stop * row), self._points(rows)
+            i1 = min(i0 + step, self.resolution[0])
+            yield slice(i0 * row, i1 * row), [axes[0][i0:i1]] + axes[1:]
 
-    def _points(self, rows: slice) -> np.ndarray:
-        """Chart points of the first-axis ``rows``, last axis fastest."""
-        axes = [self.axis(0)[rows]] + [self.axis(i) for i in range(1, len(self.resolution))]
-        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1).reshape(-1, len(axes))
+    def node_blocks(self):
+        """Yield (slice, self.nodes[slice]) over :meth:`axis_blocks`."""
+        for sl, axes in self.axis_blocks():
+            yield sl, _mesh_points(axes)
 
     def spacing(self, i: int) -> float:
         """Uniform step of the axis (in the log coordinate for log axes)."""
@@ -483,6 +486,11 @@ class QuadratureGrid:
         """Lebesgue length of the cell at each node of the axis."""
         h = self.spacing(i)
         return self.axis(i) * h if i in self.log_axes else np.full(self.resolution[i], h)
+
+
+def _mesh_points(axes) -> np.ndarray:
+    """Chart points of the C-order product of ``axes``, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1).reshape(-1, len(axes))
 
 
 def haar_grid(

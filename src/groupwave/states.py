@@ -494,22 +494,44 @@ def _coord_names(dim: int) -> list[str]:
     return ["x"] if dim == 1 else [f"x{i}" for i in range(dim)]
 
 
-def csv_rows(columns, start: int = 0) -> str:
-    """CSV rows of the column-stacked ``columns``, each led by its index
-    counted from ``start``; 17 significant digits read back as the same
-    double."""
-    data = np.column_stack(columns)
-    row = "%d," + ",".join(["%.17g"] * data.shape[1]) + "\n"
-    return "".join([row % (i, *values) for i, values in enumerate(data.tolist(), start)])
+FLOAT_FORMAT = "%.17g"  # 17 significant digits read back as the same double
+
+
+def _comma_texts(values) -> np.ndarray:
+    """``FLOAT_FORMAT`` text of each value followed by a comma (object array)."""
+    return np.array([FLOAT_FORMAT % v + "," for v in values.tolist()], dtype=object)
+
+
+def grid_csv_rows(axes, values, start: int = 0, column=None) -> str:
+    """CSV rows ``index,coordinates,[column,]re,im`` over the C-order product
+    of the coordinate arrays ``axes`` (last axis fastest), indexed from
+    ``start``, with the complex ``values`` in the same order.
+
+    Each axis value and each distinct value of the per-node real ``column``
+    (distinct by bit pattern, so 0.0 and -0.0 stay apart) is formatted once
+    and gathered by index, and each row is one ``%`` call: the text is that
+    of every field formatted with ``FLOAT_FORMAT``.
+    """
+    lead = np.array([""], dtype=object)
+    for axis in axes:
+        lead = np.add.outer(lead, _comma_texts(axis)).ravel()
+    if column is not None:
+        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+        distinct, index = np.unique(bits, return_inverse=True)
+        lead += _comma_texts(distinct.view(np.float64))[index]
+    values = values.ravel()
+    row = "%d,%s" + FLOAT_FORMAT + "," + FLOAT_FORMAT + "\n"
+    return "".join([row % fields for fields in zip(range(start, start + lead.size), lead.tolist(),
+                                                    values.real.tolist(), values.imag.tolist())])
 
 
 def save_state_csv(path, state: DiscretizedState) -> None:
-    """Write index, grid coordinates, re, im per sample, formatted in one pass."""
+    """Write index, grid coordinates, re, im per sample: the coordinates
+    formatted once per axis value (:func:`grid_csv_rows`)."""
     g = state.grid
-    flat = state.samples.ravel()
     with open(path, "w") as fh:
         fh.write("index," + ",".join(_coord_names(g.dim)) + ",re,im\n")
-        fh.write(csv_rows([m.ravel() for m in g.meshes()] + [flat.real, flat.imag]))
+        fh.write(grid_csv_rows([g.axis(i) for i in range(g.dim)], state.samples))
 
 
 def save_grid_json(path, grid: StateGrid) -> None:

@@ -40,8 +40,8 @@ from .measures import RhoDensity, integrate_mod_K
 from .representations import UnitaryRepSpec
 from .states import (
     DiscretizedState,
-    csv_rows,
     fourier_plancherel,
+    grid_csv_rows,
     inner,
     inverse_fourier_plancherel,
     norm,
@@ -512,8 +512,12 @@ def mod_K_equiv_check(
 
 
 def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str]:
-    """Write <prefix>.csv (node coords, weight, re, im), formatted one node
-    block at a time, and <prefix>.json."""
+    """Write <prefix>.csv (node coords, weight, re, im) and <prefix>.json.
+
+    The rows are formatted one :meth:`QuadratureGrid.axis_blocks` block at a
+    time from the block's axes (:func:`grid_csv_rows`: each coordinate and
+    each distinct weight formatted once), so the node array stays unbuilt.
+    """
     import json
 
     csv_path = f"{path_prefix}.csv"
@@ -522,8 +526,8 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
     with open(csv_path, "w") as fh:
         coord_names = ",".join(f"g{i}" for i in range(len(result.grid.resolution)))
         fh.write(f"index,{coord_names},weight,re,im\n")
-        for sl, nodes in result.grid.node_blocks():
-            fh.write(csv_rows([nodes, w[sl], c.real[sl], c.imag[sl]], sl.start))
+        for sl, axes in result.grid.axis_blocks():
+            fh.write(grid_csv_rows(axes, c[sl], sl.start, w[sl]))
     header = {
         "group": result.grid.group.name,
         "rep": result.rep_id,

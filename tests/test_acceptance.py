@@ -9,7 +9,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from groupwave import configs
 from groupwave.cli import main as cli_main

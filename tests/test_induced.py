@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from groupwave.groups import haar_grid, random_chart_points
+from groupwave.groups import haar_grid
 from groupwave.induced import (
     R_chi_s,
     _apply_x_translation,

@@ -11,7 +11,6 @@ from groupwave.groups import (
     make_affine,
     make_exotic,
     make_polarized_wh,
-    make_standard_wh,
 )
 from groupwave.multipliers import phase_distance, wrap_phase
 from groupwave.representations import coefficient, wh_rep
@@ -20,7 +19,6 @@ from groupwave.states import (
     bump_profile,
     centered_grid,
     gaussian_state,
-    inner,
     norm,
 )
 

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from groupwave.groups import random_chart_points
 from groupwave.representations import (
     GridSafetyError,
-    affine_rep,
     coefficient,
     displacement,
     lift_to_extension,
-    projective_from_section,
     wh_rep,
 )
 from groupwave.states import (
@@ -17,7 +14,6 @@ from groupwave.states import (
     gaussian_state,
     inner,
     modulate,
-    morlet_state,
     norm,
     translate,
 )

@@ -8,7 +8,6 @@ from groupwave.states import (
     centered_grid,
     dog_state,
     fourier_plancherel,
-    frequency_grid,
     gaussian_state,
     halfline_grid,
     hermite_state,

@@ -5,9 +5,11 @@ rebuilds representation specs with ``dataclasses.replace``; a rename or a
 changed spec field in the library breaks ``perfbench/run.py --trace 1``.
 The tracer patches module attributes, so it runs in its own process.
 A memory guard keeps the bundled exotic grid from growing an eager node
-array again.
+array again, and an ``ast`` scan stands in for a linter's unused-import
+check.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -101,3 +103,27 @@ def test_exotic_setup_memory_peak():
         tracemalloc.stop()
     assert "nodes" not in vars(setup.x_grid)
     assert peak < 64e6, peak
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by an import in ``path`` that no expression reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    """Every imported name in the tests and the library is read; the
+    package ``__init__`` is skipped, its imports are the public re-exports."""
+    paths = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("src/groupwave/*.py"))
+    paths = [p for p in paths if p != ROOT / "src" / "groupwave" / "__init__.py"]
+    assert len(paths) > 20
+    unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_imports(p))}
+    assert unused == {}

@@ -668,6 +668,40 @@ def test_result_csv_written_over_node_blocks(gabor, tmp_path, monkeypatch):
     assert (tmp_path / "coef.csv").read_bytes() == expected.encode()
 
 
+def _assert_blocked_csv_matches_row_writer(rep, psi, phi, grid, blocks, tmp_path):
+    """The blocked writer, with signed zeros and extreme coefficients
+    injected, writes the row writer's bytes over ``blocks`` node blocks and
+    leaves the grid's node array unbuilt."""
+    res = analyze(rep, psi, phi, grid)
+    res.coefficients[[0, 1, -2, -1]] = [-0.0, complex(-0.0, -0.0), 1e-300j, -1e300]
+    assert len(list(grid.axis_blocks())) == blocks
+    prefix = str(tmp_path / "coef")
+    save_result_csv(prefix, res)
+    assert "nodes" not in vars(grid)
+    _save_result_csv_rows(tmp_path / "ref.csv", res)
+    assert (tmp_path / "coef.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_result_csv_blocks_match_row_writer_affine(affine, tmp_path, monkeypatch):
+    """The bundled affine grid: a log axis and weights that vary with a."""
+    monkeypatch.setattr(groups, "BLOCK", 60 * 160)  # blocks of 60, 60 and 40 rows
+    x = affine.x_grid
+    grid = haar_grid(x.group, x.box, x.resolution, log_axes=x.log_axes)
+    assert grid.log_axes == (1,)
+    _assert_blocked_csv_matches_row_writer(
+        affine.rep, affine.states["morlet"], affine.states["signal"], grid, 3, tmp_path)
+
+
+def test_result_csv_blocks_match_row_writer_exotic(exotic, tmp_path, monkeypatch):
+    """A reduced exotic grid: four axes, the log axis last."""
+    monkeypatch.setattr(groups, "BLOCK", 2 * 5 * 7 * 8)  # two first-axis rows per block
+    x = exotic.x_grid
+    grid = haar_grid(x.group, x.box, (6, 5, 7, 8), log_axes=x.log_axes)
+    assert grid.log_axes == (3,)
+    _assert_blocked_csv_matches_row_writer(
+        exotic.proj, exotic.states["psi"], exotic.states["phi"], grid, 3, tmp_path)
+
+
 def test_load_result_csv_rejects_other_group(gabor, affine, tmp_path):
     res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid)
     prefix = str(tmp_path / "coef")
