@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="signal CSV -> coefficient CSV")
     p.add_argument("--group", choices=["gabor", "affine"], required=True)
     p.add_argument("--psi", choices=["gaussian", "morlet", "file"], default=None)
-    p.add_argument("--psi-file", default=None)
+    p.add_argument("--psi-file", default=None, help="psi CSV, read only with --psi file")
     p.add_argument("--input", required=True, help="signal CSV (index,x,re,im)")
     p.add_argument("--output", required=True, help="output path prefix")
     p.add_argument("--assume-grid", action="store_true",
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="coefficient CSV -> signal CSV")
     p.add_argument("--group", choices=["gabor", "affine"], required=True)
     p.add_argument("--psi", choices=["gaussian", "morlet", "file"], default=None)
-    p.add_argument("--psi-file", default=None)
+    p.add_argument("--psi-file", default=None, help="psi CSV, read only with --psi file")
     p.add_argument("--coefficients", required=True, help="coefficient path prefix")
     p.add_argument("--output", required=True, help="signal CSV path")
     p.add_argument("--reference", default=None, help="original signal for round-trip error")
@@ -374,8 +374,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code) if exc.code is not None else 2
+    analysis = args.command in ("analyze", "synthesize")
+    if analysis and args.psi_file is not None and args.psi != "file":
+        return _fail_usage("--psi-file is read only with --psi file; without it the default "
+                           "analyzing vector would be used and the file ignored")
     # default analyzing vector per group; verify adds a psi check only on request
-    if args.command in ("analyze", "synthesize") and args.psi is None:
+    if analysis and args.psi is None:
         args.psi = {"gabor": "gaussian", "affine": "morlet"}[args.group]
     try:
         return args.func(args)

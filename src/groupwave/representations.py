@@ -64,12 +64,29 @@ each scale ladder in ``states``) are computed once per grid and held in
 bounded ``functools.lru_cache``s of ``PLAN_CACHE`` entries, keyed by value
 (roles, chart-axis nodes, state grid, sign), so a rebuilt grid hits them
 too.
+
+The blocks of one call are independent: a coefficient block writes its own
+slice of the result, and an adjoint block returns its state-sized term of
+the sum.  A call of more than one block runs them on a thread pool (numpy
+releases the GIL in BLAS, the FFT and large ufuncs) of the usable CPUs over
+the BLAS threads set by ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS``.  With none set BLAS threads itself, so the blocks run
+inline, as does a call of one block (every bundled grid but the exotic
+one, which streams 40).  The calling thread draws the dictionary, at most
+workers + 1 blocks ahead of the results it has taken, and adds the
+adjoint's terms in block order, so the results are bit-identical for any
+worker count and the blocks in flight, not the whole dictionary, bound the
+memory.  The pool lives for one call: kept for the life of the process,
+its idle threads made later single-threaded calls measurably slower.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, replace
 import functools
+import itertools
+import os
 from typing import Callable, Optional
 
 import numpy as np
@@ -171,11 +188,15 @@ class ActionTable:
         # a length-1 axis for the dilation, if any, to broadcast against the blocks
         dilates = any(r.kind == "dilate" for r in self.roles)
         hat = hat.reshape(hat.shape[: len(lead)] + (1,) * dilates + psi.grid.counts)
-        for at, labels, block in self._dictionary(psi, grid, moved, lead, np.conj):
+
+        def task(at, labels, block):
             g, labels = hat[tuple(at[i] for i in lead)] * block, lead + labels
             for matrix, (new, old) in steps:
                 g, labels = _contract(g, labels, matrix, old, new)
             np.einsum(g, labels, *phases, chart, out=out[at])
+
+        for _ in _blockwise(task, self._dictionary(psi, grid, moved, lead, np.conj)):
+            pass
         return self._gauged(out.ravel(), grid, -1)
 
     def adjoint(self, coeffs: np.ndarray, grid: QuadratureGrid,
@@ -188,15 +209,20 @@ class ActionTable:
         chart, state = self._labels(hat.grid.dim)
         phases, mods, steps, moved, lead = self._k_plan(factors, hat.grid.dim)
         unphased = [i for i in chart if self.roles[i].kind != "phase"]
-        acc = np.zeros(hat.grid.counts, dtype=complex)
-        for at, labels, block in self._dictionary(hat, grid, moved, lead):
+
+        def task(at, labels, block):
             v, v_labels = np.einsum(cw[at], chart, *phases, unphased), unphased
             for matrix, (new, old) in reversed(steps):
                 v, v_labels = _contract(v, v_labels, matrix.T, new, old)
             v = np.fft.ifftn(np.einsum(v, v_labels, block, labels, lead + state), axes=moved)
             # the first modulation is that of lead[0], the axis the blocks slice
-            acc += np.einsum(v, lead + state, *([mods[0][at[lead[0]]]] + mods[1:] if mods else []),
+            return np.einsum(v, lead + state, *([mods[0][at[lead[0]]]] + mods[1:] if mods else []),
                              state)
+
+        acc = np.zeros(hat.grid.counts, dtype=complex)
+        # summed here in block order: the same additions as a serial loop
+        for term in _blockwise(task, self._dictionary(hat, grid, moved, lead)):
+            acc += term
         out = DiscretizedState(acc, hat.grid)
         return inverse_fourier_plancherel(out, psi.grid) if self.fourier else out
 
@@ -274,6 +300,57 @@ class ActionTable:
                 if lead:
                     at[lead[0]] = slice(p0, p0 + p_step)
                 yield tuple(at), labels, block if dil else block[0]
+
+
+def _workers() -> int:
+    """Threads for the blocks of one engine call: the usable CPUs over the
+    BLAS threads that each block's matmuls take.  With no BLAS thread count
+    set (or one BLAS reads as its default), BLAS already threads on every
+    CPU, so the blocks run inline."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        if var in os.environ:
+            try:
+                threads = int(os.environ[var])
+            except ValueError:
+                return 1
+            if threads < 1:
+                return 1
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return max(1, cpus // threads)
+    return 1
+
+
+def _blockwise(task, blocks):
+    """Yield ``task(*block)`` for each block of ``blocks``, in block order.
+    With more than one block and more than one worker (:func:`_workers`)
+    the tasks run on a thread pool of the call, while ``blocks`` is drawn
+    in the calling thread at most ``workers + 1`` blocks ahead of the
+    results yielded: in-flight blocks bound the memory, and a task touches
+    only numpy, so the benchmark tracer's span stack never sees a worker
+    thread.  A task's exception is raised here, and the pool is shut down
+    (queued tasks cancelled, running ones waited for) before the call
+    returns or raises: no idle thread outlives it, and a forked child
+    never inherits one."""
+    workers = _workers()
+    blocks = iter(blocks)
+    head = list(itertools.islice(blocks, 2)) if workers > 1 else []
+    if len(head) < 2:
+        for block in itertools.chain(head, blocks):
+            yield task(*block)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool, pending = ThreadPoolExecutor(workers, "groupwave-engine"), collections.deque()
+    try:
+        for block in itertools.chain(head, blocks):
+            pending.append(pool.submit(task, *block))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _contract(a, labels, matrix, old, new):

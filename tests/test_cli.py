@@ -46,21 +46,24 @@ def test_verify_single_group_and_determinism(tmp_path):
 
 
 def test_verify_report_independent_of_blas_threads(tmp_path):
-    """Separate processes with 1 and 2 BLAS threads write the same bytes."""
+    """Separate processes with 1 and 2 BLAS threads write the same bytes.
+    On two or more CPUs the exotic suite's multi-block engine calls run on
+    threads under 1 BLAS thread and inline under 2."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
-    paths = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"wh-{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "groupwave.cli", "verify", "--group", "wh",
-             "--seed", "0", "--output", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr
-        paths.append(out)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    for group in ("wh", "exotic"):
+        paths = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{group}-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupwave.cli", "verify", "--group", group,
+                 "--seed", "0", "--output", str(out)],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            paths.append(out)
+        assert paths[0].read_bytes() == paths[1].read_bytes(), group
 
 
 def test_config_flag_removed_and_report_echoes_flags(tmp_path, capsys):
@@ -92,6 +95,29 @@ def test_verify_psi_without_affine_suite_is_a_usage_error(tmp_path, capsys):
     assert main(["verify", "--group", "wh", "--psi", "morlet", "--output", str(out)]) == 2
     assert "affine suite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+def test_psi_file_without_psi_file_kind_is_a_usage_error(command, tmp_path, capsys):
+    """--psi-file is read only with --psi file: without it the default psi
+    would be used and the file silently ignored."""
+    setup = gabor_setup()
+    sig, psi_csv = tmp_path / "sig.csv", tmp_path / "psi.csv"
+    save_state_csv(sig, setup.states["hermite2"])
+    save_state_csv(psi_csv, setup.states["gauss"])
+    prefix, out = str(tmp_path / "coef"), tmp_path / "out"
+    if command == "analyze":
+        argv = ["analyze", "--group", "gabor", "--input", str(sig), "--assume-grid",
+                "--output", str(out)]
+    else:
+        assert main(["analyze", "--group", "gabor", "--input", str(sig), "--assume-grid",
+                     "--output", prefix]) == 0
+        argv = ["synthesize", "--group", "gabor", "--coefficients", prefix, "--output", str(out)]
+    capsys.readouterr()
+    for psi in ([], ["--psi", "gaussian"]):
+        assert main(argv + psi + ["--psi-file", str(psi_csv)]) == 2
+        assert "--psi-file" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_verify_without_psi_adds_no_psi_check(tmp_path):

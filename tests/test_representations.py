@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -440,24 +442,146 @@ def test_engine_translated_axis_without_modulation(per_node):
     _engine_against_oracle(rep, psi, phi, grid, per_node)
 
 
-@pytest.mark.parametrize("config", ["exotic", "gabor_n2"])
-def test_engine_streams_small_blocks(config, exotic, gabor_n2, monkeypatch, per_node):
-    """With ``CHUNK`` at 1024 samples each dilation block holds one scale and
-    each block of the lead modulation axis one node (the bundled grids run
-    one dilation block): the streamed engine still matches the oracle."""
+def _small_blocks(config, exotic, gabor_n2, monkeypatch):
+    """(rep, psi, phi, grid) with ``CHUNK`` at 1024 samples: each dilation
+    block holds one scale and each block of the lead modulation axis one
+    node, so the exotic case streams 16 blocks and the wh n = 2 case 4 (the
+    bundled grids run one dilation block)."""
     from groupwave import representations
     from groupwave.groups import haar_grid
 
     monkeypatch.setattr(representations, "CHUNK", 1024)
     if config == "exotic":
-        rep, psi, phi = exotic.proj, exotic.states["psi"], exotic.states["phi"]
         grid = haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [5, 4, 5, 4],
                          log_axes=(3,))
-    else:
-        rep, grid = gabor_n2.proj, gabor_n2.x_grid
-        psi = gaussian_state(gabor_n2.state_grid)
-        phi = gaussian_state(gabor_n2.state_grid, center=[0.4, -0.3], momentum=[0.5, 0.2])
-    _engine_against_oracle(rep, psi, phi, grid, per_node)
+        return exotic.proj, exotic.states["psi"], exotic.states["phi"], grid
+    psi = gaussian_state(gabor_n2.state_grid)
+    phi = gaussian_state(gabor_n2.state_grid, center=[0.4, -0.3], momentum=[0.5, 0.2])
+    return gabor_n2.proj, psi, phi, gabor_n2.x_grid
+
+
+@pytest.mark.parametrize("config", ["exotic", "gabor_n2"])
+def test_engine_streams_small_blocks(config, exotic, gabor_n2, monkeypatch, per_node):
+    """The streamed engine still matches the oracle with small blocks."""
+    _engine_against_oracle(*_small_blocks(config, exotic, gabor_n2, monkeypatch), per_node)
+
+
+@pytest.mark.parametrize("config", ["exotic", "gabor_n2"])
+def test_engine_blocks_on_threads_match_inline(config, exotic, gabor_n2, monkeypatch):
+    """Blocks run on two threads give the inline loop's bits: each
+    coefficient block writes its own slice of the result, and the calling
+    thread sums the adjoint's block terms in block order."""
+    import threading
+
+    from groupwave import representations
+
+    rep, psi, phi, grid = _small_blocks(config, exotic, gabor_n2, monkeypatch)
+    contract, threads = representations._contract, set()
+
+    def recorded(*args):
+        threads.add(threading.current_thread())
+        return contract(*args)
+
+    monkeypatch.setattr(representations, "_contract", recorded)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(representations, "_workers", lambda: workers)
+        threads.clear()
+        c = rep.fast_coefficients(psi, phi, grid)
+        runs.append((c, rep.fast_adjoint(c, grid, psi).samples, set(threads)))
+    assert runs[0][2] == {threading.main_thread()}
+    assert threading.main_thread() not in runs[1][2]
+    assert np.array_equal(runs[0][0], runs[1][0])
+    assert np.array_equal(runs[0][1], runs[1][1])
+
+
+@pytest.mark.parametrize("config", ["exotic", "gabor_n2"])
+def test_engine_draws_blocks_at_most_workers_plus_one_ahead(config, exotic, gabor_n2,
+                                                           monkeypatch):
+    """On threads the dictionary is drawn at most workers + 1 blocks ahead
+    of the results used, so in-flight blocks, not the whole dictionary,
+    are held at once."""
+    from groupwave import representations
+
+    rep, psi, phi, grid = _small_blocks(config, exotic, gabor_n2, monkeypatch)
+    monkeypatch.setattr(representations, "_workers", lambda: 2)
+    dictionary, blockwise = representations.ActionTable._dictionary, representations._blockwise
+    drawn, used, ahead = [0], [0], []
+
+    def counted_dictionary(*args, **kwargs):
+        for block in dictionary(*args, **kwargs):
+            drawn[0] += 1
+            ahead.append(drawn[0] - used[0])
+            yield block
+
+    def counted_blockwise(task, blocks):
+        for result in blockwise(task, blocks):
+            used[0] += 1
+            yield result
+
+    monkeypatch.setattr(representations.ActionTable, "_dictionary", counted_dictionary)
+    monkeypatch.setattr(representations, "_blockwise", counted_blockwise)
+    c = rep.fast_coefficients(psi, phi, grid)
+    for call in (lambda: rep.fast_coefficients(psi, phi, grid), lambda: rep.fast_adjoint(c, grid, psi)):
+        drawn[0] = used[0] = 0
+        ahead.clear()
+        call()
+        assert drawn[0] == used[0] >= 4 and max(ahead) == 3, ahead
+
+
+def test_engine_task_error_propagates_and_next_call_works(exotic, gabor_n2, monkeypatch):
+    """An exception in a block run on a thread leaves ``coefficients``, and
+    the next call gives the usual bits."""
+    import itertools
+
+    from groupwave import representations
+
+    rep, psi, phi, grid = _small_blocks("exotic", exotic, gabor_n2, monkeypatch)
+    monkeypatch.setattr(representations, "_workers", lambda: 2)
+    expected = rep.fast_coefficients(psi, phi, grid)
+    contract, calls = representations._contract, itertools.count()
+
+    def failing(*args):
+        if next(calls) == 5:
+            raise RuntimeError("block task failed")
+        return contract(*args)
+
+    monkeypatch.setattr(representations, "_contract", failing)
+    with pytest.raises(RuntimeError, match="block task failed"):
+        rep.fast_coefficients(psi, phi, grid)
+    monkeypatch.setattr(representations, "_contract", contract)
+    assert np.array_equal(rep.fast_coefficients(psi, phi, grid), expected)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no fork start method")
+def test_engine_threads_in_forked_child(exotic, gabor_n2, monkeypatch):
+    """A child forked from a process that has run blocks on threads
+    finishes a multi-block call on threads of its own and returns the
+    parent's bits (no pool outlives a call, so the child inherits none)."""
+    import multiprocessing
+    import queue
+
+    from groupwave import representations
+
+    rep, psi, phi, grid = _small_blocks("exotic", exotic, gabor_n2, monkeypatch)
+    monkeypatch.setattr(representations, "_workers", lambda: 2)
+    expected = rep.fast_coefficients(psi, phi, grid)
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=lambda: results.put(rep.fast_coefficients(psi, phi, grid)))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    except queue.Empty:
+        got = None
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got is not None, "the forked child did not finish its call"
+    assert child.exitcode == 0
+    assert np.array_equal(got, expected)
 
 
 def test_action_table_rejects_two_translations_of_one_axis():

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` looks library names up with ``getattr`` and
 rebuilds representation specs with ``dataclasses.replace``; a rename or a
 changed spec field in the library breaks ``perfbench/run.py --trace 1``.
-The tracer patches module attributes, so it runs in its own process.
+The tracer patches module attributes, so it runs in its own process; the
+engine's worker threads must not call what it wraps.
 A memory guard keeps the bundled exotic grid from growing an eager node
 array again, and an ``ast`` scan stands in for a linter's unused-import
 check.
@@ -22,6 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import sys
+import threading
 sys.path.insert(0, {perfbench!r})
 import tracing
 from groupwave import configs, groups, induced, representations, states, transforms
@@ -31,7 +33,7 @@ tracer.install()
 tracer.active = True
 gab = configs.gabor_setup()
 configs.affine_setup()
-configs.exotic_setup()
+ex = configs.exotic_setup()
 psi = gab.states["gauss"]
 res = transforms.analyze(gab.rep, psi, psi,
                          groups.haar_grid(gab.group, [(-2, 2)] * 3, [4, 8, 8]))
@@ -60,6 +62,27 @@ for span in translates:
         assert tracer.spans[parent][0] not in ("transforms.analyze", "transforms.synthesize"), \
             tracer.spans[parent][0]
         parent = tracer.spans[parent][3]
+# one exotic analyze of 16 engine blocks, inline and then on two threads:
+# the tasks touch only numpy, so the two runs record the same spans
+representations.CHUNK = 1024
+small = groups.haar_grid(ex.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [5, 4, 5, 4],
+                         log_axes=(3,))
+contract, threads, counts = representations._contract, set(), []
+representations._contract = lambda *args: threads.add(threading.current_thread()) or contract(*args)
+resample, resample_threads = representations.axis_resample, set()
+representations.axis_resample = (
+    lambda *args: resample_threads.add(threading.current_thread()) or resample(*args))
+tracer.active = True
+for workers in (1, 2):
+    representations._workers = lambda: workers
+    start = len(tracer.spans)
+    transforms.analyze(ex.proj, ex.states["psi"], ex.states["phi"], small)
+    run = [span[0] for span in tracer.spans[start:]]
+    counts.append((run.count("transforms.analyze"), run.count("states.axis_resample")))
+tracer.active = False
+assert threads - {{threading.main_thread()}}, "the second run did not use threads"
+assert resample_threads == {{threading.main_thread()}}, resample_threads
+assert counts[0] == counts[1] == (1, 4), counts
 names = sorted({{span[0] for span in tracer.spans}})
 print(" ".join(names))
 """
@@ -87,6 +110,22 @@ def test_tracer_installs_and_traces_analyze(tmp_path):
                  "states.fourier_plancherel", "states.inverse_fourier_plancherel",
                  "states.save_state_csv", "transforms.save_result_csv"):
         assert name in names, (name, sorted(names))
+
+
+def test_cli_import_leaves_thread_pool_unimported():
+    """``concurrent.futures`` (about 9 ms to import without bytecode caches)
+    is imported by the first engine call that runs blocks on threads,
+    never by importing the CLI, so a fresh CLI process starts without it."""
+    src = str(Path(groupwave.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, groupwave.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_exotic_setup_memory_peak():
