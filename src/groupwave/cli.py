@@ -18,7 +18,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -38,7 +37,9 @@ from .measures import center_divergence_probe
 from .states import (
     FLOAT_FORMAT,
     DiscretizedState,
+    dump_json,
     gaussian_state,
+    grid_record,
     load_state_csv,
     morlet_state,
     norm,
@@ -65,13 +66,15 @@ def _fail_usage(msg: str) -> int:
     return 2
 
 
-def _dump_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _read_signal(path, state_grid, what: str) -> DiscretizedState:
+    """The signal CSV at ``path`` on the grid its coordinate column gives,
+    which must be the configuration grid ``state_grid``: samples are never
+    relabelled onto another grid unasked (``--assume-grid`` does that)."""
+    state = load_state_csv(path)
+    if state.grid != state_grid:
+        raise ValueError(f"{what} grid {state.grid} does not match the configuration "
+                         f"grid {state_grid}")
+    return state
 
 
 def _convention_groups() -> dict:
@@ -109,7 +112,7 @@ def cmd_verify(args) -> int:
         key: value for key, value in sorted(vars(args).items())
         if key not in ("func", "output") and value is not None
     }
-    _dump_json(args.output, report)
+    dump_json(args.output, report)
     if args.output:
         n_fail = sum(
             1 for checks in report["groups"].values() for c in checks if not c["passed"]
@@ -119,20 +122,10 @@ def cmd_verify(args) -> int:
 
 
 def _analysis_setup(group: str, psi_kind: str, psi_file):
-    if group == "gabor":
-        setup = configs.gabor_setup()
-        rep = setup.proj
-        grid = setup.x_grid
-        state_grid = setup.state_grid
-        dm = duflo_moore("gabor")
-    elif group == "affine":
-        setup = configs.affine_setup()
-        rep = setup.rep
-        grid = setup.x_grid
-        state_grid = setup.state_grid
-        dm = duflo_moore("affine")
-    else:
+    if group not in ("gabor", "affine"):
         raise ValueError(f"analysis supports gabor|affine, not {group!r}")
+    setup = configs.gabor_setup() if group == "gabor" else configs.affine_setup()
+    state_grid = setup.state_grid
     if psi_kind == "gaussian":
         psi = gaussian_state(state_grid)
     elif psi_kind == "morlet":
@@ -140,23 +133,20 @@ def _analysis_setup(group: str, psi_kind: str, psi_file):
     elif psi_kind == "file":
         if not psi_file:
             raise ValueError("--psi file requires --psi-file")
-        psi = load_state_csv(psi_file, state_grid)
+        psi = _read_signal(psi_file, state_grid, "--psi-file")
     else:
         raise ValueError(f"unknown analyzing vector {psi_kind!r}")
-    return rep, grid, state_grid, dm, psi
+    rep = setup.proj if group == "gabor" else setup.rep
+    return rep, setup.x_grid, state_grid, duflo_moore(group), psi
 
 
 def cmd_analyze(args) -> int:
     try:
         rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
-        phi = load_state_csv(args.input, state_grid if args.assume_grid else None)
+        phi = (load_state_csv(args.input, state_grid) if args.assume_grid
+               else _read_signal(args.input, state_grid, "input signal"))
     except (ValueError, OSError) as exc:
         return _fail_usage(str(exc))
-    if phi.grid != state_grid:
-        return _fail_usage(
-            f"input signal grid {phi.grid.counts} does not match the configuration "
-            f"grid {state_grid.counts}"
-        )
     result = analyze(rep, psi, phi, grid, dm_norm=dm.norm_of(psi))
     csv_path, json_path = save_result_csv(args.output, result)
     report = {
@@ -170,16 +160,12 @@ def cmd_analyze(args) -> int:
         "shell_fraction": result.meta["shell_fraction"],
         "clipped": result.meta["clipped"],
         # fully resolved configuration
-        "state_grid": {
-            "offsets": list(state_grid.offsets),
-            "spacings": list(state_grid.spacings),
-            "counts": list(state_grid.counts),
-        },
+        "state_grid": grid_record(state_grid),
         "transform_box": [list(b) for b in result.grid.box],
         "transform_resolution": list(result.grid.resolution),
         "dm_norm": result.dm_norm,
     }
-    _dump_json(args.output + ".report.json", report)
+    dump_json(args.output + ".report.json", report)
     print(f"coefficients -> {csv_path}")
     return 0
 
@@ -188,6 +174,7 @@ def cmd_synthesize(args) -> int:
     try:
         rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
         result = load_result_csv(args.coefficients, grid)
+        ref = _read_signal(args.reference, state_grid, "--reference") if args.reference else None
     except (ValueError, OSError) as exc:
         return _fail_usage(str(exc))
     # coefficients synthesize correctly only with the rep and psi that made them
@@ -203,14 +190,10 @@ def cmd_synthesize(args) -> int:
     save_state_csv(args.output, state)
     save_grid_json(args.output + ".grid.json", state.grid)
     report = {"command": "synthesize", "group": args.group, "output": args.output}
-    if args.reference:
-        try:
-            ref = load_state_csv(args.reference, state_grid)
-        except (ValueError, OSError) as exc:
-            return _fail_usage(str(exc))
+    if ref is not None:
         diff = norm(DiscretizedState(state.samples - ref.samples, state.grid))
         report["round_trip_relative_error"] = diff / max(norm(ref), 1e-300)
-    _dump_json(args.output + ".report.json", report)
+    dump_json(args.output + ".report.json", report)
     print(f"signal -> {args.output}")
     return 0
 

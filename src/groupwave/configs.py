@@ -73,7 +73,6 @@ class GaborSetup:
     k_check: float
     group: GroupDescriptor
     x_group: GroupDescriptor
-    k_group: GroupDescriptor
     subgroup: RelCentralSubgroup
     section: Section
     section_prime: Section
@@ -95,12 +94,11 @@ def gabor_setup(
 ) -> GaborSetup:
     group = make_polarized_wh(n)
     x_group = make_wh_quotient(n)
-    k_group = make_vector_group(1, f"wh_center_n{n}", density=1.0)
     kc = float(k_check)
 
     subgroup = RelCentralSubgroup(
         ambient=group,
-        k_group=k_group,
+        k_group=make_vector_group(1, f"wh_center_n{n}", density=1.0),
         quotient=x_group,
         k_axes=(0,),
         x_axes=tuple(range(1, 2 * n + 1)),
@@ -139,7 +137,6 @@ def gabor_setup(
         k_check=kc,
         group=group,
         x_group=x_group,
-        k_group=k_group,
         subgroup=subgroup,
         section=section,
         section_prime=section_prime,
@@ -250,7 +247,6 @@ def affine_nested_grids(
 class ExoticSetup:
     group: GroupDescriptor
     x_group: GroupDescriptor
-    k_group: GroupDescriptor
     subgroup: RelCentralSubgroup
     section: Section
     section_prime: Section
@@ -272,12 +268,11 @@ def exotic_setup(
     """The worked example for n = 1 at k = 0: chi(t, s, r) = e^{it}."""
     group = make_exotic(1)
     x_group = make_exotic_quotient(1)
-    k_group = make_exotic_k_group(1)
 
     # chart layout (t, s, b, p, q, r, a); X chart (p, q, b, a); K chart (t, s, r)
     subgroup = RelCentralSubgroup(
         ambient=group,
-        k_group=k_group,
+        k_group=make_exotic_k_group(1),
         quotient=x_group,
         k_axes=(0, 1, 5),
         x_axes=(3, 4, 2, 6),
@@ -318,7 +313,6 @@ def exotic_setup(
     return ExoticSetup(
         group=group,
         x_group=x_group,
-        k_group=k_group,
         subgroup=subgroup,
         section=section,
         section_prime=section_prime,

@@ -71,6 +71,7 @@ class GroupDescriptor:
     marks coordinates that live on the circle and are compared mod 2 pi.
     ``domain_lower`` gives per-axis open lower bounds (NaN = unconstrained);
     it is what quadrature grids use to stay off chart singularities.
+    ``sample_box`` is the chart box random test points are drawn from.
     """
 
     name: str
@@ -80,12 +81,12 @@ class GroupDescriptor:
     identity: np.ndarray
     haar_density: Callable[[np.ndarray], np.ndarray]
     modular: Callable[[np.ndarray], np.ndarray]
+    sample_box: tuple[tuple[float, float], ...]
     domain_constraint: Callable[[np.ndarray], np.ndarray] = lambda g: np.ones(
         np.asarray(g).shape[:-1], dtype=bool
     )
     domain_lower: tuple[float, ...] | None = None
     angle_axes: tuple[int, ...] = ()
-    sample_box: tuple[tuple[float, float], ...] | None = None
     conventions: str = ""
 
     def distance(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -105,8 +106,11 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(u * v, axis=-1)
 
 
-def make_polarized_wh(n: int) -> GroupDescriptor:
-    """Polarized Weyl-Heisenberg group H'_n, chart (k, p in R^n, q in R^n)."""
+def _make_wh(n: int, name: str, cocycle, inverse, title: str, lines: str) -> GroupDescriptor:
+    """A Weyl-Heisenberg group in chart (k, p in R^n, q in R^n): product
+    (k + k' + cocycle(g, h), p + p', q + q') and Haar density (2 pi)^{-n}.
+    ``title`` and ``lines`` (its product, inverse and Haar lines) are what
+    the conventions sheets of the two charts do not share."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     dim = 2 * n + 1
@@ -117,9 +121,30 @@ def make_polarized_wh(n: int) -> GroupDescriptor:
         h = np.asarray(h, dtype=float)
         g, h = np.broadcast_arrays(g, h)
         out = np.empty_like(g)
-        out[..., 0] = g[..., 0] + h[..., 0] + _dot(g[..., 1 + n :], h[..., 1 : 1 + n])
+        out[..., 0] = g[..., 0] + h[..., 0] + cocycle(g, h)
         out[..., 1:] = g[..., 1:] + h[..., 1:]
         return out
+
+    return GroupDescriptor(
+        name=name,
+        dim=dim,
+        product=product,
+        inverse=inverse,
+        identity=np.zeros(dim),
+        haar_density=lambda g: np.full(np.asarray(g).shape[:-1], dens),
+        modular=lambda g: np.ones(np.asarray(g).shape[:-1]),
+        sample_box=((-3.0, 3.0),) * dim,
+        conventions=(
+            f"{title}\n"
+            f"chart      : (k, p in R^{n}, q in R^{n}), dim {dim}\n"
+            f"{lines}"
+            "modular    : 1\n"
+        ),
+    )
+
+
+def make_polarized_wh(n: int) -> GroupDescriptor:
+    """Polarized Weyl-Heisenberg group H'_n, chart (k, p in R^n, q in R^n)."""
 
     def inverse(g):
         g = np.asarray(g, dtype=float)
@@ -128,66 +153,28 @@ def make_polarized_wh(n: int) -> GroupDescriptor:
         out[..., 1:] = -g[..., 1:]
         return out
 
-    return GroupDescriptor(
-        name=f"wh_polarized_n{n}",
-        dim=dim,
-        product=product,
-        inverse=inverse,
-        identity=np.zeros(dim),
-        haar_density=lambda g: np.full(np.asarray(g).shape[:-1], dens),
-        modular=lambda g: np.ones(np.asarray(g).shape[:-1]),
-        sample_box=((-3.0, 3.0),) * dim,
-        conventions=(
-            f"polarized Weyl-Heisenberg group H'_{n}\n"
-            f"chart      : (k, p in R^{n}, q in R^{n}), dim {dim}\n"
-            "product    : (k + k' + q.p', p + p', q + q')\n"
-            "inverse    : (-k + q.p, -p, -q)\n"
-            f"haar       : (2 pi)^(-{n}) dk dp dq   (left = right)\n"
-            "modular    : 1\n"
-        ),
+    return _make_wh(
+        n, f"wh_polarized_n{n}", lambda g, h: _dot(g[..., 1 + n :], h[..., 1 : 1 + n]), inverse,
+        f"polarized Weyl-Heisenberg group H'_{n}",
+        "product    : (k + k' + q.p', p + p', q + q')\n"
+        "inverse    : (-k + q.p, -p, -q)\n"
+        f"haar       : (2 pi)^(-{n}) dk dp dq   (left = right)\n",
     )
 
 
 def make_standard_wh(n: int) -> GroupDescriptor:
     """Standard Weyl-Heisenberg group H_n with the antisymmetric cocycle."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    dim = 2 * n + 1
-    dens = (2.0 * np.pi) ** (-n)
 
-    def product(g, h):
-        g = np.asarray(g, dtype=float)
-        h = np.asarray(h, dtype=float)
-        g, h = np.broadcast_arrays(g, h)
-        out = np.empty_like(g)
-        cross = 0.5 * (
-            _dot(g[..., 1 + n :], h[..., 1 : 1 + n])
-            - _dot(g[..., 1 : 1 + n], h[..., 1 + n :])
-        )
-        out[..., 0] = g[..., 0] + h[..., 0] + cross
-        out[..., 1:] = g[..., 1:] + h[..., 1:]
-        return out
+    def cocycle(g, h):
+        return 0.5 * (_dot(g[..., 1 + n :], h[..., 1 : 1 + n])
+                      - _dot(g[..., 1 : 1 + n], h[..., 1 + n :]))
 
-    def inverse(g):
-        return -np.asarray(g, dtype=float)
-
-    return GroupDescriptor(
-        name=f"wh_standard_n{n}",
-        dim=dim,
-        product=product,
-        inverse=inverse,
-        identity=np.zeros(dim),
-        haar_density=lambda g: np.full(np.asarray(g).shape[:-1], dens),
-        modular=lambda g: np.ones(np.asarray(g).shape[:-1]),
-        sample_box=((-3.0, 3.0),) * dim,
-        conventions=(
-            f"standard Weyl-Heisenberg group H_{n}\n"
-            f"chart      : (k, p in R^{n}, q in R^{n}), dim {dim}\n"
-            "product    : (k + k' + (q.p' - p.q')/2, p + p', q + q')\n"
-            "inverse    : (-k, -p, -q)\n"
-            f"haar       : (2 pi)^(-{n}) dk dp dq\n"
-            "modular    : 1\n"
-        ),
+    return _make_wh(
+        n, f"wh_standard_n{n}", cocycle, lambda g: -np.asarray(g, dtype=float),
+        f"standard Weyl-Heisenberg group H_{n}",
+        "product    : (k + k' + (q.p' - p.q')/2, p + p', q + q')\n"
+        "inverse    : (-k, -p, -q)\n"
+        f"haar       : (2 pi)^(-{n}) dk dp dq\n",
     )
 
 
@@ -538,9 +525,8 @@ def random_chart_points(
     count: int,
     box: Sequence[tuple[float, float]] | None = None,
 ) -> np.ndarray:
-    if box is None:
-        box = group.sample_box or ((-3.0, 3.0),) * group.dim
-    lo, hi = np.asarray(box, dtype=float).T
+    """``count`` uniform points of ``box``, by default the group's sample box."""
+    lo, hi = np.asarray(group.sample_box if box is None else box, dtype=float).T
     return lo + (hi - lo) * rng.random((count, group.dim))
 
 

@@ -252,7 +252,6 @@ def central_extension(X: GroupDescriptor, m: Multiplier) -> GroupDescriptor:
 
     identity = np.concatenate([[0.0], X.identity])
     x_lower = X.domain_lower if X.domain_lower is not None else (float("nan"),) * X.dim
-    x_box = X.sample_box if X.sample_box is not None else ((-3.0, 3.0),) * X.dim
 
     return GroupDescriptor(
         name=f"ext[{X.name};{m.label}]",
@@ -266,7 +265,7 @@ def central_extension(X: GroupDescriptor, m: Multiplier) -> GroupDescriptor:
         domain_constraint=lambda g: X.domain_constraint(np.asarray(g)[..., 1:]),
         domain_lower=(float("nan"),) + tuple(x_lower),
         angle_axes=(0,) + tuple(a + 1 for a in X.angle_axes),
-        sample_box=((-np.pi, np.pi),) + tuple(x_box),
+        sample_box=((-np.pi, np.pi),) + X.sample_box,
         conventions=(
             f"central extension of T by {X.name} with multiplier {m.label}\n"
             "chart      : (theta in (-pi, pi], x); tau = e^(i theta)\n"

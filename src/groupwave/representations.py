@@ -58,12 +58,14 @@ without a translation role (the affine one) runs the same steps with no
 transform and no phi-side modulation.
 
 The engine dilates every scale of a block with one batched
-``axis_resample`` per dilated state axis.  The psi-independent factors (the
-phase, modulation and translation matrices here, the chirp-z factors of
-each scale ladder in ``states``) are computed once per grid and held in
-bounded ``functools.lru_cache``s of ``PLAN_CACHE`` entries, keyed by value
-(roles, chart-axis nodes, state grid, sign), so a rebuilt grid hits them
-too.
+``axis_resample`` per dilated state axis.  The psi-independent work (here
+the whole contraction plan: einsum labels, the phase, modulation and
+translation matrices sorted into phi-side modulations and ordered
+contraction steps; in ``states`` the chirp-z factors of each scale ladder)
+is done once per grid and held in bounded ``functools.lru_cache``s of
+``PLAN_CACHE`` entries, keyed by value (roles, chart-axis nodes, state
+grid, sign), so a rebuilt grid hits them too.  A plan is made of tuples
+and read-only arrays, since every later call shares it.
 
 The blocks of one call are independent: a coefficient block writes its own
 slice of the result, and an adjoint block returns its state-sized term of
@@ -87,7 +89,7 @@ from dataclasses import dataclass, replace
 import functools
 import itertools
 import os
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -180,10 +182,9 @@ class ActionTable:
         nodes."""
         psi, phi = self._domain(psi), self._domain(phi)
         out = np.empty(grid.resolution, dtype=complex)
-        factors = self._factors(grid, psi.grid, -1)
+        plan = self._plan(grid, psi.grid, -1)
+        chart, state, phases, mods, steps, moved, lead = plan
         weight = phi.samples * psi.grid.cell_volume
-        chart, state = self._labels(psi.grid.dim)
-        phases, mods, steps, moved, lead = self._k_plan(factors, psi.grid.dim)
         hat = np.fft.fftn(np.einsum(weight, state, *mods, lead + state), axes=moved, norm="forward")
         # a length-1 axis for the dilation, if any, to broadcast against the blocks
         dilates = any(r.kind == "dilate" for r in self.roles)
@@ -195,7 +196,7 @@ class ActionTable:
                 g, labels = _contract(g, labels, matrix, old, new)
             np.einsum(g, labels, *phases, chart, out=out[at])
 
-        for _ in _blockwise(task, self._dictionary(psi, grid, moved, lead, np.conj)):
+        for _ in _blockwise(task, self._dictionary(psi, grid, plan, np.conj)):
             pass
         return self._gauged(out.ravel(), grid, -1)
 
@@ -205,10 +206,9 @@ class ActionTable:
         adjoint of :meth:`coefficients` in phi."""
         hat = self._domain(psi)
         cw = self._gauged(np.asarray(coeffs) * grid.weights, grid, 1).reshape(grid.resolution)
-        factors = self._factors(grid, hat.grid, 1)
-        chart, state = self._labels(hat.grid.dim)
-        phases, mods, steps, moved, lead = self._k_plan(factors, hat.grid.dim)
-        unphased = [i for i in chart if self.roles[i].kind != "phase"]
+        plan = self._plan(grid, hat.grid, 1)
+        chart, state, phases, mods, steps, moved, lead = plan
+        unphased = tuple(i for i in chart if self.roles[i].kind != "phase")
 
         def task(at, labels, block):
             v, v_labels = np.einsum(cw[at], chart, *phases, unphased), unphased
@@ -216,12 +216,12 @@ class ActionTable:
                 v, v_labels = _contract(v, v_labels, matrix.T, new, old)
             v = np.fft.ifftn(np.einsum(v, v_labels, block, labels, lead + state), axes=moved)
             # the first modulation is that of lead[0], the axis the blocks slice
-            return np.einsum(v, lead + state, *([mods[0][at[lead[0]]]] + mods[1:] if mods else []),
+            return np.einsum(v, lead + state, *((mods[0][at[lead[0]]],) + mods[1:] if mods else ()),
                              state)
 
         acc = np.zeros(hat.grid.counts, dtype=complex)
         # summed here in block order: the same additions as a serial loop
-        for term in _blockwise(task, self._dictionary(hat, grid, moved, lead)):
+        for term in _blockwise(task, self._dictionary(hat, grid, plan)):
             acc += term
         out = DiscretizedState(acc, hat.grid)
         return inverse_fourier_plancherel(out, psi.grid) if self.fourier else out
@@ -237,49 +237,26 @@ class ActionTable:
     def _domain(self, state):
         return fourier_plancherel(state) if self.fourier else state
 
-    def _labels(self, dim):
-        """einsum labels of the chart axes and of the state axes."""
-        return list(range(len(self.roles))), [len(self.roles) + j for j in range(dim)]
-
-    def _factors(self, grid, state_grid, sign):
+    def _plan(self, grid, state_grid, sign):
+        """The cached :func:`_factor_plan` of ``grid``'s chart-axis nodes."""
         axes = tuple(grid.axis(i).tobytes() for i in range(len(self.roles)))
         return _factor_plan(self.roles, axes, state_grid, sign)
 
-    def _k_plan(self, factors, dim):
-        """The factors of :func:`_factor_plan` sorted for the k-space
-        contraction: the ``phases`` and the modulations ``mods`` of the
-        translated state axes (einsum operands), the contraction ``steps``
-        (matrix, (axis made, axis contracted)), translations (of the last
-        state axis first, which needs no transposed copy) before the other
-        modulations, the translated array axes ``moved``, and the chart
-        axes ``lead`` of ``mods``."""
-        phases, mods, steps = [], [], []
-        moved = [r.axes[0] - dim for r in self.roles if r.kind == "translate"]
-        for f, labels in zip(factors[::2], factors[1::2]):
-            kind = self.roles[labels[0]].kind
-            if kind == "phase":
-                phases += [f, labels]
-            elif kind == "modulate" and labels[1] - len(self.roles) - dim in moved:
-                mods += [f, labels]
-            else:
-                steps.append((f, labels))
-        steps.sort(key=lambda step: (self.roles[step[1][0]].kind == "modulate", -step[1][1]))
-        return phases, mods, steps, moved, [labels[0] for labels in mods[1::2]]
-
-    def _dictionary(self, state, grid, moved, lead, fold=None):
+    def _dictionary(self, state, grid, plan, fold=None):
         """Stream ``fold`` (if any) of a^{m/2} D_a state, Fourier transformed
-        (``np.fft`` order) along the array axes ``moved``, over the dilation
-        nodes in blocks of about ``CHUNK`` samples, each block once per block
-        of the nodes of chart axis ``lead[0]`` (if any) such that it times
-        the nodes of ``lead[1:]`` is about ``CHUNK`` samples: yields (at,
-        labels, block), ``at`` slicing the nodes out of a chart-shaped array
-        and ``labels`` naming the block's axes.  One ``axis_resample`` per
+        (``np.fft`` order) along the array axes ``plan.moved``, over the
+        dilation nodes in blocks of about ``CHUNK`` samples, each block once
+        per block of the nodes of chart axis ``lead[0]`` (``lead`` =
+        ``plan.lead``, if any) such that it times the nodes of ``lead[1:]``
+        is about ``CHUNK`` samples: yields (at, labels, block), ``at``
+        slicing the nodes out of a chart-shaped array and ``labels`` naming
+        the block's axes.  One ``axis_resample`` per
         dilated state axis dilates a whole block of scales at once."""
         dil = [i for i, r in enumerate(self.roles) if r.kind == "dilate"]
-        dim = state.grid.dim
+        dim, moved, lead = state.grid.dim, plan.moved, plan.lead
         scales = grid.axis(dil[0]) if dil else np.ones(1)
         dilated = self.roles[dil[0]].axes if dil else ()
-        labels = dil + self._labels(dim)[1]
+        labels = tuple(dil) + plan.state
         rows = int(np.prod([grid.resolution[i] for i in lead[1:]]))
         step = max(1, CHUNK // state.samples.size)
         for d0 in range(0, len(scales), step):
@@ -357,29 +334,54 @@ def _contract(a, labels, matrix, old, new):
     """Contract axis ``old`` of ``a`` with the columns of ``matrix`` in one
     BLAS matmul; the made axis ``new`` goes last."""
     i = labels.index(old)
-    return np.tensordot(a, matrix, axes=(i, 1)), labels[:i] + labels[i + 1 :] + [new]
+    return np.tensordot(a, matrix, axes=(i, 1)), labels[:i] + labels[i + 1 :] + (new,)
+
+
+class _Plan(NamedTuple):
+    """The k-space contraction of an action table over one grid (see
+    :func:`_factor_plan`); every part is a tuple or a read-only array."""
+
+    chart: tuple  # einsum labels of the chart axes
+    state: tuple  # einsum labels of the state axes
+    phases: tuple  # einsum operands (factor, labels) of the phase roles
+    mods: tuple  # the same of the modulations of translated state axes
+    steps: tuple  # (matrix, (axis made, axis contracted)) in contraction order
+    moved: tuple  # translated state axes, as array axes counted from the end
+    lead: tuple  # chart axes of ``mods``
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _factor_plan(roles, axes, state_grid, sign):
-    """einsum operands of the phase, modulation and translation roles over
-    the chart axes ``axes`` (node values as bytes): e^{sign i c g} over chart
-    axis i, e^{sign i g x_j} over (chart axis i, state axis j), and
+    """The contraction plan of the roles over the chart axes ``axes`` (node
+    values as bytes): e^{sign i c g} over chart axis i for a phase role,
+    e^{sign i g x_j} over (chart axis i, state axis j) for a modulation, and
     e^{-sign i c g w_k} over (chart axis i, frequency w_k of state axis j in
-    ``np.fft`` order); sign -1 gives the factors of conj(U(g)), +1 those of
-    U(g).  Cached by value, read-only (see :func:`states.frozen_copy`)."""
-    factors = []
+    ``np.fft`` order) for a translation; sign -1 gives the factors of
+    conj(U(g)), +1 those of U(g).  The modulations of translated state axes
+    are folded into the phi side (``mods``); the other matrices are
+    contraction ``steps``, translations (of the last state axis first, which
+    needs no transposed copy) before modulations.  Cached by value, every
+    array read-only (see :func:`states.frozen_copy`)."""
+    dim = state_grid.dim
+    chart, state = tuple(range(len(roles))), tuple(len(roles) + j for j in range(dim))
+    moved = tuple(r.axes[0] - dim for r in roles if r.kind == "translate")
+    phases, mods, steps = (), (), []
     for i, r in enumerate(roles):
         g = np.frombuffer(axes[i])
         if r.kind == "phase":
-            factors += [np.exp(sign * 1j * r.coef * g), [i]]
+            phases += (frozen_copy(np.exp(sign * 1j * r.coef * g)), (i,))
         elif r.kind != "dilate":
             j = r.axes[0]
             x = (state_grid.axis(j) if r.kind == "modulate" else -r.coef * 2.0 * np.pi
                  * np.fft.fftfreq(state_grid.counts[j], d=state_grid.spacings[j]))
-            factors += [np.exp(sign * 1j * np.outer(g, x)), [i, len(roles) + j]]
-    factors[::2] = [frozen_copy(f) for f in factors[::2]]
-    return tuple(factors)
+            f = frozen_copy(np.exp(sign * 1j * np.outer(g, x)))
+            if r.kind == "modulate" and j - dim in moved:
+                mods += (f, (i, state[j]))
+            else:
+                steps.append((f, (i, state[j])))
+    steps.sort(key=lambda step: (roles[step[1][0]].kind == "modulate", -step[1][1]))
+    return _Plan(chart, state, phases, mods, tuple(steps), moved,
+                 tuple(labels[0] for labels in mods[1::2]))
 
 
 @dataclass(frozen=True)

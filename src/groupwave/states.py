@@ -16,6 +16,10 @@ Conventions
   (band-limited) interpolant of the samples.  This keeps them unitary to
   near machine precision for states that decay inside the box; states are
   treated as band-limited and periodized outside the box.
+* Files: :func:`read_csv` reads signal and coefficient CSVs alike (header
+  and field counts checked, then ``np.loadtxt`` on the needed columns only,
+  which reads ``FLOAT_FORMAT`` back bit-exactly); :func:`dump_json` writes
+  every JSON file of the package.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import functools
 import hashlib
 import json
 import mmap
+import re
+import sys
 
 import numpy as np
 
@@ -84,8 +90,8 @@ class StateGrid:
 class DiscretizedState:
     """Complex samples over a :class:`StateGrid`.  Treated as immutable.
 
-    Leading axes in front of the grid's hold a stack of states, which only
-    :func:`translate` and :func:`axis_resample` accept.
+    Leading axes in front of the grid's hold a stack of states: the engine's
+    blocks of dilated states, which :func:`axis_resample` makes.
     """
 
     samples: np.ndarray
@@ -220,25 +226,22 @@ def inverse_fourier_plancherel(
 def translate(state: DiscretizedState, shift) -> DiscretizedState:
     """(T_a f)(x) = f(x - a) through an FFT phase ramp; exactly unitary.
 
-    Leading axes of ``shift`` (..., dim) broadcast against a stacked state's:
-    one forward FFT serves every shift.  Only the axes with a nonzero shift
-    component are transformed; a zero shift returns a broadcast copy."""
+    ``shift`` has one component per grid axis.  Only the axes with a
+    nonzero component are transformed; a zero shift returns a copy."""
     g = state.grid
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if shift.shape[-1] != g.dim:
+    if shift.shape != (g.dim,):
         raise ValueError(f"shift must have {g.dim} components")
-    moved = [i for i in range(g.dim) if np.any(shift[..., i] != 0.0)]
-    lead = shift.shape[:-1] + (1,) * g.dim
+    moved = [i for i in range(g.dim) if shift[i] != 0.0]
     if not moved:
-        shape = np.broadcast_shapes(state.samples.shape, lead)
-        return DiscretizedState(np.array(np.broadcast_to(state.samples, shape), dtype=complex), g)
+        return DiscretizedState(np.array(state.samples, dtype=complex), g)
     axes = tuple(i - g.dim for i in moved)
     spec = np.fft.fftn(state.samples, axes=axes)
     for i in moved:
         w = 2.0 * np.pi * np.fft.fftfreq(g.counts[i], d=g.spacings[i])
         shape = [1] * g.dim
         shape[i] = g.counts[i]
-        spec = spec * np.exp(-1j * w.reshape(shape) * shift[..., i].reshape(lead))
+        spec = spec * np.exp(-1j * w.reshape(shape) * shift[i])
     return DiscretizedState(np.fft.ifftn(spec, axes=axes), g)
 
 
@@ -333,11 +336,10 @@ def axis_resample(
     ``axis`` counts grid axes, so a stacked state is resampled as a whole.
 
     ``scale`` may be an array: its axes broadcast against a stacked state's
-    leading axes (the rule :func:`translate` uses for ``shift``), so an
-    unstacked state and S scales give a stack of S resampled states, and a
-    stack of S states with S scales resamples row s by scale s.  The state is
-    transformed once and every scale runs through one batched Bluestein
-    pass.  The chirp factors of an array of scales (a grid's ladder, which
+    leading axes, so an unstacked state and S scales give a stack of S
+    resampled states, and a stack of S states with S scales resamples row s
+    by scale s.  The state is transformed once and every scale runs through
+    one batched Bluestein pass.  The chirp factors of an array of scales (a grid's ladder, which
     recurs with the grid) are cached per grid, axis, scales and shift; those
     of a single scale (one node's action) are not.
     """
@@ -534,15 +536,25 @@ def save_state_csv(path, state: DiscretizedState) -> None:
         fh.write(grid_csv_rows([g.axis(i) for i in range(g.dim)], state.samples))
 
 
+def dump_json(path, payload) -> None:
+    """Write ``payload`` as sorted, two-space indented JSON and a newline to
+    ``path`` (standard output if None): the layout of every JSON file here."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
+def grid_record(grid: StateGrid) -> dict:
+    """The grid's fields as JSON lists (the ``.grid.json`` payload)."""
+    return {"offsets": list(grid.offsets), "spacings": list(grid.spacings),
+            "counts": list(grid.counts)}
+
+
 def save_grid_json(path, grid: StateGrid) -> None:
-    payload = {
-        "offsets": list(grid.offsets),
-        "spacings": list(grid.spacings),
-        "counts": list(grid.counts),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(path, grid_record(grid))
 
 
 def load_grid_json(path) -> StateGrid:
@@ -555,32 +567,50 @@ def load_grid_json(path) -> StateGrid:
     )
 
 
+def read_csv(path, kind: str, usecols=None, header=None) -> tuple[list[str], np.ndarray]:
+    """The header names and the float columns ``usecols`` (all if None),
+    shape (rows, columns), of a ``kind`` ('signal', 'coefficient') CSV.
+
+    The header must equal ``header`` if given, else run ``index,...,re,im``.
+    One pass over the bytes counts each line's commas, so a row with another
+    field count is named by its line (empty lines are skipped); then
+    ``np.loadtxt`` parses ``usecols``.  No data row, a malformed number or a
+    non-finite value also raises ``ValueError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
+    names = data[: ends[0]].decode(errors="replace").strip().split(",")
+    if names != (header or ["index"] + names[1:-2] + ["re", "im"]):
+        raise ValueError(f"malformed {kind} CSV header: {names}")
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    # line 0, the header, has len(names) - 1 commas by construction
+    for line in np.flatnonzero(commas != len(names) - 1):
+        if data[ends[line - 1] + 1 : ends[line]].rstrip(b"\r"):  # empty lines are skipped
+            raise ValueError(f"{kind} CSV: malformed row {line + 1} "
+                             f"({commas[line] + 1} fields, not {len(names)})")
+    if not commas[1:].any():
+        raise ValueError(f"{kind} CSV contains no data rows")
+    try:
+        values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, usecols=usecols,
+                            ndmin=2)
+    except ValueError as exc:
+        # np.loadtxt numbers the data rows from 0, empty lines left out
+        rows, at = np.flatnonzero(commas[1:]) + 2, re.search(r"at row (\d+)", str(exc))
+        line = f" {rows[int(at[1])]}" if at and int(at[1]) < rows.size else ""
+        raise ValueError(f"{kind} CSV: malformed row{line} ({exc})") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{kind} CSV contains non-finite values")
+    return names, values
+
+
 def load_state_csv(path, grid: StateGrid | None = None) -> DiscretizedState:
-    """Read a signal CSV; infers a 1-d grid when none is supplied."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "index" or header[-2:] != ["re", "im"]:
-            raise ValueError(f"malformed signal CSV header: {header}")
-        n_coords = len(header) - 3
-        rows = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"malformed CSV row {line_no}: {len(parts)} fields")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ValueError(f"malformed CSV row {line_no}: {exc}") from None
-    if not rows:
-        raise ValueError("signal CSV contains no data rows")
-    data = np.asarray(rows)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("signal CSV contains non-finite values")
+    """Read a signal CSV (:func:`read_csv`); infers a 1-d grid from the
+    coordinate column when none is supplied."""
+    names, data = read_csv(path, "signal")
     values = data[:, -2] + 1j * data[:, -1]
     if grid is None:
-        if n_coords != 1:
+        if len(names) != 4:
             raise ValueError("grid metadata required for multi-dimensional signals")
         x = data[:, 1]
         if len(x) < 2:

@@ -29,6 +29,7 @@ central-extension lifts.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -40,11 +41,13 @@ from .measures import RhoDensity, integrate_mod_K
 from .representations import UnitaryRepSpec
 from .states import (
     DiscretizedState,
+    dump_json,
     fourier_plancherel,
     grid_csv_rows,
     inner,
     inverse_fourier_plancherel,
     norm,
+    read_csv,
 )
 
 __all__ = [
@@ -511,6 +514,10 @@ def mod_K_equiv_check(
 # ---------------------------------------------------------------------------
 
 
+def _result_columns(dim: int) -> list[str]:
+    return ["index"] + [f"g{i}" for i in range(dim)] + ["weight", "re", "im"]
+
+
 def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str]:
     """Write <prefix>.csv (node coords, weight, re, im) and <prefix>.json.
 
@@ -518,17 +525,14 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
     time from the block's axes (:func:`grid_csv_rows`: each coordinate and
     each distinct weight formatted once), so the node array stays unbuilt.
     """
-    import json
-
     csv_path = f"{path_prefix}.csv"
     json_path = f"{path_prefix}.json"
     c, w = np.asarray(result.coefficients), result.grid.weights
     with open(csv_path, "w") as fh:
-        coord_names = ",".join(f"g{i}" for i in range(len(result.grid.resolution)))
-        fh.write(f"index,{coord_names},weight,re,im\n")
+        fh.write(",".join(_result_columns(len(result.grid.resolution))) + "\n")
         for sl, axes in result.grid.axis_blocks():
             fh.write(grid_csv_rows(axes, c[sl], sl.start, w[sl]))
-    header = {
+    dump_json(json_path, {
         "group": result.grid.group.name,
         "rep": result.rep_id,
         "analyzing_vector": result.analyzing_vector_id,
@@ -540,18 +544,14 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
         "meta": {
             k: v for k, v in result.meta.items() if isinstance(v, (int, float, str, bool, list))
         },
-    }
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return csv_path, json_path
 
 
 def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
     """Read a result written by :func:`save_result_csv`; ``grid`` supplies the
-    group, the header the box, resolution and log axes (clipping moves the box)."""
-    import json
-
+    group, the header the box, resolution and log axes (clipping moves the box).
+    Only the re and im columns of the CSV are parsed (:func:`states.read_csv`)."""
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
     if header.get("group") != grid.group.name:
@@ -567,24 +567,12 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
         raise ValueError(f"coefficient header: malformed grid ({exc})") from None
     if (box, resolution, log_axes) != (grid.box, grid.resolution, grid.log_axes):
         grid = haar_grid(grid.group, box, resolution, log_axes=log_axes)
-    # rows are index, dim coordinates, weight, re, im: a short row raises;
-    # usecols ignores extra fields, so the commas of the header and of the
-    # rows read tell a long row
     dim = len(resolution)
-    with open(f"{path_prefix}.csv", "rb") as fh:
-        commas = sum(b.count(b",") for b in iter(lambda: fh.read(1 << 16), b""))
-    try:
-        re, im = np.loadtxt(f"{path_prefix}.csv", delimiter=",", skiprows=1,
-                            usecols=(dim + 2, dim + 3), ndmin=2).T
-    except ValueError as exc:
-        raise ValueError(f"coefficient CSV: malformed row ({exc})") from None
-    if commas != (re.size + 1) * (dim + 3):
-        raise ValueError(f"coefficient CSV: malformed row (a row has more than {dim + 4} fields)")
-    coeffs = re + 1j * im
+    _, data = read_csv(f"{path_prefix}.csv", "coefficient", usecols=(dim + 2, dim + 3),
+                       header=_result_columns(dim))
+    coeffs = data[:, 0] + 1j * data[:, 1]
     if coeffs.size != grid.n_nodes:
         raise ValueError("coefficient count does not match the grid")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficient CSV contains non-finite values")
     return TransformResult(
         coefficients=coeffs,
         grid=grid,

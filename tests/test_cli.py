@@ -29,6 +29,14 @@ def test_conventions_stable(tmp_path):
         assert token in text
 
 
+def test_conventions_match_stored_sheet(capsys):
+    """``conventions --group all`` prints the stored sheet byte for byte:
+    charts, products, inverses, Haar and modular lines of every group."""
+    assert main(["conventions", "--group", "all"]) == 0
+    stored = Path(__file__).parent / "data" / "conventions_all.txt"
+    assert capsys.readouterr().out == stored.read_text()
+
+
 def test_verify_single_group_and_determinism(tmp_path):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["verify", "--group", "affine", "--output", str(p1)]) == 0
@@ -259,6 +267,50 @@ def test_analyze_grid_mismatch(tmp_path, capsys):
         == 2
     )
     assert "does not match" in capsys.readouterr().err
+
+
+def _shifted_signal(tmp_path):
+    """The configuration's hermite2 samples written on the Gabor grid
+    shifted by +3: the same 256 rows, other coordinates."""
+    from groupwave.states import DiscretizedState, StateGrid
+
+    state = gabor_setup().states["hermite2"]
+    g = state.grid
+    path = tmp_path / "shifted.csv"
+    save_state_csv(path, DiscretizedState(
+        state.samples, StateGrid((g.offsets[0] + 3.0,), g.spacings, g.counts)))
+    return path
+
+
+def _assert_grid_mismatch_named(err):
+    assert "does not match" in err
+    for grid in ("offsets=(-5.0,), spacings=(0.0625,), counts=(256,)",
+                 "offsets=(-8.0,), spacings=(0.0625,), counts=(256,)"):
+        assert grid in err, err
+
+
+def test_analyze_rejects_psi_file_on_another_grid(tmp_path, capsys):
+    """A --psi-file on another grid was once read onto the configuration
+    grid, ignoring its coordinates, and analyzed with exit 0."""
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, gabor_setup().states["hermite2"])
+    prefix = tmp_path / "coef"
+    assert main(["analyze", "--group", "gabor", "--psi", "file", "--psi-file",
+                 str(_shifted_signal(tmp_path)), "--input", str(sig), "--assume-grid",
+                 "--output", str(prefix)]) == 2
+    _assert_grid_mismatch_named(capsys.readouterr().err)
+    assert not os.path.exists(str(prefix) + ".csv")
+
+
+def test_synthesize_rejects_reference_on_another_grid(tmp_path, capsys):
+    """A --reference on another grid was once compared sample by sample:
+    exit 0 and a round-trip error of 2.35e-9."""
+    _, prefix = _gabor_coefficients(tmp_path)
+    back = tmp_path / "back.csv"
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix, "--output",
+                 str(back), "--reference", str(_shifted_signal(tmp_path))]) == 2
+    _assert_grid_mismatch_named(capsys.readouterr().err)
+    assert not back.exists()
 
 
 def test_report_tables(tmp_path):

@@ -320,6 +320,36 @@ def _affine_and_exotic_case(config, affine, exotic):
     return exotic.proj, exotic.states["psi"], exotic.states["phi"], grid
 
 
+def test_engine_plan_is_cached_and_read_only(exotic, monkeypatch):
+    """Calls on the same grid, also rebuilt, reuse one contraction plan
+    object, and no part of it can be changed: the exotic G-chart table has
+    phase roles, a modulation folded into phi, and translation and
+    modulation steps."""
+    from groupwave import representations
+    from groupwave.groups import haar_grid
+
+    plans, cached = [], representations._factor_plan
+    monkeypatch.setattr(representations, "_factor_plan",
+                        lambda *args: plans.append(cached(*args)) or plans[-1])
+    rep, psi, phi = exotic.rep, exotic.states["psi"], exotic.states["phi"]
+
+    def grid():
+        return haar_grid(rep.group, [(-1, 1)] * 6 + [(0.5, 2.0)], [2] * 7, log_axes=(6,))
+
+    for _ in range(2):
+        rep.fast_coefficients(psi, phi, grid())
+    plan = plans[0]
+    assert len(plans) == 2 and plans[1] is plan
+    assert plan.phases and plan.mods and plan.steps and plan.moved and plan.lead
+    assert all(isinstance(part, tuple) for part in plan)
+    with pytest.raises(AttributeError):
+        plan.steps = ()
+    arrays = plan.phases[::2] + plan.mods[::2] + tuple(matrix for matrix, _ in plan.steps)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0, ...] = 0.0
+
+
 @pytest.mark.parametrize("config", ["affine", "exotic"])
 def test_warm_plan_caches_give_identical_bits(config, affine, exotic):
     from groupwave import representations, states
@@ -375,7 +405,8 @@ def test_dictionary_dilations_equal_per_scale_bits(affine_n2):
     # in the last bit from the square of the array sqrt(a)
     grid = haar_grid(rep.group, [(-2, 2), (-2, 2), (0.3, 3.0)], [2, 2, 500], log_axes=(2,))
     hat = fourier_plancherel(psi)
-    stack = np.concatenate([block for _, _, block in rep.table._dictionary(hat, grid, (), [])])
+    plan = rep.table._plan(grid, hat.grid, 1)  # no translation role: nothing moved, no lead
+    stack = np.concatenate([block for _, _, block in rep.table._dictionary(hat, grid, plan)])
     ref = np.stack([axis_resample(axis_resample(hat, 0, a), 1, a).samples * np.sqrt(a) ** 2
                     for a in grid.axis(2)])
     assert stack.tobytes() == ref.tobytes()

@@ -6,12 +6,14 @@ changed spec field in the library breaks ``perfbench/run.py --trace 1``.
 The tracer patches module attributes, so it runs in its own process; the
 engine's worker threads must not call what it wraps.
 A memory guard keeps the bundled exotic grid from growing an eager node
-array again, and an ``ast`` scan stands in for a linter's unused-import
-check.
+array again, an ``ast`` scan stands in for a linter's unused-import
+check, and the README's command synopsis is checked against the parser.
 """
 
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -166,3 +168,30 @@ def test_no_unused_imports():
     assert len(paths) > 20
     unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _readme_synopsis() -> dict:
+    """The ``--flags`` of each command in README's "Command line" synopsis."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    flags, command = {}, None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["groupwave"]:
+            command = words[1]
+        if command is not None:
+            flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def test_readme_synopsis_matches_parser():
+    """Every flag of the README synopsis is a parser option of its command,
+    and every parser option (``--help`` aside) is in the synopsis."""
+    from groupwave.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {flag for action in sub._actions for flag in action.option_strings
+                      if flag.startswith("--") and flag != "--help"}
+               for name, sub in commands.items()}
+    assert _readme_synopsis() == options

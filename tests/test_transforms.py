@@ -10,8 +10,10 @@ from groupwave.states import (
     DiscretizedState,
     fourier_plancherel,
     inverse_fourier_plancherel,
+    load_state_csv,
     norm,
     random_bandlimited_state,
+    save_state_csv,
 )
 from groupwave.transforms import (
     _shell_fraction,
@@ -708,6 +710,50 @@ def test_load_result_csv_rejects_other_group(gabor, affine, tmp_path):
     save_result_csv(prefix, res)
     with pytest.raises(ValueError, match="group"):
         load_result_csv(prefix, affine.x_grid)
+
+
+def _library_csv(kind, gabor, tmp_path):
+    """A signal or a coefficient CSV written by the library, and a reader
+    returning the values it holds."""
+    if kind == "signal":
+        path = tmp_path / "sig.csv"
+        save_state_csv(path, gabor.states["hermite2"])
+        return path, lambda: load_state_csv(path).samples
+    grid = haar_grid(gabor.x_group, [(-2, 2)] * 2, [4, 4])
+    prefix = str(tmp_path / "coef")
+    save_result_csv(prefix, analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"],
+                                    grid))
+    return tmp_path / "coef.csv", lambda: load_result_csv(prefix, grid).coefficients
+
+
+def _set_last_field(value):
+    return lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + "," + value] + rows[3:]
+
+
+@pytest.mark.parametrize("kind", ["signal", "coefficient"])
+@pytest.mark.parametrize("case, edit, message", [
+    ("short row", lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0]] + rows[3:],
+     "malformed row 3 "),
+    ("long row", lambda rows: rows[:2] + [rows[2] + ",0.5"] + rows[3:], "malformed row 3 "),
+    ("non-number", _set_last_field("oops"), "malformed row 3 "),
+    ("non-finite", _set_last_field("inf"), "non-finite"),
+    ("wrong header", lambda rows: [rows[0].replace("index", "idx")] + rows[1:],
+     "malformed .* CSV header"),
+    ("no data rows", lambda rows: rows[:1], "no data rows"),
+    ("empty lines", lambda rows: rows[:5] + [""] + rows[5:] + [""], None),
+])
+def test_csv_reader(kind, case, edit, message, gabor, tmp_path):
+    """Signal and coefficient CSVs go through one reader (``states.read_csv``):
+    the same faults raise the same messages, a bad row named by its line,
+    and empty lines, trailing ones too, are skipped."""
+    path, read = _library_csv(kind, gabor, tmp_path)
+    values = read()
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    if message is None:
+        assert np.array_equal(read(), values)
+    else:
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 def test_bundled_affine_grid_is_not_clipped(affine, caplog):
