@@ -56,9 +56,9 @@ from .transforms import (
     semi_invariance_check,
     synthesize,
 )
-from .verify import run_suites
+from .verify import SUITE_NAMES, run_suites
 
-ALL_GROUPS = ["wh", "affine", "exotic"]
+ALL_GROUPS = list(SUITE_NAMES)
 
 
 def _fail_usage(msg: str) -> int:

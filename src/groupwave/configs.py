@@ -3,11 +3,16 @@ and exotic-group setups end to end (group, quotient, sections, relatively
 central subgroup, representation, default state and quadrature grids, test
 vectors).
 
-All grids and vectors here are defaults tuned so the shipped verification
-suites meet their tolerances; each function takes overrides of its grids.
-The exotic configuration is the paper's worked example with n = 1 and
-k = 0, the one case in which its display is a homomorphism, so it has no
-n or k to set.
+All grids and vectors here are tuned so the shipped verification suites
+meet their tolerances.  A function takes a parameter only where a caller
+needs a second value: the Gabor state and X grids and its n, the exotic
+state grid and X resolution, and the number of nested affine grids; every
+other value is a constant here.  The Gabor central parameter is the
+constant -1, since ``transforms.duflo_moore("gabor")`` is the identity only
+for |kc| = 1.  The exotic configuration is the paper's worked example with
+n = 1 and k = 0, the one case in which its display is a homomorphism, so it
+has no n or k to set.  Each relatively central subgroup is declared by its
+chart axes alone (``RelCentralSubgroup.k_group`` is derived from them).
 """
 
 from __future__ import annotations
@@ -22,10 +27,8 @@ from .groups import (
     haar_grid,
     make_affine,
     make_exotic,
-    make_exotic_k_group,
     make_exotic_quotient,
     make_polarized_wh,
-    make_vector_group,
     make_wh_quotient,
 )
 from .multipliers import RelCentralSubgroup, Section
@@ -78,7 +81,6 @@ class GaborSetup:
     section_prime: Section
     rep: UnitaryRepSpec
     proj: ProjectiveRepSpec
-    proj_prime: ProjectiveRepSpec
     state_grid: StateGrid
     x_grid: QuadratureGrid
     states: dict = field(default_factory=dict)
@@ -86,7 +88,6 @@ class GaborSetup:
 
 def gabor_setup(
     n: int = 1,
-    k_check: float = -1.0,
     state_halfwidth: float = 8.0,
     state_points: int = 256,
     x_halfwidth: float = 8.0,
@@ -94,11 +95,10 @@ def gabor_setup(
 ) -> GaborSetup:
     group = make_polarized_wh(n)
     x_group = make_wh_quotient(n)
-    kc = float(k_check)
+    kc = -1.0  # duflo_moore("gabor") is the identity only for |kc| = 1
 
     subgroup = RelCentralSubgroup(
         ambient=group,
-        k_group=make_vector_group(1, f"wh_center_n{n}", density=1.0),
         quotient=x_group,
         k_axes=(0,),
         x_axes=tuple(range(1, 2 * n + 1)),
@@ -116,7 +116,6 @@ def gabor_setup(
     nyquist = np.pi / state_grid.spacings[0]
     rep = wh_rep(kc, n, safe_momentum=0.8 * nyquist, safe_shift=state_halfwidth)
     proj = projective_from_section(rep, section)
-    proj_prime = projective_from_section(rep, section_prime)
     x_grid = haar_grid(
         x_group,
         [(-x_halfwidth, x_halfwidth)] * (2 * n),
@@ -142,7 +141,6 @@ def gabor_setup(
         section_prime=section_prime,
         rep=rep,
         proj=proj,
-        proj_prime=proj_prime,
         state_grid=state_grid,
         x_grid=x_grid,
         states=states,
@@ -164,24 +162,12 @@ class AffineSetup:
     states: dict = field(default_factory=dict)
 
 
-def affine_setup(
-    state_halfwidth: float = 16.0,
-    state_points: int = 512,
-    b_halfwidth: float = 14.0,
-    b_resolution: int = 160,
-    a_range: tuple[float, float] = (1.0 / 16.0, 8.0),
-    a_resolution: int = 160,
-) -> AffineSetup:
+def affine_setup() -> AffineSetup:
     group = make_affine(1)
-    rep = affine_rep(1, shift_max=state_halfwidth)
-    state_grid = centered_grid(state_halfwidth, state_points, dim=1)
+    rep = affine_rep(1, shift_max=16.0)
+    state_grid = centered_grid(16.0, 512, dim=1)
     # geometric ladder on the scale axis: uniform resolution per octave
-    x_grid = haar_grid(
-        group,
-        [(-b_halfwidth, b_halfwidth), a_range],
-        [b_resolution, a_resolution],
-        log_axes=(1,),
-    )
+    x_grid = haar_grid(group, [(-14.0, 14.0), (1.0 / 16.0, 8.0)], [160, 160], log_axes=(1,))
     rng = np.random.default_rng(2024)
     states = {
         "morlet": morlet_state(state_grid, omega0=6.0),
@@ -202,40 +188,16 @@ def affine_setup(
     )
 
 
-def affine_nested_grids(
-    setup: AffineSetup,
-    levels: int = 5,
-    a_top: float = 6.0,
-    a_floor_start: float = 0.5,
-    b_halfwidth: float = 14.0,
-    b_resolution: int = 128,
-    base_a_resolution: int = 96,
-    slab_a_resolution: int = 24,
-) -> list[QuadratureGrid]:
+def affine_nested_grids(setup: AffineSetup, levels: int = 5) -> list[QuadratureGrid]:
     """Disjoint scale slabs whose unions are the nested boxes
-    [a_floor / 2^j, a_top]: a base grid over [a_floor, a_top] followed by one
-    octave slab per extra level, all with geometric scale ladders.  Feed to
+    [0.5 / 2^j, 6] x b in [-14, 14]: a base grid over a in [0.5, 6] (96
+    scales) followed by one octave slab (24 scales) per extra level, all with
+    geometric scale ladders and 128 b nodes.  Feed to
     :func:`transforms.admissibility`, which accumulates their energies into
     nested partial integrals."""
-    grids = [
-        haar_grid(
-            setup.group,
-            [(-b_halfwidth, b_halfwidth), (a_floor_start, a_top)],
-            [b_resolution, base_a_resolution],
-            log_axes=(1,),
-        )
-    ]
-    for j in range(1, levels):
-        a_lo = a_floor_start / 2.0 ** j
-        grids.append(
-            haar_grid(
-                setup.group,
-                [(-b_halfwidth, b_halfwidth), (a_lo, 2.0 * a_lo)],
-                [b_resolution, slab_a_resolution],
-                log_axes=(1,),
-            )
-        )
-    return grids
+    slabs = [((0.5, 6.0), 96)] + [((0.5 / 2.0 ** j, 1.0 / 2.0 ** j), 24) for j in range(1, levels)]
+    return [haar_grid(setup.group, [(-14.0, 14.0), a_box], [128, a_resolution], log_axes=(1,))
+            for a_box, a_resolution in slabs]
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +222,18 @@ class ExoticSetup:
 def exotic_setup(
     b_length: float = 8.0,
     b_points: int = 64,
-    p_halfwidth: float = 8.0,
     p_points: int = 64,
-    x_box: tuple = ((-7.0, 7.0), (-6.0, 6.0), (-9.0, 9.0), (0.125, 8.0)),
     x_resolution: tuple = (40, 32, 48, 48),
 ) -> ExoticSetup:
-    """The worked example for n = 1 at k = 0: chi(t, s, r) = e^{it}."""
+    """The worked example for n = 1 at k = 0: chi(t, s, r) = e^{it}.  The
+    state grid is (0, b_length] x [-8, 8]; the X grid covers
+    p in [-7, 7], q in [-6, 6], b in [-9, 9] and a in [1/8, 8]."""
     group = make_exotic(1)
     x_group = make_exotic_quotient(1)
 
     # chart layout (t, s, b, p, q, r, a); X chart (p, q, b, a); K chart (t, s, r)
     subgroup = RelCentralSubgroup(
         ambient=group,
-        k_group=make_exotic_k_group(1),
         quotient=x_group,
         k_axes=(0, 1, 5),
         x_axes=(3, 4, 2, 6),
@@ -285,14 +246,15 @@ def exotic_setup(
         lambda x: np.stack(np.broadcast_arrays(0.5 * x[..., 0] * x[..., 1], 0.0, 0.0), -1),
     )
 
-    rep = exotic_rep(shift_max=p_halfwidth)
+    rep = exotic_rep(shift_max=8.0)
     proj = projective_from_section(rep, section)
 
     state_grid = product_grid(
-        halfline_grid(b_length, b_points), centered_grid(p_halfwidth, p_points, dim=1)
+        halfline_grid(b_length, b_points), centered_grid(8.0, p_points, dim=1)
     )
     x_grid = haar_grid(
-        x_group, list(x_box), list(x_resolution), log_axes=(3,)
+        x_group, [(-7.0, 7.0), (-6.0, 6.0), (-9.0, 9.0), (0.125, 8.0)], list(x_resolution),
+        log_axes=(3,),
     )
 
     def gauss(c, w):

@@ -13,8 +13,11 @@ covers the groups this package verifies:
   worked example of a non-central relatively central subgroup ("exotic");
 * quotients and abelian vector groups needed by the quotient constructions.
 
-A :class:`QuadratureGrid` keeps its chart axes: its Haar weights are eager,
-computed over blocks of ``BLOCK`` nodes; its (n_nodes x dim) node array is lazy.
+The chart domain of a group is one declaration, the per-axis open lower
+bounds ``domain_lower`` (a > 0 on the scale axes): ``haar_grid`` clips a box
+to it, and a :class:`QuadratureGrid` checks its box against it once per axis.
+A grid keeps its chart axes: its Haar weights are eager, computed over
+blocks of ``BLOCK`` nodes; its (n_nodes x dim) node array is lazy.
 
 Normalization conventions (also emitted by ``groupwave conventions``):
 
@@ -50,7 +53,6 @@ __all__ = [
     "make_vector_group",
     "make_wh_quotient",
     "make_exotic_quotient",
-    "make_exotic_k_group",
     "random_chart_points",
     "associativity_defect",
     "identity_defect",
@@ -69,8 +71,9 @@ class GroupDescriptor:
     ``product``/``inverse`` accept arrays of shape (..., dim) and broadcast;
     ``haar_density``/``modular`` map (..., dim) -> (...).  ``angle_axes``
     marks coordinates that live on the circle and are compared mod 2 pi.
-    ``domain_lower`` gives per-axis open lower bounds (NaN = unconstrained);
-    it is what quadrature grids use to stay off chart singularities.
+    ``domain_lower`` gives per-axis open lower bounds (NaN or ``None`` =
+    unconstrained): the chart domain, declared nowhere else.  ``haar_grid``
+    clips boxes to it, so midpoint nodes stay off chart singularities.
     ``sample_box`` is the chart box random test points are drawn from.
     """
 
@@ -82,9 +85,6 @@ class GroupDescriptor:
     haar_density: Callable[[np.ndarray], np.ndarray]
     modular: Callable[[np.ndarray], np.ndarray]
     sample_box: tuple[tuple[float, float], ...]
-    domain_constraint: Callable[[np.ndarray], np.ndarray] = lambda g: np.ones(
-        np.asarray(g).shape[:-1], dtype=bool
-    )
     domain_lower: tuple[float, ...] | None = None
     angle_axes: tuple[int, ...] = ()
     conventions: str = ""
@@ -222,7 +222,6 @@ def make_affine(n: int) -> GroupDescriptor:
         identity=np.concatenate([np.zeros(n), [1.0]]),
         haar_density=lambda g: np.asarray(g, dtype=float)[..., n] ** (-(n + 1)),
         modular=lambda g: np.asarray(g, dtype=float)[..., n] ** (-n),
-        domain_constraint=lambda g: np.asarray(g)[..., n] > 0,
         domain_lower=(float("nan"),) * n + (0.0,),
         sample_box=((-3.0, 3.0),) * n + ((0.25, 4.0),),
         conventions=(
@@ -292,7 +291,6 @@ def make_exotic(n: int) -> GroupDescriptor:
         identity=identity,
         haar_density=lambda g: dens0 * np.asarray(g, dtype=float)[..., ia] ** (-(n + 3)),
         modular=lambda g: np.asarray(g, dtype=float)[..., ia] ** (-(n + 2)),
-        domain_constraint=lambda g: np.asarray(g)[..., ia] > 0,
         domain_lower=(float("nan"),) * (dim - 1) + (0.0,),
         sample_box=((-2.0, 2.0),) * (dim - 1) + ((0.4, 2.5),),
         conventions=(
@@ -374,7 +372,6 @@ def make_exotic_quotient(n: int) -> GroupDescriptor:
         identity=identity,
         haar_density=lambda g: dens0 * np.asarray(g, dtype=float)[..., ia] ** (-2),
         modular=lambda g: 1.0 / np.asarray(g, dtype=float)[..., ia],
-        domain_constraint=lambda g: np.asarray(g)[..., ia] > 0,
         domain_lower=(float("nan"),) * (dim - 1) + (0.0,),
         sample_box=((-2.0, 2.0),) * (dim - 1) + ((0.4, 2.5),),
         conventions=(
@@ -385,11 +382,6 @@ def make_exotic_quotient(n: int) -> GroupDescriptor:
             "modular    : a^(-1)\n"
         ),
     )
-
-
-def make_exotic_k_group(n: int) -> GroupDescriptor:
-    """K = T x S x R as its own chart (t, s, r in R^n) with Lebesgue Haar."""
-    return make_vector_group(n + 2, f"exotic_k_n{n}", density=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +398,13 @@ class QuadratureGrid:
 
     Axes listed in ``log_axes`` carry geometrically spaced nodes (midpoint
     rule in the log coordinate, cell Jacobian folded into the weights) --
-    the natural ladder for scale coordinates a > 0.  ``weights`` are eager:
+    the natural ladder for scale coordinates a > 0.  The box must lie in the
+    chart domain (``GroupDescriptor.domain_lower``), checked once per axis:
+    every midpoint node then lies strictly inside it.  ``weights`` are eager:
     per-axis :meth:`cell` lengths times the Haar density, which is evaluated
-    (and checked) on :meth:`node_blocks`.  ``nodes`` (n_nodes x dim) is lazy,
-    built from the axes on first access; the transform engine never reads it.
+    (and checked positive) on :meth:`node_blocks`.  ``nodes`` (n_nodes x dim)
+    is lazy, built from the axes on first access; the transform engine never
+    reads it.
     """
 
     group: GroupDescriptor
@@ -418,13 +413,15 @@ class QuadratureGrid:
     log_axes: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for i, bound in enumerate(self.group.domain_lower or ()):
+            if self.box[i][0] < bound:  # False for a NaN (unconstrained) bound
+                raise ValueError(f"axis {i}: box {list(self.box[i])} reaches below {bound}: "
+                                 "its nodes violate the chart domain")
         cells = [self.cell(i) for i in range(len(self.resolution))]
         weights = functools.reduce(np.multiply.outer, cells).ravel()
         for sl, nodes in self.node_blocks():
-            if not np.all(self.group.domain_constraint(nodes)):
-                raise ValueError("grid nodes violate the chart domain constraint")
             weights[sl] *= np.asarray(self.group.haar_density(nodes), dtype=float)
-            if np.any(weights[sl] <= 0):
+            if not np.all(weights[sl] > 0):  # NaN too
                 raise ValueError("non-positive Haar weights on the grid")
         object.__setattr__(self, "weights", weights)
 
@@ -498,6 +495,8 @@ def haar_grid(
     log_axes = tuple(int(i) for i in log_axes)
     if len(box) != group.dim or len(resolution) != group.dim:
         raise ValueError(f"box/resolution must have {group.dim} axes")
+    if len(set(log_axes)) < len(log_axes) or not set(log_axes) <= set(range(group.dim)):
+        raise ValueError(f"log axes {list(log_axes)} must be distinct axes 0..{group.dim - 1}")
     if any(r < 2 for r in resolution):
         raise ValueError("resolution must be at least 2 per axis")
     clipped = []

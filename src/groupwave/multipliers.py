@@ -3,9 +3,12 @@ with its character chi, sections s: X = G/K -> G and the cocycles they
 induce, multiplier similarity, and central-extension groups.
 
 A ``RelCentralSubgroup`` declares K and X by the G-chart axes they occupy;
-each ``Section`` carries its subgroup and its K-offset k(x), and is
-s(x) = s0(x) k(x), where the subgroup's cached ``coordinate_section`` s0
-places X at its axes with every other coordinate at the identity.
+K's own group is derived from its axes: every implemented K multiplies as
+the vector group R^m of its coordinates (K_embed(k1) K_embed(k2) =
+K_embed(k1 + k2)), with Lebesgue Haar measure.  Each ``Section`` carries its
+subgroup and its K-offset k(x), and is s(x) = s0(x) k(x), where the
+subgroup's cached ``coordinate_section`` s0 places X at its axes with every
+other coordinate at the identity.
 
 Phases are stored in radians and compared modulo 2 pi with a wrap-aware
 distance, so branch cuts never produce false failures.
@@ -19,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import GroupDescriptor, random_chart_points
+from .groups import GroupDescriptor, make_vector_group, random_chart_points
 
 __all__ = [
     "Multiplier",
@@ -79,11 +82,17 @@ class RelCentralSubgroup:
     """
 
     ambient: GroupDescriptor
-    k_group: GroupDescriptor
     quotient: GroupDescriptor
     k_axes: tuple[int, ...]
     x_axes: tuple[int, ...]
     chi_phase: Callable[[np.ndarray], np.ndarray]
+
+    @cached_property
+    def k_group(self) -> GroupDescriptor:
+        """K in its own chart: the vector group R^m of the ``k_axes``
+        coordinates with Lebesgue Haar measure, which every implemented K is
+        (the coordinates add under the product of G)."""
+        return make_vector_group(len(self.k_axes), f"K[{self.ambient.name}]")
 
     def _place(self, axes: tuple[int, ...], coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -251,7 +260,7 @@ def central_extension(X: GroupDescriptor, m: Multiplier) -> GroupDescriptor:
         return out
 
     identity = np.concatenate([[0.0], X.identity])
-    x_lower = X.domain_lower if X.domain_lower is not None else (float("nan"),) * X.dim
+    x_lower = X.domain_lower or (float("nan"),) * X.dim
 
     return GroupDescriptor(
         name=f"ext[{X.name};{m.label}]",
@@ -262,7 +271,6 @@ def central_extension(X: GroupDescriptor, m: Multiplier) -> GroupDescriptor:
         haar_density=lambda g: np.asarray(X.haar_density(np.asarray(g)[..., 1:]))
         / (2.0 * np.pi),
         modular=lambda g: X.modular(np.asarray(g)[..., 1:]),
-        domain_constraint=lambda g: X.domain_constraint(np.asarray(g)[..., 1:]),
         domain_lower=(float("nan"),) + tuple(x_lower),
         angle_axes=(0,) + tuple(a + 1 for a in X.angle_axes),
         sample_box=((-np.pi, np.pi),) + X.sample_box,

@@ -390,6 +390,8 @@ class UnitaryRepSpec:
 
     ``action(coords, state)`` must be unitary for grid-safe coords and satisfy
     action(g, action(h, f)) = action(gh, f) up to the declared tolerance.
+    ``safe_box`` bounds each chart coordinate to its grid-safe range:
+    ``act`` rejects a point outside it and ``analyze`` clips grids to it.
     ``table`` is the same action in factored form (see the module header);
     ``fast_coefficients(psi, phi, grid)`` and ``fast_adjoint(coeffs, grid,
     psi)`` are its batched engine, which ``analyze`` and ``synthesize`` run
@@ -402,17 +404,16 @@ class UnitaryRepSpec:
     table: ActionTable
     fast_coefficients: Callable[[DiscretizedState, DiscretizedState, QuadratureGrid], np.ndarray]
     fast_adjoint: Callable[[np.ndarray, QuadratureGrid, DiscretizedState], DiscretizedState]
-    safe_box: tuple[tuple[float, float], ...] | None = None
+    safe_box: tuple[tuple[float, float], ...]
 
     def act(self, g, state: DiscretizedState) -> DiscretizedState:
         g = np.asarray(g, dtype=float)
-        if self.safe_box is not None:
-            for i, (lo, hi) in enumerate(self.safe_box):
-                if not (lo <= g[i] <= hi):
-                    raise GridSafetyError(
-                        f"{self.label}: coordinate {i} = {g[i]} outside grid-safe "
-                        f"range [{lo}, {hi}]"
-                    )
+        for i, (lo, hi) in enumerate(self.safe_box):
+            if not (lo <= g[i] <= hi):
+                raise GridSafetyError(
+                    f"{self.label}: coordinate {i} = {g[i]} outside grid-safe "
+                    f"range [{lo}, {hi}]"
+                )
         return self.action(g, state)
 
 
@@ -620,7 +621,7 @@ def projective_from_section(rep: UnitaryRepSpec, section: Section) -> Projective
         action=action,
         label=f"P[{rep.label};{section.label}]",
         multiplier=multiplier_from_section(section),
-        safe_box=None if rep.safe_box is None else tuple(rep.safe_box[i] for i in sub.x_axes),
+        safe_box=tuple(rep.safe_box[i] for i in sub.x_axes),
         **_engine(replace(rep.table, roles=tuple(rep.table.roles[i] for i in sub.x_axes),
                           gauge=gauge)),
     )
@@ -652,7 +653,7 @@ def lift_to_extension(proj: ProjectiveRepSpec, variant: str = "standard") -> Uni
         group=extension,
         action=action,
         label=f"lift[{proj.label};{variant}]",
-        safe_box=None if proj.safe_box is None else ((-np.inf, np.inf),) + proj.safe_box,
+        safe_box=((-np.inf, np.inf),) + proj.safe_box,
         **_engine(ActionTable(
             (AxisRole("phase", coef=sign),) + proj.table.roles,
             fourier=proj.table.fourier,

@@ -207,8 +207,7 @@ def analyze(
         analyzing_vector_id=f"state[{norm(psi):.12g}]",
         rep_id=rep.label,
         dm_norm=dm_norm,
-        meta={"box": [list(b) for b in grid.box], "resolution": list(grid.resolution),
-              "clipped": clipped},
+        meta={"clipped": clipped},
         analyzing_vector_sha256=psi.sha256(),
     )
     energy = np.abs(result.coefficients) ** 2 * grid.weights
@@ -218,8 +217,6 @@ def analyze(
 
 
 def _clip_to_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid):
-    if rep.safe_box is None:
-        return grid, False
     new_box = []
     clipped = False
     for i, (lo, hi) in enumerate(grid.box):
@@ -269,7 +266,6 @@ def admissibility(
     rep: UnitaryRepSpec,
     psi: DiscretizedState,
     nested_grids: Sequence[QuadratureGrid],
-    rel_tol: float = 1e-3,
     mode: str = "slabs",
 ) -> AdmissibilityReport:
     """Estimate int |c_{psi,psi}|^2 dmu over nested boxes.
@@ -278,7 +274,7 @@ def admissibility(
                    partial integral j is the energy over the union 0..j.
     mode="nested": each grid already covers the whole j-th box.
 
-    admissible  : the increments collapse (final relative increment < rel_tol);
+    admissible  : the increments collapse (final relative increment < 1e-3);
                   dm_norm_sq is the limit estimate divided by ||psi||^2.
     not admissible: increments do not decay (final >= half the first extension);
     inconclusive: anything in between, reported as its own status.
@@ -300,7 +296,7 @@ def admissibility(
             partials[i] - partials[i - 1] for i in range(1, len(partials))
         ]
     final_rel = abs(increments[-1]) / max(abs(partials[-1]), 1e-300)
-    if final_rel < rel_tol:
+    if final_rel < 1e-3:
         return AdmissibilityReport(
             admissible=True,
             dm_norm_sq=partials[-1] / norm(psi) ** 2,
@@ -551,7 +547,8 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
 def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
     """Read a result written by :func:`save_result_csv`; ``grid`` supplies the
     group, the header the box, resolution and log axes (clipping moves the box).
-    Only the re and im columns of the CSV are parsed (:func:`states.read_csv`)."""
+    Only the re and im columns of the CSV are parsed (:func:`states.read_csv`).
+    ``dm_norm`` must be null or a finite positive number."""
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
     if header.get("group") != grid.group.name:
@@ -559,6 +556,10 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
             f"coefficient file is for group {header.get('group')!r}, "
             f"not {grid.group.name!r}"
         )
+    dm_norm = header.get("dm_norm")
+    if dm_norm is not None and not (type(dm_norm) in (int, float) and 0 < dm_norm < np.inf):
+        raise ValueError(f"coefficient header: dm_norm must be null or a finite positive "
+                         f"number, not {dm_norm!r}")
     try:
         box = tuple(tuple(map(float, b)) for b in header.get("box", grid.box))
         resolution = tuple(map(int, header.get("resolution", grid.resolution)))
@@ -578,7 +579,7 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
         grid=grid,
         analyzing_vector_id=header.get("analyzing_vector", "?"),
         rep_id=header.get("rep", "?"),
-        dm_norm=header.get("dm_norm"),
+        dm_norm=dm_norm,
         meta=header.get("meta", {}),
         analyzing_vector_sha256=header.get("analyzing_vector_sha256"),
     )

@@ -39,6 +39,7 @@ from .multipliers import (
     check_normalization,
     conjugate,
     kappa_from_section,
+    multiplier_from_section,
     similar,
 )
 from .representations import coefficient, displacement, projective_from_section
@@ -136,7 +137,7 @@ def gabor_suite(seed: int = 0) -> list[Check]:
     pts = random_chart_points(setup.x_group, rng, 400)
     checks.append(Check("multiplier: normalization", check_normalization(m, pts), 1e-12))
     checks.append(Check("multiplier: cocycle identity", check_cocycle(m, 400, rng), 1e-12))
-    m2 = setup.proj_prime.multiplier
+    m2 = multiplier_from_section(setup.section_prime)
     kc = setup.k_check
     beta = lambda x: kc * 0.5 * x[..., 0] * x[..., 1]
     checks.append(Check("multiplier: section similarity", similar(m2, m, beta, 400, rng), 1e-12))

@@ -86,8 +86,9 @@ def gauged_and_lifted(gabor, exotic):
     or a lift's T axis, on small grids inside their safe boxes."""
     gauss, herm = gabor.states["gauss"], gabor.states["hermite1"]
     x_grid = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10] * 2)
+    s_sym = projective_from_section(gabor.rep, gabor.section_prime)
     cases = {
-        "gabor_s_sym": (gabor.proj_prime, gauss, herm, x_grid),
+        "gabor_s_sym": (s_sym, gauss, herm, x_grid),
         "exotic_s_tw": (
             projective_from_section(exotic.rep, exotic.section_prime),
             exotic.states["psi"], exotic.states["phi"],
@@ -97,7 +98,7 @@ def gauged_and_lifted(gabor, exotic):
     }
     for name, proj, variant in (("lift_standard", gabor.proj, "standard"),
                                 ("lift_starred", gabor.proj, "starred"),
-                                ("lift_s_sym", gabor.proj_prime, "standard")):
+                                ("lift_s_sym", s_sym, "standard")):
         lift = lift_to_extension(proj, variant)
         grid = haar_grid(lift.group, [(-3, 3), (-4, 4), (-4, 4)], [4, 6, 6])
         cases[name] = (lift, gauss, herm, grid)

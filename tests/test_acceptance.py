@@ -341,24 +341,30 @@ def test_criterion_12_intertwining(gabor_wide, rng):
 def test_criterion_13_determinism(tmp_path):
     p1 = tmp_path / "v1.json"
     p2 = tmp_path / "v2.json"
-    assert cli_main(["verify", "--group", "all", "--seed", "0", "--output", str(p1)]) == 0
-    assert cli_main(["verify", "--group", "all", "--seed", "0", "--output", str(p2)]) == 0
+    codes = [cli_main(["verify", "--group", "all", "--seed", "0", "--output", str(p)])
+             for p in (p1, p2)]
     identical = p1.read_bytes() == p2.read_bytes()
     report(13, "repeated verify runs byte-identical", 0.0 if identical else 1.0,
            0.0, identical)
     payload = json.loads(p1.read_text())
-    assert payload["all_passed"] is True
     # against the stored report: the same checks with the same thresholds,
-    # every defect to within rounding, so a moved number shows in the diff
+    # every defect to within rounding; every moved check is named, largest
+    # move first, before the exit codes are looked at
     stored = json.loads((Path(__file__).parent / "data" / "verify_all_seed0.json").read_text())
     assert list(payload["groups"]) == list(stored["groups"])
-    worst = 0.0
+    worst, moved = 0.0, []
     for group, checks in stored["groups"].items():
         got = payload["groups"][group]
         assert [(c["name"], c["threshold"]) for c in got] == \
             [(c["name"], c["threshold"]) for c in checks], group
         for new, old in zip(got, checks):
             share = abs(new["defect"] - old["defect"]) / (1e-12 * abs(old["defect"]) + 1e-14)
-            assert share <= 1.0, (new, old)
+            if share > 1.0:
+                moved.append((share, f"{old['name']} [{group}]", old["defect"], new["defect"]))
             worst = max(worst, share)
+    moved.sort(key=lambda m: -m[0])
+    assert not moved, (
+        f"{len(moved)} verify defects moved (stored -> new, move / allowed move):\n"
+        + "\n".join(f"  {name}: {old!r} -> {new!r}, {share:.3g}" for share, name, old, new in moved))
     report(13, "verify defects vs stored report (move / allowed move)", worst, 1.0, worst <= 1.0)
+    assert codes == [0, 0] and payload["all_passed"] is True

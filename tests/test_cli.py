@@ -11,7 +11,7 @@ import groupwave
 from groupwave.cli import main
 from groupwave.states import gaussian_state, load_grid_json, load_state_csv, save_state_csv
 from groupwave.transforms import load_result_csv, synthesize
-from groupwave.configs import gabor_setup
+from groupwave.configs import affine_setup, gabor_setup
 
 
 def test_usage_error_exit_code(capsys):
@@ -436,3 +436,34 @@ def test_synthesize_output_reads_back_with_its_grid_json(tmp_path):
                       gaussian_state(setup.state_grid))
     assert back.grid == want.grid
     assert np.array_equal(back.samples, want.samples)
+
+
+@pytest.mark.parametrize("dm_norm", [0, -1.0, float("nan"), float("inf"), "abc", True])
+def test_synthesize_rejects_bad_dm_norm(tmp_path, capsys, dm_norm):
+    """An unchecked dm_norm once gave exit 0 with a round-trip error of
+    Infinity (0) or NaN (NaN), and a TypeError traceback for a string."""
+    sig, prefix = _gabor_coefficients(tmp_path)
+    header_path = Path(prefix + ".json")
+    header = json.loads(header_path.read_text())
+    header["dm_norm"] = dm_norm
+    header_path.write_text(json.dumps(header))
+    assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv"), "--reference", str(sig)]) == 2
+    assert "dm_norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log_axes", [[-1], [5]])
+def test_synthesize_rejects_log_axes_outside_the_chart(tmp_path, capsys, log_axes):
+    """Such a header once rebuilt a linear scale axis: exit 0 and a
+    round-trip error of 0.9998 instead of 3.35e-3."""
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, affine_setup().states["signal"])
+    prefix = str(tmp_path / "coef")
+    assert main(["analyze", "--group", "affine", "--input", str(sig), "--output", prefix]) == 0
+    header_path = Path(prefix + ".json")
+    header = json.loads(header_path.read_text())
+    header["log_axes"] = log_axes
+    header_path.write_text(json.dumps(header))
+    assert main(["synthesize", "--group", "affine", "--coefficients", prefix,
+                 "--output", str(tmp_path / "back.csv"), "--reference", str(sig)]) == 2
+    assert "log axes" in capsys.readouterr().err

@@ -85,7 +85,8 @@ def test_affine_product_and_modular():
     A = make_affine(1)
     assert np.allclose(A.product([1, 2], [3, 4]), [7, 8])
     assert float(A.modular(A.identity)) == 1.0
-    assert not A.domain_constraint(np.array([0.0, -1.0]))
+    with pytest.raises(ValueError, match="violate the chart domain"):
+        groups.QuadratureGrid(A, ((-1.0, 1.0), (-1.0, 2.0)), (4, 4))
 
 
 def test_exotic_product_example():
@@ -243,14 +244,25 @@ def test_haar_grid_rejects_bad_grids_at_construction(monkeypatch):
     monkeypatch.setattr(groups, "BLOCK", 8)  # the faulty nodes sit in the last block
     V = make_wh_quotient(1)
     box, res = [(-1, 1)] * 2, [8, 8]
-    outside = dataclasses.replace(V, domain_constraint=lambda g: np.asarray(g)[..., 0] < 0.8)
+    outside = dataclasses.replace(V, domain_lower=(0.8, float("nan")))
     with pytest.raises(ValueError, match="violate the chart domain"):
-        haar_grid(outside, box, res)
+        groups.QuadratureGrid(outside, ((-1.0, 1.0),) * 2, (8, 8))
+    assert haar_grid(outside, box, res).box == ((0.8, 1.0), (-1.0, 1.0))
     vanishing = dataclasses.replace(
         V, haar_density=lambda g: np.where(np.asarray(g)[..., 0] < 0.8, 1.0, 0.0))
     with pytest.raises(ValueError, match="non-positive Haar weights"):
         haar_grid(vanishing, box, res)
+    with pytest.raises(ValueError, match="non-positive Haar weights"):  # NaN nodes and weights
+        groups.QuadratureGrid(make_affine(1), ((-1.0, 1.0), (float("nan"), 2.0)), (8, 8))
     with pytest.raises(ValueError, match="positive lower bound"):
         haar_grid(V, box, res, log_axes=(1,))
     with pytest.raises(ValueError, match="positive lower bound"):
         haar_grid(make_affine(1), [(-1, 1), (-1.0, 2.0)], res, log_axes=(1,))
+
+
+@pytest.mark.parametrize("log_axes", [(-1,), (2,), (5,), (1, 1)])
+def test_haar_grid_rejects_log_axes_outside_the_chart(log_axes):
+    """An axis number that is no chart axis was once ignored, so a header
+    with log axes [-1] rebuilt the affine scale axis linearly."""
+    with pytest.raises(ValueError, match="log axes"):
+        haar_grid(make_affine(1), [(-1, 1), (0.5, 2.0)], [4, 4], log_axes=log_axes)

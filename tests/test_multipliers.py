@@ -81,7 +81,7 @@ def test_trivial_and_corrupted_multiplier(gabor, rng):
 
 def test_sections_similar(gabor, rng):
     m = gabor.proj.multiplier
-    m2 = gabor.proj_prime.multiplier
+    m2 = multiplier_from_section(gabor.section_prime)
     kc = gabor.k_check
     beta = lambda x: kc * 0.5 * x[..., 0] * x[..., 1]
     assert similar(m2, m, beta, 400, rng) < 1e-12
@@ -129,7 +129,7 @@ def test_similar_extensions_isomorphic(gabor, rng):
     """(theta, x) |-> (theta + beta(x), x) intertwines the extension products
     built from similar multipliers."""
     m = gabor.proj.multiplier
-    m2 = gabor.proj_prime.multiplier
+    m2 = multiplier_from_section(gabor.section_prime)
     kc = gabor.k_check
     beta = lambda x: kc * 0.5 * x[..., 0] * x[..., 1]
     ext_m = central_extension(gabor.x_group, m)
@@ -183,7 +183,6 @@ def test_inconsistent_section_detected(gabor):
     chart, s(x)^{-1} g = (-q p, p, 0) has a k coordinate."""
     sub = RelCentralSubgroup(
         ambient=gabor.group,
-        k_group=make_vector_group(1, "wh_p_axis"),
         quotient=make_vector_group(2, "wh_kq_axes"),
         k_axes=(1,),
         x_axes=(0, 2),
@@ -337,3 +336,23 @@ def test_twisted_section_offsets_match_hand_written_maps(which, gabor, gabor_n2,
     assert np.array_equal(setup.section_prime.map(x), hand(x))
     assert np.array_equal(setup.section_prime.map(x[0]), hand(x[0]))
     assert setup.section.offset is None
+
+
+# K of each bundled configuration in its own chart, as once declared by hand
+HAND_BUILT_K = {"gabor": make_vector_group(1, "wh_center_n1", density=1.0),
+                "exotic": make_vector_group(3, "exotic_k_n1", density=1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_K))
+def test_derived_k_group_is_the_vector_group_of_its_axes(name, request, rng):
+    """``k_group`` rests on K's coordinates adding under G's product; its
+    grids weigh exactly as those of the hand-built K groups."""
+    sub = request.getfixturevalue(name).subgroup
+    G, m = sub.ambient, len(sub.k_axes)
+    k1, k2 = rng.uniform(-3, 3, (2, 200, m))
+    assert np.array_equal(G.product(sub.K_embed(k1), sub.K_embed(k2)), sub.K_embed(k1 + k2))
+    assert np.array_equal(G.inverse(sub.K_embed(k1)), sub.K_embed(-k1))
+    assert sub.k_group.dim == m
+    box, res = [(-7, 7)] * m, [12] * m
+    assert np.array_equal(haar_grid(sub.k_group, box, res).weights,
+                          haar_grid(HAND_BUILT_K[name], box, res).weights)

@@ -125,7 +125,7 @@ def test_wh_n2_composition(wh2, rng):
 
 def test_wh_n2_coefficient_via_generic_analyze(wh2):
     from groupwave.transforms import analyze
-    from groupwave.groups import make_vector_group, make_wh_quotient
+    from groupwave.groups import make_wh_quotient
     from groupwave.multipliers import RelCentralSubgroup
     from groupwave.representations import projective_from_section
 
@@ -133,7 +133,6 @@ def test_wh_n2_coefficient_via_generic_analyze(wh2):
     x_group = make_wh_quotient(2)
     subgroup = RelCentralSubgroup(
         ambient=rep.group,
-        k_group=make_vector_group(1, "wh_center_n2", density=1.0),
         quotient=x_group,
         k_axes=(0,),
         x_axes=(1, 2, 3, 4),

@@ -8,6 +8,7 @@ from groupwave.representations import (
     coefficient,
     displacement,
     lift_to_extension,
+    projective_from_section,
     wh_rep,
 )
 from groupwave.states import (
@@ -92,7 +93,7 @@ def test_displacement_is_section_pullback(gabor):
     f = gabor.states["hermite1"]
     q, p = 1.1, -0.8
     lhs = displacement(q, p)(f)
-    rhs = gabor.proj_prime.act(np.array([p, q]), f)
+    rhs = projective_from_section(gabor.rep, gabor.section_prime).act(np.array([p, q]), f)
     assert np.max(np.abs(lhs.samples - rhs.samples)) < 1e-14
 
 
@@ -416,7 +417,8 @@ def _hand_built_spec(group, table, action):
     from groupwave.representations import UnitaryRepSpec
 
     return UnitaryRepSpec(group=group, action=action, label="hand-built", table=table,
-                          fast_coefficients=table.coefficients, fast_adjoint=table.adjoint)
+                          fast_coefficients=table.coefficients, fast_adjoint=table.adjoint,
+                          safe_box=((-np.inf, np.inf),) * group.dim)
 
 
 def _engine_against_oracle(rep, psi, phi, grid, per_node):

@@ -39,8 +39,8 @@ ex = configs.exotic_setup()
 psi = gab.states["gauss"]
 res = transforms.analyze(gab.rep, psi, psi,
                          groups.haar_grid(gab.group, [(-2, 2)] * 3, [4, 8, 8]))
-transforms.analyze(gab.proj_prime, psi, psi,
-                   groups.haar_grid(gab.x_group, [(-2, 2)] * 2, [8, 8]))
+s_sym = representations.projective_from_section(gab.rep, gab.section_prime)
+transforms.analyze(s_sym, psi, psi, groups.haar_grid(gab.x_group, [(-2, 2)] * 2, [8, 8]))
 lift = representations.lift_to_extension(gab.proj)
 res = transforms.analyze(lift, psi, psi, groups.haar_grid(lift.group, [(-2, 2)] * 3, [4, 8, 8]),
                          dm_norm=1.0)

@@ -214,7 +214,7 @@ def test_affine_admissibility_dichotomy(affine):
 
 def test_admissibility_inconclusive_status(affine):
     grids = affine_nested_grids(affine, levels=2)
-    report = admissibility(affine.rep, affine.states["gauss"], grids, rel_tol=1e-12)
+    report = admissibility(affine.rep, affine.states["gauss"], grids)
     assert report.admissible is None
     assert report.status == "inconclusive"
 
