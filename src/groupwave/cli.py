@@ -51,7 +51,7 @@ from .transforms import (
     duflo_moore,
     kernel,
     load_result_csv,
-    orthogonality_relation,
+    orthogonality_check,
     save_result_csv,
     semi_invariance_check,
     synthesize,
@@ -207,27 +207,17 @@ def _write_table(path, header: list[str], rows) -> None:
 
 def _orthogonality_rows(group: str, rep, dm, grid, pairs: dict) -> list:
     """Table rows of the orthogonality relation for each labelled
-    (psi1, psi2, phi1, phi2); every distinct (psi, phi) is analyzed once."""
-    coefficients = {}
-
-    def c(psi, phi):
-        key = (id(psi), id(phi))
-        if key not in coefficients:
-            coefficients[key] = analyze(rep, psi, phi, grid).coefficients
-        return coefficients[key]
-
-    rows = []
-    for label, (p1, p2, f1, f2) in pairs.items():
-        lhs, rhs, rel = orthogonality_relation(c(p1, f1), c(p2, f2), p1, p2, f1, f2, dm, grid)
-        rows.append([group, label, lhs.real, lhs.imag, rhs.real, rhs.imag, rel])
-    return rows
+    (psi1, psi2, phi1, phi2)."""
+    triples = orthogonality_check(rep, list(pairs.values()), dm, grid)
+    return [[group, label, lhs.real, lhs.imag, rhs.real, rhs.imag, rel]
+            for label, (lhs, rhs, rel) in zip(pairs, triples)]
 
 
 def cmd_report(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     written = []
 
-    # orthogonality tables; each distinct (psi, phi) is analyzed once per group
+    # orthogonality tables
     rows = []
     gab = configs.gabor_setup()
     dm = duflo_moore("gabor")

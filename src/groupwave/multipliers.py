@@ -87,6 +87,11 @@ class RelCentralSubgroup:
     x_axes: tuple[int, ...]
     chi_phase: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        if sorted(self.k_axes + self.x_axes) != list(range(self.ambient.dim)):
+            raise ValueError(f"K axes {list(self.k_axes)} and X axes {list(self.x_axes)} must "
+                             f"split the {self.ambient.dim} chart axes")
+
     @cached_property
     def k_group(self) -> GroupDescriptor:
         """K in its own chart: the vector group R^m of the ``k_axes``
@@ -111,9 +116,15 @@ class RelCentralSubgroup:
         return np.asarray(g, dtype=float)[..., list(self.x_axes)]
 
     def membership_defect(self, g_coords: np.ndarray) -> float:
-        g_coords = np.asarray(g_coords, dtype=float)
-        back = self.K_embed(self.K_project(g_coords))
-        return float(np.max(self.ambient.distance(back, g_coords)))
+        """How far the points leave K: the largest distance of an X
+        coordinate from the identity's, wrap-aware on angle axes.  The K
+        coordinates are free in K, so only the X coordinates can differ."""
+        x = list(self.x_axes)
+        d = self.ambient.identity[x] - np.asarray(g_coords, dtype=float)[..., x]
+        for j, ax in enumerate(self.x_axes):
+            if ax in self.ambient.angle_axes:
+                d[..., j] = np.angle(np.exp(1j * d[..., j]))
+        return float(np.max(np.abs(d)))
 
     def extract_k(self, g_coords: np.ndarray, context: str = "K") -> np.ndarray:
         """Project a G-point expected to lie in K onto the K-chart, verifying

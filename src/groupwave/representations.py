@@ -540,6 +540,25 @@ def affine_rep(n: int = 1, shift_max: float = 64.0) -> UnitaryRepSpec:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _HalfLineTable(ActionTable):
+    """An action table on L2((0, inf) x R^n, dbc dpc): every state, of the
+    action and of the engine alike, goes through :meth:`check`.  Restricted
+    and lifted tables (``dataclasses.replace``) keep the check."""
+
+    def check(self, state: DiscretizedState) -> None:
+        """The state grid is (bc, pc in R^n), its bc axis clear of 0."""
+        n = max(j for r in self.roles for j in r.axes)
+        if state.grid.dim != n + 1:
+            raise ValueError(f"state grid must be (bc, pc in R^{n})")
+        if state.grid.offsets[0] <= 0:
+            raise GridSafetyError("state grid touches the bc = 0 singularity")
+
+    def _domain(self, state):
+        self.check(state)
+        return super()._domain(state)
+
+
 def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
     """(U(t,s,b,p,q,r,a) f)(bc, pc) = a^{1/2} e^{it} e^{i(b bc + p.pc)}
     f(a bc, pc + q)  on L2((0, inf) x R^n, dbc dpc).
@@ -557,15 +576,16 @@ def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
     sl_p = slice(3, 3 + n)
     sl_q = slice(3 + n, 3 + 2 * n)
     ia = 3 + 3 * n
-
-    def _check_grid(state):
-        if state.grid.dim != n + 1:
-            raise ValueError(f"state grid must be (bc, pc in R^{n})")
-        if state.grid.offsets[0] <= 0:
-            raise GridSafetyError("state grid touches the bc = 0 singularity")
+    table = _HalfLineTable(
+        (AxisRole("phase", coef=1.0), AxisRole("phase"), AxisRole("modulate", (0,)))
+        + tuple(AxisRole("modulate", (1 + j,)) for j in range(n))
+        + tuple(AxisRole("translate", (1 + j,), -1.0) for j in range(n))
+        + (AxisRole("phase"),) * n
+        + (AxisRole("dilate", (0,)),)
+    )
 
     def action(g, state):
-        _check_grid(state)
+        table.check(state)
         g = np.asarray(g, dtype=float)
         t, b, a = g[0], g[2], g[ia]
         p, q = g[sl_p], g[sl_q]
@@ -585,13 +605,7 @@ def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
         + ((-shift_max, shift_max),) * n
         + ((-np.inf, np.inf),) * n
         + ((1.0 / 16.0, 16.0),),
-        **_engine(ActionTable(
-            (AxisRole("phase", coef=1.0), AxisRole("phase"), AxisRole("modulate", (0,)))
-            + tuple(AxisRole("modulate", (1 + j,)) for j in range(n))
-            + tuple(AxisRole("translate", (1 + j,), -1.0) for j in range(n))
-            + (AxisRole("phase"),) * n
-            + (AxisRole("dilate", (0,)),)
-        )),
+        **_engine(table),
     )
 
 
@@ -654,9 +668,9 @@ def lift_to_extension(proj: ProjectiveRepSpec, variant: str = "standard") -> Uni
         action=action,
         label=f"lift[{proj.label};{variant}]",
         safe_box=((-np.inf, np.inf),) + proj.safe_box,
-        **_engine(ActionTable(
-            (AxisRole("phase", coef=sign),) + proj.table.roles,
-            fourier=proj.table.fourier,
+        **_engine(replace(
+            proj.table,
+            roles=(AxisRole("phase", coef=sign),) + proj.table.roles,
             gauge=None if gauge is None else (lambda g: gauge(g[..., 1:])),
         )),
     )

@@ -266,13 +266,12 @@ def admissibility(
     rep: UnitaryRepSpec,
     psi: DiscretizedState,
     nested_grids: Sequence[QuadratureGrid],
-    mode: str = "slabs",
 ) -> AdmissibilityReport:
-    """Estimate int |c_{psi,psi}|^2 dmu over nested boxes.
-
-    mode="slabs":  the grids are disjoint (a base box plus extension slabs);
-                   partial integral j is the energy over the union 0..j.
-    mode="nested": each grid already covers the whole j-th box.
+    """Estimate int |c_{psi,psi}|^2 dmu over nested boxes.  The grids are
+    disjoint (a base box plus extension slabs, as
+    :func:`configs.affine_nested_grids` makes them): increment j is the
+    energy over grid j, and partial integral j the energy over the union
+    0..j.
 
     admissible  : the increments collapse (final relative increment < 1e-3);
                   dm_norm_sq is the limit estimate divided by ||psi||^2.
@@ -281,43 +280,21 @@ def admissibility(
     """
     if norm(psi) == 0.0:
         raise ValueError("analyzing vector must be nonzero")
-    if mode not in ("slabs", "nested"):
-        raise ValueError("mode must be 'slabs' or 'nested'")
-    energies = []
-    for grid in nested_grids:
-        res = analyze(rep, psi, psi, grid)
-        energies.append(res.energy())
-    if mode == "slabs":
-        partials = list(np.cumsum(energies))
-        increments = list(energies)
+    increments = tuple(analyze(rep, psi, psi, grid).energy() for grid in nested_grids)
+    partials = tuple(np.cumsum(increments))
+    if abs(increments[-1]) / max(abs(partials[-1]), 1e-300) < 1e-3:
+        status = "admissible"
+    elif len(increments) >= 3 and abs(increments[-1]) >= 0.5 * abs(increments[1]):
+        status = "divergent"
     else:
-        partials = list(energies)
-        increments = [partials[0]] + [
-            partials[i] - partials[i - 1] for i in range(1, len(partials))
-        ]
-    final_rel = abs(increments[-1]) / max(abs(partials[-1]), 1e-300)
-    if final_rel < 1e-3:
-        return AdmissibilityReport(
-            admissible=True,
-            dm_norm_sq=partials[-1] / norm(psi) ** 2,
-            partials=tuple(partials),
-            increments=tuple(increments),
-            status="admissible",
-        )
-    if len(increments) >= 3 and abs(increments[-1]) >= 0.5 * abs(increments[1]):
-        return AdmissibilityReport(
-            admissible=False,
-            dm_norm_sq=None,
-            partials=tuple(partials),
-            increments=tuple(increments),
-            status="divergent",
-        )
+        status = "inconclusive"
+    admissible = {"admissible": True, "divergent": False}.get(status)
     return AdmissibilityReport(
-        admissible=None,
-        dm_norm_sq=None,
-        partials=tuple(partials),
-        increments=tuple(increments),
-        status="inconclusive",
+        admissible=admissible,
+        dm_norm_sq=partials[-1] / norm(psi) ** 2 if admissible else None,
+        partials=partials,
+        increments=increments,
+        status=status,
     )
 
 
@@ -328,24 +305,26 @@ def admissibility(
 
 def orthogonality_check(
     rep: UnitaryRepSpec,
-    psi1: DiscretizedState,
-    psi2: DiscretizedState,
-    phi1: DiscretizedState,
-    phi2: DiscretizedState,
+    relations: Sequence[tuple[DiscretizedState, DiscretizedState,
+                              DiscretizedState, DiscretizedState]],
     dm: DMOperator,
     grid: QuadratureGrid,
-):
-    """Quadrature check of the orthogonality relation.
-
-    Returns (lhs, rhs, relerr) of :func:`orthogonality_relation`; an identical
-    pair (psi2 is psi1 and phi2 is phi1) is analyzed once.
+) -> list:
+    """Quadrature check of the orthogonality relation for each
+    (psi1, psi2, phi1, phi2) of ``relations``: one (lhs, rhs, relerr) of
+    :func:`orthogonality_relation` per relation.  Each distinct (psi, phi),
+    told apart by identity, is analyzed once.
     """
-    c1 = analyze(rep, psi1, phi1, grid).coefficients
-    if psi2 is psi1 and phi2 is phi1:
-        c2 = c1
-    else:
-        c2 = analyze(rep, psi2, phi2, grid).coefficients
-    return orthogonality_relation(c1, c2, psi1, psi2, phi1, phi2, dm, grid)
+    coefficients = {}
+
+    def c(psi, phi):
+        key = (id(psi), id(phi))
+        if key not in coefficients:
+            coefficients[key] = analyze(rep, psi, phi, grid).coefficients
+        return coefficients[key]
+
+    return [orthogonality_relation(c(p1, f1), c(p2, f2), p1, p2, f1, f2, dm, grid)
+            for p1, p2, f1, f2 in relations]
 
 
 def orthogonality_relation(
@@ -362,8 +341,9 @@ def orthogonality_relation(
     c1 = c_{psi1,phi1} and c2 = c_{psi2,phi2} on ``grid``.
 
     Returns (lhs, rhs, relerr): lhs is the group-side quadrature of
-    conj(c1) c2, rhs = <phi1, phi2> <D psi2, D psi1>; relerr is relative to
-    the product of norms when rhs is (near) zero.
+    conj(c1) c2, rhs = <phi1, phi2> <D psi2, D psi1>, and relerr is
+    |lhs - rhs| relative to ||phi1|| ||phi2|| ||D psi1|| ||D psi2||, which
+    bounds |rhs| by Cauchy-Schwarz.
     """
     lhs = complex(np.sum(np.conj(c1) * c2 * grid.weights))
     d1, d2 = dm.apply(psi1), dm.apply(psi2)
@@ -479,30 +459,28 @@ def semi_invariance_check(
 
 def mod_K_equiv_check(
     rep: UnitaryRepSpec,
-    rho: RhoDensity,
+    rhos: Sequence[RhoDensity],
     psi: DiscretizedState,
     phi: DiscretizedState,
     g_grid: QuadratureGrid,
     x_grid: QuadratureGrid,
     proj_rep: UnitaryRepSpec,
-):
-    """Both sides of  int_G |c^U|^2 dmu_{G,K} = int_X |c^{P_s}|^2 dmu_X.
-
-    Returns (lhs, rhs, relerr).  The left side integrates against the density
-    rho over the G grid; the right side is the X-quadrature of the section
-    pullback's coefficients.
+) -> list:
+    """Both sides of  int_G |c^U|^2 dmu_{G,K} = int_X |c^{P_s}|^2 dmu_X  for
+    each density rho of ``rhos``: one (lhs, rhs, relerr) per rho.  The left
+    side integrates |c^U|^2 against rho over the G grid, the right side is
+    the X-quadrature of the section pullback's coefficients; each grid is
+    analyzed once for all densities.
     """
-    c_g = analyze(rep, psi, phi, g_grid).coefficients
-
-    def f(nodes):
-        # integrate_mod_K consumes |c|^2 sampled on the same grid
-        return np.abs(c_g) ** 2
-
-    lhs = integrate_mod_K(f, rho, g_grid)
+    energy = np.abs(analyze(rep, psi, phi, g_grid).coefficients) ** 2
     c_x = analyze(proj_rep, psi, phi, x_grid).coefficients
     rhs = float(np.sum(np.abs(c_x) ** 2 * x_grid.weights))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return lhs, rhs, abs(lhs - rhs) / scale
+    triples = []
+    for rho in rhos:
+        # integrate_mod_K consumes |c|^2 sampled on the same grid
+        lhs = integrate_mod_K(lambda nodes: energy, rho, g_grid)
+        triples.append((lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)))
+    return triples
 
 
 # ---------------------------------------------------------------------------

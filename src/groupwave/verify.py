@@ -52,7 +52,6 @@ from .transforms import (
     kernel,
     mod_K_equiv_check,
     orthogonality_check,
-    orthogonality_relation,
     reproduce_check,
     semi_invariance_check,
     synthesize,
@@ -198,10 +197,7 @@ def gabor_suite(seed: int = 0) -> list[Check]:
         (s["hermite1"], s["hermite1"], s["hermite2"], s["hermite2"]),
         (s["mix"], s["mix"], s["hermite2"], s["hermite2"]),
     ]
-    worst = 0.0
-    for p1, p2, f1, f2 in pairs:
-        _, _, rel = orthogonality_check(setup.proj, p1, p2, f1, f2, dm, setup.x_grid)
-        worst = max(worst, rel)
+    worst = max(rel for _, _, rel in orthogonality_check(setup.proj, pairs, dm, setup.x_grid))
     checks.append(Check("gabor: orthogonality relation", worst, 1e-3))
 
     res = analyze(setup.proj, s["gauss"], s["gauss"], setup.x_grid, dm_norm=1.0)
@@ -248,13 +244,10 @@ def gabor_suite(seed: int = 0) -> list[Check]:
 
     gm = haar_grid(setup.group, [(-8, 8), (-6, 6), (-6, 6)], [512, 24, 24])
     xm = haar_grid(setup.x_group, [(-6, 6)] * 2, [24] * 2)
-    lhs, rhs, rel = mod_K_equiv_check(
-        setup.rep, rho_g, s["gauss"], s["hermite1"], gm, xm, setup.proj
+    (lhs, _, rel), (lhs_b, _, _) = mod_K_equiv_check(
+        setup.rep, [rho_g, rho_b], s["gauss"], s["hermite1"], gm, xm, setup.proj
     )
     checks.append(Check("modulo-K equivalence (gaussian rho)", rel, 1e-10))
-    lhs_b, _, rel_b = mod_K_equiv_check(
-        setup.rep, rho_b, s["gauss"], s["hermite1"], gm, xm, setup.proj
-    )
     checks.append(Check("modulo-K equivalence: rho swap", abs(lhs - lhs_b) / abs(lhs), 1e-10))
 
     partials, slope, x_int = center_divergence_probe(
@@ -383,8 +376,8 @@ def affine_suite(seed: int = 0) -> list[Check]:
         )
     )
 
-    _, _, rel = orthogonality_check(
-        setup.rep, s["morlet"], s["morlet"], s["gauss_mod3"], s["gauss_mod3"], dm, setup.x_grid
+    [(_, _, rel)] = orthogonality_check(
+        setup.rep, [(s["morlet"], s["morlet"], s["gauss_mod3"], s["gauss_mod3"])], dm, setup.x_grid
     )
     checks.append(Check("affine: orthogonality (validation pair)", rel, 1e-2))
 
@@ -464,12 +457,11 @@ def exotic_suite(seed: int = 0) -> list[Check]:
     growth = float(np.min(syms[1:] / syms[:-1]))
     checks.append(Check("exotic DM: unbounded symbol growth", 0.0 if growth >= np.sqrt(2.0) - 1e-12 else 1.0, 0.0))
 
-    # the cross pair reuses c(psi, phi) of the diagonal pair
-    c11 = analyze(setup.proj, s["psi"], s["phi"], setup.x_grid).coefficients
-    c22 = analyze(setup.proj, s["psi2"], s["phi2"], setup.x_grid).coefficients
-    _, _, rel = orthogonality_relation(c11, c11, s["psi"], s["psi"], s["phi"], s["phi"], dm, setup.x_grid)
+    (_, _, rel), (_, _, rel2) = orthogonality_check(setup.proj, [
+        (s["psi"], s["psi"], s["phi"], s["phi"]),
+        (s["psi"], s["psi2"], s["phi"], s["phi2"]),
+    ], dm, setup.x_grid)
     checks.append(Check("exotic: orthogonality relation", rel, 5e-2))
-    _, _, rel2 = orthogonality_relation(c11, c22, s["psi"], s["psi2"], s["phi"], s["phi2"], dm, setup.x_grid)
     checks.append(Check("exotic: orthogonality (cross pair)", rel2, 5e-2))
 
     grid = haar_grid(X, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [6, 5, 6, 6], log_axes=(3,))

@@ -33,6 +33,14 @@ def trivial_multiplier(X) -> Multiplier:
     )
 
 
+def membership_defect(subgroup, g) -> float:
+    """K-membership defect by a round trip: the largest chart distance of
+    the points g from K_embed(K_project(g)), a full copy of g."""
+    g = np.asarray(g, dtype=float)
+    back = subgroup.K_embed(subgroup.K_project(g))
+    return float(np.max(subgroup.ambient.distance(back, g)))
+
+
 def normality_defect(subgroup, g, k) -> float:
     """max defect of g K g^{-1} subset K over the pairs (g, k)."""
     G = subgroup.ambient

@@ -159,10 +159,7 @@ def test_criterion_03_gabor_orthogonality(gabor):
         (s["hermite1"], s["hermite1"], s["hermite2"], s["hermite2"]),
         (s["mix"], s["mix"], s["hermite2"], s["hermite2"]),
     ]
-    worst = 0.0
-    for p1, p2, f1, f2 in pairs:
-        _, _, rel = orthogonality_check(gabor.proj, p1, p2, f1, f2, dm, gabor.x_grid)
-        worst = max(worst, rel)
+    worst = max(rel for _, _, rel in orthogonality_check(gabor.proj, pairs, dm, gabor.x_grid))
     elapsed = time.time() - t0
     assert elapsed < 30.0
     report(3, f"gabor orthogonality, 4 pairs (in {elapsed:.1f}s)", worst, 1e-3, worst <= 1e-3)
@@ -201,8 +198,8 @@ def test_criterion_06_affine_orthogonality_calibrated(affine):
     dm = duflo_moore("affine")  # kappa = sqrt(pi) in closed form
     s = affine.states
     # validation pair disjoint from both calibration pairs
-    _, _, rel = orthogonality_check(
-        affine.rep, s["morlet"], s["morlet"], s["gauss_mod3"], s["gauss_mod3"],
+    [(_, _, rel)] = orthogonality_check(
+        affine.rep, [(s["morlet"], s["morlet"], s["gauss_mod3"], s["gauss_mod3"])],
         dm, affine.x_grid,
     )
     cal = calibrate_affine_dm(
@@ -243,11 +240,8 @@ def test_criterion_09_modulo_K_equivalence(gabor):
     psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
     rho_g = make_rho("gaussian", sub)
     rho_b = make_rho("bump", sub)
-    lhs, _, rel = mod_K_equiv_check(
-        gabor.rep, rho_g, psi, phi, g_grid, x_grid, gabor.proj
-    )
-    lhs_b, _, _ = mod_K_equiv_check(
-        gabor.rep, rho_b, psi, phi, g_grid, x_grid, gabor.proj
+    (lhs, _, rel), (lhs_b, _, _) = mod_K_equiv_check(
+        gabor.rep, [rho_g, rho_b], psi, phi, g_grid, x_grid, gabor.proj
     )
     swap = abs(lhs - lhs_b) / abs(lhs)
     report(9, "int_G |c|^2 dmu_{G,K} vs int_X |c|^2 dmu_X", rel, 1e-10, rel <= 1e-10)
@@ -272,8 +266,8 @@ def test_criterion_11_exotic_group(exotic):
     dm = duflo_moore("exotic")
     s = exotic.states
     assert exotic.state_grid.counts == (64, 64)
-    _, _, rel = orthogonality_check(
-        exotic.proj, s["psi"], s["psi"], s["phi"], s["phi"], dm, exotic.x_grid
+    [(_, _, rel)] = orthogonality_check(
+        exotic.proj, [(s["psi"], s["psi"], s["phi"], s["phi"])], dm, exotic.x_grid
     )
     report(11, "exotic orthogonality with D = b^(-1/2), state res 64x64",
            rel, 5e-2, rel <= 5e-2)

@@ -325,9 +325,12 @@ def test_report_tables(tmp_path):
     vals = [float(r.split(",")[2]) for r in div[1:5]]
     for i in range(3):
         assert vals[i + 1] / vals[i] == pytest.approx(2.0, rel=0.05)
-    assert (outdir / "semi_invariance.csv").exists()
-    assert (outdir / "kernel.csv").exists()
-    assert (outdir / "conventions.txt").exists()
+    # every table byte for byte as stored (tests/data/report, written by
+    # ``report --outdir DIR --seed 0``)
+    stored = Path(__file__).parent / "data" / "report"
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(p.name for p in stored.iterdir())
+    for path in sorted(stored.iterdir()):
+        assert (outdir / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_synthesize_rejects_coefficients_of_other_psi(tmp_path, capsys):

@@ -12,6 +12,7 @@ from groupwave.groups import (
 from groupwave.induced import R_chi_s
 from groupwave.measures import gamma_s_inv
 from groupwave.multipliers import (
+    K_MEMBERSHIP_TOL,
     InconsistentSectionError,
     Multiplier,
     RelCentralSubgroup,
@@ -25,6 +26,7 @@ from groupwave.multipliers import (
     similar,
     wrap_phase,
 )
+from oracles import membership_defect as oracle_membership_defect
 from oracles import section_cocycle, trivial_multiplier
 
 
@@ -194,6 +196,59 @@ def test_inconsistent_section_detected(gabor):
     grid = haar_grid(sub.quotient, [(-2, 2)] * 2, [4] * 2)
     with pytest.raises(InconsistentSectionError):
         R_chi_s(sub.coordinate_section, g, np.ones(grid.resolution, dtype=complex), grid)
+
+
+def _angle_x_subgroup(gabor):
+    """K on the p axis of the central extension of the Gabor quotient, so
+    the angle axis theta is an X axis."""
+    ext = central_extension(gabor.x_group, gabor.proj.multiplier)
+    return RelCentralSubgroup(
+        ambient=ext,
+        quotient=make_vector_group(2, "ext_theta_q_axes"),
+        k_axes=(1,),
+        x_axes=(0, 2),
+        chi_phase=lambda k: np.asarray(k, dtype=float)[..., 0],
+    )
+
+
+def test_membership_defect_matches_round_trip(gabor, exotic, rng):
+    """The direct guard (X coordinates against the identity's) equals the
+    round trip through K_embed(K_project(g)) bit for bit, on and off K."""
+    for sub in (gabor.subgroup, exotic.subgroup, _angle_x_subgroup(gabor)):
+        G = sub.ambient
+        on_k = sub.K_embed(random_chart_points(sub.k_group, rng, 200))
+        near_k = on_k.copy()
+        near_k[..., list(sub.x_axes)] += 1e-11 * rng.standard_normal((200, len(sub.x_axes)))
+        for g in (on_k, near_k, random_chart_points(G, rng, 200), G.identity):
+            assert sub.membership_defect(g) == oracle_membership_defect(sub, g)
+    sub = _angle_x_subgroup(gabor)
+    on_k = sub.K_embed(random_chart_points(sub.k_group, rng, 50))
+    for theta in (2 * np.pi, -4 * np.pi, 2 * np.pi - 1e-3, -2 * np.pi + 1e-3):
+        g = on_k.copy()
+        g[:, 0] = theta
+        assert sub.membership_defect(g) == oracle_membership_defect(sub, g)
+        assert sub.membership_defect(g) < 1.1e-3
+
+
+def test_extract_k_raises_beyond_membership_tolerance(gabor, exotic):
+    for sub in (gabor.subgroup, exotic.subgroup, _angle_x_subgroup(gabor)):
+        g = sub.K_embed(np.full(len(sub.k_axes), 0.3))
+        assert np.array_equal(sub.extract_k(g), np.full(len(sub.k_axes), 0.3))
+        for defect in (0.5 * K_MEMBERSHIP_TOL, 2.0 * K_MEMBERSHIP_TOL):
+            off = g.copy()
+            off[sub.x_axes[-1]] += defect
+            if defect < K_MEMBERSHIP_TOL:
+                sub.extract_k(off)
+            else:
+                with pytest.raises(InconsistentSectionError, match="leaves K by 2.000e-10"):
+                    sub.extract_k(off)
+
+
+def test_subgroup_axes_must_split_the_chart(gabor):
+    for k_axes, x_axes in (((0,), (1,)), ((0, 1), (1, 2)), ((0,), (1, 2, 3))):
+        with pytest.raises(ValueError, match="must split the 3 chart axes"):
+            RelCentralSubgroup(ambient=gabor.group, quotient=gabor.x_group, k_axes=k_axes,
+                               x_axes=x_axes, chi_phase=lambda k: k[..., 0])
 
 
 def test_multiplier_from_section_passes_cocycle(gabor, exotic, rng):

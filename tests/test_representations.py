@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from groupwave.groups import haar_grid
 from groupwave.representations import (
     GridSafetyError,
     coefficient,
@@ -18,9 +19,11 @@ from groupwave.states import (
     inner,
     modulate,
     norm,
+    centered_grid,
+    product_grid,
     translate,
 )
-from groupwave.transforms import analyze
+from groupwave.transforms import analyze, synthesize
 
 
 def diff(a, b):
@@ -190,6 +193,50 @@ def test_exotic_rep_rejects_grid_touching_singularity(exotic):
     bad = DiscretizedState(np.ones((64, 64), dtype=complex), bad_grid)
     with pytest.raises(GridSafetyError):
         exotic.rep.act(exotic.group.identity, bad)
+
+
+def _small_exotic_x_grid(exotic):
+    return haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [6, 5, 6, 6],
+                     log_axes=(3,))
+
+
+def test_exotic_engine_rejects_grid_touching_singularity(exotic):
+    """The engine runs the action's state-grid check: a bc axis reaching
+    bc <= 0 once went through analyze and synthesize."""
+    grid = _small_exotic_x_grid(exotic)
+    state_grid = product_grid(centered_grid(4.0, 64), centered_grid(8.0, 64))
+    bad = DiscretizedState(np.ones(state_grid.counts, dtype=complex), state_grid)
+    good = exotic.states["psi"]
+    res = analyze(exotic.proj, good, good, grid, dm_norm=1.0)
+    lift = lift_to_extension(exotic.proj)
+    calls = [
+        lambda: exotic.proj.act(grid.node(0), bad),
+        lambda: analyze(exotic.proj, bad, bad, grid),
+        lambda: analyze(exotic.proj, good, bad, grid),
+        lambda: analyze(exotic.rep, bad, bad, haar_grid(exotic.group, [(-1, 1)] * 6 + [(0.5, 2)],
+                                                       [2] * 7)),
+        lambda: analyze(lift, bad, bad, haar_grid(lift.group, [(-1, 1)] * 4 + [(0.5, 2)], [2] * 5)),
+        lambda: synthesize(res, exotic.proj, bad),
+    ]
+    for call in calls:
+        with pytest.raises(GridSafetyError, match="bc = 0 singularity"):
+            call()
+
+
+def test_exotic_engine_rejects_state_of_wrong_dimension(exotic):
+    """A 1-D state once raised IndexError in the engine; both paths now
+    raise the action's ValueError."""
+    grid = _small_exotic_x_grid(exotic)
+    flat = DiscretizedState(np.ones(64, dtype=complex), centered_grid(4.0, 64))
+    res = analyze(exotic.proj, exotic.states["psi"], exotic.states["phi"], grid, dm_norm=1.0)
+    calls = [
+        lambda: exotic.proj.act(grid.node(0), flat),
+        lambda: analyze(exotic.proj, flat, flat, grid),
+        lambda: synthesize(res, exotic.proj, flat),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"state grid must be \(bc, pc in R\^1\)"):
+            call()
 
 
 def test_projective_composition_defect(gabor_wide, rng):

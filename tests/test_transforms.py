@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from groupwave import configs, groups
+from groupwave import configs, groups, transforms, verify
 from groupwave.groups import haar_grid
 from groupwave.configs import affine_nested_grids
 from groupwave.representations import projective_from_section
@@ -220,14 +220,16 @@ def test_admissibility_inconclusive_status(affine):
 
 
 def test_gabor_everything_admissible(gabor, rng):
-    # on the unimodular quotient any nonzero vector is admissible
-    grids = [
-        haar_grid(gabor.x_group, [(-L, L)] * 2, [int(8 * L)] * 2)
-        for L in (4.0, 6.0, 8.0)
-    ]
+    # on the unimodular quotient any nonzero vector is admissible; the boxes
+    # [-L, L]^2, L = 4, 6, 8, as a base box and the four sides of each ring
+    boxes = [[(-4.0, 4.0)] * 2]
+    for lo, hi in ((4.0, 6.0), (6.0, 8.0)):
+        boxes += [[(lo, hi), (-hi, hi)], [(-hi, -lo), (-hi, hi)],
+                  [(-lo, lo), (lo, hi)], [(-lo, lo), (-hi, -lo)]]
+    grids = [haar_grid(gabor.x_group, box, [int(4 * (b - a)) for a, b in box]) for box in boxes]
     psi = random_bandlimited_state(gabor.state_grid, rng, band_fraction=0.05,
                                    envelope_width=1.2)
-    report = admissibility(gabor.proj, psi, grids, mode="nested")
+    report = admissibility(gabor.proj, psi, grids)
     assert report.admissible is True
     assert report.dm_norm_sq == pytest.approx(norm(psi) ** 2, rel=1e-3)
 
@@ -262,12 +264,25 @@ def test_shell_fraction_matches_node_mask(case, gabor, affine, rng):
 # ---------------------------------------------------------------------------
 
 
+def _count_analyses(monkeypatch):
+    """Route ``transforms.analyze`` through a counter; returns its list of
+    analyzed grids."""
+    grids = []
+
+    def counted(rep, psi, phi, grid, *args, **kwargs):
+        grids.append(grid)
+        return analyze(rep, psi, phi, grid, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "analyze", counted)
+    return grids
+
+
 @pytest.mark.parametrize("config, psi_name, phi_name",
                          [("gabor", "gauss", "hermite2"), ("affine", "morlet", "gauss_mod3")])
-def test_orthogonality_check_identical_pair_matches_two_analyses(config, psi_name, phi_name,
-                                                                 request):
-    """An identical pair is analyzed once; the result is exactly that of two
-    independent analyses fed to the relation."""
+def test_orthogonality_check_analyzes_each_pair_once(config, psi_name, phi_name, request,
+                                                     monkeypatch):
+    """A relation of one (psi, phi) with itself costs one analysis; the
+    result is exactly that of two independent analyses fed to the relation."""
     setup = request.getfixturevalue(config)
     rep = setup.proj if config == "gabor" else setup.rep
     psi, phi = setup.states[psi_name], setup.states[phi_name]
@@ -277,7 +292,24 @@ def test_orthogonality_check_identical_pair_matches_two_analyses(config, psi_nam
     lhs = complex(np.sum(np.conj(c1) * c2 * setup.x_grid.weights))
     expected = orthogonality_relation(c1, c2, psi, psi, phi, phi, dm, setup.x_grid)
     assert expected[0] == lhs
-    assert orthogonality_check(rep, psi, psi, phi, phi, dm, setup.x_grid) == expected
+    grids = _count_analyses(monkeypatch)
+    assert orthogonality_check(rep, [(psi, psi, phi, phi)], dm, setup.x_grid) == [expected]
+    assert len(grids) == 1
+
+
+def test_exotic_suite_relations_cost_two_analyses(exotic, monkeypatch):
+    """The exotic suite's diagonal and cross relations share c(psi, phi):
+    two analyses on the bundled X grid, each the one of its pair."""
+    grids = _count_analyses(monkeypatch)
+    checks = {c.name: c for c in verify.exotic_suite(0)}
+    assert [g.n_nodes for g in grids] == [exotic.x_grid.n_nodes] * 2
+    s, dm = exotic.states, duflo_moore("exotic")
+    monkeypatch.undo()
+    c11 = analyze(exotic.proj, s["psi"], s["phi"], exotic.x_grid).coefficients
+    c22 = analyze(exotic.proj, s["psi2"], s["phi2"], exotic.x_grid).coefficients
+    rel2 = orthogonality_relation(c11, c22, s["psi"], s["psi2"], s["phi"], s["phi2"], dm,
+                                  exotic.x_grid)[2]
+    assert checks["exotic: orthogonality (cross pair)"].defect == rel2
 
 
 def test_gabor_orthogonality_pairs(gabor):
@@ -289,16 +321,15 @@ def test_gabor_orthogonality_pairs(gabor):
         (s["mix"], s["mix"], s["hermite2"], s["hermite2"]),
         (s["gauss"], s["hermite1"], s["hermite1"], s["gauss"]),
     ]
-    for p1, p2, f1, f2 in pairs:
-        lhs, rhs, rel = orthogonality_check(gabor.proj, p1, p2, f1, f2, dm, gabor.x_grid)
+    for lhs, rhs, rel in orthogonality_check(gabor.proj, pairs, dm, gabor.x_grid):
         assert rel < 1e-3
 
 
 def test_orthogonal_phis_give_zero(gabor):
     dm = duflo_moore("gabor")
     s = gabor.states
-    lhs, rhs, rel = orthogonality_check(
-        gabor.proj, s["gauss"], s["gauss"], s["gauss"], s["hermite1"], dm, gabor.x_grid
+    [(lhs, rhs, rel)] = orthogonality_check(
+        gabor.proj, [(s["gauss"], s["gauss"], s["gauss"], s["hermite1"])], dm, gabor.x_grid
     )
     assert abs(rhs) < 1e-14
     assert abs(lhs) < 1e-10
@@ -311,7 +342,7 @@ def test_orthogonality_bilinearity(gabor):
     psi = s["gauss"]
 
     def lhs_of(f1, f2):
-        lhs, _, _ = orthogonality_check(gabor.proj, psi, psi, f1, f2, dm, gabor.x_grid)
+        [(lhs, _, _)] = orthogonality_check(gabor.proj, [(psi, psi, f1, f2)], dm, gabor.x_grid)
         return lhs
 
     a, b = 0.6, 0.8j
@@ -331,8 +362,8 @@ def test_orthogonality_bilinearity(gabor):
 def test_affine_orthogonality_validation_pair(affine):
     dm = duflo_moore("affine")
     s = affine.states
-    _, _, rel = orthogonality_check(
-        affine.rep, s["morlet"], s["morlet"], s["gauss_mod3"], s["gauss_mod3"], dm, affine.x_grid
+    [(_, _, rel)] = orthogonality_check(
+        affine.rep, [(s["morlet"], s["morlet"], s["gauss_mod3"], s["gauss_mod3"])], dm, affine.x_grid
     )
     assert rel < 1e-2
 
@@ -340,9 +371,11 @@ def test_affine_orthogonality_validation_pair(affine):
 def test_exotic_orthogonality(exotic):
     dm = duflo_moore("exotic")
     s = exotic.states
-    _, _, rel = orthogonality_check(exotic.proj, s["psi"], s["psi"], s["phi"], s["phi"], dm, exotic.x_grid)
+    (_, _, rel), (_, _, rel2) = orthogonality_check(exotic.proj, [
+        (s["psi"], s["psi"], s["phi"], s["phi"]),
+        (s["psi"], s["psi2"], s["phi"], s["phi2"]),
+    ], dm, exotic.x_grid)
     assert rel < 5e-2
-    _, _, rel2 = orthogonality_check(exotic.proj, s["psi"], s["psi2"], s["phi"], s["phi2"], dm, exotic.x_grid)
     assert rel2 < 5e-2
 
 
@@ -549,15 +582,27 @@ def test_mod_K_equivalence_and_rho_swap(gabor):
     rho_g = make_rho("gaussian", sub)
     rho_b = make_rho("bump", sub)
     psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
-    lhs, rhs, rel = mod_K_equiv_check(
-        gabor.rep, rho_g, psi, phi, g_grid, x_grid, gabor.proj
+    (lhs, rhs, rel), (lhs_b, _, rel_b) = mod_K_equiv_check(
+        gabor.rep, [rho_g, rho_b], psi, phi, g_grid, x_grid, gabor.proj
     )
     assert rel < 1e-10
-    lhs_b, _, rel_b = mod_K_equiv_check(
-        gabor.rep, rho_b, psi, phi, g_grid, x_grid, gabor.proj
-    )
     assert rel_b < 1e-10
     assert abs(lhs - lhs_b) / abs(lhs) < 1e-10
+
+
+def test_mod_K_equiv_check_analyzes_each_grid_once(gabor, monkeypatch):
+    """Two densities cost two analyses, one on G and one on X, and each
+    triple is that of a one-density call."""
+    sub = gabor.subgroup
+    g_grid = haar_grid(gabor.group, [(-4, 4), (-3, 3), (-3, 3)], [32, 8, 8])
+    x_grid = haar_grid(gabor.x_group, [(-3, 3)] * 2, [8] * 2)
+    rhos = [make_rho("gaussian", sub), make_rho("bump", sub)]
+    psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
+    alone = [mod_K_equiv_check(gabor.rep, [rho], psi, phi, g_grid, x_grid, gabor.proj)[0]
+             for rho in rhos]
+    grids = _count_analyses(monkeypatch)
+    assert mod_K_equiv_check(gabor.rep, rhos, psi, phi, g_grid, x_grid, gabor.proj) == alone
+    assert len(grids) == 2 and grids[0] is g_grid and grids[1] is x_grid
 
 
 def test_mod_K_zero_phi(gabor):
@@ -568,8 +613,8 @@ def test_mod_K_zero_phi(gabor):
     g_grid = haar_grid(gabor.group, [(-4, 4), (-3, 3), (-3, 3)], [32, 8, 8])
     x_grid = haar_grid(gabor.x_group, [(-3, 3)] * 2, [8] * 2)
     rho = make_rho("gaussian", sub)
-    lhs, rhs, _ = mod_K_equiv_check(
-        gabor.rep, rho, gabor.states["gauss"], zero,
+    [(lhs, rhs, _)] = mod_K_equiv_check(
+        gabor.rep, [rho], gabor.states["gauss"], zero,
         g_grid, x_grid, gabor.proj,
     )
     assert lhs == 0.0 and rhs == 0.0
