@@ -122,31 +122,24 @@ def cmd_verify(args) -> int:
 
 
 def _analysis_setup(group: str, psi_kind: str, psi_file):
-    if group not in ("gabor", "affine"):
-        raise ValueError(f"analysis supports gabor|affine, not {group!r}")
     setup = configs.gabor_setup() if group == "gabor" else configs.affine_setup()
     state_grid = setup.state_grid
     if psi_kind == "gaussian":
         psi = gaussian_state(state_grid)
     elif psi_kind == "morlet":
         psi = morlet_state(state_grid)
-    elif psi_kind == "file":
+    else:
         if not psi_file:
             raise ValueError("--psi file requires --psi-file")
         psi = _read_signal(psi_file, state_grid, "--psi-file")
-    else:
-        raise ValueError(f"unknown analyzing vector {psi_kind!r}")
     rep = setup.proj if group == "gabor" else setup.rep
     return rep, setup.x_grid, state_grid, duflo_moore(group), psi
 
 
 def cmd_analyze(args) -> int:
-    try:
-        rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
-        phi = (load_state_csv(args.input, state_grid) if args.assume_grid
-               else _read_signal(args.input, state_grid, "input signal"))
-    except (ValueError, OSError) as exc:
-        return _fail_usage(str(exc))
+    rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
+    phi = (load_state_csv(args.input, state_grid) if args.assume_grid
+           else _read_signal(args.input, state_grid, "input signal"))
     result = analyze(rep, psi, phi, grid, dm_norm=dm.norm_of(psi))
     csv_path, json_path = save_result_csv(args.output, result)
     report = {
@@ -171,12 +164,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
-        result = load_result_csv(args.coefficients, grid)
-        ref = _read_signal(args.reference, state_grid, "--reference") if args.reference else None
-    except (ValueError, OSError) as exc:
-        return _fail_usage(str(exc))
+    rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
+    result = load_result_csv(args.coefficients, grid)
+    ref = _read_signal(args.reference, state_grid, "--reference") if args.reference else None
     # coefficients synthesize correctly only with the rep and psi that made them
     if result.rep_id != rep.label:
         return _fail_usage(f"coefficient file is for rep {result.rep_id!r}, not {rep.label!r}")
@@ -354,6 +344,8 @@ def main(argv=None) -> int:
     # default analyzing vector per group; verify adds a psi check only on request
     if analysis and args.psi is None:
         args.psi = {"gabor": "gaussian", "affine": "morlet"}[args.group]
+    # the CLI's one error boundary: bad input and unreadable or unwritable
+    # files exit 2 with the message, whichever layer raised it
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

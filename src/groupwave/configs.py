@@ -12,7 +12,9 @@ constant -1, since ``transforms.duflo_moore("gabor")`` is the identity only
 for |kc| = 1.  The exotic configuration is the paper's worked example with
 n = 1 and k = 0, the one case in which its display is a homomorphism, so it
 has no n or k to set.  Each relatively central subgroup is declared by its
-chart axes alone (``RelCentralSubgroup.k_group`` is derived from them).
+chart axes alone (``RelCentralSubgroup.k_group`` is derived from them).  A
+setup's ``group`` is its rep's ``group``, and the ambient group of its
+subgroup, one object.
 """
 
 from __future__ import annotations
@@ -25,10 +27,7 @@ from .groups import (
     GroupDescriptor,
     QuadratureGrid,
     haar_grid,
-    make_affine,
-    make_exotic,
     make_exotic_quotient,
-    make_polarized_wh,
     make_wh_quotient,
 )
 from .multipliers import RelCentralSubgroup, Section
@@ -93,12 +92,16 @@ def gabor_setup(
     x_halfwidth: float = 8.0,
     x_resolution: int = 64,
 ) -> GaborSetup:
-    group = make_polarized_wh(n)
-    x_group = make_wh_quotient(n)
     kc = -1.0  # duflo_moore("gabor") is the identity only for |kc| = 1
+    state_grid = centered_grid(state_halfwidth, state_points, dim=n)
+    # grid safety: translations must stay clear of the periodic wrap of the
+    # state box, modulations clear of the Nyquist band
+    nyquist = np.pi / state_grid.spacings[0]
+    rep = wh_rep(kc, n, safe_momentum=0.8 * nyquist, safe_shift=state_halfwidth)
+    x_group = make_wh_quotient(n)
 
     subgroup = RelCentralSubgroup(
-        ambient=group,
+        ambient=rep.group,
         quotient=x_group,
         k_axes=(0,),
         x_axes=tuple(range(1, 2 * n + 1)),
@@ -109,12 +112,6 @@ def gabor_setup(
     section_prime = Section(
         "s_sym", subgroup, lambda x: 0.5 * np.sum(x[..., :n] * x[..., n:], axis=-1)[..., None]
     )
-
-    state_grid = centered_grid(state_halfwidth, state_points, dim=n)
-    # grid safety: translations must stay clear of the periodic wrap of the
-    # state box, modulations clear of the Nyquist band
-    nyquist = np.pi / state_grid.spacings[0]
-    rep = wh_rep(kc, n, safe_momentum=0.8 * nyquist, safe_shift=state_halfwidth)
     proj = projective_from_section(rep, section)
     x_grid = haar_grid(
         x_group,
@@ -134,7 +131,7 @@ def gabor_setup(
     return GaborSetup(
         n=n,
         k_check=kc,
-        group=group,
+        group=rep.group,
         x_group=x_group,
         subgroup=subgroup,
         section=section,
@@ -163,11 +160,10 @@ class AffineSetup:
 
 
 def affine_setup() -> AffineSetup:
-    group = make_affine(1)
     rep = affine_rep(1, shift_max=16.0)
     state_grid = centered_grid(16.0, 512, dim=1)
     # geometric ladder on the scale axis: uniform resolution per octave
-    x_grid = haar_grid(group, [(-14.0, 14.0), (1.0 / 16.0, 8.0)], [160, 160], log_axes=(1,))
+    x_grid = haar_grid(rep.group, [(-14.0, 14.0), (1.0 / 16.0, 8.0)], [160, 160], log_axes=(1,))
     rng = np.random.default_rng(2024)
     states = {
         "morlet": morlet_state(state_grid, omega0=6.0),
@@ -184,7 +180,7 @@ def affine_setup() -> AffineSetup:
         ),
     }
     return AffineSetup(
-        n=1, group=group, rep=rep, state_grid=state_grid, x_grid=x_grid, states=states
+        n=1, group=rep.group, rep=rep, state_grid=state_grid, x_grid=x_grid, states=states
     )
 
 
@@ -228,12 +224,12 @@ def exotic_setup(
     """The worked example for n = 1 at k = 0: chi(t, s, r) = e^{it}.  The
     state grid is (0, b_length] x [-8, 8]; the X grid covers
     p in [-7, 7], q in [-6, 6], b in [-9, 9] and a in [1/8, 8]."""
-    group = make_exotic(1)
+    rep = exotic_rep()
     x_group = make_exotic_quotient(1)
 
     # chart layout (t, s, b, p, q, r, a); X chart (p, q, b, a); K chart (t, s, r)
     subgroup = RelCentralSubgroup(
-        ambient=group,
+        ambient=rep.group,
         quotient=x_group,
         k_axes=(0, 1, 5),
         x_axes=(3, 4, 2, 6),
@@ -246,7 +242,6 @@ def exotic_setup(
         lambda x: np.stack(np.broadcast_arrays(0.5 * x[..., 0] * x[..., 1], 0.0, 0.0), -1),
     )
 
-    rep = exotic_rep(shift_max=8.0)
     proj = projective_from_section(rep, section)
 
     state_grid = product_grid(
@@ -273,7 +268,7 @@ def exotic_setup(
     }
 
     return ExoticSetup(
-        group=group,
+        group=rep.group,
         x_group=x_group,
         subgroup=subgroup,
         section=section,

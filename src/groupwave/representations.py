@@ -447,8 +447,6 @@ def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: 
     """
     if k_check == 0:
         raise ValueError("central parameter must be nonzero")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     kc = float(k_check)
 
     def action(g, state):
@@ -503,14 +501,10 @@ def affine_rep(n: int = 1, shift_max: float = 64.0) -> UnitaryRepSpec:
     accuracy; unitarity of the action itself additionally needs the dilated
     state to stay inside band and box.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
 
     def action(g, state):
         g = np.asarray(g, dtype=float)
         b, a = g[:n], g[n]
-        if not a > 0:
-            raise ValueError("scale coordinate must be positive")
         spec = fourier_plancherel(state)
         out = spec
         for ax in range(n):
@@ -559,7 +553,7 @@ class _HalfLineTable(ActionTable):
         return super()._domain(state)
 
 
-def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
+def exotic_rep(n: int = 1) -> UnitaryRepSpec:
     """(U(t,s,b,p,q,r,a) f)(bc, pc) = a^{1/2} e^{it} e^{i(b bc + p.pc)}
     f(a bc, pc + q)  on L2((0, inf) x R^n, dbc dpc).
 
@@ -567,12 +561,11 @@ def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
     implemented literally; for k != 0 the display (a factor e^{i k.r}) is not
     a homomorphism in the r-a sector.  The s coordinate never acts (the
     inducing character has scheck = 0 on the orbit), nor does r at k = 0, so
-    the restriction to T x S x R is the scalar e^{it} by construction.  The safe box holds
-    |q| <= shift_max and 1/16 <= a <= 16.  States live on a (bc > 0) x
-    (pc in R^n) grid with half-cell offset from bc = 0.
+    the restriction to T x S x R is the scalar e^{it} by construction.  The
+    safe box is constant: |p| <= 32, |q| <= 8 and 1/16 <= a <= 16, every
+    other coordinate free.  States live on a (bc > 0) x (pc in R^n) grid
+    with half-cell offset from bc = 0.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     sl_p = slice(3, 3 + n)
     sl_q = slice(3 + n, 3 + 2 * n)
     ia = 3 + 3 * n
@@ -589,8 +582,6 @@ def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
         g = np.asarray(g, dtype=float)
         t, b, a = g[0], g[2], g[ia]
         p, q = g[sl_p], g[sl_q]
-        if not a > 0:
-            raise ValueError("scale coordinate must be positive")
         out = axis_resample(state, 0, a, 0.0)  # f(a bc, pc)
         out = translate(out, np.concatenate([[0.0], -q]))  # pc -> pc + q
         freq = np.concatenate([[b], p])
@@ -602,7 +593,7 @@ def exotic_rep(n: int = 1, shift_max: float = 8.0) -> UnitaryRepSpec:
         label=f"exotic[n={n}]",
         safe_box=((-np.inf, np.inf),) * 3
         + ((-32.0, 32.0),) * n
-        + ((-shift_max, shift_max),) * n
+        + ((-8.0, 8.0),) * n
         + ((-np.inf, np.inf),) * n
         + ((1.0 / 16.0, 16.0),),
         **_engine(table),

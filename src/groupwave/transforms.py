@@ -38,7 +38,7 @@ import numpy as np
 
 from .groups import QuadratureGrid, haar_grid
 from .measures import RhoDensity, integrate_mod_K
-from .representations import UnitaryRepSpec
+from .representations import GridSafetyError, UnitaryRepSpec
 from .states import (
     DiscretizedState,
     dump_json,
@@ -216,16 +216,14 @@ def analyze(
     return result
 
 
+def _safe_part(rep: UnitaryRepSpec, box) -> tuple:
+    """The intersection of ``box`` with the rep's safe box, axis by axis."""
+    return tuple((max(lo, slo), min(hi, shi)) for (lo, hi), (slo, shi) in zip(box, rep.safe_box))
+
+
 def _clip_to_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid):
-    new_box = []
-    clipped = False
-    for i, (lo, hi) in enumerate(grid.box):
-        slo, shi = rep.safe_box[i]
-        nlo, nhi = max(lo, slo), min(hi, shi)
-        if (nlo, nhi) != (lo, hi):
-            clipped = True
-        new_box.append((nlo, nhi))
-    if not clipped:
+    new_box = _safe_part(rep, grid.box)
+    if new_box == grid.box:
         return grid, False
     safe = haar_grid(grid.group, new_box, grid.resolution, log_axes=grid.log_axes)
     _log.warning("%s: grid box %s clipped to %s", rep.label, list(grid.box), list(safe.box))
@@ -240,10 +238,16 @@ def synthesize(
     Because the normalized transform is an isometry, the adjoint is a left
     inverse; on a truncated grid the reconstruction error is the quadrature
     plus truncation error of the reproducing integral.  Runs in one batch on
-    the exact adjoint of :func:`analyze`'s engine.
+    the exact adjoint of :func:`analyze`'s engine.  A grid reaching outside
+    the rep's safe box, which :func:`analyze` never returns, raises
+    :class:`GridSafetyError`.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm metadata is unset; synthesize needs it")
+    box = result.grid.box
+    if _safe_part(rep, box) != box:
+        raise GridSafetyError(f"{rep.label}: coefficient grid box {list(box)} leaves the "
+                              f"grid-safe box {list(rep.safe_box)}")
     out = rep.fast_adjoint(result.coefficients, result.grid, psi)
     return out.with_samples(out.samples / result.dm_norm ** 2)
 
@@ -278,8 +282,6 @@ def admissibility(
     not admissible: increments do not decay (final >= half the first extension);
     inconclusive: anything in between, reported as its own status.
     """
-    if norm(psi) == 0.0:
-        raise ValueError("analyzing vector must be nonzero")
     increments = tuple(analyze(rep, psi, psi, grid).energy() for grid in nested_grids)
     partials = tuple(np.cumsum(increments))
     if abs(increments[-1]) / max(abs(partials[-1]), 1e-300) < 1e-3:

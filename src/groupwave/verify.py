@@ -301,7 +301,12 @@ def gabor_suite(seed: int = 0) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
-def affine_suite(seed: int = 0) -> list[Check]:
+def affine_suite(seed: int = 0, psi_kind: str | None = None) -> list[Check]:
+    """The affine checks; with ``psi_kind`` (morlet or gaussian) the last
+    check reports that analyzing vector's admissibility status from the
+    suite's own report.  A definite verdict either way is a pass: 'divergent'
+    is the expected-negative outcome for vectors violating the zero-mean
+    condition."""
     rng = np.random.default_rng(seed + 1)
     setup = configs.affine_setup()
     s = setup.states
@@ -395,6 +400,11 @@ def affine_suite(seed: int = 0) -> list[Check]:
             5e-2,
         )
     )
+    if psi_kind is not None:
+        status = (rep_m if psi_kind == "morlet" else rep_g).status
+        definite = status in ("admissible", "divergent")
+        checks.append(Check(f"requested psi ({psi_kind}): admissibility status = {status}",
+                            0.0 if definite else 1.0, 0.0))
     return checks
 
 
@@ -478,29 +488,12 @@ SUITE_NAMES = {
 }
 
 
-def _psi_status_check(psi_kind: str) -> Check:
-    """Admissibility status for a user-selected analyzing vector.  A definite
-    verdict either way is a pass: 'not admissible' is the expected-negative
-    outcome for vectors violating the zero-mean condition."""
-    setup = configs.affine_setup()
-    psi = setup.states["morlet" if psi_kind == "morlet" else "gauss"]
-    grids = configs.affine_nested_grids(setup, levels=5)
-    rep = admissibility(setup.rep, psi, grids)
-    definite = rep.status in ("admissible", "divergent")
-    return Check(
-        f"requested psi ({psi_kind}): admissibility status = {rep.status}",
-        0.0 if definite else 1.0,
-        0.0,
-    )
-
-
 def run_suites(groups: list[str], seed: int = 0, psi_kind: str | None = None) -> dict:
     report: dict = {"seed": seed, "groups": {}}
     all_passed = True
     for name in groups:
-        checks = SUITE_NAMES[name](seed)
-        if name == "affine" and psi_kind is not None:
-            checks.append(_psi_status_check(psi_kind))
+        suite = SUITE_NAMES[name]
+        checks = suite(seed, psi_kind) if name == "affine" else suite(seed)
         report["groups"][name] = [c.as_dict() for c in checks]
         all_passed &= all(c.passed for c in checks)
     report["all_passed"] = bool(all_passed)

@@ -194,6 +194,25 @@ def test_synthesize_rejects_malformed_grid_header(tmp_path, capsys):
     assert "malformed grid" in capsys.readouterr().err
 
 
+def test_synthesize_rejects_header_box_beyond_safe_box(tmp_path, capsys):
+    """An affine header whose b box was edited to [-40, 40] (safe box
+    +-16) was once synthesized with exit 0 and a round-trip error of 1.04."""
+    sig = tmp_path / "sig.csv"
+    save_state_csv(sig, affine_setup().states["signal"])
+    prefix = str(tmp_path / "coef")
+    assert main(["analyze", "--group", "affine", "--input", str(sig), "--output", prefix]) == 0
+    header_path = tmp_path / "coef.json"
+    header = json.loads(header_path.read_text())
+    header["box"][0] = [-40.0, 40.0]
+    header_path.write_text(json.dumps(header))
+    back = tmp_path / "back.csv"
+    assert main(["synthesize", "--group", "affine", "--coefficients", prefix,
+                 "--output", str(back), "--reference", str(sig)]) == 2
+    err = capsys.readouterr().err
+    assert "[(-40.0, 40.0), (0.0625, 8.0)]" in err and "(-16.0, 16.0)" in err, err
+    assert not back.exists()
+
+
 def test_analyze_zero_signal(tmp_path):
     setup = gabor_setup()
     zero = setup.states["gauss"].with_samples(

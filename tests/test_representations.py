@@ -6,8 +6,10 @@ import pytest
 from groupwave.groups import haar_grid
 from groupwave.representations import (
     GridSafetyError,
+    affine_rep,
     coefficient,
     displacement,
+    exotic_rep,
     lift_to_extension,
     projective_from_section,
     wh_rep,
@@ -33,6 +35,22 @@ def diff(a, b):
 def test_wh_rep_rejects_zero_parameter():
     with pytest.raises(ValueError):
         wh_rep(0.0)
+
+
+@pytest.mark.parametrize("factory", [lambda: wh_rep(-1.0, n=0), lambda: affine_rep(0),
+                                     lambda: exotic_rep(0)], ids=["wh", "affine", "exotic"])
+def test_rep_factories_reject_nonpositive_n(factory):
+    """The group factory of each rep rejects n < 1."""
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        factory()
+
+
+def test_setups_share_one_group_object(gabor, affine, exotic):
+    """A setup's group is its rep's group, and its subgroup's ambient group."""
+    for setup in (gabor, affine, exotic):
+        assert setup.group is setup.rep.group
+    for setup in (gabor, exotic):
+        assert setup.group is setup.subgroup.ambient
 
 
 def test_wh_rep_identity_and_central_scalar(gabor):

@@ -7,7 +7,8 @@ The tracer patches module attributes, so it runs in its own process; the
 engine's worker threads must not call what it wraps.
 A memory guard keeps the bundled exotic grid from growing an eager node
 array again, an ``ast`` scan stands in for a linter's unused-import
-check, and the README's command synopsis is checked against the parser.
+check, another keeps ``cli.main`` the CLI's one error boundary, and the
+README's command synopsis is checked against the parser.
 """
 
 import argparse
@@ -195,3 +196,19 @@ def test_readme_synopsis_matches_parser():
                       if flag.startswith("--") and flag != "--help"}
                for name, sub in commands.items()}
     assert _readme_synopsis() == options
+
+
+def test_cli_main_is_the_only_error_boundary():
+    """No function of ``cli.py`` but ``main`` catches ValueError or OSError:
+    ``main`` maps both to exit 2, and a second handler would be a copy."""
+    tree = ast.parse((ROOT / "src" / "groupwave" / "cli.py").read_text())
+    catching = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            for handler in getattr(node, "handlers", []):
+                caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                if {"ValueError", "OSError"} & {getattr(c, "id", None) for c in caught}:
+                    catching.add(function.name)
+    assert catching == {"main"}

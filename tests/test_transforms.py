@@ -4,7 +4,7 @@ import pytest
 from groupwave import configs, groups, transforms, verify
 from groupwave.groups import haar_grid
 from groupwave.configs import affine_nested_grids
-from groupwave.representations import projective_from_section
+from groupwave.representations import GridSafetyError, projective_from_section
 from groupwave.measures import make_rho
 from groupwave.states import (
     DiscretizedState,
@@ -442,6 +442,22 @@ def test_synthesize_requires_dm_norm(gabor):
     res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["gauss"], gabor.x_grid)
     with pytest.raises(ValueError, match="dm_norm"):
         synthesize(res, gabor.proj, gabor.states["gauss"])
+
+
+def test_synthesize_rejects_grid_beyond_safe_box(affine):
+    """A coefficient grid wider than the safe box (which ``analyze`` would
+    have clipped) was once synthesized without a word; the error names the
+    grid box and the safe box."""
+    psi = affine.states["morlet"]
+    wide = haar_grid(affine.group, [(-40, 40), (0.5, 2.0)], [16, 4], log_axes=(1,))
+    res = analyze(affine.rep, psi, affine.states["signal"], wide, dm_norm=1.0)
+    assert res.meta["clipped"] is True
+    synthesize(res, affine.rep, psi)
+    res.grid = wide
+    with pytest.raises(GridSafetyError) as err:
+        synthesize(res, affine.rep, psi)
+    assert str(list(wide.box)) in str(err.value)
+    assert str(list(affine.rep.safe_box)) in str(err.value)
 
 
 @pytest.mark.parametrize(
