@@ -454,6 +454,11 @@ class QuadratureGrid:
         for sl, axes in self.axis_blocks():
             yield sl, _mesh_points(axes)
 
+    def slab_nodes(self, at) -> np.ndarray:
+        """Chart points of the nodes that ``at`` (one slice per axis) cuts
+        out of a chart-shaped array, in C order."""
+        return _mesh_points([self.axis(i)[s] for i, s in enumerate(at)])
+
     def spacing(self, i: int) -> float:
         """Uniform step of the axis (in the log coordinate for log axes)."""
         lo, hi = self.box[i]
@@ -560,6 +565,15 @@ def modular_homomorphism_defect(group: GroupDescriptor, g, h) -> float:
     return float(max(np.max(defect), e_defect))
 
 
+def _haar_integral(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> float:
+    """int f dmu by the grid's quadrature, summed over its node blocks in
+    order, so the grid's ``nodes`` stay unbuilt."""
+    total = 0.0
+    for sl, nodes in grid.node_blocks():
+        total += float(np.sum(f(nodes) * grid.weights[sl]))
+    return total
+
+
 def left_invariance_defect(
     group: GroupDescriptor,
     g0: np.ndarray,
@@ -571,9 +585,9 @@ def left_invariance_defect(
     ``test_fn`` must be concentrated well inside the grid box, both before
     and after translation by g0.
     """
-    base = float(np.sum(test_fn(grid.nodes) * grid.weights))
-    translated = group.product(np.broadcast_to(g0, grid.nodes.shape), grid.nodes)
-    shifted = float(np.sum(test_fn(translated) * grid.weights))
+    base = _haar_integral(grid, test_fn)
+    shifted = _haar_integral(
+        grid, lambda x: test_fn(group.product(np.broadcast_to(g0, x.shape), x)))
     return abs(shifted - base) / max(abs(base), 1e-300)
 
 
@@ -584,10 +598,9 @@ def modular_quadrature_estimate(
     test_fn: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """Estimate Delta(g0) as  int f dmu / int f(g' g0) dmu(g')."""
-    base = float(np.sum(test_fn(grid.nodes) * grid.weights))
-    right = group.product(grid.nodes, np.broadcast_to(g0, grid.nodes.shape))
-    shifted = float(np.sum(test_fn(right) * grid.weights))
-    return base / shifted
+    base = _haar_integral(grid, test_fn)
+    right = _haar_integral(grid, lambda x: test_fn(group.product(x, np.broadcast_to(g0, x.shape))))
+    return base / right
 
 
 def conventions_text(group: GroupDescriptor) -> str:

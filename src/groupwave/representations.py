@@ -80,11 +80,21 @@ adjoint's terms in block order, so the results are bit-identical for any
 worker count and the blocks in flight, not the whole dictionary, bound the
 memory.  The pool lives for one call: kept for the life of the process,
 its idle threads made later single-threaded calls measurably slower.
+
+``coefficients`` and ``coefficient_blocks`` run the same block task and
+differ only in its destination.  ``coefficients`` hands each block its
+slice of the result; ``coefficient_blocks`` hands it a C-ordered,
+chart-shaped buffer of its own, made in the calling thread as it draws the
+block, and yields (slices, buffer) in block order, so a reduction over the
+grid (``transforms.orthogonality_check``) holds the blocks in flight, not
+the grid's coefficients.  Either way the calling thread applies a
+section's gauge phase to each block, evaluated on the block's nodes.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 from dataclasses import dataclass, replace
 import functools
 import itertools
@@ -180,8 +190,28 @@ class ActionTable:
                      grid: QuadratureGrid) -> np.ndarray:
         """c(g) = <U(g) psi, phi> at every node of ``grid``, raveled like its
         nodes."""
-        psi, phi = self._domain(psi), self._domain(phi)
         out = np.empty(grid.resolution, dtype=complex)
+        for _ in self._blocks(psi, phi, grid, lambda at: out[at]):
+            pass
+        return out.ravel()
+
+    def coefficient_blocks(self, psi: DiscretizedState, phi: DiscretizedState,
+                           grid: QuadratureGrid):
+        """The coefficients of :meth:`coefficients`, streamed in engine block
+        order: yields (at, c), ``at`` slicing the block's nodes out of a
+        chart-shaped array and ``c`` their values, a C-ordered chart-shaped
+        array of its own.  No array of the whole grid is made; a reduction
+        over the blocks holds the blocks in flight only."""
+        return self._blocks(psi, phi, grid, lambda at: np.empty(
+            tuple(len(range(n)[s]) for s, n in zip(at, grid.resolution)), dtype=complex))
+
+    def _blocks(self, psi, phi, grid, dest):
+        """Yield (at, c) for the engine blocks of c(g) = <U(g) psi, phi> in
+        block order: the one block task writes the nodes ``at`` into
+        ``c = dest(at)``, which the calling thread makes as it draws the
+        block, and the calling thread then applies the gauge phase, if any,
+        from the block's nodes."""
+        psi, phi = self._domain(psi), self._domain(phi)
         plan = self._plan(grid, psi.grid, -1)
         chart, state, phases, mods, steps, moved, lead = plan
         weight = phi.samples * psi.grid.cell_volume
@@ -190,15 +220,19 @@ class ActionTable:
         dilates = any(r.kind == "dilate" for r in self.roles)
         hat = hat.reshape(hat.shape[: len(lead)] + (1,) * dilates + psi.grid.counts)
 
-        def task(at, labels, block):
+        def task(at, labels, block, out):
             g, labels = hat[tuple(at[i] for i in lead)] * block, lead + labels
             for matrix, (new, old) in steps:
                 g, labels = _contract(g, labels, matrix, old, new)
-            np.einsum(g, labels, *phases, chart, out=out[at])
+            np.einsum(g, labels, *phases, chart, out=out)
+            return at, out
 
-        for _ in _blockwise(task, self._dictionary(psi, grid, plan, np.conj)):
-            pass
-        return self._gauged(out.ravel(), grid, -1)
+        blocks = (b + (dest(b[0]),) for b in self._dictionary(psi, grid, plan, np.conj))
+        with contextlib.closing(_blockwise(task, blocks)) as results:
+            for at, c in results:
+                if self.gauge is not None:
+                    c *= self._gauge_phase(grid.slab_nodes(at), -1).reshape(c.shape)
+                yield at, c
 
     def adjoint(self, coeffs: np.ndarray, grid: QuadratureGrid,
                 psi: DiscretizedState) -> DiscretizedState:
@@ -231,8 +265,12 @@ class ActionTable:
         place, evaluating gamma on the grid's node blocks."""
         if self.gauge is not None:
             for sl, nodes in grid.node_blocks():
-                values[sl] *= np.exp(sign * 1j * self.gauge(nodes))
+                values[sl] *= self._gauge_phase(nodes, sign)
         return values
+
+    def _gauge_phase(self, nodes, sign):
+        """e^{sign i gamma} at the chart points ``nodes``."""
+        return np.exp(sign * 1j * self.gauge(nodes))
 
     def _domain(self, state):
         return fourier_plancherel(state) if self.fourier else state

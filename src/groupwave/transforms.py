@@ -24,11 +24,14 @@ frequency.  Symbols shipped:
 ``analyze`` and ``synthesize`` run on the representation's action table
 (see ``representations``): one batched engine for every spec -- every
 bundled configuration and any n, on G, on X through any section, and on
-central-extension lifts.
+central-extension lifts.  ``orthogonality_check`` consumes the engine's
+coefficient blocks as they stream and never holds a coefficient array of
+the grid; ``orthogonality_relation`` is the same relation on whole arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -197,9 +200,7 @@ def analyze(
     batch on the rep's action table.  A grid reaching outside the rep's safe
     box is clipped to it, with a warning on the ``groupwave`` logger.
     """
-    if norm(psi) == 0.0:
-        raise ValueError("analyzing vector must be nonzero")
-    grid, clipped = _clip_to_safe_box(rep, grid)
+    grid, clipped = _analysis_grid(rep, [psi], grid)
     coeffs = rep.fast_coefficients(psi, phi, grid)
     result = TransformResult(
         coefficients=np.asarray(coeffs, dtype=complex),
@@ -214,6 +215,15 @@ def analyze(
     result.meta["energy"] = float(np.sum(energy))
     result.meta["shell_fraction"] = _shell_fraction(energy, grid)
     return result
+
+
+def _analysis_grid(rep: UnitaryRepSpec, psis, grid: QuadratureGrid):
+    """The guards of an analysis: every analyzing vector of ``psis`` is
+    nonzero, and ``grid`` is clipped to the rep's safe box (with a warning);
+    returns (grid, clipped)."""
+    if any(norm(psi) == 0.0 for psi in psis):
+        raise ValueError("analyzing vector must be nonzero")
+    return _clip_to_safe_box(rep, grid)
 
 
 def _safe_part(rep: UnitaryRepSpec, box) -> tuple:
@@ -314,19 +324,42 @@ def orthogonality_check(
 ) -> list:
     """Quadrature check of the orthogonality relation for each
     (psi1, psi2, phi1, phi2) of ``relations``: one (lhs, rhs, relerr) of
-    :func:`orthogonality_relation` per relation.  Each distinct (psi, phi),
-    told apart by identity, is analyzed once.
+    :func:`orthogonality_relation` per relation.
+
+    Each distinct (psi, phi), told apart by identity, streams its
+    coefficients once (:meth:`ActionTable.coefficient_blocks`).  The streams
+    run in lockstep, and every lhs adds its block sums of conj(c1) c2 w in
+    block order, so a block of each stream, never a whole coefficient
+    array, is held.  :func:`analyze`'s guards apply: every psi is nonzero,
+    and the grid is clipped to the safe box with a warning.  The streams
+    must share their blocks, so every psi has the same number of samples
+    (``ValueError`` otherwise).  If a stream raises, the others are closed
+    before the call raises.
     """
-    coefficients = {}
-
-    def c(psi, phi):
-        key = (id(psi), id(phi))
-        if key not in coefficients:
-            coefficients[key] = analyze(rep, psi, phi, grid).coefficients
-        return coefficients[key]
-
-    return [orthogonality_relation(c(p1, f1), c(p2, f2), p1, p2, f1, f2, dm, grid)
-            for p1, p2, f1, f2 in relations]
+    pairs = {}
+    for p1, p2, f1, f2 in relations:
+        pairs.setdefault((id(p1), id(f1)), (p1, f1))
+        pairs.setdefault((id(p2), id(f2)), (p2, f2))
+    grid, _ = _analysis_grid(rep, [psi for psi, _ in pairs.values()], grid)
+    weights = grid.weights.reshape(grid.resolution)
+    lhs = [None] * len(relations)
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(contextlib.closing(
+            rep.table.coefficient_blocks(psi, phi, grid))) for psi, phi in pairs.values()]
+        for blocks in zip(*streams):
+            at = blocks[0][0]
+            if any(other != at for other, _ in blocks[1:]):
+                # the engine sizes its blocks by psi's sample count
+                raise ValueError("orthogonality_check: the analyzing vectors' state grids "
+                                 "differ in size, so their coefficient blocks do not align")
+            c = dict(zip(pairs, (values for _, values in blocks)))
+            w = weights[at]
+            for i, (p1, p2, f1, f2) in enumerate(relations):
+                # conj(c1) c2 w is a C-ordered array: the sum of one block
+                # covering the grid is that of the raveled arrays
+                part = complex(np.sum(np.conj(c[id(p1), id(f1)]) * c[id(p2), id(f2)] * w))
+                lhs[i] = part if lhs[i] is None else lhs[i] + part
+    return [_relation(total, *relation, dm) for total, relation in zip(lhs, relations)]
 
 
 def orthogonality_relation(
@@ -347,7 +380,13 @@ def orthogonality_relation(
     |lhs - rhs| relative to ||phi1|| ||phi2|| ||D psi1|| ||D psi2||, which
     bounds |rhs| by Cauchy-Schwarz.
     """
-    lhs = complex(np.sum(np.conj(c1) * c2 * grid.weights))
+    return _relation(complex(np.sum(np.conj(c1) * c2 * grid.weights)),
+                     psi1, psi2, phi1, phi2, dm)
+
+
+def _relation(lhs, psi1, psi2, phi1, phi2, dm):
+    """(lhs, rhs, relerr) of :func:`orthogonality_relation` from its group
+    side ``lhs``."""
     d1, d2 = dm.apply(psi1), dm.apply(psi2)
     rhs = inner(phi1, phi2) * inner(d2, d1)
     scale = max(abs(rhs), norm(phi1) * norm(phi2) * norm(d1) * norm(d2), 1e-300)

@@ -74,6 +74,30 @@ def test_verify_report_independent_of_blas_threads(tmp_path):
         assert paths[0].read_bytes() == paths[1].read_bytes(), group
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_verify_exotic_peak_rss(tmp_path):
+    """A ``verify --group exotic`` process, OpenBLAS pinned to 1 thread,
+    peaks at about 126 MB resident: its orthogonality relations stream the
+    engine's blocks.  Holding the 2.9 M-node coefficient arrays it peaked
+    at 230 MB.  The child reports the peak of its own address space
+    (VmHWM, in kB).  Its ru_maxrss would not do: Linux keeps it across
+    execve, so a child spawned by vfork also counts this test process."""
+    src = str(Path(groupwave.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = ("import sys\n"
+           "from groupwave.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+           "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", run, "verify", "--group", "exotic", "--seed", "0",
+                           "--output", str(tmp_path / "r.json")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    peak_kb = int(proc.stdout.split()[-1])
+    assert peak_kb < 180 * 1024, peak_kb
+
+
 def test_config_flag_removed_and_report_echoes_flags(tmp_path, capsys):
     assert main(["verify", "--group", "affine", "--config", "cfg.json"]) == 2
     out = tmp_path / "r.json"

@@ -186,6 +186,52 @@ def test_exotic_quotient_modular_by_quadrature():
         assert abs(est - 1.0 / a0) * a0 < 1e-6
 
 
+def _whole_array_integral(grid, f):
+    return float(np.sum(f(grid.nodes) * grid.weights))
+
+
+def test_haar_quadratures_sum_node_blocks_and_leave_nodes_unbuilt(monkeypatch):
+    """The exotic suite's Delta_X quadrature (2 node blocks, split where
+    numpy's pairwise sum splits) and the affine left-invariance defect (one
+    block) give the whole-array sums bit for bit and never build the grid's
+    ``nodes`` (2.4 M floats for the Delta_X grid); in 128 blocks the affine
+    defect stays within rounding."""
+    X, A = make_exotic_quotient(1), make_affine(1)
+    box_x = [(-0.1, 0.1), (-0.1, 0.1), (-8, 8), (np.exp(-3), np.exp(3))]
+    f_x = lambda nodes: np.exp(-nodes[..., 2] ** 2 / 0.5) * np.exp(
+        -np.log(nodes[..., 3]) ** 2 / 0.18
+    )
+    g0 = np.array([0.0, 0.0, 0.4, 1.7])
+    grid, whole = (haar_grid(X, box_x, [2, 2, 384, 384]) for _ in range(2))
+    assert len(list(grid.node_blocks())) == 2
+    shifted = lambda x: f_x(X.product(x, np.broadcast_to(g0, x.shape)))
+    assert modular_quadrature_estimate(X, g0, grid, f_x) == \
+        _whole_array_integral(whole, f_x) / _whole_array_integral(whole, shifted)
+    assert "nodes" not in vars(grid)
+
+    box_a = [(-8, 8), (np.exp(-3), np.exp(3))]
+    f_a = lambda nodes: np.exp(-nodes[..., 0] ** 2 / 0.5) * np.exp(
+        -np.log(nodes[..., 1]) ** 2 / 0.18
+    )
+    h0 = np.array([0.3, 1.2])
+    grid, whole = (haar_grid(A, box_a, [256, 384]) for _ in range(2))
+    base = _whole_array_integral(whole, f_a)
+    moved = _whole_array_integral(whole, lambda x: f_a(A.product(np.broadcast_to(h0, x.shape), x)))
+    assert left_invariance_defect(A, h0, grid, f_a) == abs(moved - base) / base
+    assert "nodes" not in vars(grid)
+    monkeypatch.setattr(groups, "BLOCK", 1000)  # 2 rows of 384 nodes per block
+    assert len(list(grid.node_blocks())) == 128
+    assert left_invariance_defect(A, h0, grid, f_a) == pytest.approx(abs(moved - base) / base,
+                                                                     rel=1e-6, abs=1e-15)
+
+
+def test_slab_nodes_are_the_sliced_nodes():
+    grid = haar_grid(make_affine(2), [(-1, 1), (-2, 2), (0.5, 2.0)], [3, 4, 5], log_axes=(2,))
+    at = (slice(1, 3), slice(None), slice(2, 3))
+    nodes = grid.nodes.reshape(grid.resolution + (3,))[at].reshape(-1, 3)
+    assert np.array_equal(grid.slab_nodes(at), nodes)
+
+
 def _meshgrid_reference(grid):
     """Nodes and weights built eagerly with meshgrid over the whole grid."""
     axes, cells = [], []

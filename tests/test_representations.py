@@ -543,7 +543,7 @@ def test_engine_translated_axis_without_modulation(per_node):
 def _small_blocks(config, exotic, gabor_n2, monkeypatch):
     """(rep, psi, phi, grid) with ``CHUNK`` at 1024 samples: each dilation
     block holds one scale and each block of the lead modulation axis one
-    node, so the exotic case streams 16 blocks and the wh n = 2 case 4 (the
+    node, so the exotic case streams 20 blocks and the wh n = 2 case 4 (the
     bundled grids run one dilation block)."""
     from groupwave import representations
     from groupwave.groups import haar_grid

@@ -4,7 +4,7 @@ import pytest
 from groupwave import configs, groups, transforms, verify
 from groupwave.groups import haar_grid
 from groupwave.configs import affine_nested_grids
-from groupwave.representations import GridSafetyError, projective_from_section
+from groupwave.representations import ActionTable, GridSafetyError, projective_from_section
 from groupwave.measures import make_rho
 from groupwave.states import (
     DiscretizedState,
@@ -277,12 +277,45 @@ def _count_analyses(monkeypatch):
     return grids
 
 
+def _count_streams(monkeypatch):
+    """Route ``ActionTable.coefficient_blocks`` through a counter; returns
+    its list of streamed grids."""
+    grids, stream = [], ActionTable.coefficient_blocks
+
+    def counted(self, psi, phi, grid):
+        grids.append(grid)
+        return stream(self, psi, phi, grid)
+
+    monkeypatch.setattr(ActionTable, "coefficient_blocks", counted)
+    return grids
+
+
+def _slabs(rep, psi, phi, grid):
+    """The slices of the engine blocks of c_{psi,phi} on ``grid``, in block
+    order."""
+    return [at for at, _ in rep.table.coefficient_blocks(psi, phi, grid)]
+
+
+def _block_order_lhs(slabs, c1, c2, grid):
+    """Block-order oracle of a streamed lhs from whole coefficient arrays:
+    (the sum over ``slabs``, in order, of np.sum(conj(c1) c2 w) on the slab;
+    the same sum over the whole arrays)."""
+    c1, c2 = c1.reshape(grid.resolution), c2.reshape(grid.resolution)
+    w = grid.weights.reshape(grid.resolution)
+    total = None
+    for at in slabs:
+        part = complex(np.sum(np.conj(c1[at]) * c2[at] * w[at]))
+        total = part if total is None else total + part
+    return total, complex(np.sum(np.conj(c1) * c2 * w))
+
+
 @pytest.mark.parametrize("config, psi_name, phi_name",
                          [("gabor", "gauss", "hermite2"), ("affine", "morlet", "gauss_mod3")])
 def test_orthogonality_check_analyzes_each_pair_once(config, psi_name, phi_name, request,
                                                      monkeypatch):
-    """A relation of one (psi, phi) with itself costs one analysis; the
-    result is exactly that of two independent analyses fed to the relation."""
+    """A relation of one (psi, phi) with itself streams its coefficients
+    once; the bundled grid is one engine block, so the result is exactly
+    that of two independent analyses fed to the relation."""
     setup = request.getfixturevalue(config)
     rep = setup.proj if config == "gabor" else setup.rep
     psi, phi = setup.states[psi_name], setup.states[phi_name]
@@ -292,24 +325,139 @@ def test_orthogonality_check_analyzes_each_pair_once(config, psi_name, phi_name,
     lhs = complex(np.sum(np.conj(c1) * c2 * setup.x_grid.weights))
     expected = orthogonality_relation(c1, c2, psi, psi, phi, phi, dm, setup.x_grid)
     assert expected[0] == lhs
-    grids = _count_analyses(monkeypatch)
+    grids = _count_streams(monkeypatch)
     assert orthogonality_check(rep, [(psi, psi, phi, phi)], dm, setup.x_grid) == [expected]
-    assert len(grids) == 1
+    assert grids == [setup.x_grid]
 
 
 def test_exotic_suite_relations_cost_two_analyses(exotic, monkeypatch):
     """The exotic suite's diagonal and cross relations share c(psi, phi):
-    two analyses on the bundled X grid, each the one of its pair."""
-    grids = _count_analyses(monkeypatch)
+    two coefficient streams on the bundled X grid.  Each defect is exactly
+    the relation of the block-order oracle's lhs, which is within 1e-15
+    relative of the whole-array sum."""
+    grids = _count_streams(monkeypatch)
     checks = {c.name: c for c in verify.exotic_suite(0)}
-    assert [g.n_nodes for g in grids] == [exotic.x_grid.n_nodes] * 2
-    s, dm = exotic.states, duflo_moore("exotic")
+    bundled = (exotic.x_grid.box, exotic.x_grid.resolution)
+    assert [(g.box, g.resolution) for g in grids] == [bundled] * 2
     monkeypatch.undo()
-    c11 = analyze(exotic.proj, s["psi"], s["phi"], exotic.x_grid).coefficients
-    c22 = analyze(exotic.proj, s["psi2"], s["phi2"], exotic.x_grid).coefficients
-    rel2 = orthogonality_relation(c11, c22, s["psi"], s["psi2"], s["phi"], s["phi2"], dm,
-                                  exotic.x_grid)[2]
-    assert checks["exotic: orthogonality (cross pair)"].defect == rel2
+    s, dm, grid = exotic.states, duflo_moore("exotic"), exotic.x_grid
+    c11 = analyze(exotic.proj, s["psi"], s["phi"], grid).coefficients
+    c22 = analyze(exotic.proj, s["psi2"], s["phi2"], grid).coefficients
+    slabs = _slabs(exotic.proj, s["psi"], s["phi"], grid)
+    assert len(slabs) == 40  # one block per p node
+    for name, c2, psi2, phi2 in [("exotic: orthogonality relation", c11, s["psi"], s["phi"]),
+                                 ("exotic: orthogonality (cross pair)", c22, s["psi2"], s["phi2"])]:
+        lhs, whole = _block_order_lhs(slabs, c11, c2, grid)
+        assert checks[name].defect == transforms._relation(lhs, s["psi"], psi2, s["phi"], phi2,
+                                                           dm)[2]
+        assert abs(lhs - whole) <= 1e-15 * abs(whole)
+
+
+def _small_exotic_grid(group, theta=()):
+    """A 5·4·5·4 exotic X grid (after the ``theta`` axes of a lift, if
+    any): with ``CHUNK`` at 1024 samples it streams 20 engine blocks, one
+    per (p node, scale)."""
+    return haar_grid(group, list(theta) + [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)],
+                     [3] * len(theta) + [5, 4, 5, 4], log_axes=(len(theta) + 3,))
+
+
+@pytest.mark.parametrize("spec", ["s_tw", "lift"])
+def test_streamed_relation_in_small_blocks(spec, exotic, monkeypatch):
+    """With 20 small blocks, through the gauge of the twisted section and
+    through its central-extension lift: the lhs are exactly the
+    block-order oracle's, within 1e-15 relative of the whole-array sums,
+    and pooled and inline runs give the same bits."""
+    from groupwave import representations
+    from groupwave.representations import lift_to_extension
+
+    monkeypatch.setattr(representations, "CHUNK", 1024)
+    rep = projective_from_section(exotic.rep, exotic.section_prime)
+    grid = _small_exotic_grid(rep.group)
+    if spec == "lift":
+        rep = lift_to_extension(rep)
+        grid = _small_exotic_grid(rep.group, [(-1.0, 1.0)])
+    s, dm = exotic.states, duflo_moore("exotic")
+    relations = [(s["psi"], s["psi"], s["phi"], s["phi"]),
+                 (s["psi"], s["psi2"], s["phi"], s["phi2"])]
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(representations, "_workers", lambda: workers)
+        runs.append(orthogonality_check(rep, relations, dm, grid))
+    assert runs[0] == runs[1]
+    c11 = analyze(rep, s["psi"], s["phi"], grid).coefficients
+    c22 = analyze(rep, s["psi2"], s["phi2"], grid).coefficients
+    slabs = _slabs(rep, s["psi"], s["phi"], grid)
+    assert len(slabs) == 20
+    for (lhs, _, _), c2 in zip(runs[0], (c11, c22)):
+        oracle, whole = _block_order_lhs(slabs, c11, c2, grid)
+        assert lhs == oracle
+        assert abs(lhs - whole) <= 1e-15 * abs(whole)
+
+
+def test_streams_close_when_one_raises(exotic, monkeypatch):
+    """A block task failing in one of the lockstep streams closes the
+    other stream at once: no engine thread outlives the call, and the next
+    call gives the same bits."""
+    import itertools
+    import threading
+
+    from groupwave import representations
+
+    monkeypatch.setattr(representations, "CHUNK", 1024)
+    monkeypatch.setattr(representations, "_workers", lambda: 2)
+    s, dm, grid = exotic.states, duflo_moore("exotic"), _small_exotic_grid(exotic.x_group)
+    relations = [(s["psi"], s["psi2"], s["phi"], s["phi2"])]
+    expected = orthogonality_check(exotic.proj, relations, dm, grid)
+    contract, calls = representations._contract, itertools.count()
+
+    def failing(*args):
+        if next(calls) == 6:
+            raise RuntimeError("block task failed")
+        return contract(*args)
+
+    monkeypatch.setattr(representations, "_contract", failing)
+    with pytest.raises(RuntimeError, match="block task failed") as failure:
+        orthogonality_check(exotic.proj, relations, dm, grid)
+    # the held traceback keeps the call's frames, and so any unclosed stream, alive
+    assert failure.traceback
+    assert [t.name for t in threading.enumerate() if t.name.startswith("groupwave-engine")] == []
+    monkeypatch.setattr(representations, "_contract", contract)
+    assert orthogonality_check(exotic.proj, relations, dm, grid) == expected
+
+
+def test_streams_of_unequal_state_grids_are_rejected(exotic, monkeypatch):
+    """The engine sizes its blocks by psi's sample count, so relations whose
+    analyzing vectors differ in size would pair misaligned blocks: a
+    ``ValueError``, not a wrong lhs."""
+    from groupwave import representations
+
+    monkeypatch.setattr(representations, "CHUNK", 8192)  # 2 scales of 64^2, 4 of 32 x 64
+    coarse = configs.exotic_setup(b_points=32, x_resolution=(2, 2, 2, 2)).states
+    s, dm, grid = exotic.states, duflo_moore("exotic"), _small_exotic_grid(exotic.x_group)
+    with pytest.raises(ValueError, match="do not align"):
+        orthogonality_check(exotic.proj, [(s["psi"], s["psi"], s["phi"], s["phi"]),
+                                          (coarse["psi"], coarse["psi"], coarse["phi"],
+                                           coarse["phi"])], dm, grid)
+
+
+def test_exotic_orthogonality_check_memory(exotic):
+    """The streamed relations hold blocks in flight, not coefficient
+    arrays: the traced peak of the bundled exotic check is about 52 MB
+    above what was held before it (142 MB when each pair's 47 MB
+    coefficient array and its |c|^2 w were held)."""
+    import tracemalloc
+
+    s, dm = exotic.states, duflo_moore("exotic")
+    relations = [(s["psi"], s["psi"], s["phi"], s["phi"]),
+                 (s["psi"], s["psi2"], s["phi"], s["phi2"])]
+    orthogonality_check(exotic.proj, relations, dm, exotic.x_grid)  # warm plan caches
+    tracemalloc.start()
+    try:
+        orthogonality_check(exotic.proj, relations, dm, exotic.x_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90e6, peak
 
 
 def test_gabor_orthogonality_pairs(gabor):
@@ -825,7 +973,7 @@ def test_bundled_affine_grid_is_not_clipped(affine, caplog):
 
 
 def test_exotic_analyze_leaves_nodes_unbuilt():
-    """The engine works per chart axis and the gauge on node blocks: an
+    """The engine works per chart axis and the gauge per engine block: an
     analysis through the twisted section (the coordinate section's table plus
     the gauge) does not build the bundled exotic grid's 2.9 M x 4 node array."""
     setup = configs.exotic_setup()
