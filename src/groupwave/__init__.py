@@ -68,11 +68,11 @@ from .transforms import (
     TransformResult,
     admissibility,
     analyze,
+    coefficient_energy,
     duflo_moore,
     kernel,
     mod_K_equiv_check,
     orthogonality_check,
-    orthogonality_relation,
     reproduce_check,
     semi_invariance_check,
     synthesize,

@@ -148,7 +148,7 @@ def cmd_analyze(args) -> int:
         "psi": args.psi,
         "coefficients": csv_path,
         "header": json_path,
-        "energy": result.energy(),
+        "energy": result.meta["energy"],
         "signal_norm_sq": norm(phi) ** 2,
         "shell_fraction": result.meta["shell_fraction"],
         "clipped": result.meta["clipped"],

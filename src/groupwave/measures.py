@@ -24,6 +24,7 @@ from .groups import QuadratureGrid, haar_grid
 from .multipliers import RelCentralSubgroup, Section, kappa_from_section
 from .states import DiscretizedState, bump_profile
 from .representations import UnitaryRepSpec, projective_from_section
+from .transforms import coefficient_energy
 
 __all__ = [
     "RhoDensity",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 K_PROBE_RESOLUTION = 16  # K-axis nodes of every box of center_divergence_probe
+RHO_WIDTH = 1.0  # standard deviation of the gaussian density, a third of the bump's radius
 
 
 def gamma_s(section: Section, x, k) -> np.ndarray:
@@ -116,10 +118,9 @@ class RhoDensity:
     label: str = "rho"
 
 
-def make_rho(
-    kind: str, subgroup: RelCentralSubgroup, width: float = 1.0
-) -> RhoDensity:
-    """Gaussian or compact-bump density on the K-fibres.
+def make_rho(kind: str, subgroup: RelCentralSubgroup) -> RhoDensity:
+    """Gaussian or compact-bump density on the K-fibres, of width
+    ``RHO_WIDTH``.
 
     The profile w on the K-chart R^m integrates to 1 analytically (gaussian)
     or via a fine reference quadrature (bump, whose support is compact); the
@@ -131,11 +132,11 @@ def make_rho(
     if kind == "gaussian":
         def profile(k):
             k = np.asarray(k, dtype=float)
-            return (2.0 * np.pi * width ** 2) ** (-m / 2.0) * np.exp(
-                -np.sum(k ** 2, axis=-1) / (2.0 * width ** 2)
+            return (2.0 * np.pi * RHO_WIDTH ** 2) ** (-m / 2.0) * np.exp(
+                -np.sum(k ** 2, axis=-1) / (2.0 * RHO_WIDTH ** 2)
             )
     elif kind == "bump":
-        radius = 3.0 * width
+        radius = 3.0 * RHO_WIDTH
         # 1-d normalization of the bump profile, computed once on a fine grid;
         # the integrand is C-infinity with compact support so the midpoint rule
         # converges faster than any power of the step.
@@ -206,24 +207,18 @@ def center_divergence_probe(
     For a representation whose relatively central subgroup is noncompact the
     partial integrals grow linearly in the K-box measure, with slope equal to
     the X-side integral of |c o s|^2 -- the numerical face of "square
-    integrable only modulo K, never over all of G".  Both integrals run on
-    the batched engine; the K coordinate leads the G chart.
+    integrable only modulo K, never over all of G".  Every integral is one
+    streamed :func:`transforms.coefficient_energy`; the K coordinate leads
+    the G chart.
 
     Returns (partials, slope_fit, x_integral).
     """
     proj = projective_from_section(rep, subgroup.coordinate_section)
-    c_x = proj.fast_coefficients(psi, phi, x_grid)
-    x_integral = float(np.sum(np.abs(c_x) ** 2 * x_grid.weights))
-
-    partials = []
-    for r in r_list:
-        g_grid = haar_grid(
-            rep.group,
-            [(-r, r)] + list(x_grid.box),
-            [K_PROBE_RESOLUTION] + list(x_grid.resolution),
-        )
-        c = rep.fast_coefficients(psi, phi, g_grid)
-        partials.append(float(np.sum(np.abs(c) ** 2 * g_grid.weights)))
+    x_integral = coefficient_energy(proj, psi, phi, x_grid)
+    partials = [
+        coefficient_energy(rep, psi, phi, haar_grid(rep.group, [(-r, r)] + list(x_grid.box),
+                                                    [K_PROBE_RESOLUTION] + list(x_grid.resolution)))
+        for r in r_list]
 
     lengths = np.array([2.0 * r for r in r_list])
     partials_arr = np.array(partials)

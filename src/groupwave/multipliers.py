@@ -199,15 +199,15 @@ def check_cocycle(
     rng: np.random.Generator | None = None,
     points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """max phase defect of m(x1, x2 x3) m(x2, x3) = m(x1 x2, x3) m(x1, x2)."""
+    """max phase defect of m(x1, x2 x3) m(x2, x3) = m(x1 x2, x3) m(x1, x2),
+    at ``points`` (x1, x2, x3) or at ``trials`` points of each drawn from
+    ``rng``; one of the two must be given."""
     X = m.base_group
     if points is None:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        x1 = random_chart_points(X, rng, trials)
-        x2 = random_chart_points(X, rng, trials)
-        x3 = random_chart_points(X, rng, trials)
-    else:
-        x1, x2, x3 = points
+        if rng is None:
+            raise TypeError("check_cocycle needs rng or points")
+        points = [random_chart_points(X, rng, trials) for _ in range(3)]
+    x1, x2, x3 = points
     lhs = m.phase(x1, X.product(x2, x3)) + m.phase(x2, x3)
     rhs = m.phase(X.product(x1, x2), x3) + m.phase(x1, x2)
     return float(np.max(phase_distance(lhs, rhs)))
@@ -217,12 +217,12 @@ def similar(
     m: Multiplier,
     m_prime: Multiplier,
     beta_phase: Callable[[np.ndarray], np.ndarray],
-    trials: int = 200,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
 ) -> float:
-    """max defect of m(x1,x2) = beta(x1 x2) beta(x1)^{-1} beta(x2)^{-1} m'(x1,x2)."""
+    """max defect of m(x1,x2) = beta(x1 x2) beta(x1)^{-1} beta(x2)^{-1} m'(x1,x2)
+    at ``trials`` pairs drawn from ``rng``."""
     X = m.base_group
-    rng = rng if rng is not None else np.random.default_rng(0)
     x1 = random_chart_points(X, rng, trials)
     x2 = random_chart_points(X, rng, trials)
     lhs = m.phase(x1, x2)

@@ -86,9 +86,11 @@ differ only in its destination.  ``coefficients`` hands each block its
 slice of the result; ``coefficient_blocks`` hands it a C-ordered,
 chart-shaped buffer of its own, made in the calling thread as it draws the
 block, and yields (slices, buffer) in block order, so a reduction over the
-grid (``transforms.orthogonality_check``) holds the blocks in flight, not
-the grid's coefficients.  Either way the calling thread applies a
-section's gauge phase to each block, evaluated on the block's nodes.
+grid (every coefficient integral of ``transforms``) holds the blocks in
+flight, not the grid's coefficients.  Either way the calling thread
+applies a section's gauge phase to each block, evaluated on the block's
+nodes, and ``adjoint`` so gauges each block of coeffs w as it draws it:
+no weighted copy of the grid's coefficients is made.
 """
 
 from __future__ import annotations
@@ -230,22 +232,21 @@ class ActionTable:
         blocks = (b + (dest(b[0]),) for b in self._dictionary(psi, grid, plan, np.conj))
         with contextlib.closing(_blockwise(task, blocks)) as results:
             for at, c in results:
-                if self.gauge is not None:
-                    c *= self._gauge_phase(grid.slab_nodes(at), -1).reshape(c.shape)
-                yield at, c
+                yield at, self._gauge_block(c, grid, at, -1)
 
     def adjoint(self, coeffs: np.ndarray, grid: QuadratureGrid,
                 psi: DiscretizedState) -> DiscretizedState:
         """sum_g coeffs(g) w(g) U(g) psi over the nodes of ``grid``: the exact
-        adjoint of :meth:`coefficients` in phi."""
+        adjoint of :meth:`coefficients` in phi.  The calling thread makes
+        each block's coeffs w, gauge phase applied, as it draws the block."""
         hat = self._domain(psi)
-        cw = self._gauged(np.asarray(coeffs) * grid.weights, grid, 1).reshape(grid.resolution)
+        c, w = np.asarray(coeffs).reshape(grid.resolution), grid.weights.reshape(grid.resolution)
         plan = self._plan(grid, hat.grid, 1)
         chart, state, phases, mods, steps, moved, lead = plan
         unphased = tuple(i for i in chart if self.roles[i].kind != "phase")
 
-        def task(at, labels, block):
-            v, v_labels = np.einsum(cw[at], chart, *phases, unphased), unphased
+        def task(at, labels, block, cw):
+            v, v_labels = np.einsum(cw, chart, *phases, unphased), unphased
             for matrix, (new, old) in reversed(steps):
                 v, v_labels = _contract(v, v_labels, matrix.T, new, old)
             v = np.fft.ifftn(np.einsum(v, v_labels, block, labels, lead + state), axes=moved)
@@ -254,23 +255,21 @@ class ActionTable:
                              state)
 
         acc = np.zeros(hat.grid.counts, dtype=complex)
+        blocks = (b + (self._gauge_block(c[b[0]] * w[b[0]], grid, b[0], 1),)
+                  for b in self._dictionary(hat, grid, plan))
         # summed here in block order: the same additions as a serial loop
-        for term in _blockwise(task, self._dictionary(hat, grid, plan)):
+        for term in _blockwise(task, blocks):
             acc += term
         out = DiscretizedState(acc, hat.grid)
         return inverse_fourier_plancherel(out, psi.grid) if self.fourier else out
 
-    def _gauged(self, values, grid, sign):
-        """Multiply ``values`` (raveled over the grid) by e^{sign i gamma} in
-        place, evaluating gamma on the grid's node blocks."""
+    def _gauge_block(self, values, grid, at, sign):
+        """Multiply ``values``, the block ``at`` of a chart-shaped array of
+        ``grid``, by e^{sign i gamma} in place, evaluating gamma on the
+        block's nodes; the engine's one gauge path."""
         if self.gauge is not None:
-            for sl, nodes in grid.node_blocks():
-                values[sl] *= self._gauge_phase(nodes, sign)
+            values *= np.exp(sign * 1j * self.gauge(grid.slab_nodes(at))).reshape(values.shape)
         return values
-
-    def _gauge_phase(self, nodes, sign):
-        """e^{sign i gamma} at the chart points ``nodes``."""
-        return np.exp(sign * 1j * self.gauge(nodes))
 
     def _domain(self, state):
         return fourier_plancherel(state) if self.fourier else state

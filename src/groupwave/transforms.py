@@ -24,9 +24,12 @@ frequency.  Symbols shipped:
 ``analyze`` and ``synthesize`` run on the representation's action table
 (see ``representations``): one batched engine for every spec -- every
 bundled configuration and any n, on G, on X through any section, and on
-central-extension lifts.  ``orthogonality_check`` consumes the engine's
-coefficient blocks as they stream and never holds a coefficient array of
-the grid; ``orthogonality_relation`` is the same relation on whole arrays.
+central-extension lifts.  Every integral of coefficients over a grid
+(the orthogonality relations, the energies of ``coefficient_energy``,
+admissibility and the Duflo-Moore calibration, the reproducing kernel's
+Gram rows, both sides of the modulo-K equivalence) is one block sum over
+the engine's coefficient blocks as they stream, and never holds a
+coefficient array of the grid.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .groups import QuadratureGrid, haar_grid
-from .measures import RhoDensity, integrate_mod_K
 from .representations import GridSafetyError, UnitaryRepSpec
 from .states import (
     DiscretizedState,
@@ -63,7 +65,7 @@ __all__ = [
     "calibrate_affine_dm",
     "admissibility",
     "orthogonality_check",
-    "orthogonality_relation",
+    "coefficient_energy",
     "kernel",
     "reproduce_check",
     "semi_invariance_check",
@@ -168,25 +170,29 @@ class TransformResult:
     analyzing_vector_sha256: Optional[str] = None
 
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2 * self.grid.weights))
+        """The energy sum of |c|^2 w, over axis blocks (:func:`_energy_and_shell`)."""
+        return _energy_and_shell(self.coefficients, self.grid)[0]
 
 
-def _shell_fraction(energy: np.ndarray, grid: QuadratureGrid) -> float:
-    """Share of the coefficient energy (``energy`` = |c|^2 w per node) carried
-    by the outermost 10% shell of the box -- a cheap truncation-tail estimate
-    recorded in metadata.  The shell is the union of per-axis slabs, built
-    from the grid's axes."""
+def _energy_and_shell(coefficients: np.ndarray, grid: QuadratureGrid) -> tuple[float, float]:
+    """The energy sum of |c|^2 w over ``grid`` (``coefficients`` raveled
+    like its nodes), and the share of it carried by the outermost 10% shell
+    of the box -- a cheap truncation-tail estimate recorded in metadata.
+    Both add their sums over :meth:`QuadratureGrid.axis_blocks` in block
+    order; the shell, the union of per-axis slabs, is masked from each
+    block's axes, so no array of the whole grid is made."""
     dim = len(grid.resolution)
-    outer = np.zeros(grid.resolution, dtype=bool)
-    for i, (lo, hi) in enumerate(grid.box):
-        width = hi - lo
-        ax = grid.axis(i)
-        slab = (ax < lo + 0.05 * width) | (ax > hi - 0.05 * width)
-        outer = outer | slab.reshape([-1 if m == i else 1 for m in range(dim)])
-    total = float(np.sum(energy))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(energy[outer.ravel()])) / total
+    energy = shell = 0.0
+    for sl, axes in grid.axis_blocks():
+        part = np.abs(coefficients[sl]) ** 2 * grid.weights[sl]
+        outer = np.zeros(tuple(map(len, axes)), dtype=bool)
+        for i, ((lo, hi), ax) in enumerate(zip(grid.box, axes)):
+            width = hi - lo
+            slab = (ax < lo + 0.05 * width) | (ax > hi - 0.05 * width)
+            outer = outer | slab.reshape([-1 if m == i else 1 for m in range(dim)])
+        energy += float(np.sum(part))
+        shell += float(np.sum(part[outer.ravel()]))
+    return energy, (shell / energy if energy else 0.0)
 
 
 def analyze(
@@ -211,9 +217,8 @@ def analyze(
         meta={"clipped": clipped},
         analyzing_vector_sha256=psi.sha256(),
     )
-    energy = np.abs(result.coefficients) ** 2 * grid.weights
-    result.meta["energy"] = float(np.sum(energy))
-    result.meta["shell_fraction"] = _shell_fraction(energy, grid)
+    result.meta["energy"], result.meta["shell_fraction"] = _energy_and_shell(
+        result.coefficients, grid)
     return result
 
 
@@ -292,7 +297,7 @@ def admissibility(
     not admissible: increments do not decay (final >= half the first extension);
     inconclusive: anything in between, reported as its own status.
     """
-    increments = tuple(analyze(rep, psi, psi, grid).energy() for grid in nested_grids)
+    increments = tuple(coefficient_energy(rep, psi, psi, grid) for grid in nested_grids)
     partials = tuple(np.cumsum(increments))
     if abs(increments[-1]) / max(abs(partials[-1]), 1e-300) < 1e-3:
         status = "admissible"
@@ -315,6 +320,48 @@ def admissibility(
 # ---------------------------------------------------------------------------
 
 
+def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) -> list:
+    """The quadratures over ``grid`` of per-block integrands of coefficients:
+    each (psi, phi) of ``pairs`` streams its coefficients once
+    (:meth:`ActionTable.coefficient_blocks`), the streams run in lockstep,
+    and total i adds, in block order from the first block's part (so signed
+    zeros survive), the sums of ``integrands[i](c, w, at)`` -- ``c`` the
+    pairs' blocks in pair order, ``w`` the block's weights, ``at`` its slices
+    of a chart-shaped array.  A block of each stream, never a whole
+    coefficient array, is held.  :func:`analyze`'s guards apply: every psi is
+    nonzero, and the grid is clipped to the safe box with a warning.  The
+    streams must share their blocks, so every psi has the same number of
+    samples (``ValueError`` otherwise).  If a stream raises, the others are
+    closed before the call raises.
+    """
+    grid, _ = _analysis_grid(rep, [psi for psi, _ in pairs], grid)
+    weights = grid.weights.reshape(grid.resolution)
+    totals = [None] * len(integrands)
+    with contextlib.ExitStack() as stack:
+        streams = [stack.enter_context(contextlib.closing(
+            rep.table.coefficient_blocks(psi, phi, grid))) for psi, phi in pairs]
+        for blocks in zip(*streams):
+            at = blocks[0][0]
+            if any(other != at for other, _ in blocks[1:]):
+                # the engine sizes its blocks by psi's sample count
+                raise ValueError("the analyzing vectors' state grids differ in size, so "
+                                 "their coefficient blocks do not align")
+            c = [values for _, values in blocks]
+            for i, integrand in enumerate(integrands):
+                # a C-ordered block: the sum of one block covering the grid
+                # is that of the raveled arrays
+                part = np.sum(integrand(c, weights[at], at)).item()
+                totals[i] = part if totals[i] is None else totals[i] + part
+    return totals
+
+
+def coefficient_energy(rep: UnitaryRepSpec, psi: DiscretizedState, phi: DiscretizedState,
+                       grid: QuadratureGrid) -> float:
+    """int |c_{psi,phi}|^2 dmu over ``grid``: the energy of
+    :func:`analyze`'s result, streamed (:func:`_block_sums`)."""
+    return _block_sums(rep, [(psi, phi)], grid, [lambda c, w, at: np.abs(c[0]) ** 2 * w])[0]
+
+
 def orthogonality_check(
     rep: UnitaryRepSpec,
     relations: Sequence[tuple[DiscretizedState, DiscretizedState,
@@ -323,69 +370,30 @@ def orthogonality_check(
     grid: QuadratureGrid,
 ) -> list:
     """Quadrature check of the orthogonality relation for each
-    (psi1, psi2, phi1, phi2) of ``relations``: one (lhs, rhs, relerr) of
-    :func:`orthogonality_relation` per relation.
+    (psi1, psi2, phi1, phi2) of ``relations``: one (lhs, rhs, relerr) per
+    relation.  lhs is the group-side quadrature of conj(c1) c2, with
+    c1 = c_{psi1,phi1} and c2 = c_{psi2,phi2}; rhs = <phi1, phi2>
+    <D psi2, D psi1>; and relerr is |lhs - rhs| relative to ||phi1|| ||phi2||
+    ||D psi1|| ||D psi2||, which bounds |rhs| by Cauchy-Schwarz.
 
     Each distinct (psi, phi), told apart by identity, streams its
-    coefficients once (:meth:`ActionTable.coefficient_blocks`).  The streams
-    run in lockstep, and every lhs adds its block sums of conj(c1) c2 w in
-    block order, so a block of each stream, never a whole coefficient
-    array, is held.  :func:`analyze`'s guards apply: every psi is nonzero,
-    and the grid is clipped to the safe box with a warning.  The streams
-    must share their blocks, so every psi has the same number of samples
-    (``ValueError`` otherwise).  If a stream raises, the others are closed
-    before the call raises.
+    coefficients once; every lhs is one block sum of conj(c1) c2 w
+    (:func:`_block_sums`, whose guards apply).
     """
     pairs = {}
     for p1, p2, f1, f2 in relations:
         pairs.setdefault((id(p1), id(f1)), (p1, f1))
         pairs.setdefault((id(p2), id(f2)), (p2, f2))
-    grid, _ = _analysis_grid(rep, [psi for psi, _ in pairs.values()], grid)
-    weights = grid.weights.reshape(grid.resolution)
-    lhs = [None] * len(relations)
-    with contextlib.ExitStack() as stack:
-        streams = [stack.enter_context(contextlib.closing(
-            rep.table.coefficient_blocks(psi, phi, grid))) for psi, phi in pairs.values()]
-        for blocks in zip(*streams):
-            at = blocks[0][0]
-            if any(other != at for other, _ in blocks[1:]):
-                # the engine sizes its blocks by psi's sample count
-                raise ValueError("orthogonality_check: the analyzing vectors' state grids "
-                                 "differ in size, so their coefficient blocks do not align")
-            c = dict(zip(pairs, (values for _, values in blocks)))
-            w = weights[at]
-            for i, (p1, p2, f1, f2) in enumerate(relations):
-                # conj(c1) c2 w is a C-ordered array: the sum of one block
-                # covering the grid is that of the raveled arrays
-                part = complex(np.sum(np.conj(c[id(p1), id(f1)]) * c[id(p2), id(f2)] * w))
-                lhs[i] = part if lhs[i] is None else lhs[i] + part
+    index = {key: i for i, key in enumerate(pairs)}
+    integrands = [
+        lambda c, w, at, i=index[id(p1), id(f1)], j=index[id(p2), id(f2)]: np.conj(c[i]) * c[j] * w
+        for p1, p2, f1, f2 in relations]
+    lhs = _block_sums(rep, list(pairs.values()), grid, integrands)
     return [_relation(total, *relation, dm) for total, relation in zip(lhs, relations)]
 
 
-def orthogonality_relation(
-    c1: np.ndarray,
-    c2: np.ndarray,
-    psi1: DiscretizedState,
-    psi2: DiscretizedState,
-    phi1: DiscretizedState,
-    phi2: DiscretizedState,
-    dm: DMOperator,
-    grid: QuadratureGrid,
-):
-    """Both sides of the orthogonality relation from sampled coefficients
-    c1 = c_{psi1,phi1} and c2 = c_{psi2,phi2} on ``grid``.
-
-    Returns (lhs, rhs, relerr): lhs is the group-side quadrature of
-    conj(c1) c2, rhs = <phi1, phi2> <D psi2, D psi1>, and relerr is
-    |lhs - rhs| relative to ||phi1|| ||phi2|| ||D psi1|| ||D psi2||, which
-    bounds |rhs| by Cauchy-Schwarz.
-    """
-    return _relation(complex(np.sum(np.conj(c1) * c2 * grid.weights)),
-                     psi1, psi2, phi1, phi2, dm)
-
-
 def _relation(lhs, psi1, psi2, phi1, phi2, dm):
-    """(lhs, rhs, relerr) of :func:`orthogonality_relation` from its group
+    """(lhs, rhs, relerr) of :func:`orthogonality_check` from its group
     side ``lhs``."""
     d1, d2 = dm.apply(psi1), dm.apply(psi2)
     rhs = inner(phi1, phi2) * inner(d2, d1)
@@ -408,8 +416,7 @@ def calibrate_affine_dm(
     lhs_list = []
     base_list = []
     for psi, phi in pairs:
-        res = analyze(rep, psi, phi, grid)
-        lhs_list.append(res.energy())
+        lhs_list.append(coefficient_energy(rep, psi, phi, grid))
         psi_hat = fourier_plancherel(psi)
         w = psi_hat.grid.axis(0)
         dw = psi_hat.grid.spacings[0]
@@ -457,15 +464,13 @@ def reproduce_check(
     idx = np.random.default_rng(7).choice(result.grid.n_nodes, size=16, replace=False)
     # Gram rows <U(g_i) psi, U(g_j) psi> via the coefficient of U(g_i)psi
     scale = max(np.max(np.abs(result.coefficients)), 1e-300)
+    f = result.coefficients.reshape(result.grid.resolution)
     worst = 0.0
     for i in idx:
-        g_i = result.grid.node(i)
-        row = analyze(rep, psi, rep.act(g_i, psi), result.grid).coefficients
         # row(g') = <U(g') psi, U(g_i) psi> = ||Dpsi||^2 kernel(g_i, g')*
-        integ = complex(
-            np.sum(np.conj(row) * result.coefficients * result.grid.weights)
-        ) / result.dm_norm ** 2
-        worst = max(worst, abs(integ - result.coefficients[i]) / scale)
+        integ = _block_sums(rep, [(psi, rep.act(result.grid.node(i), psi))], result.grid,
+                            [lambda row, w, at: np.conj(row[0]) * f[at] * w])[0]
+        worst = max(worst, abs(integ / result.dm_norm ** 2 - result.coefficients[i]) / scale)
     return worst
 
 
@@ -500,7 +505,7 @@ def semi_invariance_check(
 
 def mod_K_equiv_check(
     rep: UnitaryRepSpec,
-    rhos: Sequence[RhoDensity],
+    rhos: Sequence,
     psi: DiscretizedState,
     phi: DiscretizedState,
     g_grid: QuadratureGrid,
@@ -508,20 +513,20 @@ def mod_K_equiv_check(
     proj_rep: UnitaryRepSpec,
 ) -> list:
     """Both sides of  int_G |c^U|^2 dmu_{G,K} = int_X |c^{P_s}|^2 dmu_X  for
-    each density rho of ``rhos``: one (lhs, rhs, relerr) per rho.  The left
-    side integrates |c^U|^2 against rho over the G grid, the right side is
-    the X-quadrature of the section pullback's coefficients; each grid is
-    analyzed once for all densities.
+    each density rho (``measures.RhoDensity``) of ``rhos``: one (lhs, rhs,
+    relerr) per rho.  The left side integrates |c^U|^2 against rho over the
+    G grid, rho evaluated on each block's nodes; the right side is the
+    X-quadrature of the section pullback's coefficients.  Each grid streams
+    its coefficients once for all densities (:func:`_block_sums`).
     """
-    energy = np.abs(analyze(rep, psi, phi, g_grid).coefficients) ** 2
-    c_x = analyze(proj_rep, psi, phi, x_grid).coefficients
-    rhs = float(np.sum(np.abs(c_x) ** 2 * x_grid.weights))
-    triples = []
-    for rho in rhos:
-        # integrate_mod_K consumes |c|^2 sampled on the same grid
-        lhs = integrate_mod_K(lambda nodes: energy, rho, g_grid)
-        triples.append((lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)))
-    return triples
+    # rho is evaluated on the nodes of the grid that the stream runs on
+    g_grid, _ = _analysis_grid(rep, [psi], g_grid)
+    lhs = _block_sums(rep, [(psi, phi)], g_grid, [
+        lambda c, w, at, rho=rho: (np.abs(c[0]) ** 2
+                                   * rho.eval(g_grid.slab_nodes(at)).reshape(w.shape) * w)
+        for rho in rhos])
+    rhs = coefficient_energy(proj_rep, psi, phi, x_grid)
+    return [(total, rhs, abs(total - rhs) / max(abs(total), abs(rhs), 1e-300)) for total in lhs]
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,9 @@ def test_trivial_and_corrupted_multiplier(gabor, rng):
     others = np.array([[0.5, -1.0]] * 8)
     third = random_chart_points(gabor.x_group, rng, 8)
     assert check_cocycle(bad, points=(hits, others, third)) >= 0.09
+    # no generator and no points: no silent default draw
+    with pytest.raises(TypeError, match="rng or points"):
+        check_cocycle(bad)
 
 
 def test_sections_similar(gabor, rng):

@@ -593,6 +593,28 @@ def test_engine_blocks_on_threads_match_inline(config, exotic, gabor_n2, monkeyp
     assert np.array_equal(runs[0][1], runs[1][1])
 
 
+def test_gauged_adjoint_blocks_match_whole_array_gauge(exotic, gabor_n2, monkeypatch):
+    """The twisted section's adjoint, gauged block by block as the calling
+    thread draws the blocks, inline and on two threads, gives the bits of
+    the whole-array formula: coeffs w times e^{i gamma} over the grid's
+    nodes, fed to the ungauged table with unit weights."""
+    import copy
+    from dataclasses import replace
+
+    from groupwave import representations
+
+    _, psi, phi, grid = _small_blocks("exotic", exotic, gabor_n2, monkeypatch)
+    table = projective_from_section(exotic.rep, exotic.section_prime).table
+    c = table.coefficients(psi, phi, grid)
+    unit = copy.copy(grid)
+    object.__setattr__(unit, "weights", np.ones(grid.n_nodes))
+    cw = c * grid.weights * np.exp(1j * table.gauge(grid.nodes))
+    expected = replace(table, gauge=None).adjoint(cw, unit, psi).samples
+    for workers in (1, 2):
+        monkeypatch.setattr(representations, "_workers", lambda: workers)
+        assert np.array_equal(table.adjoint(c, grid, psi).samples, expected)
+
+
 @pytest.mark.parametrize("config", ["exotic", "gabor_n2"])
 def test_engine_draws_blocks_at_most_workers_plus_one_ahead(config, exotic, gabor_n2,
                                                            monkeypatch):
@@ -694,8 +716,9 @@ def test_exotic_analyze_translates_in_k_space(exotic, monkeypatch):
     bundled exotic analyze calls no ``states.translate`` (the engine's
     dictionary used to make 24 calls translating 6.3 M samples).  Traced
     peaks, with warm plan caches: the engine call 65.8 MB against the
-    former engine's 69.1 MB, and the whole analyze (which also holds
-    |c|^2 w) 86.3 MB, as before."""
+    former engine's 69.1 MB, and the whole analyze, which sums its energy
+    and shell fraction over axis blocks, the same 65.8 MB (86.3 MB when it
+    held |c|^2 w of the grid)."""
     import tracemalloc
 
     from groupwave import representations
@@ -718,4 +741,26 @@ def test_exotic_analyze_translates_in_k_space(exotic, monkeypatch):
         finally:
             tracemalloc.stop()
     assert calls == []
-    assert peaks[0] < 67e6 and peaks[1] < 86.4e6, peaks
+    assert peaks[0] < 67e6 and peaks[1] < 70e6, peaks
+
+
+@pytest.mark.parametrize("section", ["s0", "s_tw"])
+def test_exotic_adjoint_memory(section, exotic):
+    """The full-grid adjoint takes each block's coeffs w, gauge phase
+    applied, as it draws the block: traced peaks of 16 MB inline and 22 MB
+    (s0) or 25 MB (s_tw) on two threads, with warm plan caches (63.2 MB when
+    coeffs w of the whole grid was held)."""
+    import tracemalloc
+
+    rep = exotic.proj if section == "s0" else projective_from_section(exotic.rep,
+                                                                      exotic.section_prime)
+    psi, grid = exotic.states["psi"], exotic.x_grid
+    c = rep.fast_coefficients(psi, exotic.states["phi"], grid)
+    rep.fast_adjoint(c, grid, psi)
+    tracemalloc.start()
+    try:
+        rep.fast_adjoint(c, grid, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak

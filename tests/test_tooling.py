@@ -29,13 +29,13 @@ import sys
 import threading
 sys.path.insert(0, {perfbench!r})
 import tracing
-from groupwave import configs, groups, induced, representations, states, transforms
+from groupwave import configs, groups, induced, measures, representations, states, transforms
 
 tracer = tracing.Tracer()
 tracer.install()
 tracer.active = True
 gab = configs.gabor_setup()
-configs.affine_setup()
+aff = configs.affine_setup()
 ex = configs.exotic_setup()
 psi = gab.states["gauss"]
 res = transforms.analyze(gab.rep, psi, psi,
@@ -51,20 +51,38 @@ induced.R_chi_s(gab.section, [0.3, 0.5, -0.2], res.coefficients[:64].reshape(8, 
 transforms.duflo_moore("affine").norm_of(psi)
 states.save_state_csv({outdir!r} + "/psi.csv", psi)
 transforms.save_result_csv({outdir!r} + "/coef", res)
+slabs = [groups.haar_grid(aff.group, [(b, b + 2.0), (0.5, 2.0)], [8, 8], log_axes=(1,))
+         for b in (-2.0, 0.0)]
+transforms.admissibility(aff.rep, aff.states["morlet"], slabs)
+measures.center_divergence_probe(gab.rep, gab.subgroup, psi, psi, [1.0, 2.0], x_grid)
 tracer.active = False
 metrics = tracing.per_module_metrics(tracing.summarize([tracer.spans]), {{}})
 assert metrics["transforms.per_node_share"] == 0, metrics["transforms.per_node_share"]
 assert metrics["transforms.analyze.nodes"] == 2 * 256 + 64, metrics["transforms.analyze.nodes"]
 assert metrics["transforms.duflo_moore.calls"] == 1, metrics["transforms.duflo_moore.calls"]
 assert metrics["cli.csv_bytes_written"] > 0, metrics["cli.csv_bytes_written"]
+
+
+def ancestors(span):
+    parent = span[3]
+    while parent >= 0:
+        yield tracer.spans[parent][0]
+        parent = tracer.spans[parent][3]
+
+
 translates = [span for span in tracer.spans if span[0] == "states.translate"]
 assert translates, "the script makes no translate call to look at"
 for span in translates:
-    parent = span[3]
-    while parent >= 0:
-        assert tracer.spans[parent][0] not in ("transforms.analyze", "transforms.synthesize"), \
-            tracer.spans[parent][0]
-        parent = tracer.spans[parent][3]
+    assert not set(ancestors(span)) & {{"transforms.analyze", "transforms.synthesize"}}, span
+# the integrals over coefficients stream them, never analyzing a grid
+streamed = {{"transforms.admissibility", "transforms.calibrate_affine_dm",
+            "transforms.reproduce_check", "transforms.mod_K_equiv_check",
+            "measures.center_divergence_probe"}}
+ran = {{span[0] for span in tracer.spans}}
+assert {{"transforms.admissibility", "measures.center_divergence_probe"}} <= ran, ran
+for span in tracer.spans:
+    if span[0] in ("transforms.analyze", "representations.fast_coefficients"):
+        assert not set(ancestors(span)) & streamed, (span[0], sorted(set(ancestors(span))))
 # one exotic analyze of 16 engine blocks, inline and then on two threads:
 # the tasks touch only numpy, so the two runs record the same spans
 representations.CHUNK = 1024
@@ -95,9 +113,11 @@ def test_tracer_installs_and_traces_analyze(tmp_path):
     """Also: twisted-section and lift transforms make no per-node calls,
     no ``states.translate`` runs inside ``analyze`` or ``synthesize`` (the
     engine translates by Fourier-side phases, so ``states.translate.calls``
-    counts only the literal actions and ``R_chi_s``), R_chi_s runs through
-    the traced left_reg_m, and the Duflo-Moore factory and both CSV writers
-    are traced under their benchmark names."""
+    counts only the literal actions and ``R_chi_s``), no ``analyze`` or
+    ``fast_coefficients`` runs inside the integrals that stream their
+    coefficients (admissibility and the centre divergence probe run here),
+    R_chi_s runs through the traced left_reg_m, and the Duflo-Moore factory
+    and both CSV writers are traced under their benchmark names."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -16,16 +16,16 @@ from groupwave.states import (
     save_state_csv,
 )
 from groupwave.transforms import (
-    _shell_fraction,
+    _energy_and_shell,
     admissibility,
     analyze,
     calibrate_affine_dm,
+    coefficient_energy,
     duflo_moore,
     kernel,
     load_result_csv,
     mod_K_equiv_check,
     orthogonality_check,
-    orthogonality_relation,
     reproduce_check,
     save_result_csv,
     semi_invariance_check,
@@ -234,47 +234,40 @@ def test_gabor_everything_admissible(gabor, rng):
     assert report.dm_norm_sq == pytest.approx(norm(psi) ** 2, rel=1e-3)
 
 
-def _shell_fraction_node_mask(coefficients, grid):
-    """Reference: the outer-shell mask tested node by node."""
+def _outer_nodes(grid):
+    """Reference: the outer-shell mask, tested node by node."""
     outer = np.zeros(grid.n_nodes, dtype=bool)
     for i, (lo, hi) in enumerate(grid.box):
         width = hi - lo
         outer |= grid.nodes[:, i] < lo + 0.05 * width
         outer |= grid.nodes[:, i] > hi - 0.05 * width
-    total = float(np.sum(np.abs(coefficients) ** 2 * grid.weights))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum((np.abs(coefficients) ** 2 * grid.weights)[outer])) / total
+    return outer
 
 
-@pytest.mark.parametrize("case", ["gabor_x", "wh_3d", "affine_log_axis"])
-def test_shell_fraction_matches_node_mask(case, gabor, affine, rng):
-    grid = {
-        "gabor_x": gabor.x_grid,
-        "wh_3d": haar_grid(gabor.group, [(-3, 5), (-2, 2), (-4, 1)], [12, 10, 8]),
-        "affine_log_axis": affine.x_grid,
-    }[case]
+@pytest.mark.parametrize("case", ["gabor_x", "wh_3d", "affine_log_axis", "wh_3d_rows"])
+def test_shell_fraction_matches_node_mask(case, gabor, affine, rng, monkeypatch):
+    """The energy and the shell energy add their sums over the grid's axis
+    blocks in block order: exactly the block-order oracle of the
+    node-by-node shell mask, which is the whole-array sum on the one-block
+    grids.  ``wh_3d_rows`` takes 12 blocks of one first-axis row."""
+    if case == "wh_3d_rows":
+        monkeypatch.setattr(groups, "BLOCK", 96)
+    wh_3d = haar_grid(gabor.group, [(-3, 5), (-2, 2), (-4, 1)], [12, 10, 8])
+    grid = {"gabor_x": gabor.x_grid, "wh_3d": wh_3d, "affine_log_axis": affine.x_grid,
+            "wh_3d_rows": wh_3d}[case]
+    slices = [sl for sl, _ in grid.axis_blocks()]
+    assert len(slices) == (12 if case == "wh_3d_rows" else 1)
     c = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
-    assert _shell_fraction(np.abs(c) ** 2 * grid.weights, grid) == _shell_fraction_node_mask(c, grid)
-    assert _shell_fraction(np.zeros(grid.n_nodes), grid) == 0.0
+    energy, outer = np.abs(c) ** 2 * grid.weights, _outer_nodes(grid)
+    total = sum(float(np.sum(energy[sl])) for sl in slices)
+    shell = sum(float(np.sum(energy[sl][outer[sl]])) for sl in slices)
+    assert _energy_and_shell(c, grid) == (total, shell / total)
+    assert _energy_and_shell(np.zeros(grid.n_nodes), grid) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # orthogonality
 # ---------------------------------------------------------------------------
-
-
-def _count_analyses(monkeypatch):
-    """Route ``transforms.analyze`` through a counter; returns its list of
-    analyzed grids."""
-    grids = []
-
-    def counted(rep, psi, phi, grid, *args, **kwargs):
-        grids.append(grid)
-        return analyze(rep, psi, phi, grid, *args, **kwargs)
-
-    monkeypatch.setattr(transforms, "analyze", counted)
-    return grids
 
 
 def _count_streams(monkeypatch):
@@ -296,17 +289,24 @@ def _slabs(rep, psi, phi, grid):
     return [at for at, _ in rep.table.coefficient_blocks(psi, phi, grid)]
 
 
+def _block_order(slabs, integrand):
+    """Block-order oracle of a streamed block sum: the sums of
+    ``integrand(at)`` over ``slabs``, added in order from the first."""
+    total = None
+    for at in slabs:
+        part = np.sum(integrand(at)).item()
+        total = part if total is None else total + part
+    return total
+
+
 def _block_order_lhs(slabs, c1, c2, grid):
     """Block-order oracle of a streamed lhs from whole coefficient arrays:
     (the sum over ``slabs``, in order, of np.sum(conj(c1) c2 w) on the slab;
     the same sum over the whole arrays)."""
     c1, c2 = c1.reshape(grid.resolution), c2.reshape(grid.resolution)
     w = grid.weights.reshape(grid.resolution)
-    total = None
-    for at in slabs:
-        part = complex(np.sum(np.conj(c1[at]) * c2[at] * w[at]))
-        total = part if total is None else total + part
-    return total, complex(np.sum(np.conj(c1) * c2 * w))
+    return (_block_order(slabs, lambda at: np.conj(c1[at]) * c2[at] * w[at]),
+            complex(np.sum(np.conj(c1) * c2 * w)))
 
 
 @pytest.mark.parametrize("config, psi_name, phi_name",
@@ -323,8 +323,7 @@ def test_orthogonality_check_analyzes_each_pair_once(config, psi_name, phi_name,
     c1 = analyze(rep, psi, phi, setup.x_grid).coefficients
     c2 = analyze(rep, psi, phi, setup.x_grid).coefficients
     lhs = complex(np.sum(np.conj(c1) * c2 * setup.x_grid.weights))
-    expected = orthogonality_relation(c1, c2, psi, psi, phi, phi, dm, setup.x_grid)
-    assert expected[0] == lhs
+    expected = transforms._relation(lhs, psi, psi, phi, phi, dm)
     grids = _count_streams(monkeypatch)
     assert orthogonality_check(rep, [(psi, psi, phi, phi)], dm, setup.x_grid) == [expected]
     assert grids == [setup.x_grid]
@@ -392,6 +391,45 @@ def test_streamed_relation_in_small_blocks(spec, exotic, monkeypatch):
         oracle, whole = _block_order_lhs(slabs, c11, c2, grid)
         assert lhs == oracle
         assert abs(lhs - whole) <= 1e-15 * abs(whole)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_sums_in_small_blocks(workers, exotic, gabor, monkeypatch):
+    """With ``CHUNK`` at 1024, inline and pooled: the streamed energy, the
+    reproduce check's Gram rows and the mod-K left side each equal their
+    block-order oracle from whole coefficient arrays."""
+    from groupwave import representations
+
+    monkeypatch.setattr(representations, "CHUNK", 1024)
+    monkeypatch.setattr(representations, "_workers", lambda: workers)
+    rep, psi, phi = exotic.proj, exotic.states["psi"], exotic.states["phi"]
+    grid = _small_exotic_grid(exotic.x_group)
+    slabs = _slabs(rep, psi, phi, grid)
+    assert len(slabs) == 20
+    w = grid.weights.reshape(grid.resolution)
+    res = analyze(rep, psi, phi, grid, dm_norm=1.0)
+    f = res.coefficients.reshape(grid.resolution)
+    assert coefficient_energy(rep, psi, phi, grid) == _block_order(
+        slabs, lambda at: np.abs(f[at]) ** 2 * w[at])
+    worst, scale = 0.0, np.max(np.abs(res.coefficients))
+    for i in np.random.default_rng(7).choice(grid.n_nodes, size=16, replace=False):
+        row = analyze(rep, psi, rep.act(grid.node(i), psi), grid).coefficients
+        row = row.reshape(grid.resolution)
+        integ = _block_order(slabs, lambda at: np.conj(row[at]) * f[at] * w[at])
+        worst = max(worst, abs(integ - res.coefficients[i]) / scale)
+    assert reproduce_check(res, rep, psi) == worst
+
+    psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
+    g_grid = haar_grid(gabor.group, [(-4, 4), (-3, 3), (-3, 3)], [32, 8, 8])
+    x_grid = haar_grid(gabor.x_group, [(-3, 3)] * 2, [8] * 2)
+    slabs = _slabs(gabor.rep, psi, phi, g_grid)
+    assert len(slabs) > 1
+    c = analyze(gabor.rep, psi, phi, g_grid).coefficients.reshape(g_grid.resolution)
+    w = g_grid.weights.reshape(g_grid.resolution)
+    rho = make_rho("gaussian", gabor.subgroup)
+    density = rho.eval(g_grid.nodes).reshape(g_grid.resolution)
+    [(lhs, _, _)] = mod_K_equiv_check(gabor.rep, [rho], psi, phi, g_grid, x_grid, gabor.proj)
+    assert lhs == _block_order(slabs, lambda at: np.abs(c[at]) ** 2 * density[at] * w[at])
 
 
 def test_streams_close_when_one_raises(exotic, monkeypatch):
@@ -755,8 +793,8 @@ def test_mod_K_equivalence_and_rho_swap(gabor):
 
 
 def test_mod_K_equiv_check_analyzes_each_grid_once(gabor, monkeypatch):
-    """Two densities cost two analyses, one on G and one on X, and each
-    triple is that of a one-density call."""
+    """Two densities cost two coefficient streams, one on G and one on X,
+    and each triple is that of a one-density call."""
     sub = gabor.subgroup
     g_grid = haar_grid(gabor.group, [(-4, 4), (-3, 3), (-3, 3)], [32, 8, 8])
     x_grid = haar_grid(gabor.x_group, [(-3, 3)] * 2, [8] * 2)
@@ -764,7 +802,7 @@ def test_mod_K_equiv_check_analyzes_each_grid_once(gabor, monkeypatch):
     psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
     alone = [mod_K_equiv_check(gabor.rep, [rho], psi, phi, g_grid, x_grid, gabor.proj)[0]
              for rho in rhos]
-    grids = _count_analyses(monkeypatch)
+    grids = _count_streams(monkeypatch)
     assert mod_K_equiv_check(gabor.rep, rhos, psi, phi, g_grid, x_grid, gabor.proj) == alone
     assert len(grids) == 2 and grids[0] is g_grid and grids[1] is x_grid
 
