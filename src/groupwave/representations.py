@@ -44,7 +44,8 @@ exactly in exact arithmetic: a translation role is a matrix of phases over
 (chart axis, k_j), as a modulation role is one over (chart axis, x_j).
 ``coefficients`` puts the phi side into k-space once per call,
 h^ = F_j(phi cell E_j) with the modulation E_j of the same state axis folded
-in (one transform per modulation node), and the dilated psi once per block.
+in (one transform per modulation node), and the dilated psi once per block
+(a cached entry; see below).
 Per block it contracts each k_j with its translation matrix, one BLAS
 matmul batched over the untranslated state axes, then each untranslated
 state axis with its modulation matrix, and writes the result in chart order.
@@ -65,7 +66,21 @@ contraction steps; in ``states`` the chirp-z factors of each scale ladder)
 is done once per grid and held in bounded ``functools.lru_cache``s of
 ``PLAN_CACHE`` entries, keyed by value (roles, chart-axis nodes, state
 grid, sign), so a rebuilt grid hits them too.  A plan is made of tuples
-and read-only arrays, since every later call shares it.
+and read-only arrays, since every later call shares it.  The psi side is
+cached the same way, one entry per dictionary block
+(``_dictionary_block``): the dilated, weighted and Fourier transformed
+psi, keyed by the dilated state axes, the transformed array axes, the
+domain state's sample bytes with their dtype and shape, its state grid,
+the bytes of the block's scales and the block step, so the equal psi that
+each CLI call builds afresh hits too.  The block is cached before its fold:
+``coefficients`` conjugates a copy per call and ``adjoint`` uses it as it
+is, so analysis, synthesis and every streamed integral share one entry.
+An entry holds at most ``CHUNK`` complex samples (4 MiB) for a state of at
+most ``CHUNK`` samples, so the cache holds at most 64 MiB; the bundled grids
+take 4 KiB (Gabor, one block of the undilated psi), 1.3 MB (affine, 160
+scales of 512 samples) and 3.1 MB (exotic, 48 scales of 64^2 samples).
+Entries are filled in the calling thread and kept in anonymous memory maps
+(``states.frozen_copy``), as the plans are.
 
 The blocks of one call are independent: a coefficient block writes its own
 slice of the result, and an adjoint block returns its state-sized term of
@@ -116,6 +131,7 @@ from .multipliers import (
 from .states import (
     PLAN_CACHE,
     DiscretizedState,
+    _check_compatible,
     axis_resample,
     fourier_plancherel,
     frozen_copy,
@@ -212,8 +228,11 @@ class ActionTable:
         block order: the one block task writes the nodes ``at`` into
         ``c = dest(at)``, which the calling thread makes as it draws the
         block, and the calling thread then applies the gauge phase, if any,
-        from the block's nodes."""
-        psi, phi = self._domain(psi), self._domain(phi)
+        from the block's nodes.  psi and phi must share their state grid, as
+        for ``states.inner`` (``GridMismatchError`` otherwise)."""
+        domain = self._domain(psi), self._domain(phi)
+        _check_compatible(psi, phi)  # not on ``domain``: a Fourier grid drops the offsets
+        psi, phi = domain
         plan = self._plan(grid, psi.grid, -1)
         chart, state, phases, mods, steps, moved, lead = plan
         weight = phi.samples * psi.grid.cell_volume
@@ -287,24 +306,19 @@ class ActionTable:
         ``plan.lead``, if any) such that it times the nodes of ``lead[1:]``
         is about ``CHUNK`` samples: yields (at, labels, block), ``at``
         slicing the nodes out of a chart-shaped array and ``labels`` naming
-        the block's axes.  One ``axis_resample`` per
-        dilated state axis dilates a whole block of scales at once."""
+        the block's axes.  Each block before its fold is the cached
+        :func:`_dictionary_block` of the state and the block's scales."""
         dil = [i for i, r in enumerate(self.roles) if r.kind == "dilate"]
-        dim, moved, lead = state.grid.dim, plan.moved, plan.lead
+        lead = plan.lead
         scales = grid.axis(dil[0]) if dil else np.ones(1)
-        dilated = self.roles[dil[0]].axes if dil else ()
         labels = tuple(dil) + plan.state
         rows = int(np.prod([grid.resolution[i] for i in lead[1:]]))
-        step = max(1, CHUNK // state.samples.size)
+        samples = state.samples
+        step = max(1, CHUNK // samples.size)
+        key = (self.roles[dil[0]].axes if dil else (), plan.moved,
+               samples.tobytes(), samples.dtype.str, samples.shape, state.grid)
         for d0 in range(0, len(scales), step):
-            a = scales[d0 : d0 + step]
-            out = state
-            for j in dilated:
-                out = axis_resample(out, j, a, 0.0)
-            # float_power is libm's pow, as a per-scale a^{m/2} was; an
-            # array ``** 2`` squares and differs in the last bit
-            block = out.samples * np.float_power(np.sqrt(a), len(dilated)).reshape((-1,) + (1,) * dim)
-            block = np.fft.fftn(block, axes=moved)  # no translation role: ``block`` itself
+            block = _dictionary_block(*key, scales[d0 : d0 + step].tobytes(), step)
             block = fold(block) if fold else block
             at = [slice(None)] * len(self.roles)
             if dil:
@@ -372,6 +386,26 @@ def _contract(a, labels, matrix, old, new):
     BLAS matmul; the made axis ``new`` goes last."""
     i = labels.index(old)
     return np.tensordot(a, matrix, axes=(i, 1)), labels[:i] + labels[i + 1 :] + (new,)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _dictionary_block(dilated, moved, samples, dtype, shape, state_grid, scales, step):
+    """One block of :meth:`ActionTable._dictionary` before its fold:
+    a^{m/2} D_a of the state ``np.frombuffer(samples, dtype).reshape(shape)``
+    on ``state_grid``, dilated along the state axes ``dilated`` for the
+    scales ``np.frombuffer(scales)`` (the block's slice of a ladder cut in
+    blocks of ``step``) and Fourier transformed along the array axes
+    ``moved``.  Cached by value, read-only (see :func:`states.frozen_copy`),
+    so a rebuilt psi hits; the caller folds a copy."""
+    a = np.frombuffer(scales)
+    out = DiscretizedState(np.frombuffer(samples, dtype).reshape(shape), state_grid)
+    for j in dilated:
+        out = axis_resample(out, j, a, 0.0)
+    # float_power is libm's pow, as a per-scale a^{m/2} was; an array
+    # ``** 2`` squares and differs in the last bit
+    block = out.samples * np.float_power(np.sqrt(a), len(dilated)).reshape(
+        (-1,) + (1,) * state_grid.dim)
+    return frozen_copy(np.fft.fftn(block, axes=moved))  # no translation role: ``block`` itself
 
 
 class _Plan(NamedTuple):

@@ -245,6 +245,16 @@ def _clip_to_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid):
     return safe, True
 
 
+def _require_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid) -> None:
+    """The guard of a coefficient grid that is given, not analyzed: one
+    reaching outside the rep's safe box raises :class:`GridSafetyError`,
+    since clipping it would pair its coefficients with other nodes."""
+    box = grid.box
+    if _safe_part(rep, box) != box:
+        raise GridSafetyError(f"{rep.label}: coefficient grid box {list(box)} leaves the "
+                              f"grid-safe box {list(rep.safe_box)}")
+
+
 def synthesize(
     result: TransformResult, rep: UnitaryRepSpec, psi: DiscretizedState
 ) -> DiscretizedState:
@@ -259,10 +269,7 @@ def synthesize(
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm metadata is unset; synthesize needs it")
-    box = result.grid.box
-    if _safe_part(rep, box) != box:
-        raise GridSafetyError(f"{rep.label}: coefficient grid box {list(box)} leaves the "
-                              f"grid-safe box {list(rep.safe_box)}")
+    _require_safe_box(rep, result.grid)
     out = rep.fast_adjoint(result.coefficients, result.grid, psi)
     return out.with_samples(out.samples / result.dm_norm ** 2)
 
@@ -457,10 +464,13 @@ def reproduce_check(
     At 16 grid nodes g drawn by a generator seeded with 7, compares f(g)
     with int kernel(g, g') f(g') dmu(g') over the grid; returns the max
     relative error (scaled by the largest |f| sample).  Deterministic:
-    repeated evaluation returns identical numbers.
+    repeated evaluation returns identical numbers.  A grid reaching outside
+    the rep's safe box raises :class:`GridSafetyError`, as in
+    :func:`synthesize`.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm is unset")
+    _require_safe_box(rep, result.grid)
     idx = np.random.default_rng(7).choice(result.grid.n_nodes, size=16, replace=False)
     # Gram rows <U(g_i) psi, U(g_j) psi> via the coefficient of U(g_i)psi
     scale = max(np.max(np.abs(result.coefficients)), 1e-300)

@@ -418,20 +418,23 @@ def test_engine_plan_is_cached_and_read_only(exotic, monkeypatch):
 
 @pytest.mark.parametrize("config", ["affine", "exotic"])
 def test_warm_plan_caches_give_identical_bits(config, affine, exotic):
+    """A warm analyze and synthesize miss no cache and take their dilated
+    psi from the dictionary cache, with the cold calls' bits."""
     from groupwave import representations, states
     from groupwave.transforms import synthesize
 
     rep, psi, phi, grid = _affine_and_exotic_case(config, affine, exotic)
-    caches = (representations._factor_plan, states._chirp_plan)
+    caches = (representations._factor_plan, states._chirp_plan, representations._dictionary_block)
     for cached in caches:
         cached.cache_clear()
     cold = analyze(rep, psi, phi, grid, dm_norm=1.0)
     cold_back = synthesize(cold, rep, psi)
     misses = [cached.cache_info().misses for cached in caches]
+    hits = representations._dictionary_block.cache_info().hits
     warm = analyze(rep, psi, phi, grid, dm_norm=1.0)
     warm_back = synthesize(warm, rep, psi)
     assert [cached.cache_info().misses for cached in caches] == misses
-    assert all(cached.cache_info().hits > 0 for cached in caches)
+    assert representations._dictionary_block.cache_info().hits > hits
     assert warm.coefficients.tobytes() == cold.coefficients.tobytes()
     assert warm_back.samples.tobytes() == cold_back.samples.tobytes()
 
@@ -440,7 +443,7 @@ def test_plan_caches_stay_bounded(affine):
     from groupwave import representations, states
     from groupwave.groups import haar_grid
 
-    caches = (representations._factor_plan, states._chirp_plan)
+    caches = (representations._factor_plan, states._chirp_plan, representations._dictionary_block)
     for cached in caches:
         cached.cache_clear()
     psi, phi = affine.states["morlet"], affine.states["signal"]
@@ -476,6 +479,105 @@ def test_dictionary_dilations_equal_per_scale_bits(affine_n2):
     ref = np.stack([axis_resample(axis_resample(hat, 0, a), 1, a).samples * np.sqrt(a) ** 2
                     for a in grid.axis(2)])
     assert stack.tobytes() == ref.tobytes()
+
+
+def _dictionary_entries(monkeypatch):
+    """Clear the dictionary cache and record every entry it hands out."""
+    from groupwave import representations
+
+    entries, cached = [], representations._dictionary_block
+    cached.cache_clear()
+    monkeypatch.setattr(representations, "_dictionary_block",
+                        lambda *key: entries.append(cached(*key)) or entries[-1])
+    return entries
+
+
+def test_dictionary_cache_keys_psi_by_value(exotic):
+    """A rebuilt equal psi hits the dictionary cache; the same samples on
+    another state grid, another scale slice, and the same sample bytes of
+    another dtype each miss (the exotic table dilates in position, so its
+    cache key holds psi's own samples)."""
+    from groupwave import representations
+    from groupwave.states import StateGrid
+
+    cache = representations._dictionary_block
+    psi, phi = exotic.states["psi"], exotic.states["phi"]
+    grid = haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [5, 4, 5, 4],
+                     log_axes=(3,))
+    other_scales = haar_grid(exotic.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.5)],
+                             [5, 4, 5, 4], log_axes=(3,))
+    g = psi.grid
+    other_grid = StateGrid((0.05,) + g.offsets[1:], (0.1,) + g.spacings[1:], g.counts)
+    real = DiscretizedState(psi.samples.real.copy(), g)
+
+    def misses(psi, phi, grid):
+        before = cache.cache_info().misses
+        exotic.proj.fast_coefficients(psi, phi, grid)
+        return cache.cache_info().misses - before
+
+    cache.cache_clear()
+    assert misses(psi, phi, grid) == 1
+    rebuilt = DiscretizedState(psi.samples.copy(), StateGrid(g.offsets, g.spacings, g.counts))
+    assert misses(rebuilt, phi, grid) == 0
+    assert misses(DiscretizedState(psi.samples, other_grid),
+                  DiscretizedState(phi.samples, other_grid), grid) == 1
+    assert misses(psi, phi, other_scales) == 1
+    assert misses(real, phi, grid) == 1
+    assert misses(DiscretizedState(real.samples.view(np.int64), g), phi, grid) == 1
+
+
+@pytest.mark.parametrize("config", ["affine", "exotic"])
+def test_synthesize_reuses_the_analyzed_dictionary(config, affine, exotic, monkeypatch):
+    """After analyze, synthesize on the same (psi, grid) dilates nothing:
+    both directions share the unfolded dictionary entry, and the result has
+    the bits of a synthesize on a cold cache."""
+    from groupwave import representations
+
+    rep, psi, phi, grid = _affine_and_exotic_case(config, affine, exotic)
+    representations._dictionary_block.cache_clear()
+    res = analyze(rep, psi, phi, grid, dm_norm=1.0)
+    representations._dictionary_block.cache_clear()
+    cold = synthesize(res, rep, psi)
+    representations._dictionary_block.cache_clear()
+    analyze(rep, psi, phi, grid, dm_norm=1.0)
+    calls, resample = [], representations.axis_resample
+    monkeypatch.setattr(representations, "axis_resample",
+                        lambda *args: calls.append(args) or resample(*args))
+    warm = synthesize(res, rep, psi)
+    assert calls == []
+    assert warm.samples.tobytes() == cold.samples.tobytes()
+
+
+def test_dictionary_entries_read_only_and_chunk_bounded(gabor, affine, exotic, monkeypatch):
+    """Every entry of the bundled grids' analyses is read-only and holds at
+    most ``CHUNK`` complex samples; Gabor's undilated psi is one entry."""
+    from groupwave.representations import CHUNK
+
+    entries = _dictionary_entries(monkeypatch)
+    analyze(gabor.proj, gabor.states["gauss"], gabor.states["mix"], gabor.x_grid)
+    assert len(entries) == 1 and entries[0].shape == (1,) + gabor.state_grid.counts
+    analyze(affine.rep, affine.states["morlet"], affine.states["signal"], affine.x_grid)
+    analyze(exotic.proj, exotic.states["psi"], exotic.states["phi"], exotic.x_grid)
+    assert len(entries) == 3
+    for entry in entries:
+        assert entry.size <= CHUNK and entry.dtype == complex
+        with pytest.raises(ValueError):
+            entry[...] = 0.0
+
+
+def test_two_block_ladder_warm_and_cold_bits(affine_n2, monkeypatch):
+    """The affine n = 2 ladder of 500 scales is two dictionary blocks, one
+    cache entry each, and warm calls give the cold calls' bits."""
+    rep, psi, phi, _ = affine_n2
+    grid = haar_grid(rep.group, [(-2, 2), (-2, 2), (0.3, 3.0)], [2, 2, 500], log_axes=(2,))
+    entries = _dictionary_entries(monkeypatch)
+    cold = rep.fast_coefficients(psi, phi, grid)
+    cold_back = rep.fast_adjoint(cold, grid, psi)
+    assert [len(e) for e in entries] == [256, 244, 256, 244]
+    assert entries[2] is entries[0] and entries[3] is entries[1]
+    warm = rep.fast_coefficients(psi, phi, grid)
+    assert warm.tobytes() == cold.tobytes()
+    assert rep.fast_adjoint(warm, grid, psi).samples.tobytes() == cold_back.samples.tobytes()
 
 
 def _hand_built_spec(group, table, action):

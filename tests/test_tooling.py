@@ -96,6 +96,7 @@ representations.axis_resample = (
 tracer.active = True
 for workers in (1, 2):
     representations._workers = lambda: workers
+    representations._dictionary_block.cache_clear()  # both runs dilate psi
     start = len(tracer.spans)
     transforms.analyze(ex.proj, ex.states["psi"], ex.states["phi"], small)
     run = [span[0] for span in tracer.spans[start:]]

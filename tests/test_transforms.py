@@ -597,6 +597,50 @@ def test_reproduce_requires_dm_norm(gabor):
         reproduce_check(res, gabor.proj, gabor.states["gauss"])
 
 
+def test_reproduce_check_rejects_grid_beyond_safe_box(gabor):
+    """A coefficient grid past the safe q range (+-8) once streamed its Gram
+    rows on the clipped grid against the unclipped grid's nodes: the +-8.1
+    box gave a defect of 1.7e-3 where the +-8 box gives 2.5e-9.  It now
+    raises through synthesize's guard."""
+    psi, phi = gabor.states["gauss"], gabor.states["hermite2"]
+
+    def result(half):
+        grid = haar_grid(gabor.x_group, [(-half, half)] * 2, [64, 64])
+        return transforms.TransformResult(gabor.proj.fast_coefficients(psi, phi, grid), grid,
+                                          "psi", gabor.proj.label, dm_norm=1.0)
+
+    assert reproduce_check(result(8.0), gabor.proj, psi) == pytest.approx(2.49e-9, rel=0.01)
+    with pytest.raises(GridSafetyError, match="leaves the grid-safe box"):
+        reproduce_check(result(8.1), gabor.proj, psi)
+
+
+def test_engine_rejects_phi_on_another_grid(gabor, affine):
+    """phi sampled on a grid of doubled spacing once analyzed to the
+    same-grid energy 0.99999999999996 (its true value is 2): the engine
+    takes ``states.inner``'s grid rule.  The affine case shifts only the
+    offsets, which its Fourier grid does not record."""
+    from groupwave.states import GridMismatchError, StateGrid
+
+    psi = gabor.states["gauss"]
+    g = psi.grid
+    wide = DiscretizedState(psi.samples, StateGrid(g.offsets, tuple(2 * h for h in g.spacings),
+                                                   g.counts))
+    morlet = affine.states["morlet"]
+    a = morlet.grid
+    shifted = DiscretizedState(morlet.samples, StateGrid(tuple(o + 0.5 for o in a.offsets),
+                                                         a.spacings, a.counts))
+    calls = [
+        lambda: analyze(gabor.proj, psi, wide, gabor.x_grid),
+        lambda: coefficient_energy(gabor.proj, psi, wide, gabor.x_grid),
+        lambda: orthogonality_check(gabor.proj, [(psi, psi, psi, wide)], duflo_moore("gabor"),
+                                    gabor.x_grid),
+        lambda: analyze(affine.rep, morlet, shifted, affine.x_grid),
+    ]
+    for call in calls:
+        with pytest.raises(GridMismatchError, match="different grids"):
+            call()
+
+
 def test_synthesize_zero_and_round_trip(gabor, rng):
     psi = gabor.states["gauss"]
     res = analyze(gabor.proj, psi, gabor.states["hermite2"], gabor.x_grid, dm_norm=1.0)
