@@ -1,9 +1,12 @@
 """Concrete locally compact groups as charts on R^d.
 
 Each group is a :class:`GroupDescriptor`: product / inverse maps on chart
-coordinates (vectorized over leading axes), the left Haar density with respect
-to Lebesgue measure on the chart, and the modular function.  The registry
-covers the groups this package verifies:
+points (vectorized over leading axes), the left Haar density with respect
+to Lebesgue measure on the chart, and the modular function.  The density
+and the modular function take the coordinates first: ``x[i]`` is chart
+coordinate i, as arrays that broadcast against each other, so a grid passes
+its axes as an open mesh and a point array P passes ``np.moveaxis(P, -1,
+0)``.  The registry covers the groups this package verifies:
 
 * polarized Weyl-Heisenberg group  H'_n, chart (k, p, q),
   product (k + k' + q.p', p + p', q + q');
@@ -16,8 +19,9 @@ covers the groups this package verifies:
 The chart domain of a group is one declaration, the per-axis open lower
 bounds ``domain_lower`` (a > 0 on the scale axes): ``haar_grid`` clips a box
 to it, and a :class:`QuadratureGrid` checks its box against it once per axis.
-A grid keeps its chart axes: its Haar weights are eager, computed over
-blocks of ``BLOCK`` nodes; its (n_nodes x dim) node array is lazy.
+A grid keeps its chart axes: its Haar weights are eager, the density
+evaluated once on the open mesh (``np.ix_``) of the axes, never on the
+nodes; its (n_nodes x dim) node array is lazy.
 
 Normalization conventions (also emitted by ``groupwave conventions``):
 
@@ -68,8 +72,13 @@ __all__ = [
 class GroupDescriptor:
     """A l.c.s.c. group realized as a chart on R^d.
 
-    ``product``/``inverse`` accept arrays of shape (..., dim) and broadcast;
-    ``haar_density``/``modular`` map (..., dim) -> (...).  ``angle_axes``
+    ``product``/``inverse`` accept arrays of shape (..., dim) and broadcast.
+    ``haar_density``/``modular`` take the coordinates first: ``x[i]`` is
+    chart coordinate i, and the coordinates are arrays that broadcast
+    against each other (an open mesh, or ``np.moveaxis(P, -1, 0)`` of a
+    point array P; a single point (dim,) reads the same either way); they
+    return values that broadcast against the coordinates, a constant as a
+    scalar.  ``angle_axes``
     marks coordinates that live on the circle and are compared mod 2 pi.
     ``domain_lower`` gives per-axis open lower bounds (NaN or ``None`` =
     unconstrained): the chart domain, declared nowhere else.  ``haar_grid``
@@ -131,8 +140,8 @@ def _make_wh(n: int, name: str, cocycle, inverse, title: str, lines: str) -> Gro
         product=product,
         inverse=inverse,
         identity=np.zeros(dim),
-        haar_density=lambda g: np.full(np.asarray(g).shape[:-1], dens),
-        modular=lambda g: np.ones(np.asarray(g).shape[:-1]),
+        haar_density=lambda x: dens,
+        modular=lambda x: 1.0,
         sample_box=((-3.0, 3.0),) * dim,
         conventions=(
             f"{title}\n"
@@ -220,8 +229,8 @@ def make_affine(n: int) -> GroupDescriptor:
         product=product,
         inverse=inverse,
         identity=np.concatenate([np.zeros(n), [1.0]]),
-        haar_density=lambda g: np.asarray(g, dtype=float)[..., n] ** (-(n + 1)),
-        modular=lambda g: np.asarray(g, dtype=float)[..., n] ** (-n),
+        haar_density=lambda x: np.asarray(x[n], dtype=float) ** (-(n + 1)),
+        modular=lambda x: np.asarray(x[n], dtype=float) ** (-n),
         domain_lower=(float("nan"),) * n + (0.0,),
         sample_box=((-3.0, 3.0),) * n + ((0.25, 4.0),),
         conventions=(
@@ -289,8 +298,8 @@ def make_exotic(n: int) -> GroupDescriptor:
         product=product,
         inverse=inverse,
         identity=identity,
-        haar_density=lambda g: dens0 * np.asarray(g, dtype=float)[..., ia] ** (-(n + 3)),
-        modular=lambda g: np.asarray(g, dtype=float)[..., ia] ** (-(n + 2)),
+        haar_density=lambda x: dens0 * np.asarray(x[ia], dtype=float) ** (-(n + 3)),
+        modular=lambda x: np.asarray(x[ia], dtype=float) ** (-(n + 2)),
         domain_lower=(float("nan"),) * (dim - 1) + (0.0,),
         sample_box=((-2.0, 2.0),) * (dim - 1) + ((0.4, 2.5),),
         conventions=(
@@ -318,8 +327,8 @@ def make_vector_group(dim: int, name: str, density: float = 1.0) -> GroupDescrip
         product=product,
         inverse=lambda g: -np.asarray(g, dtype=float),
         identity=np.zeros(dim),
-        haar_density=lambda g: np.full(np.asarray(g).shape[:-1], float(density)),
-        modular=lambda g: np.ones(np.asarray(g).shape[:-1]),
+        haar_density=lambda x: float(density),
+        modular=lambda x: 1.0,
         sample_box=((-3.0, 3.0),) * dim,
         conventions=(
             f"vector group R^{dim} ({name})\n"
@@ -370,8 +379,8 @@ def make_exotic_quotient(n: int) -> GroupDescriptor:
         product=product,
         inverse=inverse,
         identity=identity,
-        haar_density=lambda g: dens0 * np.asarray(g, dtype=float)[..., ia] ** (-2),
-        modular=lambda g: 1.0 / np.asarray(g, dtype=float)[..., ia],
+        haar_density=lambda x: dens0 * np.asarray(x[ia], dtype=float) ** (-2),
+        modular=lambda x: 1.0 / np.asarray(x[ia], dtype=float),
         domain_lower=(float("nan"),) * (dim - 1) + (0.0,),
         sample_box=((-2.0, 2.0),) * (dim - 1) + ((0.4, 2.5),),
         conventions=(
@@ -389,7 +398,7 @@ def make_exotic_quotient(n: int) -> GroupDescriptor:
 # ---------------------------------------------------------------------------
 
 
-BLOCK = 1 << 18  # nodes per block of the weight and gauge passes, in whole first-axis rows
+BLOCK = 1 << 18  # nodes per block of the node and gauge passes, in whole first-axis rows
 
 
 @dataclass(frozen=True)
@@ -401,10 +410,12 @@ class QuadratureGrid:
     the natural ladder for scale coordinates a > 0.  The box must lie in the
     chart domain (``GroupDescriptor.domain_lower``), checked once per axis:
     every midpoint node then lies strictly inside it.  ``weights`` are eager:
-    per-axis :meth:`cell` lengths times the Haar density, which is evaluated
-    (and checked positive) on :meth:`node_blocks`.  ``nodes`` (n_nodes x dim)
-    is lazy, built from the axes on first access; the transform engine never
-    reads it.
+    the outer product of the per-axis :meth:`cell` lengths times the Haar
+    density, evaluated once on the open mesh (``np.ix_``) of the axes and
+    broadcast, so each node's weight is the same product as on its node;
+    every weight is checked positive.  ``nodes`` (n_nodes x dim) is lazy,
+    built from the axes on first access; the transform engine never reads
+    it.
     """
 
     group: GroupDescriptor
@@ -417,13 +428,12 @@ class QuadratureGrid:
             if self.box[i][0] < bound:  # False for a NaN (unconstrained) bound
                 raise ValueError(f"axis {i}: box {list(self.box[i])} reaches below {bound}: "
                                  "its nodes violate the chart domain")
-        cells = [self.cell(i) for i in range(len(self.resolution))]
-        weights = functools.reduce(np.multiply.outer, cells).ravel()
-        for sl, nodes in self.node_blocks():
-            weights[sl] *= np.asarray(self.group.haar_density(nodes), dtype=float)
-            if not np.all(weights[sl] > 0):  # NaN too
-                raise ValueError("non-positive Haar weights on the grid")
-        object.__setattr__(self, "weights", weights)
+        dims = range(len(self.resolution))
+        weights = functools.reduce(np.multiply.outer, [self.cell(i) for i in dims])
+        weights *= np.asarray(self.group.haar_density(np.ix_(*map(self.axis, dims))), dtype=float)
+        if not np.all(weights > 0):  # NaN too
+            raise ValueError("non-positive Haar weights on the grid")
+        object.__setattr__(self, "weights", weights.ravel())
 
     @property
     def n_nodes(self) -> int:
@@ -557,8 +567,8 @@ def associativity_defect(group: GroupDescriptor, g, h, l) -> float:
 
 
 def modular_homomorphism_defect(group: GroupDescriptor, g, h) -> float:
-    lhs = group.modular(group.product(g, h))
-    rhs = group.modular(g) * group.modular(h)
+    lhs = group.modular(np.moveaxis(group.product(g, h), -1, 0))
+    rhs = group.modular(np.moveaxis(g, -1, 0)) * group.modular(np.moveaxis(h, -1, 0))
     scale = np.maximum(np.abs(rhs), 1.0)
     defect = np.abs(lhs - rhs) / scale
     e_defect = abs(float(group.modular(group.identity)) - 1.0)

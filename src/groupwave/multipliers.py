@@ -279,9 +279,8 @@ def central_extension(X: GroupDescriptor, m: Multiplier) -> GroupDescriptor:
         product=product,
         inverse=inverse,
         identity=identity,
-        haar_density=lambda g: np.asarray(X.haar_density(np.asarray(g)[..., 1:]))
-        / (2.0 * np.pi),
-        modular=lambda g: X.modular(np.asarray(g)[..., 1:]),
+        haar_density=lambda x: np.asarray(X.haar_density(x[1:])) / (2.0 * np.pi),
+        modular=lambda x: X.modular(x[1:]),
         domain_lower=(float("nan"),) + tuple(x_lower),
         angle_axes=(0,) + tuple(a + 1 for a in X.angle_axes),
         sample_box=((-np.pi, np.pi),) + X.sample_box,

@@ -70,9 +70,10 @@ and read-only arrays, since every later call shares it.  The psi side is
 cached the same way, one entry per dictionary block
 (``_dictionary_block``): the dilated, weighted and Fourier transformed
 psi, keyed by the dilated state axes, the transformed array axes, the
-domain state's sample bytes with their dtype and shape, its state grid,
-the bytes of the block's scales and the block step, so the equal psi that
-each CLI call builds afresh hits too.  The block is cached before its fold:
+table's ``fourier`` flag, psi's own sample bytes with their dtype and
+shape, its state grid, the bytes of the block's scales and the block step,
+so the equal psi that each CLI call builds afresh hits too, and only a miss
+Fourier-Plancherel transforms psi.  The block is cached before its fold:
 ``coefficients`` conjugates a copy per call and ``adjoint`` uses it as it
 is, so analysis, synthesis and every streamed integral share one entry.
 An entry holds at most ``CHUNK`` complex samples (4 MiB) for a state of at
@@ -134,6 +135,7 @@ from .states import (
     _check_compatible,
     axis_resample,
     fourier_plancherel,
+    frequency_grid,
     frozen_copy,
     inner,
     inverse_fourier_plancherel,
@@ -229,17 +231,20 @@ class ActionTable:
         ``c = dest(at)``, which the calling thread makes as it draws the
         block, and the calling thread then applies the gauge phase, if any,
         from the block's nodes.  psi and phi must share their state grid, as
-        for ``states.inner`` (``GridMismatchError`` otherwise)."""
-        domain = self._domain(psi), self._domain(phi)
+        for ``states.inner`` (``GridMismatchError`` otherwise).  psi is
+        only checked here: the dictionary keys it raw and transforms it on
+        a miss."""
+        self.check(psi)
+        domain = self._domain(phi)
         _check_compatible(psi, phi)  # not on ``domain``: a Fourier grid drops the offsets
-        psi, phi = domain
-        plan = self._plan(grid, psi.grid, -1)
+        phi = domain
+        plan = self._plan(grid, phi.grid, -1)
         chart, state, phases, mods, steps, moved, lead = plan
-        weight = phi.samples * psi.grid.cell_volume
+        weight = phi.samples * phi.grid.cell_volume
         hat = np.fft.fftn(np.einsum(weight, state, *mods, lead + state), axes=moved, norm="forward")
         # a length-1 axis for the dilation, if any, to broadcast against the blocks
         dilates = any(r.kind == "dilate" for r in self.roles)
-        hat = hat.reshape(hat.shape[: len(lead)] + (1,) * dilates + psi.grid.counts)
+        hat = hat.reshape(hat.shape[: len(lead)] + (1,) * dilates + phi.grid.counts)
 
         def task(at, labels, block, out):
             g, labels = hat[tuple(at[i] for i in lead)] * block, lead + labels
@@ -258,9 +263,10 @@ class ActionTable:
         """sum_g coeffs(g) w(g) U(g) psi over the nodes of ``grid``: the exact
         adjoint of :meth:`coefficients` in phi.  The calling thread makes
         each block's coeffs w, gauge phase applied, as it draws the block."""
-        hat = self._domain(psi)
+        self.check(psi)
+        domain = frequency_grid(psi.grid) if self.fourier else psi.grid
         c, w = np.asarray(coeffs).reshape(grid.resolution), grid.weights.reshape(grid.resolution)
-        plan = self._plan(grid, hat.grid, 1)
+        plan = self._plan(grid, domain, 1)
         chart, state, phases, mods, steps, moved, lead = plan
         unphased = tuple(i for i in chart if self.roles[i].kind != "phase")
 
@@ -273,13 +279,13 @@ class ActionTable:
             return np.einsum(v, lead + state, *((mods[0][at[lead[0]]],) + mods[1:] if mods else ()),
                              state)
 
-        acc = np.zeros(hat.grid.counts, dtype=complex)
+        acc = np.zeros(domain.counts, dtype=complex)
         blocks = (b + (self._gauge_block(c[b[0]] * w[b[0]], grid, b[0], 1),)
-                  for b in self._dictionary(hat, grid, plan))
+                  for b in self._dictionary(psi, grid, plan))
         # summed here in block order: the same additions as a serial loop
         for term in _blockwise(task, blocks):
             acc += term
-        out = DiscretizedState(acc, hat.grid)
+        out = DiscretizedState(acc, domain)
         return inverse_fourier_plancherel(out, psi.grid) if self.fourier else out
 
     def _gauge_block(self, values, grid, at, sign):
@@ -290,7 +296,12 @@ class ActionTable:
             values *= np.exp(sign * 1j * self.gauge(grid.slab_nodes(at))).reshape(values.shape)
         return values
 
+    def check(self, state: DiscretizedState) -> None:
+        """Raise if the action is not defined on ``state``; a plain table
+        acts on any state grid, leaving the axes without a role alone."""
+
     def _domain(self, state):
+        self.check(state)
         return fourier_plancherel(state) if self.fourier else state
 
     def _plan(self, grid, state_grid, sign):
@@ -299,15 +310,17 @@ class ActionTable:
         return _factor_plan(self.roles, axes, state_grid, sign)
 
     def _dictionary(self, state, grid, plan, fold=None):
-        """Stream ``fold`` (if any) of a^{m/2} D_a state, Fourier transformed
-        (``np.fft`` order) along the array axes ``plan.moved``, over the
-        dilation nodes in blocks of about ``CHUNK`` samples, each block once
-        per block of the nodes of chart axis ``lead[0]`` (``lead`` =
-        ``plan.lead``, if any) such that it times the nodes of ``lead[1:]``
-        is about ``CHUNK`` samples: yields (at, labels, block), ``at``
-        slicing the nodes out of a chart-shaped array and ``labels`` naming
-        the block's axes.  Each block before its fold is the cached
-        :func:`_dictionary_block` of the state and the block's scales."""
+        """Stream ``fold`` (if any) of a^{m/2} D_a of the state in the
+        table's domain (its Fourier-Plancherel transform for a ``fourier``
+        table), Fourier transformed (``np.fft`` order) along the array axes
+        ``plan.moved``, over the dilation nodes in blocks of about
+        ``CHUNK`` samples, each block once per block of the nodes of chart
+        axis ``lead[0]`` (``lead`` = ``plan.lead``, if any) such that it
+        times the nodes of ``lead[1:]`` is about ``CHUNK`` samples: yields
+        (at, labels, block), ``at`` slicing the nodes out of a chart-shaped
+        array and ``labels`` naming the block's axes.  ``state`` is the raw
+        psi; each block before its fold is the cached
+        :func:`_dictionary_block` of psi and the block's scales."""
         dil = [i for i, r in enumerate(self.roles) if r.kind == "dilate"]
         lead = plan.lead
         scales = grid.axis(dil[0]) if dil else np.ones(1)
@@ -315,7 +328,7 @@ class ActionTable:
         rows = int(np.prod([grid.resolution[i] for i in lead[1:]]))
         samples = state.samples
         step = max(1, CHUNK // samples.size)
-        key = (self.roles[dil[0]].axes if dil else (), plan.moved,
+        key = (self.roles[dil[0]].axes if dil else (), plan.moved, self.fourier,
                samples.tobytes(), samples.dtype.str, samples.shape, state.grid)
         for d0 in range(0, len(scales), step):
             block = _dictionary_block(*key, scales[d0 : d0 + step].tobytes(), step)
@@ -389,16 +402,20 @@ def _contract(a, labels, matrix, old, new):
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
-def _dictionary_block(dilated, moved, samples, dtype, shape, state_grid, scales, step):
+def _dictionary_block(dilated, moved, fourier, samples, dtype, shape, state_grid, scales, step):
     """One block of :meth:`ActionTable._dictionary` before its fold:
     a^{m/2} D_a of the state ``np.frombuffer(samples, dtype).reshape(shape)``
-    on ``state_grid``, dilated along the state axes ``dilated`` for the
-    scales ``np.frombuffer(scales)`` (the block's slice of a ladder cut in
-    blocks of ``step``) and Fourier transformed along the array axes
-    ``moved``.  Cached by value, read-only (see :func:`states.frozen_copy`),
-    so a rebuilt psi hits; the caller folds a copy."""
+    on ``state_grid``, Fourier-Plancherel transformed first if ``fourier``,
+    dilated along the state axes ``dilated`` for the scales
+    ``np.frombuffer(scales)`` (the block's slice of a ladder cut in blocks
+    of ``step``) and Fourier transformed along the array axes ``moved``.
+    Cached by value, read-only (see :func:`states.frozen_copy`), so a
+    rebuilt psi hits, and a hit transforms nothing; the caller folds a
+    copy."""
     a = np.frombuffer(scales)
     out = DiscretizedState(np.frombuffer(samples, dtype).reshape(shape), state_grid)
+    if fourier:
+        out = fourier_plancherel(out)
     for j in dilated:
         out = axis_resample(out, j, a, 0.0)
     # float_power is libm's pow, as a per-scale a^{m/2} was; an array
@@ -510,6 +527,20 @@ def coefficient(rep: UnitaryRepSpec, psi: DiscretizedState, phi: DiscretizedStat
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _EuclideanTable(ActionTable):
+    """An action table on L2(R^n) that acts on every state axis: every
+    state, of the action and of the engine alike, goes through
+    :meth:`check`.  Restricted and lifted tables (``dataclasses.replace``)
+    keep the check."""
+
+    def check(self, state: DiscretizedState) -> None:
+        """The state grid is R^n, n the state axes of the roles."""
+        n = 1 + max(j for r in self.roles for j in r.axes)
+        if state.grid.dim != n:
+            raise ValueError(f"state grid must be R^{n}, not R^{state.grid.dim}")
+
+
 def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: float = 12.0) -> UnitaryRepSpec:
     """U_kc(k, p, q) f(x) = e^{i(k kc + p.x)} f(x + kc q) on L2(R^n).
 
@@ -519,8 +550,14 @@ def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: 
     if k_check == 0:
         raise ValueError("central parameter must be nonzero")
     kc = float(k_check)
+    table = _EuclideanTable(
+        (AxisRole("phase", coef=kc),)
+        + tuple(AxisRole("modulate", (j,)) for j in range(n))
+        + tuple(AxisRole("translate", (j,), -kc) for j in range(n))
+    )
 
     def action(g, state):
+        table.check(state)
         g = np.asarray(g, dtype=float)
         k, p, q = g[0], g[1 : 1 + n], g[1 + n :]
         out = translate(state, -kc * q)
@@ -533,11 +570,7 @@ def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: 
         safe_box=((-np.inf, np.inf),)
         + ((-safe_momentum, safe_momentum),) * n
         + ((-safe_shift, safe_shift),) * n,
-        **_engine(ActionTable(
-            (AxisRole("phase", coef=kc),)
-            + tuple(AxisRole("modulate", (j,)) for j in range(n))
-            + tuple(AxisRole("translate", (j,), -kc) for j in range(n))
-        )),
+        **_engine(table),
     )
 
 
@@ -618,10 +651,6 @@ class _HalfLineTable(ActionTable):
             raise ValueError(f"state grid must be (bc, pc in R^{n})")
         if state.grid.offsets[0] <= 0:
             raise GridSafetyError("state grid touches the bc = 0 singularity")
-
-    def _domain(self, state):
-        self.check(state)
-        return super()._domain(state)
 
 
 def exotic_rep(n: int = 1) -> UnitaryRepSpec:

@@ -249,7 +249,7 @@ def _meshgrid_reference(grid):
     cell_vol = np.ones(nodes.shape[0])
     for cm in np.meshgrid(*cells, indexing="ij"):
         cell_vol = cell_vol * cm.ravel()
-    return nodes, cell_vol * grid.group.haar_density(nodes)
+    return nodes, cell_vol * grid.group.haar_density(np.moveaxis(nodes, -1, 0))
 
 
 GRIDS = {
@@ -277,6 +277,25 @@ def test_grid_weights_and_nodes_equal_meshgrid_reference(name):
     assert grid.n_nodes == nodes.shape[0]
 
 
+def test_grid_evaluates_haar_density_once_per_axis_node(exotic):
+    """The weights take the density on the grid's open mesh: building the
+    bundled exotic X grid evaluates it on its 168 axis nodes, not on its
+    2,949,120 nodes, and gives the same weights."""
+    grid = exotic.x_grid
+    values, density = [], grid.group.haar_density
+
+    def counting(x):
+        values.append(sum(np.size(c) for c in x))
+        return density(x)
+
+    counted = dataclasses.replace(grid.group, haar_density=counting)
+    rebuilt = groups.QuadratureGrid(counted, grid.box, grid.resolution, grid.log_axes)
+    assert grid.n_nodes == 2_949_120
+    assert sum(values) <= sum(grid.resolution) == 168
+    assert np.array_equal(rebuilt.weights, grid.weights)
+    assert "nodes" not in vars(rebuilt)
+
+
 def test_node_blocks_cover_the_nodes_in_order(monkeypatch):
     monkeypatch.setattr(groups, "BLOCK", 8)  # 2 rows of 4 nodes per block
     grid = haar_grid(make_affine(1), [(-1, 1), (0.5, 2.0)], [5, 4], log_axes=(1,))
@@ -295,7 +314,7 @@ def test_haar_grid_rejects_bad_grids_at_construction(monkeypatch):
         groups.QuadratureGrid(outside, ((-1.0, 1.0),) * 2, (8, 8))
     assert haar_grid(outside, box, res).box == ((0.8, 1.0), (-1.0, 1.0))
     vanishing = dataclasses.replace(
-        V, haar_density=lambda g: np.where(np.asarray(g)[..., 0] < 0.8, 1.0, 0.0))
+        V, haar_density=lambda x: np.where(np.asarray(x[0]) < 0.8, 1.0, 0.0))
     with pytest.raises(ValueError, match="non-positive Haar weights"):
         haar_grid(vanishing, box, res)
     with pytest.raises(ValueError, match="non-positive Haar weights"):  # NaN nodes and weights

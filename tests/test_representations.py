@@ -257,6 +257,25 @@ def test_exotic_engine_rejects_state_of_wrong_dimension(exotic):
             call()
 
 
+def test_wh_engine_rejects_state_of_wrong_dimension(gabor):
+    """Under the n = 1 Gabor spec a 2-D state once gave an energy of 0.956
+    from the engine while the action rejected it; every path now raises
+    the table's ValueError."""
+    flat = product_grid(centered_grid(6.0, 32), centered_grid(6.0, 32))
+    psi, phi = gaussian_state(flat), gaussian_state(flat, center=[0.3, 0.1])
+    res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["mix"], gabor.x_grid,
+                  dm_norm=1.0)
+    calls = [
+        lambda: gabor.proj.act(gabor.x_grid.node(0), psi),
+        lambda: analyze(gabor.proj, psi, phi, gabor.x_grid),
+        lambda: synthesize(res, gabor.proj, psi),
+        lambda: gabor.proj.table.coefficients(gabor.states["gauss"], phi, gabor.x_grid),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"state grid must be R\^1, not R\^2"):
+            call()
+
+
 def test_projective_composition_defect(gabor_wide, rng):
     proj = gabor_wide.proj
     f = gabor_wide.states["gauss"]
@@ -475,7 +494,7 @@ def test_dictionary_dilations_equal_per_scale_bits(affine_n2):
     grid = haar_grid(rep.group, [(-2, 2), (-2, 2), (0.3, 3.0)], [2, 2, 500], log_axes=(2,))
     hat = fourier_plancherel(psi)
     plan = rep.table._plan(grid, hat.grid, 1)  # no translation role: nothing moved, no lead
-    stack = np.concatenate([block for _, _, block in rep.table._dictionary(hat, grid, plan)])
+    stack = np.concatenate([block for _, _, block in rep.table._dictionary(psi, grid, plan)])
     ref = np.stack([axis_resample(axis_resample(hat, 0, a), 1, a).samples * np.sqrt(a) ** 2
                     for a in grid.axis(2)])
     assert stack.tobytes() == ref.tobytes()
@@ -524,6 +543,28 @@ def test_dictionary_cache_keys_psi_by_value(exotic):
     assert misses(psi, phi, other_scales) == 1
     assert misses(real, phi, grid) == 1
     assert misses(DiscretizedState(real.samples.view(np.int64), g), phi, grid) == 1
+
+
+def test_warm_affine_calls_skip_psi_fourier_transform(affine, monkeypatch):
+    """The affine (Fourier) table keys its dictionary by the raw psi: a cold
+    analyze transforms psi once, on the cache miss, and a warm analyze and
+    synthesize transform it not at all, with the cold calls' bits."""
+    from groupwave import representations
+
+    psi, phi = affine.states["morlet"], affine.states["signal"]
+    on_psi, transform = [], representations.fourier_plancherel
+    monkeypatch.setattr(representations, "fourier_plancherel", lambda state: on_psi.append(
+        state.samples.tobytes() == psi.samples.tobytes()) or transform(state))
+    representations._dictionary_block.cache_clear()
+    cold = analyze(affine.rep, psi, phi, affine.x_grid, dm_norm=1.0)
+    cold_back = synthesize(cold, affine.rep, psi)
+    assert on_psi.count(True) == representations._dictionary_block.cache_info().misses == 1
+    on_psi.clear()
+    warm = analyze(affine.rep, psi, phi, affine.x_grid, dm_norm=1.0)
+    warm_back = synthesize(warm, affine.rep, psi)
+    assert on_psi == [False]  # phi only
+    assert warm.coefficients.tobytes() == cold.coefficients.tobytes()
+    assert warm_back.samples.tobytes() == cold_back.samples.tobytes()
 
 
 @pytest.mark.parametrize("config", ["affine", "exotic"])
