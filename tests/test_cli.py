@@ -77,9 +77,10 @@ def test_verify_report_independent_of_blas_threads(tmp_path):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_verify_exotic_peak_rss(tmp_path):
     """A ``verify --group exotic`` process, OpenBLAS pinned to 1 thread,
-    peaks at about 126 MB resident: its orthogonality relations stream the
-    engine's blocks.  Holding the 2.9 M-node coefficient arrays it peaked
-    at 230 MB.  The child reports the peak of its own address space
+    peaks at about 103 MB resident: its orthogonality relations stream the
+    engine's blocks on a 317 k-node grid.  On the bundled 2.9 M-node grid
+    it peaked at about 119 MB, and at 230 MB holding the coefficient
+    arrays.  The child reports the peak of its own address space
     (VmHWM, in kB).  Its ru_maxrss would not do: Linux keeps it across
     execve, so a child spawned by vfork also counts this test process."""
     src = str(Path(groupwave.__file__).resolve().parents[1])

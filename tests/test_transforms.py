@@ -331,19 +331,21 @@ def test_orthogonality_check_analyzes_each_pair_once(config, psi_name, phi_name,
 
 def test_exotic_suite_relations_cost_two_analyses(exotic, monkeypatch):
     """The exotic suite's diagonal and cross relations share c(psi, phi):
-    two coefficient streams on the bundled X grid.  Each defect is exactly
-    the relation of the block-order oracle's lhs, which is within 1e-15
-    relative of the whole-array sum."""
+    two coefficient streams on the suite's own 24·19·29·24 X grid, a 1.2x
+    box of the bundled grid at coarser spacing.  The grid streams 12 engine
+    blocks, so the suite runs the multi-block lockstep path.  Each defect is
+    exactly the relation of the block-order oracle's lhs, which is within
+    1e-15 relative of the whole-array sum."""
     grids = _count_streams(monkeypatch)
     checks = {c.name: c for c in verify.exotic_suite(0)}
-    bundled = (exotic.x_grid.box, exotic.x_grid.resolution)
-    assert [(g.box, g.resolution) for g in grids] == [bundled] * 2
+    box = ((-8.4, 8.4), (-7.2, 7.2), (-10.8, 10.8), (0.125, 8.0))
+    assert [(g.box, g.resolution) for g in grids] == [(box, (24, 19, 29, 24))] * 2
     monkeypatch.undo()
-    s, dm, grid = exotic.states, duflo_moore("exotic"), exotic.x_grid
+    s, dm, grid = exotic.states, duflo_moore("exotic"), grids[0]
     c11 = analyze(exotic.proj, s["psi"], s["phi"], grid).coefficients
     c22 = analyze(exotic.proj, s["psi2"], s["phi2"], grid).coefficients
     slabs = _slabs(exotic.proj, s["psi"], s["phi"], grid)
-    assert len(slabs) == 40  # one block per p node
+    assert len(slabs) == 12  # two p nodes per block
     for name, c2, psi2, phi2 in [("exotic: orthogonality relation", c11, s["psi"], s["phi"]),
                                  ("exotic: orthogonality (cross pair)", c22, s["psi2"], s["phi2"])]:
         lhs, whole = _block_order_lhs(slabs, c11, c2, grid)

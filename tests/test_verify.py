@@ -1,8 +1,9 @@
 """The verify suites against known mutations and the ``--psi`` status check.
 
 A mutation wraps ``verify.duflo_moore`` so that one Duflo-Moore symbol is
-off by a small factor or exponent, runs only the suite that uses it, and
-names the checks that catch it and the ones that do not.
+off by a small factor or exponent (or ``configs.make_exotic_quotient`` so
+that the quotient's Haar density is off by a factor), runs only the suite
+that uses it, and names the checks that catch it and the ones that do not.
 """
 
 import dataclasses
@@ -50,7 +51,7 @@ def test_gabor_symbol_scale_fails_orthogonality_only(monkeypatch):
 ], ids=["scale_1.01", "exponent_-0.49"])
 def test_exotic_symbol_mutations_caught_by_closed_form_checks_only(change, failing, monkeypatch):
     """Both mutations fail only the closed-form symbol checks.  The two
-    orthogonality checks move from about 5e-6 to 1.1e-2..2.0e-2 and still
+    orthogonality checks move from about 6e-7 to 1.1e-2..2.0e-2 and still
     pass their 5e-2 threshold, so the closed-form checks are the only guard
     of the exotic Duflo-Moore constant."""
     _mutate_dm(monkeypatch, "exotic", change)
@@ -59,6 +60,35 @@ def test_exotic_symbol_mutations_caught_by_closed_form_checks_only(change, faili
     by_name = _defects(checks)
     for name in ("exotic: orthogonality relation", "exotic: orthogonality (cross pair)"):
         assert by_name[name].passed and 1e-3 < by_name[name].defect < 5e-2, by_name[name]
+
+
+def test_exotic_quotient_density_mutation_moves_orthogonality_only(monkeypatch):
+    """The exotic quotient's Haar density x 1.02 moves both orthogonality
+    relations on the suite's coarse grid from about 6e-7 to 2.0e-2 and
+    1.7e-2, as on the bundled grid, so the coarser grid keeps its
+    sensitivity.  Both still pass their 5e-2 threshold and no other check
+    fails: a 2 % error in the quotient measure leaves the suite passing."""
+    make_quotient = configs.make_exotic_quotient
+
+    def mutated(n):
+        X = make_quotient(n)
+        return dataclasses.replace(X, haar_density=lambda x: 1.02 * X.haar_density(x))
+
+    monkeypatch.setattr(configs, "make_exotic_quotient", mutated)
+    checks = verify.exotic_suite(0)
+    assert [c.name for c in checks if not c.passed] == []
+    by_name = _defects(checks)
+    for name in ("exotic: orthogonality relation", "exotic: orthogonality (cross pair)"):
+        assert 1e-2 < by_name[name].defect < 5e-2, by_name[name]
+
+
+def test_exotic_suite_grids_are_not_clipped(caplog):
+    """No grid of the exotic suite reaches outside the rep's safe box: the
+    orthogonality grid's q box (±7.2) sits near the safe edge (±8), and a
+    clipped grid moves those defects to about 3e-2."""
+    with caplog.at_level("WARNING", logger="groupwave"):
+        verify.exotic_suite(0)
+    assert [r.getMessage() for r in caplog.records if "clipped" in r.getMessage()] == []
 
 
 @pytest.mark.parametrize("psi", ["morlet", "gaussian"])
