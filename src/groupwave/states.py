@@ -498,23 +498,174 @@ def _coord_names(dim: int) -> list[str]:
 
 FLOAT_FORMAT = "%.17g"  # 17 significant digits read back as the same double
 
+# Exact FLOAT_FORMAT text in numpy (:func:`_float_texts`).  A value x with
+# |x| in _SETTLED and E = floor(log10 |x|) prints as the 17-digit integer
+# D = round(|x| 10^(16-E)) laid out by the ``%g`` rules.  |x| 10^k is taken
+# as Dekker's exact two-product of |x| and hi, plus |x| lo, where hi + lo is
+# the double-double of 10^k: its error is below 1e-14, so only a remainder
+# within _TIE of a tie can round the wrong way.  _SETTLED keeps 10^k, its
+# split and the products clear of overflow and underflow.
+_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+_TIE = 2.0 ** -20
+_SETTLED = (1e-280, 1e280)
+# byte columns of a value's source row of seven uint32 words: digit j of D
+# at 3 + j (the first word is 000d, so column 0 is a '0'), the exponent's
+# sign and three digits at 20..23, then '.', '-', 'e' and a NUL
+_ZERO, _EXP_SIGN, _POINT, _MINUS, _E, _NUL = 0, 20, 24, 25, 26, 27
+_WIDTH = 24  # the longest text: -d.dddddddddddddddde-ddd
+_EMPTY = 23 * 17 * 2  # the layout of no text, for the values Python formats
+_CHUNK = 1 << 13  # values per pass, which bounds the kernel's temporaries to a few MB
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """10^k as hi + lo, each correctly rounded from Python ints (hi the
+    double nearest 10^k, lo the double nearest 10^k - hi), and hi's split
+    into head + tail (Dekker)."""
+    if k >= 0:
+        exact = 10 ** k
+        hi = float(exact)
+        lo = float(exact - int(hi))
+    else:
+        den = 10 ** -k
+        hi = 1 / den  # int / int rounds correctly
+        num, pow2 = hi.as_integer_ratio()
+        lo = (pow2 - num * den) / (pow2 * den)
+    head = _SPLIT * hi - (_SPLIT * hi - hi)
+    return hi, lo, head, hi - head
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_table() -> tuple[np.ndarray, np.ndarray]:
+    """For 0..9999: its four ASCII digits as one uint32 word, and its count
+    of trailing zero digits (4 for 0)."""
+    n = np.arange(10000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
+    zeros = sum(n % 10 ** p == 0 for p in range(1, 5))
+    return digits.astype(np.uint8).view(np.uint32).ravel(), zeros
+
+
+@functools.lru_cache(maxsize=None)
+def _layouts() -> np.ndarray:
+    """Source columns of each text, shape (_EMPTY + 1, _WIDTH), NUL-padded,
+    by key (form * 17 + length - 1) * 2 + negative.  ``%g`` prints a value
+    of decimal exponent E in fixed notation when -4 <= E < 17 (form E + 4),
+    else as d.ddde±XX (form 21 for two exponent digits, 22 for three), with
+    ``length`` significant digits once trailing zeros are stripped."""
+    table = []
+    for form in range(23):
+        for length in range(1, 18):
+            digits = list(range(3, 3 + length))  # digit j of D is column 3 + j
+            if form > 20:  # d.ddde±XX
+                text = digits[:1] + ([_POINT] + digits[1:] if length > 1 else [])
+                text += [_E, _EXP_SIGN] + list(range(_EXP_SIGN + 23 - form, _EXP_SIGN + 4))
+            elif form >= 4:  # E + 1 integer digits, then the fraction
+                whole = form - 3
+                text = list(range(3, 3 + whole))
+                text += [_POINT] + digits[whole:] if length > whole else []
+            else:  # 0.ddd with -E - 1 zeros after the point
+                text = [_ZERO, _POINT] + [_ZERO] * (3 - form) + digits
+            table += [bytes(row).ljust(_WIDTH, bytes([_NUL])) for row in (text, [_MINUS] + text)]
+    table.append(bytes([_NUL] * _WIDTH))
+    return np.frombuffer(b"".join(table), dtype=np.uint8).reshape(-1, _WIDTH).astype(np.intp)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """floor(a 10^k) as int64, the remainder, and whether 10^k is a double
+    (the remainder is then exact); a 10^k is taken in double-double."""
+    low = int(k.min())
+    at = k - low
+    present = np.zeros(int(k.max()) - low + 1, dtype=bool)
+    present[at] = True
+    table = np.zeros((4, present.size))
+    for j in np.flatnonzero(present).tolist():
+        table[:, j] = _pow10(j + low)
+    hi, lo, head, tail = (column[at] for column in table)
+    product = a * hi
+    a_head = _SPLIT * a - (_SPLIT * a - a)
+    a_tail = a - a_head
+    rest = (((a_head * head - product) + a_head * tail + a_tail * head) + a_tail * tail) + a * lo
+    whole = np.floor(rest)
+    return product.astype(np.int64) + whole.astype(np.int64), rest - whole, lo == 0.0
+
+
+def _float_texts(x: np.ndarray) -> list[bytes]:
+    """``FLOAT_FORMAT % v`` of each value of ``x`` (flattened), ASCII-encoded,
+    formatted :data:`_CHUNK` values at a time (:func:`_chunk_texts`)."""
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    out = []
+    for start in range(0, x.size, _CHUNK):
+        out += _chunk_texts(x[start : start + _CHUNK])
+    return out
+
+
+def _chunk_texts(x: np.ndarray) -> list[bytes]:
+    """``FLOAT_FORMAT % v`` of each value of the flat float64 array ``x``.
+
+    The kernel settles each value with |x| in _SETTLED: E from log10, moved
+    by one where floor(|x| 10^(16-E)) leaves [10^16, 10^17); D rounded half
+    to even; its digits through a 10^4-entry table; the text gathered from
+    them by the layout of its form, sign and length.  Python's ``%``
+    formats the rest: ±0, non-finite values, |x| outside _SETTLED, and
+    remainders within _TIE of a tie where 10^k is not a double (an exact
+    remainder is rounded here)."""
+    mag = np.abs(x)
+    settled = (mag >= _SETTLED[0]) & (mag < _SETTLED[1])
+    a = np.where(settled, mag, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, rem, exact = _scaled(a, 16 - e)
+    move = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)
+    redo = np.flatnonzero(move)
+    if redo.size:
+        e[redo] += move[redo]
+        d[redo], rem[redo], exact[redo] = _scaled(a[redo], 16 - e[redo])
+    settled &= exact | (np.abs(rem - 0.5) >= _TIE)
+    d += (rem > 0.5) | ((rem == 0.5) & (d % 2 == 1))
+    carry = d == 10 ** 17
+    d[carry], e[carry] = 10 ** 16, e[carry] + 1
+    words, trailing = _digit_table()
+    top, bottom = (part.astype(np.uint32) for part in np.divmod(d, 10 ** 8))
+    groups = [top // 10 ** 8, top // 10 ** 4 % 10 ** 4, top % 10 ** 4,
+              bottom // 10 ** 4, bottom % 10 ** 4]
+    src = np.empty((x.size, 7), dtype=np.uint32)
+    for i, group in enumerate(groups):
+        src[:, i] = words[group]
+    src[:, 5] = words[np.abs(e)]
+    src[:, 6] = np.frombuffer(b".-e\0", dtype=np.uint32)[0]
+    src = src.view(np.uint8)
+    src[:, _EXP_SIGN] = np.where(e < 0, ord("-"), ord("+"))
+    zeros, open_end = np.zeros(x.size, dtype=np.intp), np.ones(x.size, dtype=bool)
+    for group in groups[:0:-1]:  # D's last word first
+        zeros += np.where(open_end, trailing[group], 0)
+        open_end &= group == 0
+    form = np.where((e >= -4) & (e < 17), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    key = np.where(settled, (form * 17 + 16 - zeros) * 2 + (x < 0), _EMPTY)
+    rows = np.arange(0, src.size, src.shape[1])[:, None]
+    out = src.ravel()[_layouts()[key] + rows].view(f"S{_WIDTH}").ravel().tolist()
+    rest = np.flatnonzero(~settled)
+    for i, v in zip(rest.tolist(), x[rest].tolist()):
+        out[i] = (FLOAT_FORMAT % v).encode()
+    return out
+
 
 def _comma_texts(values) -> np.ndarray:
-    """``FLOAT_FORMAT`` text of each value followed by a comma (object array)."""
-    return np.array([FLOAT_FORMAT % v + "," for v in values.tolist()], dtype=object)
+    """``FLOAT_FORMAT`` text of each value followed by a comma (object
+    array of ASCII bytes)."""
+    return np.array([(FLOAT_FORMAT % v + ",").encode() for v in values.tolist()], dtype=object)
 
 
-def grid_csv_rows(axes, values, start: int = 0, column=None) -> str:
+def grid_csv_rows(axes, values, start: int = 0, column=None) -> bytes:
     """CSV rows ``index,coordinates,[column,]re,im`` over the C-order product
     of the coordinate arrays ``axes`` (last axis fastest), indexed from
-    ``start``, with the complex ``values`` in the same order.
+    ``start``, with the complex ``values`` in the same order, as ASCII bytes.
 
-    Each axis value and each distinct value of the per-node real ``column``
-    (distinct by bit pattern, so 0.0 and -0.0 stay apart) is formatted once
-    and gathered by index, and each row is one ``%`` call: the text is that
-    of every field formatted with ``FLOAT_FORMAT``.
+    Every field is the text of ``FLOAT_FORMAT``.  Each axis value and each
+    distinct value of the per-node real ``column`` (distinct by bit
+    pattern, so 0.0 and -0.0 stay apart) is formatted once by ``%`` and
+    gathered by index; re and im are formatted by :func:`_float_texts`,
+    which gives the bytes of ``%`` in numpy; each row is one ``%`` call.
     """
-    lead = np.array([""], dtype=object)
+    lead = np.array([b""], dtype=object)
     for axis in axes:
         lead = np.add.outer(lead, _comma_texts(axis)).ravel()
     if column is not None:
@@ -522,17 +673,29 @@ def grid_csv_rows(axes, values, start: int = 0, column=None) -> str:
         distinct, index = np.unique(bits, return_inverse=True)
         lead += _comma_texts(distinct.view(np.float64))[index]
     values = values.ravel()
-    row = "%d,%s" + FLOAT_FORMAT + "," + FLOAT_FORMAT + "\n"
-    return "".join([row % fields for fields in zip(range(start, start + lead.size), lead.tolist(),
-                                                    values.real.tolist(), values.imag.tolist())])
+    return b"".join([b"%d,%s%s,%s\n" % fields for fields in zip(
+        range(start, start + lead.size), lead.tolist(),
+        _float_texts(values.real), _float_texts(values.imag))])
+
+
+def check_finite_rows(values, kind: str) -> None:
+    """Raise ``ValueError`` naming the first row of a ``kind`` CSV whose
+    value in ``values`` (one per data row) is not finite: :func:`read_csv`
+    rejects such a file, so the writers refuse it before they open one."""
+    bad = np.flatnonzero(~np.isfinite(values.ravel()))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{kind} CSV: non-finite value {values.ravel()[i]} in row {i + 2} "
+                         f"(index {i}) cannot be written")
 
 
 def save_state_csv(path, state: DiscretizedState) -> None:
     """Write index, grid coordinates, re, im per sample: the coordinates
     formatted once per axis value (:func:`grid_csv_rows`)."""
     g = state.grid
-    with open(path, "w") as fh:
-        fh.write("index," + ",".join(_coord_names(g.dim)) + ",re,im\n")
+    check_finite_rows(state.samples, "signal")
+    with open(path, "wb") as fh:
+        fh.write(("index," + ",".join(_coord_names(g.dim)) + ",re,im\n").encode())
         fh.write(grid_csv_rows([g.axis(i) for i in range(g.dim)], state.samples))
 
 

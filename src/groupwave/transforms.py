@@ -46,6 +46,7 @@ from .groups import QuadratureGrid, haar_grid
 from .representations import GridSafetyError, UnitaryRepSpec
 from .states import (
     DiscretizedState,
+    check_finite_rows,
     dump_json,
     fourier_plancherel,
     grid_csv_rows,
@@ -558,8 +559,9 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
     csv_path = f"{path_prefix}.csv"
     json_path = f"{path_prefix}.json"
     c, w = np.asarray(result.coefficients), result.grid.weights
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(_result_columns(len(result.grid.resolution))) + "\n")
+    check_finite_rows(c, "coefficient")
+    with open(csv_path, "wb") as fh:
+        fh.write((",".join(_result_columns(len(result.grid.resolution))) + "\n").encode())
         for sl, axes in result.grid.axis_blocks():
             fh.write(grid_csv_rows(axes, c[sl], sl.start, w[sl]))
     dump_json(json_path, {

@@ -2,7 +2,8 @@
 
 Each one computes a quantity of the paper literally, by G-chart products
 at every point, where the library takes a shorter path (or, for the
-covariant extension, stores only its section trace).
+covariant extension, stores only its section trace).  The CSV writers are
+pinned by the edge values of their ``%.17g`` text.
 """
 
 import numpy as np
@@ -66,3 +67,20 @@ def covariant_extension(values, grid, section, g) -> np.ndarray:
         index.append(j)
     base = np.asarray(values).reshape(grid.resolution)[tuple(index)]
     return np.exp(-1j * np.asarray(section.subgroup.chi_phase(k))) * base
+
+
+# one value per ``%.17g`` layout boundary and per class of value that
+# ``states._float_texts`` leaves to Python's ``%``
+FLOAT_TEXT_EDGES = [
+    float(np.nextafter(1e-4, 0.0)),  # 9.9999999999999991e-05: exponent form, E = -5
+    1e-4,  # 0.0001: fixed notation from E = -4
+    0.5, 1.0, 123.25,  # one digit; no point; a short fraction
+    422.7449524755387,  # the 17th digit is 0
+    1e16, float(np.nextafter(1e17, 0.0)),  # fixed notation up to E = 16
+    1e17,  # 1e+17: exponent form from E = 17
+    1.5e-100, 1e100,  # three exponent digits
+    (2 ** 17 + 1) / 2 ** 17,  # an exact 18-digit halfway decimal: rounded to even
+    3 * 2.0 ** -24,  # halfway too, but 10^23 is no double: Python's %
+    5e-324, 1e-300, 1e300,  # outside the kernel's exponent range: Python's %
+    0.0, -0.0,  # Python's %
+]

@@ -298,6 +298,21 @@ def test_analyze_nonfinite_csv(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_analyze_writes_no_non_finite_coefficients(tmp_path, capsys):
+    """A finite signal near the largest double overflows to NaN
+    coefficients; the coefficient writer refuses them, so ``analyze`` exits
+    2 and leaves no CSV that ``synthesize`` would reject."""
+    state = gabor_setup().states["hermite2"]
+    sig = tmp_path / "huge.csv"
+    save_state_csv(sig, state.with_samples(state.samples * 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["analyze", "--group", "gabor", "--input", str(sig),
+                     "--output", str(tmp_path / "c")])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_analyze_grid_mismatch(tmp_path, capsys):
     from groupwave.states import centered_grid, gaussian_state
 

@@ -1,7 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupwave import states
 from groupwave.states import (
+    FLOAT_FORMAT,
     DiscretizedState,
     GridMismatchError,
     axis_resample,
@@ -22,6 +28,8 @@ from groupwave.states import (
     save_state_csv,
     translate,
 )
+from groupwave.transforms import analyze
+from oracles import FLOAT_TEXT_EDGES
 
 GRID = centered_grid(8.0, 256)
 
@@ -246,6 +254,9 @@ def test_state_csv_bytes_match_row_formula(tmp_path):
     samples = np.arange(30).reshape(6, 5) * (0.1 - 0.7j)
     # signed zeros, tiny and huge values and integers-as-floats keep their text
     samples.flat[:5] = [0.0, -0.0 + 0j, 1e-300j, -1e300, complex(-0.0, -0.0)]
+    # and so does a value at each layout boundary and of each fallback class
+    edges = np.array(FLOAT_TEXT_EDGES)
+    samples.flat[5 : 5 + edges.size] = edges - 1j * edges[::-1]
     state = DiscretizedState(samples, grid2)
     save_state_csv(tmp_path / "state.csv", state)
     meshes = [m.ravel() for m in grid2.meshes()]
@@ -269,3 +280,98 @@ def test_state_csv_malformed(tmp_path):
     path.write_text("index,x,re,im\n0,0.0,1.0\n")
     with pytest.raises(ValueError, match="row 2"):
         load_state_csv(path)
+
+
+def test_state_csv_rejects_non_finite_before_writing(tmp_path):
+    """The reader refuses a non-finite value, so the writer does not write
+    one: it names the first bad row and leaves no file."""
+    samples = gaussian_state(GRID).samples.copy()
+    samples[[7, 9]] = [complex(np.nan, 0.0), np.inf]
+    path = tmp_path / "state.csv"
+    with pytest.raises(ValueError, match=r"non-finite value .* in row 9 \(index 7\)"):
+        save_state_csv(path, DiscretizedState(samples, GRID))
+    assert not path.exists()
+
+
+def _percent_texts(x) -> list[bytes]:
+    return [(FLOAT_FORMAT % v).encode() for v in np.asarray(x, dtype=float).tolist()]
+
+
+def _halfway_decimals() -> list[float]:
+    """Doubles m 2^(E-17), m odd, of decimal exponent E: exactly halfway
+    between two 17-digit decimals, and 10^(16-E) is a double."""
+    out = []
+    for e in range(-4, 6):
+        first = int(np.ceil(10.0 ** e * 2.0 ** (17 - e))) | 1
+        out += [m * 2.0 ** (e - 17) for m in range(first, first + 8, 2)]
+    return out
+
+
+def _neighbours(value: float, steps: int = 3) -> list[float]:
+    out = [value]
+    for direction in (-np.inf, np.inf):
+        v = value
+        for _ in range(steps):
+            v = float(np.nextafter(v, direction))
+            out.append(v)
+    return out
+
+
+def test_float_texts_match_percent_on_edges():
+    """The kernel's bytes equal ``FLOAT_FORMAT % v`` on every layout
+    boundary, rounding tie and fallback class.  Dropping the lo part of
+    10^k or rounding halfway values up instead of to even fails this."""
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+             np.inf, np.nan, 0.1 + 0.2, 1e-280, 1e280, 1.7976931348623157e308]
+    for boundary in (1e-5, 1e-4, 1e16, 1e17, 1.0, 1e22, 1e23, 1e-100, 1e100):
+        edges += _neighbours(boundary)
+    edges += [2.0 ** p for p in range(52, 57)] + _halfway_decimals() + FLOAT_TEXT_EDGES
+    edges += [m * 2.0 ** -24 for m in range(3, 16, 2)]  # halfway, 10^23 no double
+    x = np.array(edges + [-v for v in edges])
+    assert states._float_texts(x) == _percent_texts(x)
+
+
+def test_float_texts_match_percent_over_chunks(rng):
+    """Values across ±40 decades, over several of the kernel's chunks."""
+    size = 3 * states._CHUNK + 5
+    x = rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-40, 41, size)
+    x[::2] *= -1.0
+    assert states._float_texts(x) == _percent_texts(x)
+
+
+_raw_doubles = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(_raw_doubles, st.floats()), min_size=1, max_size=40))
+def test_float_texts_match_percent_on_bit_patterns(values):
+    """Doubles from raw 64-bit patterns (every exponent, subnormals, NaN
+    payloads) and hypothesis' own floats."""
+    x = np.array(values)
+    assert states._float_texts(x) == _percent_texts(x)
+
+
+def test_bundled_coefficients_leave_python_few_values(gabor, affine, monkeypatch):
+    """Non-timing guard of the fast path: of the re and im values of the
+    bundled Gabor and affine coefficient sets, the share that
+    ``_float_texts`` leaves to Python's ``%`` (zeros, values outside its
+    exponent range, near ties) stays below 1%; it measures 0 of 8,192 and 0
+    of 51,200."""
+    calls = []
+
+    class CountingFormat(str):
+        def __mod__(self, value):
+            calls.append(value)
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(states, "FLOAT_FORMAT", CountingFormat(FLOAT_FORMAT))
+    for result in (
+        analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid),
+        analyze(affine.rep, affine.states["morlet"], affine.states["signal"], affine.x_grid),
+    ):
+        c = result.coefficients
+        calls.clear()
+        texts = states._float_texts(np.concatenate([c.real, c.imag]))
+        assert len(texts) == 2 * c.size
+        assert len(calls) < 0.01 * 2 * c.size, len(calls)

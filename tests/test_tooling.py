@@ -136,20 +136,35 @@ def test_tracer_installs_and_traces_analyze(tmp_path):
         assert name in names, (name, sorted(names))
 
 
-def test_cli_import_leaves_thread_pool_unimported():
-    """``concurrent.futures`` (about 9 ms to import without bytecode caches)
-    is imported by the first engine call that runs blocks on threads,
-    never by importing the CLI, so a fresh CLI process starts without it."""
+def _after_cli_import(expression: str) -> list[str]:
+    """The printed words of ``expression`` in a fresh process that has
+    imported ``groupwave.cli`` (and ``sys`` and ``groupwave.states``)."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, groupwave.cli; "
-         "print('concurrent.futures' in sys.modules)"],
+        [sys.executable, "-c", "import sys, groupwave.cli, groupwave.states; "
+         f"print({expression})"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_thread_pool_unimported():
+    """``concurrent.futures`` (about 9 ms to import without bytecode caches)
+    is imported by the first engine call that runs blocks on threads,
+    never by importing the CLI, so a fresh CLI process starts without it."""
+    assert _after_cli_import("'concurrent.futures' in sys.modules") == ["False"]
+
+
+def test_cli_import_builds_no_csv_text_tables():
+    """The CSV text kernel's tables (10^k, the digit table, the layouts)
+    are built on first use, never by importing the CLI, so a fresh process
+    that writes no CSV pays nothing for them."""
+    sizes = ", ".join(f"groupwave.states.{name}.cache_info().currsize"
+                      for name in ("_pow10", "_digit_table", "_layouts"))
+    assert _after_cli_import(sizes) == ["0", "0", "0"]
 
 
 def test_exotic_setup_memory_peak():

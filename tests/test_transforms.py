@@ -31,6 +31,7 @@ from groupwave.transforms import (
     semi_invariance_check,
     synthesize,
 )
+from oracles import FLOAT_TEXT_EDGES
 
 
 def sdiff(a, b):
@@ -938,12 +939,25 @@ def test_result_csv_bytes_match_row_writer(gabor, affine, tmp_path):
     res = analyze(affine.rep, affine.states["morlet"], affine.states["signal"], affine.x_grid)
     # signed zeros, tiny and huge values and integers-as-floats keep their text
     res.coefficients[:6] = [0.0, -0.0 + 0j, 1e-300j, -1e300, 3.0 - 2j, complex(-0.0, -0.0)]
+    # and so does a value at each layout boundary and of each fallback class
+    edges = np.array(FLOAT_TEXT_EDGES)
+    res.coefficients[6 : 6 + edges.size] = edges - 1j * edges[::-1]
     gab = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid)
     for k, result in enumerate((res, gab)):
         prefix = str(tmp_path / f"coef{k}")
         save_result_csv(prefix, result)
         _save_result_csv_rows(tmp_path / f"ref{k}.csv", result)
         assert (tmp_path / f"coef{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+
+
+def test_result_csv_rejects_non_finite_before_writing(gabor, tmp_path):
+    """``load_result_csv`` refuses a non-finite coefficient, so the writer
+    does not write one: it names the first bad row and leaves no file."""
+    res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid)
+    res.coefficients[[3, 5]] = [np.inf, complex(0.0, np.nan)]
+    with pytest.raises(ValueError, match=r"non-finite value .* in row 5 \(index 3\)"):
+        save_result_csv(str(tmp_path / "coef"), res)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_result_csv_written_over_node_blocks(gabor, tmp_path, monkeypatch):
