@@ -539,7 +539,7 @@ def _pow10(k: int) -> tuple[float, float, float, float]:
 def _digit_table() -> tuple[np.ndarray, np.ndarray]:
     """For 0..9999: its four ASCII digits as one uint32 word, and its count
     of trailing zero digits (4 for 0)."""
-    n = np.arange(10000)
+    n = np.arange(10000, dtype=np.int32)
     digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")
     zeros = sum(n % 10 ** p == 0 for p in range(1, 5))
     return digits.astype(np.uint8).view(np.uint32).ravel(), zeros
@@ -547,26 +547,26 @@ def _digit_table() -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _layouts() -> np.ndarray:
-    """Source columns of each text, shape (_EMPTY + 1, _WIDTH), NUL-padded,
-    by key (form * 17 + length - 1) * 2 + negative.  ``%g`` prints a value
-    of decimal exponent E in fixed notation when -4 <= E < 17 (form E + 4),
-    else as d.ddde±XX (form 21 for two exponent digits, 22 for three), with
-    ``length`` significant digits once trailing zeros are stripped."""
+    """Source columns of each text (digit j of D is column 3 + j), shape
+    (_EMPTY + 1, _WIDTH), NUL-padded, by key (form * 17 + length - 1) * 2 +
+    negative.  ``%g`` prints a value of decimal exponent E in fixed
+    notation when -4 <= E < 17 (form E + 4), else as d.ddde±XX (form 21 for
+    two exponent digits, 22 for three), with ``length`` significant digits
+    once trailing zeros are stripped."""
+    digits, point, zero, pad = bytes(range(3, 20)), bytes([_POINT]), bytes([_ZERO]), bytes([_NUL])
     table = []
     for form in range(23):
         for length in range(1, 18):
-            digits = list(range(3, 3 + length))  # digit j of D is column 3 + j
             if form > 20:  # d.ddde±XX
-                text = digits[:1] + ([_POINT] + digits[1:] if length > 1 else [])
-                text += [_E, _EXP_SIGN] + list(range(_EXP_SIGN + 23 - form, _EXP_SIGN + 4))
+                text = digits[:1] + (point + digits[1:length] if length > 1 else b"")
+                text += bytes([_E, _EXP_SIGN]) + bytes(range(_EXP_SIGN + 23 - form, _EXP_SIGN + 4))
             elif form >= 4:  # E + 1 integer digits, then the fraction
                 whole = form - 3
-                text = list(range(3, 3 + whole))
-                text += [_POINT] + digits[whole:] if length > whole else []
+                text = digits[:whole] + (point + digits[whole:length] if length > whole else b"")
             else:  # 0.ddd with -E - 1 zeros after the point
-                text = [_ZERO, _POINT] + [_ZERO] * (3 - form) + digits
-            table += [bytes(row).ljust(_WIDTH, bytes([_NUL])) for row in (text, [_MINUS] + text)]
-    table.append(bytes([_NUL] * _WIDTH))
+                text = zero + point + zero * (3 - form) + digits[:length]
+            table += [text.ljust(_WIDTH, pad), (bytes([_MINUS]) + text).ljust(_WIDTH, pad)]
+    table.append(pad * _WIDTH)
     return np.frombuffer(b"".join(table), dtype=np.uint8).reshape(-1, _WIDTH).astype(np.intp)
 
 
