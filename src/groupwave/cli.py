@@ -18,6 +18,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -64,6 +65,18 @@ ALL_GROUPS = list(SUITE_NAMES)
 def _fail_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
+
+
+def _require_finite(what: str, **values: float) -> None:
+    """Raise ValueError naming every entry of ``values`` that is not
+    finite.  A finite signal near the largest double can overflow its
+    squared norm, and the energy, shell fraction or round-trip error made
+    from it; a report holds standard JSON numbers only, so the command
+    stops before it writes any file."""
+    bad = ", ".join(f"{key} = {value}" for key, value in values.items() if not math.isfinite(value))
+    if bad:
+        raise ValueError(f"{what} gives non-finite values ({bad}): it is too large for "
+                         "float64; scale it down")
 
 
 def _read_signal(path, state_grid, what: str) -> DiscretizedState:
@@ -141,6 +154,9 @@ def cmd_analyze(args) -> int:
     phi = (load_state_csv(args.input, state_grid) if args.assume_grid
            else _read_signal(args.input, state_grid, "input signal"))
     result = analyze(rep, psi, phi, grid, dm_norm=dm.norm_of(psi))
+    signal_norm_sq = norm(phi) ** 2
+    _require_finite("the input signal", signal_norm_sq=signal_norm_sq,
+                    energy=result.meta["energy"], shell_fraction=result.meta["shell_fraction"])
     csv_path, json_path = save_result_csv(args.output, result)
     report = {
         "command": "analyze",
@@ -149,7 +165,7 @@ def cmd_analyze(args) -> int:
         "coefficients": csv_path,
         "header": json_path,
         "energy": result.meta["energy"],
-        "signal_norm_sq": norm(phi) ** 2,
+        "signal_norm_sq": signal_norm_sq,
         "shell_fraction": result.meta["shell_fraction"],
         "clipped": result.meta["clipped"],
         # fully resolved configuration
@@ -177,12 +193,15 @@ def cmd_synthesize(args) -> int:
     if result.dm_norm is None:
         result.dm_norm = dm.norm_of(psi)
     state = synthesize(result, rep, psi)
-    save_state_csv(args.output, state)
-    save_grid_json(args.output + ".grid.json", state.grid)
     report = {"command": "synthesize", "group": args.group, "output": args.output}
+    _require_finite("the synthesized signal", signal_norm_sq=norm(state) ** 2)
     if ref is not None:
         diff = norm(DiscretizedState(state.samples - ref.samples, state.grid))
         report["round_trip_relative_error"] = diff / max(norm(ref), 1e-300)
+        _require_finite("the --reference signal", signal_norm_sq=norm(ref) ** 2,
+                        round_trip_relative_error=report["round_trip_relative_error"])
+    save_state_csv(args.output, state)
+    save_grid_json(args.output + ".grid.json", state.grid)
     dump_json(args.output + ".report.json", report)
     print(f"signal -> {args.output}")
     return 0

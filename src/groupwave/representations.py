@@ -343,6 +343,14 @@ class ActionTable:
                 yield tuple(at), labels, block if dil else block[0]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workers() -> int:
     """Threads for the blocks of one engine call: the usable CPUs over the
     BLAS threads that each block's matmuls take.  With no BLAS thread count
@@ -356,9 +364,7 @@ def _workers() -> int:
                 return 1
             if threads < 1:
                 return 1
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            return max(1, cpus // threads)
+            return max(1, usable_cpus() // threads)
     return 1
 
 

@@ -9,6 +9,11 @@ into the report, so repeated runs are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import logging
+import os
+import pickle
+import threading
+import traceback
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .multipliers import (
     multiplier_from_section,
     similar,
 )
-from .representations import coefficient, displacement, projective_from_section
+from .representations import coefficient, displacement, projective_from_section, usable_cpus
 from .states import DiscretizedState, fourier_plancherel, norm, translate, modulate
 from .transforms import (
     admissibility,
@@ -58,6 +63,8 @@ from .transforms import (
 )
 
 __all__ = ["Check", "run_suites", "SUITE_NAMES"]
+
+_log = logging.getLogger("groupwave")
 
 
 @dataclass
@@ -498,14 +505,131 @@ SUITE_NAMES = {
 }
 
 
+class _ChildTraceback(Exception):
+    """The traceback text of an exception raised in a suite child, chained
+    as the cause of the exception re-raised in the parent."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _suite_checks(name: str, seed: int, psi_kind: str | None) -> list[dict]:
+    suite = SUITE_NAMES[name]
+    checks = suite(seed, psi_kind) if name == "affine" else suite(seed)
+    return [c.as_dict() for c in checks]
+
+
+def _portable(exc: BaseException) -> BaseException | None:
+    """``exc`` as the parent would unpickle it, or None if it cannot be."""
+    try:
+        return pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+
+
+def _child_main(names: list[str], seed: int, psi_kind: str | None, conn) -> None:
+    """Body of a suite child: send ("checks", dicts) for each suite of
+    ``names`` in order, or ("error", (exception, traceback text)) for the
+    first one that raises, then leave by ``os._exit``, so no atexit handler,
+    finaliser or stdio buffer inherited from the parent runs here."""
+    code = 1
+    try:
+        for name in names:
+            try:
+                checks = _suite_checks(name, seed, psi_kind)
+            except BaseException as exc:
+                conn.send(("error", (_portable(exc), traceback.format_exc())))
+                return
+            conn.send(("checks", checks))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(name: str, proc, conn) -> list[dict]:
+    """The check dicts of suite ``name`` from the child ``proc``; the
+    child's exception is re-raised here, chained to its traceback."""
+    try:
+        kind, payload = conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"verify suite {name!r}: its child process exited with code "
+                           f"{proc.exitcode} and sent no result") from None
+    if kind == "checks":
+        return payload
+    exc, text = payload
+    if exc is None:
+        exc = RuntimeError(f"verify suite {name!r} raised an exception that cannot be pickled")
+    raise exc from _ChildTraceback(f"in verify suite {name!r}, run in a child process:\n{text}")
+
+
+def _can_fork(n_suites: int) -> bool:
+    """Whether the suites may run in forked children: more than one suite,
+    more than one usable CPU, no other thread alive (a forked child
+    inherits only the calling thread, and a lock another thread holds
+    would stay held in it), the platform has ``fork``, and this is no
+    daemonic ``multiprocessing`` worker (which may not start children).
+    ``multiprocessing`` (about 4 ms) is imported here, never at import."""
+    if n_suites < 2 or usable_cpus() < 2 or threading.active_count() > 1:
+        return False
+    import multiprocessing
+
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
+def _checks_by_suite(groups: list[str], seed: int, psi_kind: str | None) -> dict:
+    """The check dicts of each suite of ``groups``.  The calling process
+    runs the first suite; the others run in order in at most (usable
+    CPUs - 1) children forked before it (see :func:`_can_fork`, else all
+    run here).  Every child is joined, or killed and joined, before this
+    returns or raises."""
+    if not _can_fork(len(groups)):
+        return {name: _suite_checks(name, seed, psi_kind) for name in groups}
+    import multiprocessing
+
+    rest = groups[1:]
+    n = min(len(rest), usable_cpus() - 1)
+    ctx = multiprocessing.get_context("fork")
+    here, children, out = [groups[0]], [], {}
+    try:
+        for names in (rest[i::n] for i in range(n)):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child_main, args=(names, seed, psi_kind, child_conn),
+                               name="groupwave-verify")
+            try:
+                proc.start()
+            except OSError as exc:
+                _log.warning("verify: cannot start a suite child (%s); running %s in this "
+                             "process", exc, ", ".join(names))
+                conn.close()
+                here += names
+                continue
+            finally:
+                child_conn.close()  # the child's copy alone: its exit shows here as EOF
+            children.append((names, proc, conn))
+        for name in here:
+            out[name] = _suite_checks(name, seed, psi_kind)
+        for names, proc, conn in children:
+            for name in names:
+                out[name] = _receive(name, proc, conn)
+            proc.join()
+    finally:
+        for _, proc, conn in children:
+            if proc.exitcode is None:
+                proc.kill()
+            proc.join()
+            conn.close()
+    return out
+
+
 def run_suites(groups: list[str], seed: int = 0, psi_kind: str | None = None) -> dict:
-    report: dict = {"seed": seed, "groups": {}}
-    all_passed = True
-    for name in groups:
-        suite = SUITE_NAMES[name]
-        checks = suite(seed, psi_kind) if name == "affine" else suite(seed)
-        report["groups"][name] = [c.as_dict() for c in checks]
-        all_passed &= all(c.passed for c in checks)
-    report["all_passed"] = bool(all_passed)
+    """Run the suites ``groups`` (keys of ``SUITE_NAMES``) and return the
+    report.  The suites share no state, so they run concurrently where
+    :func:`_checks_by_suite` can fork; the report lists them in the order
+    given and is byte-identical to a serial run's."""
+    checks = _checks_by_suite(groups, seed, psi_kind)
+    report: dict = {"seed": seed, "groups": {name: checks[name] for name in groups}}
+    report["all_passed"] = all(c["passed"] for v in report["groups"].values() for c in v)
     report["n_checks"] = sum(len(v) for v in report["groups"].values())
     return report

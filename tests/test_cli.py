@@ -74,6 +74,30 @@ def test_verify_report_independent_of_blas_threads(tmp_path):
         assert paths[0].read_bytes() == paths[1].read_bytes(), group
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_verify_all_report_independent_of_usable_cpus(tmp_path):
+    """``verify --group all`` writes the same bytes in a process restricted
+    to one CPU, where its suites run one after another, and in one that may
+    use every CPU, where on two or more CPUs they run concurrently."""
+    src = str(Path(groupwave.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = ("import os, sys\n"
+           "if sys.argv[1] == 'one':\n"
+           "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+           "from groupwave.cli import main\n"
+           "sys.exit(main(sys.argv[2:]))\n")
+    outs = []
+    for cpus in ("one", "all"):
+        out = tmp_path / f"{cpus}.json"
+        proc = subprocess.run([sys.executable, "-c", run, cpus, "verify", "--group", "all",
+                               "--seed", "0", "--output", str(out)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_verify_exotic_peak_rss(tmp_path):
     """A ``verify --group exotic`` process, OpenBLAS pinned to 1 thread,
@@ -313,6 +337,23 @@ def test_analyze_writes_no_non_finite_coefficients(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_analyze_rejects_a_signal_whose_norm_overflows(tmp_path, capsys):
+    """Gabor hermite2 x 1e307 is finite and gives finite coefficients, but
+    its squared norm, energy and shell fraction overflow.  ``analyze`` once
+    exited 0 with ``Infinity`` and ``NaN`` in its report; it exits 2 before
+    writing any file."""
+    state = gabor_setup().states["hermite2"]
+    sig = tmp_path / "huge.csv"
+    save_state_csv(sig, state.with_samples(state.samples * 1e307))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["analyze", "--group", "gabor", "--input", str(sig),
+                     "--output", str(tmp_path / "c")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input signal gives non-finite values (signal_norm_sq = inf, energy = inf" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.csv"]
+
+
 def test_analyze_grid_mismatch(tmp_path, capsys):
     from groupwave.states import centered_grid, gaussian_state
 
@@ -464,6 +505,30 @@ def test_synthesize_rejects_nonfinite_coefficients(tmp_path, capsys):
     assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
                  "--output", str(tmp_path / "back.csv"), "--reference", str(sig)]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("huge", ["reference", "coefficient"])
+def test_synthesize_rejects_a_signal_whose_norm_overflows(huge, tmp_path, capsys):
+    """A --reference of Gabor hermite2 x 1e307 once gave exit 0 and a
+    ``NaN`` round-trip error; a coefficient of 1e300 synthesizes a finite
+    signal whose squared norm overflows.  Both exit 2 before writing any
+    file."""
+    sig, prefix = _gabor_coefficients(tmp_path)
+    ref = sig
+    if huge == "reference":
+        state = gabor_setup().states["hermite2"]
+        ref = tmp_path / "huge.csv"
+        save_state_csv(ref, state.with_samples(state.samples * 1e307))
+    else:
+        _edit_coefficient_row(prefix, lambda row: row.rsplit(",", 1)[0] + ",1e300")
+    before = sorted(tmp_path.iterdir())
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["synthesize", "--group", "gabor", "--coefficients", prefix,
+                     "--output", str(tmp_path / "back.csv"), "--reference", str(ref)])
+    assert code == 2
+    what = "--reference signal" if huge == "reference" else "synthesized signal"
+    assert f"the {what} gives non-finite values (signal_norm_sq = inf" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_synthesize_rejects_short_coefficient_row(tmp_path, capsys):

@@ -158,6 +158,13 @@ def test_cli_import_leaves_thread_pool_unimported():
     assert _after_cli_import("'concurrent.futures' in sys.modules") == ["False"]
 
 
+def test_cli_import_leaves_multiprocessing_unimported():
+    """``multiprocessing`` is imported when ``verify`` first forks a suite
+    child, never by importing the CLI, so ``analyze`` and ``synthesize``
+    processes start without it."""
+    assert _after_cli_import("'multiprocessing' in sys.modules") == ["False"]
+
+
 def test_cli_import_builds_no_csv_text_tables():
     """The CSV text kernel's tables (10^k, the digit table, the layouts)
     are built on first use, never by importing the CLI, so a fresh process

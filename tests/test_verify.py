@@ -8,7 +8,11 @@ that uses it, and names the checks that catch it and the ones that do not.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 from pathlib import Path
+import threading
+import time
 
 import pytest
 
@@ -121,3 +125,143 @@ def test_verify_psi_reads_the_suites_admissibility(monkeypatch, tmp_path):
     assert main(["verify", "--group", "affine", "--psi", "morlet",
                  "--output", str(tmp_path / "r.json")]) == 0
     assert calls == {"affine_setup": 1, "admissibility": 2}
+
+
+# ---------------------------------------------------------------------------
+# run_suites: the first suite in this process, the others in forked children
+# ---------------------------------------------------------------------------
+
+
+def _fake_suite(name, action=None):
+    """A suite of one check that first calls ``action``, if any."""
+    def suite(seed, psi_kind=None):
+        if action is not None:
+            action()
+        return [verify.Check(f"{name}: fake", float(seed), 1.0)]
+    return suite
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every suite replaced by a cheap fake, two usable CPUs, and the list
+    of pids that ``os.fork`` returns to this process."""
+    for name in verify.SUITE_NAMES:
+        monkeypatch.setitem(verify.SUITE_NAMES, name, _fake_suite(name))
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    fork, pids = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ALL = list(verify.SUITE_NAMES)
+
+
+@pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (3, 2), (8, 2)])
+def test_run_suites_forks_at_most_cpus_minus_one_children(cpus, children, forks, monkeypatch):
+    """The first suite runs here and the rest in min(suites - 1, CPUs - 1)
+    children; the report equals the serial one."""
+    monkeypatch.setattr(verify, "usable_cpus", lambda: cpus)
+    report = verify.run_suites(ALL, seed=3)
+    assert len(forks) == children
+    _assert_no_children()
+    assert list(report["groups"]) == ALL
+    assert report == {"seed": 3, "all_passed": False, "n_checks": 3, "groups": {
+        name: [{"name": f"{name}: fake", "defect": 3.0, "threshold": 1.0, "passed": False}]
+        for name in ALL}}
+
+
+def test_run_suites_forks_nothing_for_one_suite_or_with_another_thread(forks):
+    """One suite, or another live thread (a forked child would inherit its
+    locks but not the thread), runs every suite in this process."""
+    assert verify.run_suites(["exotic"])["n_checks"] == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert verify.run_suites(ALL)["n_checks"] == 3
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    _assert_no_children()
+
+
+def test_run_suites_runs_serially_when_fork_fails(forks, monkeypatch, caplog):
+    """A child that cannot be started is logged on the groupwave logger and
+    its suites run in this process, with the same report."""
+    expected = verify.run_suites(ALL)
+
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with caplog.at_level("WARNING", logger="groupwave"):
+        assert verify.run_suites(ALL) == expected
+    assert any("cannot start a suite child" in r.getMessage() for r in caplog.records)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("failing", ["wh", "exotic"], ids=["in_process", "in_child"])
+def test_run_suites_raises_a_suites_error(failing, forks, monkeypatch):
+    """A suite's exception reaches the caller, whether the suite ran here or
+    in a child; a child's is chained to its traceback, which names the
+    suite."""
+    def boom():
+        raise ValueError(f"boom in {failing}")
+
+    monkeypatch.setitem(verify.SUITE_NAMES, failing, _fake_suite(failing, boom))
+    with pytest.raises(ValueError, match=f"boom in {failing}") as info:
+        verify.run_suites(ALL)
+    if failing == "exotic":
+        assert "in verify suite 'exotic'" in str(info.value.__cause__)
+        assert "boom in exotic" in str(info.value.__cause__)
+    _assert_no_children()
+
+
+def test_run_suites_reports_a_child_that_cannot_send_its_result(forks, monkeypatch):
+    """An exception that cannot be pickled, and a child that exits before it
+    sends anything, each raise a RuntimeError that names the suite."""
+    class Local(Exception):
+        pass
+
+    def unpicklable():
+        raise Local("local classes do not pickle")
+
+    monkeypatch.setitem(verify.SUITE_NAMES, "affine", _fake_suite("affine", unpicklable))
+    with pytest.raises(RuntimeError, match="'affine' raised an exception that cannot be pickled"):
+        verify.run_suites(ALL)
+    _assert_no_children()
+    monkeypatch.setitem(verify.SUITE_NAMES, "affine", _fake_suite("affine", lambda: os._exit(3)))
+    with pytest.raises(RuntimeError, match="'affine': its child process exited with code 3"):
+        verify.run_suites(ALL)
+    _assert_no_children()
+
+
+def test_run_suites_interrupted_kills_its_child(forks, monkeypatch):
+    """An interrupt in this process's suite kills the child at once instead
+    of waiting for its (here 60 s) suites, and leaves no process behind."""
+    def interrupt():
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(verify.SUITE_NAMES, "wh", _fake_suite("wh", interrupt))
+    monkeypatch.setitem(verify.SUITE_NAMES, "affine", _fake_suite("affine", lambda: time.sleep(60)))
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suites(ALL)
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+    _assert_no_children()
