@@ -563,14 +563,18 @@ def _receive(name: str, proc, conn) -> list[dict]:
     raise exc from _ChildTraceback(f"in verify suite {name!r}, run in a child process:\n{text}")
 
 
-def _can_fork(n_suites: int) -> bool:
-    """Whether the suites may run in forked children: more than one suite,
-    more than one usable CPU, no other thread alive (a forked child
-    inherits only the calling thread, and a lock another thread holds
-    would stay held in it), the platform has ``fork``, and this is no
-    daemonic ``multiprocessing`` worker (which may not start children).
-    ``multiprocessing`` (about 4 ms) is imported here, never at import."""
-    if n_suites < 2 or usable_cpus() < 2 or threading.active_count() > 1:
+def _can_fork(groups: list[str]) -> bool:
+    """Whether the suites after the first may run in a forked child: more
+    than one suite, more than one usable CPU, no other thread alive (a
+    forked child inherits only the calling thread, and a lock another
+    thread holds would stay held in it), none of those suites wrapped by
+    an instrument such as a tracer or profiler (``__wrapped__``, as
+    ``functools.wraps`` sets it: what it records in a child would be lost),
+    the platform has ``fork``, and this is no daemonic ``multiprocessing``
+    worker (which may not start children).  ``multiprocessing`` (about
+    4 ms) is imported here, never at import."""
+    if (len(groups) < 2 or usable_cpus() < 2 or threading.active_count() > 1
+            or any(hasattr(SUITE_NAMES[name], "__wrapped__") for name in groups[1:])):
         return False
     import multiprocessing
 
@@ -580,46 +584,40 @@ def _can_fork(n_suites: int) -> bool:
 
 def _checks_by_suite(groups: list[str], seed: int, psi_kind: str | None) -> dict:
     """The check dicts of each suite of ``groups``.  The calling process
-    runs the first suite; the others run in order in at most (usable
-    CPUs - 1) children forked before it (see :func:`_can_fork`, else all
-    run here).  Every child is joined, or killed and joined, before this
-    returns or raises."""
-    if not _can_fork(len(groups)):
+    runs the first suite while one child, forked before it, runs the
+    others in order (see :func:`_can_fork`, else all run here).  One child
+    is enough: on the default suites the first path (wh) is the longer, so
+    more children would add processes, not speed.  The child is joined, or
+    killed and joined, before this returns or raises."""
+    if not _can_fork(groups):
         return {name: _suite_checks(name, seed, psi_kind) for name in groups}
     import multiprocessing
 
-    rest = groups[1:]
-    n = min(len(rest), usable_cpus() - 1)
     ctx = multiprocessing.get_context("fork")
-    here, children, out = [groups[0]], [], {}
+    conn, child_conn = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child_main, args=(groups[1:], seed, psi_kind, child_conn),
+                       name="groupwave-verify")
     try:
-        for names in (rest[i::n] for i in range(n)):
-            conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child_main, args=(names, seed, psi_kind, child_conn),
-                               name="groupwave-verify")
-            try:
-                proc.start()
-            except OSError as exc:
-                _log.warning("verify: cannot start a suite child (%s); running %s in this "
-                             "process", exc, ", ".join(names))
-                conn.close()
-                here += names
-                continue
-            finally:
-                child_conn.close()  # the child's copy alone: its exit shows here as EOF
-            children.append((names, proc, conn))
-        for name in here:
-            out[name] = _suite_checks(name, seed, psi_kind)
-        for names, proc, conn in children:
-            for name in names:
-                out[name] = _receive(name, proc, conn)
-            proc.join()
+        proc.start()
+    except OSError as exc:
+        _log.warning("verify: cannot start a suite child (%s); running %s in this "
+                     "process", exc, ", ".join(groups[1:]))
+        proc = None
     finally:
-        for _, proc, conn in children:
-            if proc.exitcode is None:
-                proc.kill()
-            proc.join()
-            conn.close()
+        child_conn.close()  # the child's copy alone: its exit shows here as EOF
+    if proc is None:
+        conn.close()
+        return {name: _suite_checks(name, seed, psi_kind) for name in groups}
+    try:
+        out = {groups[0]: _suite_checks(groups[0], seed, psi_kind)}
+        for name in groups[1:]:
+            out[name] = _receive(name, proc, conn)
+        proc.join()
+    finally:
+        if proc.exitcode is None:
+            proc.kill()
+        proc.join()
+        conn.close()
     return out
 
 

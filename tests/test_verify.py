@@ -7,6 +7,7 @@ that uses it, and names the checks that catch it and the ones that do not.
 """
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -128,7 +129,7 @@ def test_verify_psi_reads_the_suites_admissibility(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# run_suites: the first suite in this process, the others in forked children
+# run_suites: the first suite in this process, the others in a forked child
 # ---------------------------------------------------------------------------
 
 
@@ -169,10 +170,10 @@ def _assert_no_children():
 ALL = list(verify.SUITE_NAMES)
 
 
-@pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (3, 2), (8, 2)])
-def test_run_suites_forks_at_most_cpus_minus_one_children(cpus, children, forks, monkeypatch):
-    """The first suite runs here and the rest in min(suites - 1, CPUs - 1)
-    children; the report equals the serial one."""
+@pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (3, 1), (8, 1)])
+def test_run_suites_forks_one_child_for_the_other_suites(cpus, children, forks, monkeypatch):
+    """The first suite runs here and the rest in one child whenever more
+    than one CPU is usable; the report equals the serial one."""
     monkeypatch.setattr(verify, "usable_cpus", lambda: cpus)
     report = verify.run_suites(ALL, seed=3)
     assert len(forks) == children
@@ -197,6 +198,23 @@ def test_run_suites_forks_nothing_for_one_suite_or_with_another_thread(forks):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
+    _assert_no_children()
+
+
+def test_run_suites_forks_nothing_when_a_suite_is_instrumented(forks, monkeypatch):
+    """A suite wrapped by a tracer or profiler (``functools.wraps`` sets
+    ``__wrapped__``) runs in this process, where the wrapper's records stay."""
+    seen = []
+    inner = verify.SUITE_NAMES["exotic"]
+
+    @functools.wraps(inner)
+    def traced(*args, **kwargs):
+        seen.append(os.getpid())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setitem(verify.SUITE_NAMES, "exotic", traced)
+    assert verify.run_suites(ALL)["n_checks"] == 3
+    assert forks == [] and seen == [os.getpid()]
     _assert_no_children()
 
 
