@@ -16,7 +16,10 @@ Each factory declares its action a second time, as an :class:`ActionTable`
 with one :class:`AxisRole` per chart axis g: a scalar phase e^{i c g}, a
 modulation e^{i g x_j} or a translation f(x_j - c g) of state axis j, a
 dilation f(g x) of listed state axes with weight g^{m/2}, or inert (a phase
-with c = 0); the affine table acts on Fourier samples.  One engine turns a
+with c = 0); the affine table acts on Fourier samples.  The table declares
+the state space once (``state_lower``: L2(R^n) for Weyl-Heisenberg and
+affine, L2((0, inf) x R^n) for exotic), and its one guard ``check`` holds
+every state of ``act`` and of the engine to it.  One engine turns a
 table into the spec's batched ``fast_coefficients`` (c(g) = <U(g) psi, phi>
 over a quadrature grid) and ``fast_adjoint`` (sum_g c(g) w(g) U(g) psi), for
 any n, on the G chart or on the quotient X.  Every spec has a table:
@@ -27,7 +30,8 @@ section s0, adds the gauge phase of U(k) = e^{i chi(k)}:
     c_s(x) = e^{-i chi(k(x))} c_{s0}(x);
 
 ``lift_to_extension`` puts a phase role for the T axis in front of the
-projective table.  The literal ``action`` stays the independent reference.
+projective table; both keep the state space.  The literal ``action`` stays
+the independent reference.
 
 Non-grid translations use FFT phase ramps, dilations band-limited
 resampling; states are treated as band-limited, so every action declares a
@@ -190,6 +194,10 @@ class ActionTable:
     A ``gauge`` gamma (chart nodes -> phases) multiplies the whole action by
     e^{i gamma(g)}: the scalar that a non-coordinate section adds.
 
+    ``state_lower`` declares the state space: one open lower bound per state
+    axis, NaN if unbounded (as ``GroupDescriptor.domain_lower``), so its
+    length is the state dimension; an axis without a role is left alone.
+
     :meth:`coefficients` and :meth:`adjoint` apply a translation by c g as
     the phases e^{+i w_k c g} (of conj(U)) or e^{-i w_k c g} (of U) on the
     DFT of its state axis, never as a translated state (see the module
@@ -197,6 +205,7 @@ class ActionTable:
     """
 
     roles: tuple[AxisRole, ...]
+    state_lower: tuple[float, ...]
     fourier: bool = False
     gauge: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -205,6 +214,8 @@ class ActionTable:
         if len(set(acting)) < len(acting) or sum(r.kind == "dilate" for r in self.roles) > 1:
             raise ValueError("an action table has at most one dilation role, and one modulation "
                              "and one translation role per state axis")
+        if not all(0 <= j < len(self.state_lower) for _, j in acting):
+            raise ValueError("a role acts on a state axis outside the declared state space")
 
     def coefficients(self, psi: DiscretizedState, phi: DiscretizedState,
                      grid: QuadratureGrid) -> np.ndarray:
@@ -235,9 +246,9 @@ class ActionTable:
         only checked here: the dictionary keys it raw and transforms it on
         a miss."""
         self.check(psi)
-        domain = self._domain(phi)
-        _check_compatible(psi, phi)  # not on ``domain``: a Fourier grid drops the offsets
-        phi = domain
+        self.check(phi)
+        _check_compatible(psi, phi)  # before the transform: a Fourier grid drops the offsets
+        phi = fourier_plancherel(phi) if self.fourier else phi
         plan = self._plan(grid, phi.grid, -1)
         chart, state, phases, mods, steps, moved, lead = plan
         weight = phi.samples * phi.grid.cell_volume
@@ -297,12 +308,16 @@ class ActionTable:
         return values
 
     def check(self, state: DiscretizedState) -> None:
-        """Raise if the action is not defined on ``state``; a plain table
-        acts on any state grid, leaving the axes without a role alone."""
-
-    def _domain(self, state):
-        self.check(state)
-        return fourier_plancherel(state) if self.fourier else state
+        """Raise if ``state`` is not in the declared state space: a grid of
+        another dimension raises ``ValueError``, and an axis whose first
+        sample is at or below its lower bound :class:`GridSafetyError`."""
+        grid, lower = state.grid, self.state_lower
+        if grid.dim != len(lower):
+            raise ValueError(f"state grid is {grid.dim}-D, not the {len(lower)}-D state space")
+        for j, bound in enumerate(lower):
+            if grid.offsets[j] <= bound:  # False for NaN: unbounded
+                raise GridSafetyError(f"state axis {j} starts at {grid.offsets[j]:g}, at or "
+                                      f"below its open lower bound {bound:g}")
 
     def _plan(self, grid, state_grid, sign):
         """The cached :func:`_factor_plan` of ``grid``'s chart-axis nodes."""
@@ -486,6 +501,7 @@ class UnitaryRepSpec:
     action(g, action(h, f)) = action(gh, f) up to the declared tolerance.
     ``safe_box`` bounds each chart coordinate to its grid-safe range:
     ``act`` rejects a point outside it and ``analyze`` clips grids to it.
+    ``act`` also rejects a state outside the table's state space.
     ``table`` is the same action in factored form (see the module header);
     ``fast_coefficients(psi, phi, grid)`` and ``fast_adjoint(coeffs, grid,
     psi)`` are its batched engine, which ``analyze`` and ``synthesize`` run
@@ -508,6 +524,7 @@ class UnitaryRepSpec:
                     f"{self.label}: coordinate {i} = {g[i]} outside grid-safe "
                     f"range [{lo}, {hi}]"
                 )
+        self.table.check(state)
         return self.action(g, state)
 
 
@@ -533,20 +550,6 @@ def coefficient(rep: UnitaryRepSpec, psi: DiscretizedState, phi: DiscretizedStat
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _EuclideanTable(ActionTable):
-    """An action table on L2(R^n) that acts on every state axis: every
-    state, of the action and of the engine alike, goes through
-    :meth:`check`.  Restricted and lifted tables (``dataclasses.replace``)
-    keep the check."""
-
-    def check(self, state: DiscretizedState) -> None:
-        """The state grid is R^n, n the state axes of the roles."""
-        n = 1 + max(j for r in self.roles for j in r.axes)
-        if state.grid.dim != n:
-            raise ValueError(f"state grid must be R^{n}, not R^{state.grid.dim}")
-
-
 def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: float = 12.0) -> UnitaryRepSpec:
     """U_kc(k, p, q) f(x) = e^{i(k kc + p.x)} f(x + kc q) on L2(R^n).
 
@@ -556,14 +559,7 @@ def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: 
     if k_check == 0:
         raise ValueError("central parameter must be nonzero")
     kc = float(k_check)
-    table = _EuclideanTable(
-        (AxisRole("phase", coef=kc),)
-        + tuple(AxisRole("modulate", (j,)) for j in range(n))
-        + tuple(AxisRole("translate", (j,), -kc) for j in range(n))
-    )
-
     def action(g, state):
-        table.check(state)
         g = np.asarray(g, dtype=float)
         k, p, q = g[0], g[1 : 1 + n], g[1 + n :]
         out = translate(state, -kc * q)
@@ -576,7 +572,12 @@ def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: 
         safe_box=((-np.inf, np.inf),)
         + ((-safe_momentum, safe_momentum),) * n
         + ((-safe_shift, safe_shift),) * n,
-        **_engine(table),
+        **_engine(ActionTable(
+            (AxisRole("phase", coef=kc),)
+            + tuple(AxisRole("modulate", (j,)) for j in range(n))
+            + tuple(AxisRole("translate", (j,), -kc) for j in range(n)),
+            state_lower=(np.nan,) * n,
+        )),
     )
 
 
@@ -634,6 +635,7 @@ def affine_rep(n: int = 1, shift_max: float = 64.0) -> UnitaryRepSpec:
         **_engine(ActionTable(
             tuple(AxisRole("modulate", (j,)) for j in range(n))
             + (AxisRole("dilate", tuple(range(n))),),
+            state_lower=(np.nan,) * n,
             fourier=True,
         )),
     )
@@ -642,21 +644,6 @@ def affine_rep(n: int = 1, shift_max: float = 64.0) -> UnitaryRepSpec:
 # ---------------------------------------------------------------------------
 # Exotic-group representation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _HalfLineTable(ActionTable):
-    """An action table on L2((0, inf) x R^n, dbc dpc): every state, of the
-    action and of the engine alike, goes through :meth:`check`.  Restricted
-    and lifted tables (``dataclasses.replace``) keep the check."""
-
-    def check(self, state: DiscretizedState) -> None:
-        """The state grid is (bc, pc in R^n), its bc axis clear of 0."""
-        n = max(j for r in self.roles for j in r.axes)
-        if state.grid.dim != n + 1:
-            raise ValueError(f"state grid must be (bc, pc in R^{n})")
-        if state.grid.offsets[0] <= 0:
-            raise GridSafetyError("state grid touches the bc = 0 singularity")
 
 
 def exotic_rep(n: int = 1) -> UnitaryRepSpec:
@@ -669,22 +656,13 @@ def exotic_rep(n: int = 1) -> UnitaryRepSpec:
     inducing character has scheck = 0 on the orbit), nor does r at k = 0, so
     the restriction to T x S x R is the scalar e^{it} by construction.  The
     safe box is constant: |p| <= 32, |q| <= 8 and 1/16 <= a <= 16, every
-    other coordinate free.  States live on a (bc > 0) x (pc in R^n) grid
-    with half-cell offset from bc = 0.
+    other coordinate free.  A state grid sits half a cell clear of bc = 0;
+    one reaching bc <= 0 raises :class:`GridSafetyError`.
     """
     sl_p = slice(3, 3 + n)
     sl_q = slice(3 + n, 3 + 2 * n)
     ia = 3 + 3 * n
-    table = _HalfLineTable(
-        (AxisRole("phase", coef=1.0), AxisRole("phase"), AxisRole("modulate", (0,)))
-        + tuple(AxisRole("modulate", (1 + j,)) for j in range(n))
-        + tuple(AxisRole("translate", (1 + j,), -1.0) for j in range(n))
-        + (AxisRole("phase"),) * n
-        + (AxisRole("dilate", (0,)),)
-    )
-
     def action(g, state):
-        table.check(state)
         g = np.asarray(g, dtype=float)
         t, b, a = g[0], g[2], g[ia]
         p, q = g[sl_p], g[sl_q]
@@ -702,7 +680,14 @@ def exotic_rep(n: int = 1) -> UnitaryRepSpec:
         + ((-8.0, 8.0),) * n
         + ((-np.inf, np.inf),) * n
         + ((1.0 / 16.0, 16.0),),
-        **_engine(table),
+        **_engine(ActionTable(
+            (AxisRole("phase", coef=1.0), AxisRole("phase"), AxisRole("modulate", (0,)))
+            + tuple(AxisRole("modulate", (1 + j,)) for j in range(n))
+            + tuple(AxisRole("translate", (1 + j,), -1.0) for j in range(n))
+            + (AxisRole("phase"),) * n
+            + (AxisRole("dilate", (0,)),),
+            state_lower=(0.0,) + (np.nan,) * n,
+        )),
     )
 
 

@@ -30,6 +30,20 @@ admissibility and the Duflo-Moore calibration, the reproducing kernel's
 Gram rows, both sides of the modulo-K equivalence) is one block sum over
 the engine's coefficient blocks as they stream, and never holds a
 coefficient array of the grid.
+
+Every state goes through the rep's state-space guard (``ActionTable.check``
+in ``representations``).  Where group elements leave the rep's safe box,
+each consumer gets one of these guards:
+
+* ``analyze`` and every caller of ``_block_sums`` (``coefficient_energy``,
+  ``admissibility``, ``orthogonality_check``, ``calibrate_affine_dm``,
+  ``mod_K_equiv_check``, the Gram rows of ``reproduce_check``) clip the grid
+  to the box, with a warning on the ``groupwave`` logger;
+* ``synthesize`` and ``reproduce_check`` are given coefficients on a grid, so
+  clipping would pair them with other nodes: they raise ``GridSafetyError``;
+* ``semi_invariance_check`` and ``kernel`` take group elements, which
+  ``act``'s point check rejects with ``GridSafetyError``;
+* ``induced.intertwine_defect`` takes callables, so its callers' guards apply.
 """
 
 from __future__ import annotations
@@ -179,15 +193,19 @@ def _energy_and_shell(coefficients: np.ndarray, grid: QuadratureGrid) -> tuple[f
     """The energy sum of |c|^2 w over ``grid`` (``coefficients`` raveled
     like its nodes), and the share of it carried by the outermost 10% shell
     of the box -- a cheap truncation-tail estimate recorded in metadata.
-    Both add their sums over :meth:`QuadratureGrid.axis_blocks` in block
-    order; the shell, the union of per-axis slabs, is masked from each
-    block's axes, so no array of the whole grid is made."""
+    The shell is the union of per-axis slabs of 5% of the axis at each end,
+    cut in ln a on a log axis, where the nodes are uniform.  Both add their
+    sums over :meth:`QuadratureGrid.axis_blocks` in block order; the shell
+    is masked from each block's axes, so no array of the whole grid is
+    made."""
     dim = len(grid.resolution)
     energy = shell = 0.0
     for sl, axes in grid.axis_blocks():
         part = np.abs(coefficients[sl]) ** 2 * grid.weights[sl]
         outer = np.zeros(tuple(map(len, axes)), dtype=bool)
         for i, ((lo, hi), ax) in enumerate(zip(grid.box, axes)):
+            if i in grid.log_axes:
+                lo, hi, ax = np.log(lo), np.log(hi), np.log(ax)
             width = hi - lo
             slab = (ax < lo + 0.05 * width) | (ax > hi - 0.05 * width)
             outer = outer | slab.reshape([-1 if m == i else 1 for m in range(dim)])
@@ -204,8 +222,8 @@ def analyze(
     dm_norm: Optional[float] = None,
 ) -> TransformResult:
     """Sample c_{psi,phi}(g) = <U(g) psi, phi> at every grid node, in one
-    batch on the rep's action table.  A grid reaching outside the rep's safe
-    box is clipped to it, with a warning on the ``groupwave`` logger.
+    batch on the rep's action table.  The grid is clipped to the rep's safe
+    box, with a warning (see the module header).
     """
     grid, clipped = _analysis_grid(rep, [psi], grid)
     coeffs = rep.fast_coefficients(psi, phi, grid)
@@ -225,8 +243,7 @@ def analyze(
 
 def _analysis_grid(rep: UnitaryRepSpec, psis, grid: QuadratureGrid):
     """The guards of an analysis: every analyzing vector of ``psis`` is
-    nonzero, and ``grid`` is clipped to the rep's safe box (with a warning);
-    returns (grid, clipped)."""
+    nonzero, and ``grid`` is clipped to the safe box; returns (grid, clipped)."""
     if any(norm(psi) == 0.0 for psi in psis):
         raise ValueError("analyzing vector must be nonzero")
     return _clip_to_safe_box(rep, grid)
@@ -247,9 +264,8 @@ def _clip_to_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid):
 
 
 def _require_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid) -> None:
-    """The guard of a coefficient grid that is given, not analyzed: one
-    reaching outside the rep's safe box raises :class:`GridSafetyError`,
-    since clipping it would pair its coefficients with other nodes."""
+    """The guard of a coefficient grid that is given, not analyzed (see the
+    module header)."""
     box = grid.box
     if _safe_part(rep, box) != box:
         raise GridSafetyError(f"{rep.label}: coefficient grid box {list(box)} leaves the "
@@ -265,8 +281,7 @@ def synthesize(
     inverse; on a truncated grid the reconstruction error is the quadrature
     plus truncation error of the reproducing integral.  Runs in one batch on
     the exact adjoint of :func:`analyze`'s engine.  A grid reaching outside
-    the rep's safe box, which :func:`analyze` never returns, raises
-    :class:`GridSafetyError`.
+    the rep's safe box raises :class:`GridSafetyError`.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm metadata is unset; synthesize needs it")
@@ -336,9 +351,8 @@ def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) ->
     zeros survive), the sums of ``integrands[i](c, w, at)`` -- ``c`` the
     pairs' blocks in pair order, ``w`` the block's weights, ``at`` its slices
     of a chart-shaped array.  A block of each stream, never a whole
-    coefficient array, is held.  :func:`analyze`'s guards apply: every psi is
-    nonzero, and the grid is clipped to the safe box with a warning.  The
-    streams must share their blocks, so every psi has the same number of
+    coefficient array, is held.  :func:`analyze`'s guards apply (every psi
+    nonzero, the grid clipped to the safe box).  The streams must share their blocks, so every psi has the same number of
     samples (``ValueError`` otherwise).  If a stream raises, the others are
     closed before the call raises.
     """
@@ -466,8 +480,7 @@ def reproduce_check(
     with int kernel(g, g') f(g') dmu(g') over the grid; returns the max
     relative error (scaled by the largest |f| sample).  Deterministic:
     repeated evaluation returns identical numbers.  A grid reaching outside
-    the rep's safe box raises :class:`GridSafetyError`, as in
-    :func:`synthesize`.
+    the rep's safe box raises :class:`GridSafetyError`.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm is unset")

@@ -402,6 +402,24 @@ def test_analyze_rejects_psi_file_on_another_grid(tmp_path, capsys):
     assert not os.path.exists(str(prefix) + ".csv")
 
 
+def test_analyze_rejects_affine_psi_file_of_two_axes(tmp_path, capsys):
+    """A 2-D --psi-file under the n = 1 affine spec, whose state space is R:
+    the signal reader stops it (a CSV with two coordinate columns carries no
+    grid, and a grid read must match the configuration's) in front of the
+    table's state-space guard, and the command writes no file."""
+    from groupwave.states import centered_grid, product_grid
+
+    psi, sig = tmp_path / "psi2d.csv", tmp_path / "sig.csv"
+    save_state_csv(psi, gaussian_state(product_grid(centered_grid(16.0, 64),
+                                                    centered_grid(6.0, 8))))
+    save_state_csv(sig, affine_setup().states["signal"])
+    assert main(["analyze", "--group", "affine", "--psi", "file", "--psi-file", str(psi),
+                 "--input", str(sig), "--output", str(tmp_path / "coef")]) == 2
+    err = capsys.readouterr().err
+    assert "grid metadata required for multi-dimensional signals" in err
+    assert sorted(os.listdir(tmp_path)) == ["psi2d.csv", "sig.csv"]
+
+
 def test_synthesize_rejects_reference_on_another_grid(tmp_path, capsys):
     """A --reference on another grid was once compared sample by sample:
     exit 0 and a round-trip error of 2.35e-9."""

@@ -16,6 +16,7 @@ from groupwave.representations import (
 )
 from groupwave.states import (
     DiscretizedState,
+    dog_state,
     fourier_plancherel,
     gaussian_state,
     inner,
@@ -25,7 +26,13 @@ from groupwave.states import (
     product_grid,
     translate,
 )
-from groupwave.transforms import analyze, synthesize
+from groupwave.transforms import (
+    analyze,
+    duflo_moore,
+    orthogonality_check,
+    semi_invariance_check,
+    synthesize,
+)
 
 
 def diff(a, b):
@@ -219,8 +226,8 @@ def _small_exotic_x_grid(exotic):
 
 
 def test_exotic_engine_rejects_grid_touching_singularity(exotic):
-    """The engine runs the action's state-grid check: a bc axis reaching
-    bc <= 0 once went through analyze and synthesize."""
+    """The engine holds every state to the table's declared state space: a
+    bc axis reaching bc <= 0 once went through analyze and synthesize."""
     grid = _small_exotic_x_grid(exotic)
     state_grid = product_grid(centered_grid(4.0, 64), centered_grid(8.0, 64))
     bad = DiscretizedState(np.ones(state_grid.counts, dtype=complex), state_grid)
@@ -237,43 +244,64 @@ def test_exotic_engine_rejects_grid_touching_singularity(exotic):
         lambda: synthesize(res, exotic.proj, bad),
     ]
     for call in calls:
-        with pytest.raises(GridSafetyError, match="bc = 0 singularity"):
+        with pytest.raises(GridSafetyError,
+                           match=r"state axis 0 starts at -4, at or below its open lower bound 0"):
             call()
 
 
-def test_exotic_engine_rejects_state_of_wrong_dimension(exotic):
-    """A 1-D state once raised IndexError in the engine; both paths now
-    raise the action's ValueError."""
-    grid = _small_exotic_x_grid(exotic)
-    flat = DiscretizedState(np.ones(64, dtype=complex), centered_grid(4.0, 64))
-    res = analyze(exotic.proj, exotic.states["psi"], exotic.states["phi"], grid, dm_norm=1.0)
+def _plane_states():
+    """(psi, phi) on a 2-D grid for the n = 1 specs: the Gabor pair of
+    Gaussians, and psi = dog2 (x) g, phi = gauss(x - 1) (x) y g for affine,
+    g a Gaussian in y."""
+    wh_plane = product_grid(centered_grid(6.0, 32), centered_grid(6.0, 32))
+    x, y = centered_grid(16.0, 128), centered_grid(6.0, 16)
+    g = gaussian_state(y).samples
+    plane = product_grid(x, y)
+    return {
+        "wh": (gaussian_state(wh_plane), gaussian_state(wh_plane, center=[0.3, 0.1])),
+        "affine": (DiscretizedState(np.multiply.outer(dog_state(x, 2).samples, g), plane),
+                   DiscretizedState(np.multiply.outer(gaussian_state(x, center=1.0).samples,
+                                                      y.axis(0) * g), plane)),
+    }
+
+
+@pytest.mark.parametrize("config", ["wh", "affine", "exotic"])
+def test_engine_rejects_state_of_wrong_dimension(config, gabor, affine, exotic):
+    """Every path holds a state to the table's declared state space: a grid
+    of another dimension raises ``ValueError`` naming both dimensions.
+    Before the declaration, a 1-D state raised IndexError in the exotic
+    engine, a 2-D state gave an energy of 0.956 from the n = 1 Gabor engine,
+    and the affine rep computed U (x) I on a 2-D state: the orthogonality
+    check of psi = dog2 (x) g, phi = gauss(x - 1) (x) y g returned lhs
+    5.4e-31, rhs 1.18 and relerr 1.0, with no error."""
+    if config == "exotic":
+        flat = DiscretizedState(np.ones(64, dtype=complex), centered_grid(4.0, 64))
+        rep, dm, (psi, phi) = exotic.proj, duflo_moore("exotic"), (flat, flat)
+        good, grid = exotic.states["psi"], _small_exotic_x_grid(exotic)
+        match = r"state grid is 1-D, not the 2-D state space"
+    else:
+        psi, phi = _plane_states()[config]
+        if config == "wh":
+            rep, dm, good = gabor.proj, duflo_moore("gabor"), gabor.states["gauss"]
+            grid = haar_grid(rep.group, [(-4, 4)] * 2, [8, 6])
+        else:
+            rep, dm, good = affine.rep, duflo_moore("affine"), affine.states["gauss"]
+            grid = haar_grid(rep.group, [(-4, 4), (0.5, 2.0)], [8, 6], log_axes=(1,))
+        match = r"state grid is 2-D, not the 1-D state space"
+    res = analyze(rep, good, good, grid, dm_norm=1.0)
+    g = grid.node(0)
     calls = [
-        lambda: exotic.proj.act(grid.node(0), flat),
-        lambda: analyze(exotic.proj, flat, flat, grid),
-        lambda: synthesize(res, exotic.proj, flat),
+        lambda: rep.act(g, psi),
+        lambda: analyze(rep, psi, phi, grid),
+        lambda: rep.table.coefficients(good, phi, grid),
+        lambda: synthesize(res, rep, psi),
+        lambda: orthogonality_check(rep, [(psi, psi, phi, phi)], dm, grid),
+        lambda: semi_invariance_check(rep, dm, g, [psi]),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=r"state grid must be \(bc, pc in R\^1\)"):
+        with pytest.raises(ValueError, match=match) as info:
             call()
-
-
-def test_wh_engine_rejects_state_of_wrong_dimension(gabor):
-    """Under the n = 1 Gabor spec a 2-D state once gave an energy of 0.956
-    from the engine while the action rejected it; every path now raises
-    the table's ValueError."""
-    flat = product_grid(centered_grid(6.0, 32), centered_grid(6.0, 32))
-    psi, phi = gaussian_state(flat), gaussian_state(flat, center=[0.3, 0.1])
-    res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["mix"], gabor.x_grid,
-                  dm_norm=1.0)
-    calls = [
-        lambda: gabor.proj.act(gabor.x_grid.node(0), psi),
-        lambda: analyze(gabor.proj, psi, phi, gabor.x_grid),
-        lambda: synthesize(res, gabor.proj, psi),
-        lambda: gabor.proj.table.coefficients(gabor.states["gauss"], phi, gabor.x_grid),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=r"state grid must be R\^1, not R\^2"):
-            call()
+        assert type(info.value) is ValueError
 
 
 def test_projective_composition_defect(gabor_wide, rng):
@@ -644,7 +672,7 @@ def test_engine_translation_and_dilation_on_one_state_axis(per_node):
     from groupwave.states import axis_resample, centered_grid
 
     table = ActionTable((AxisRole("modulate", (0,)), AxisRole("translate", (0,), -0.8),
-                         AxisRole("dilate", (0,))))
+                         AxisRole("dilate", (0,))), state_lower=(np.nan,))
 
     def action(g, f):
         p, q, a = g
@@ -669,7 +697,7 @@ def test_engine_translated_axis_without_modulation(per_node):
     from groupwave.states import centered_grid, product_grid
 
     table = ActionTable((AxisRole("translate", (1,), 0.6), AxisRole("phase", coef=1.5),
-                         AxisRole("modulate", (0,))))
+                         AxisRole("modulate", (0,))), state_lower=(np.nan,) * 3)
 
     def action(g, f):
         q, t, p = g
@@ -851,7 +879,27 @@ def test_action_table_rejects_two_translations_of_one_axis():
     from groupwave.representations import ActionTable, AxisRole
 
     with pytest.raises(ValueError, match="one translation"):
-        ActionTable((AxisRole("translate", (0,), 1.0), AxisRole("translate", (0,), 2.0)))
+        ActionTable((AxisRole("translate", (0,), 1.0), AxisRole("translate", (0,), 2.0)),
+                    state_lower=(np.nan,))
+
+
+def test_action_table_declares_its_state_space(exotic):
+    """A role acts on declared state axes only, the declaration has no "any
+    grid" default, and the restricted and lifted tables keep the rep's."""
+    from groupwave.representations import ActionTable, AxisRole
+
+    for lower in ((), (np.nan,)):
+        with pytest.raises(ValueError, match="outside the declared state space"):
+            ActionTable((AxisRole("modulate", (0,)), AxisRole("translate", (1,), 1.0)),
+                        state_lower=lower)
+    with pytest.raises(TypeError, match="state_lower"):
+        ActionTable((AxisRole("modulate", (0,)),))
+    for spec in (wh_rep(1.0, n=2), affine_rep(2)):
+        np.testing.assert_array_equal(spec.table.state_lower, [np.nan] * 2)
+    np.testing.assert_array_equal(exotic.rep.table.state_lower, [0.0, np.nan])
+    s_tw = projective_from_section(exotic.rep, exotic.section_prime)
+    for spec in (exotic.proj, s_tw, lift_to_extension(s_tw)):
+        np.testing.assert_array_equal(spec.table.state_lower, [0.0, np.nan])
 
 
 def test_exotic_analyze_translates_in_k_space(exotic, monkeypatch):
