@@ -167,7 +167,6 @@ def cmd_analyze(args) -> int:
         "energy": result.meta["energy"],
         "signal_norm_sq": signal_norm_sq,
         "shell_fraction": result.meta["shell_fraction"],
-        "clipped": result.meta["clipped"],
         # fully resolved configuration
         "state_grid": grid_record(state_grid),
         "transform_box": [list(b) for b in result.grid.box],

@@ -17,8 +17,8 @@ its axes as an open mesh and a point array P passes ``np.moveaxis(P, -1,
 * quotients and abelian vector groups needed by the quotient constructions.
 
 The chart domain of a group is one declaration, the per-axis open lower
-bounds ``domain_lower`` (a > 0 on the scale axes): ``haar_grid`` clips a box
-to it, and a :class:`QuadratureGrid` checks its box against it once per axis.
+bounds ``domain_lower`` (a > 0 on the scale axes): a :class:`QuadratureGrid`
+checks its box against it once per axis, and a box below it raises.
 A grid keeps its chart axes: its Haar weights are eager, the density
 evaluated once on the open mesh (``np.ix_``) of the axes, never on the
 nodes; its (n_nodes x dim) node array is lazy.
@@ -81,8 +81,9 @@ class GroupDescriptor:
     scalar.  ``angle_axes``
     marks coordinates that live on the circle and are compared mod 2 pi.
     ``domain_lower`` gives per-axis open lower bounds (NaN or ``None`` =
-    unconstrained): the chart domain, declared nowhere else.  ``haar_grid``
-    clips boxes to it, so midpoint nodes stay off chart singularities.
+    unconstrained): the chart domain, declared nowhere else.  A grid box
+    below it raises (:class:`QuadratureGrid`), so midpoint nodes stay off
+    chart singularities.
     ``sample_box`` is the chart box random test points are drawn from.
     """
 
@@ -500,9 +501,10 @@ def haar_grid(
 ) -> QuadratureGrid:
     """Midpoint quadrature grid for integral_G . dmu_G over a chart box.
 
-    The box is clipped to the chart domain first (e.g. a > 0); midpoint
-    nodes then sit half a cell away from any chart singularity.  Scale-type
-    axes can be declared in ``log_axes`` to get geometric node ladders.
+    The box must lie in the chart domain (e.g. a >= 0), or
+    :class:`QuadratureGrid` raises; midpoint nodes then sit half a cell away
+    from any chart singularity.  Scale-type axes can be declared in
+    ``log_axes`` to get geometric node ladders.
     Weights are computed here, nodes on demand (see :class:`QuadratureGrid`).
     """
     box = [tuple(map(float, b)) for b in box]
@@ -514,18 +516,12 @@ def haar_grid(
         raise ValueError(f"log axes {list(log_axes)} must be distinct axes 0..{group.dim - 1}")
     if any(r < 2 for r in resolution):
         raise ValueError("resolution must be at least 2 per axis")
-    clipped = []
     for i, (lo, hi) in enumerate(box):
-        if group.domain_lower is not None and not np.isnan(group.domain_lower[i]):
-            lo = max(lo, group.domain_lower[i])
         if i in log_axes and lo <= 0.0:
             raise ValueError(f"axis {i}: log spacing requires a positive lower bound")
         if not hi > lo:
-            raise ValueError(
-                f"axis {i}: box [{box[i][0]}, {box[i][1]}] does not intersect the chart domain"
-            )
-        clipped.append((lo, hi))
-    return QuadratureGrid(group, tuple(clipped), resolution, log_axes)
+            raise ValueError(f"axis {i}: box [{lo}, {hi}] is empty")
+    return QuadratureGrid(group, tuple(box), resolution, log_axes)
 
 
 # ---------------------------------------------------------------------------

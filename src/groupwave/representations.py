@@ -36,7 +36,8 @@ the independent reference.
 Non-grid translations use FFT phase ramps, dilations band-limited
 resampling; states are treated as band-limited, so every action declares a
 ``safe_box`` of group parameters for which aliasing stays negligible for the
-shipped test states.  ``analyze`` clips transform grids to this box.
+shipped test states.  A transform grid past this box raises
+(``transforms``' grid guard).
 
 The engine never translates a state.  Along its axis ``states.translate``
 is T_s = F^-1 diag(e^{-i w_k s}) F, with F the DFT and w_k = 2 pi k / (N h)
@@ -500,7 +501,8 @@ class UnitaryRepSpec:
     ``action(coords, state)`` must be unitary for grid-safe coords and satisfy
     action(g, action(h, f)) = action(gh, f) up to the declared tolerance.
     ``safe_box`` bounds each chart coordinate to its grid-safe range:
-    ``act`` rejects a point outside it and ``analyze`` clips grids to it.
+    ``act`` rejects a point outside it, and every transform a grid that
+    leaves it (``GridSafetyError``).
     ``act`` also rejects a state outside the table's state space.
     ``table`` is the same action in factored form (see the module header);
     ``fast_coefficients(psi, phi, grid)`` and ``fast_adjoint(coeffs, grid,

@@ -32,31 +32,26 @@ the engine's coefficient blocks as they stream, and never holds a
 coefficient array of the grid.
 
 Every state goes through the rep's state-space guard (``ActionTable.check``
-in ``representations``).  Where group elements leave the rep's safe box,
-each consumer gets one of these guards:
-
-* ``analyze`` and every caller of ``_block_sums`` (``coefficient_energy``,
-  ``admissibility``, ``orthogonality_check``, ``calibrate_affine_dm``,
-  ``mod_K_equiv_check``, the Gram rows of ``reproduce_check``) clip the grid
-  to the box, with a warning on the ``groupwave`` logger;
-* ``synthesize`` and ``reproduce_check`` are given coefficients on a grid, so
-  clipping would pair them with other nodes: they raise ``GridSafetyError``;
-* ``semi_invariance_check`` and ``kernel`` take group elements, which
-  ``act``'s point check rejects with ``GridSafetyError``;
-* ``induced.intertwine_defect`` takes callables, so its callers' guards apply.
+in ``representations``).  Every grid goes through one grid guard
+(``_require_safe_box``): it is a grid of the rep's group (else
+``ValueError``) and its box lies inside the rep's safe box (else
+``GridSafetyError``); no grid is clipped.  ``analyze``, ``synthesize``,
+``reproduce_check`` and every caller of ``_block_sums`` apply it.
+``semi_invariance_check`` and ``kernel`` take group elements, which
+``act``'s point check rejects; ``induced.intertwine_defect`` takes
+callables, so its callers' guards apply.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .groups import QuadratureGrid, haar_grid
+from .groups import QuadratureGrid
 from .representations import GridSafetyError, UnitaryRepSpec
 from .states import (
     DiscretizedState,
@@ -88,9 +83,6 @@ __all__ = [
     "save_result_csv",
     "load_result_csv",
 ]
-
-
-_log = logging.getLogger("groupwave")
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +214,10 @@ def analyze(
     dm_norm: Optional[float] = None,
 ) -> TransformResult:
     """Sample c_{psi,phi}(g) = <U(g) psi, phi> at every grid node, in one
-    batch on the rep's action table.  The grid is clipped to the rep's safe
-    box, with a warning (see the module header).
+    batch on the rep's action table, under the grid guard of the module
+    header.
     """
-    grid, clipped = _analysis_grid(rep, [psi], grid)
+    _analysis_grid(rep, [psi], grid)
     coeffs = rep.fast_coefficients(psi, phi, grid)
     result = TransformResult(
         coefficients=np.asarray(coeffs, dtype=complex),
@@ -233,7 +225,6 @@ def analyze(
         analyzing_vector_id=f"state[{norm(psi):.12g}]",
         rep_id=rep.label,
         dm_norm=dm_norm,
-        meta={"clipped": clipped},
         analyzing_vector_sha256=psi.sha256(),
     )
     result.meta["energy"], result.meta["shell_fraction"] = _energy_and_shell(
@@ -241,34 +232,23 @@ def analyze(
     return result
 
 
-def _analysis_grid(rep: UnitaryRepSpec, psis, grid: QuadratureGrid):
+def _analysis_grid(rep: UnitaryRepSpec, psis, grid: QuadratureGrid) -> None:
     """The guards of an analysis: every analyzing vector of ``psis`` is
-    nonzero, and ``grid`` is clipped to the safe box; returns (grid, clipped)."""
+    nonzero, and ``grid`` passes :func:`_require_safe_box`."""
     if any(norm(psi) == 0.0 for psi in psis):
         raise ValueError("analyzing vector must be nonzero")
-    return _clip_to_safe_box(rep, grid)
-
-
-def _safe_part(rep: UnitaryRepSpec, box) -> tuple:
-    """The intersection of ``box`` with the rep's safe box, axis by axis."""
-    return tuple((max(lo, slo), min(hi, shi)) for (lo, hi), (slo, shi) in zip(box, rep.safe_box))
-
-
-def _clip_to_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid):
-    new_box = _safe_part(rep, grid.box)
-    if new_box == grid.box:
-        return grid, False
-    safe = haar_grid(grid.group, new_box, grid.resolution, log_axes=grid.log_axes)
-    _log.warning("%s: grid box %s clipped to %s", rep.label, list(grid.box), list(safe.box))
-    return safe, True
+    _require_safe_box(rep, grid)
 
 
 def _require_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid) -> None:
-    """The guard of a coefficient grid that is given, not analyzed (see the
-    module header)."""
+    """The grid guard of the module header: ``grid`` is a grid of the rep's
+    group, and its box lies inside the rep's safe box."""
+    if grid.group.name != rep.group.name:
+        raise ValueError(f"{rep.label}: grid of group {grid.group.name!r}, not of the rep's "
+                         f"group {rep.group.name!r}")
     box = grid.box
-    if _safe_part(rep, box) != box:
-        raise GridSafetyError(f"{rep.label}: coefficient grid box {list(box)} leaves the "
+    if any(lo < slo or hi > shi for (lo, hi), (slo, shi) in zip(box, rep.safe_box)):
+        raise GridSafetyError(f"{rep.label}: grid box {list(box)} leaves the "
                               f"grid-safe box {list(rep.safe_box)}")
 
 
@@ -352,11 +332,11 @@ def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) ->
     pairs' blocks in pair order, ``w`` the block's weights, ``at`` its slices
     of a chart-shaped array.  A block of each stream, never a whole
     coefficient array, is held.  :func:`analyze`'s guards apply (every psi
-    nonzero, the grid clipped to the safe box).  The streams must share their blocks, so every psi has the same number of
-    samples (``ValueError`` otherwise).  If a stream raises, the others are
-    closed before the call raises.
+    nonzero, the grid guard).  The streams must share their blocks, so every
+    psi has the same number of samples (``ValueError`` otherwise).  If a
+    stream raises, the others are closed before the call raises.
     """
-    grid, _ = _analysis_grid(rep, [psi for psi, _ in pairs], grid)
+    _analysis_grid(rep, [psi for psi, _ in pairs], grid)
     weights = grid.weights.reshape(grid.resolution)
     totals = [None] * len(integrands)
     with contextlib.ExitStack() as stack:
@@ -543,8 +523,6 @@ def mod_K_equiv_check(
     X-quadrature of the section pullback's coefficients.  Each grid streams
     its coefficients once for all densities (:func:`_block_sums`).
     """
-    # rho is evaluated on the nodes of the grid that the stream runs on
-    g_grid, _ = _analysis_grid(rep, [psi], g_grid)
     lhs = _block_sums(rep, [(psi, phi)], g_grid, [
         lambda c, w, at, rho=rho: (np.abs(c[0]) ** 2
                                    * rho.eval(g_grid.slab_nodes(at)).reshape(w.shape) * w)
@@ -583,9 +561,7 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
         "analyzing_vector": result.analyzing_vector_id,
         "analyzing_vector_sha256": result.analyzing_vector_sha256,
         "dm_norm": result.dm_norm,
-        "box": [list(b) for b in result.grid.box],
-        "resolution": list(result.grid.resolution),
-        "log_axes": list(result.grid.log_axes),
+        **_grid_header(result.grid),
         "meta": {
             k: v for k, v in result.meta.items() if isinstance(v, (int, float, str, bool, list))
         },
@@ -593,11 +569,19 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
     return csv_path, json_path
 
 
+def _grid_header(grid: QuadratureGrid) -> dict:
+    """The box, resolution and log axes of ``grid`` as a coefficient header
+    records them."""
+    return {"box": [list(b) for b in grid.box], "resolution": list(grid.resolution),
+            "log_axes": list(grid.log_axes)}
+
+
 def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
-    """Read a result written by :func:`save_result_csv`; ``grid`` supplies the
-    group, the header the box, resolution and log axes (clipping moves the box).
-    Only the re and im columns of the CSV are parsed (:func:`states.read_csv`).
-    ``dm_norm`` must be null or a finite positive number."""
+    """Read a result written by :func:`save_result_csv` on ``grid``: a header
+    for another group, box, resolution or log axes raises ``ValueError``
+    naming both grids.  Only the re and im columns of the CSV are parsed
+    (:func:`states.read_csv`).  ``dm_norm`` must be null or a finite
+    positive number."""
     with open(f"{path_prefix}.json") as fh:
         header = json.load(fh)
     if header.get("group") != grid.group.name:
@@ -605,19 +589,15 @@ def load_result_csv(path_prefix: str, grid: QuadratureGrid) -> TransformResult:
             f"coefficient file is for group {header.get('group')!r}, "
             f"not {grid.group.name!r}"
         )
+    expected = _grid_header(grid)
+    found = {key: header.get(key) for key in expected}
+    if found != expected:
+        raise ValueError(f"coefficient file is for grid {found}, not for grid {expected}")
     dm_norm = header.get("dm_norm")
     if dm_norm is not None and not (type(dm_norm) in (int, float) and 0 < dm_norm < np.inf):
         raise ValueError(f"coefficient header: dm_norm must be null or a finite positive "
                          f"number, not {dm_norm!r}")
-    try:
-        box = tuple(tuple(map(float, b)) for b in header.get("box", grid.box))
-        resolution = tuple(map(int, header.get("resolution", grid.resolution)))
-        log_axes = tuple(map(int, header.get("log_axes", grid.log_axes)))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"coefficient header: malformed grid ({exc})") from None
-    if (box, resolution, log_axes) != (grid.box, grid.resolution, grid.log_axes):
-        grid = haar_grid(grid.group, box, resolution, log_axes=log_axes)
-    dim = len(resolution)
+    dim = len(grid.resolution)
     _, data = read_csv(f"{path_prefix}.csv", "coefficient", usecols=(dim + 2, dim + 3),
                        header=_result_columns(dim))
     coeffs = data[:, 0] + 1j * data[:, 1]

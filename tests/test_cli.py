@@ -240,7 +240,9 @@ def test_synthesize_rejects_malformed_grid_header(tmp_path, capsys):
     header_path.write_text(json.dumps(header))
     assert main(["synthesize", "--group", "gabor", "--coefficients", prefix,
                  "--output", str(tmp_path / "back.csv")]) == 2
-    assert "malformed grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "coefficient file is for grid" in err and "[None, 8.0]" in err, err
+    assert not (tmp_path / "back.csv").exists()
 
 
 def test_synthesize_rejects_header_box_beyond_safe_box(tmp_path, capsys):
@@ -258,7 +260,7 @@ def test_synthesize_rejects_header_box_beyond_safe_box(tmp_path, capsys):
     assert main(["synthesize", "--group", "affine", "--coefficients", prefix,
                  "--output", str(back), "--reference", str(sig)]) == 2
     err = capsys.readouterr().err
-    assert "[(-40.0, 40.0), (0.0625, 8.0)]" in err and "(-16.0, 16.0)" in err, err
+    assert "coefficient file is for grid" in err and "[-40.0, 40.0]" in err, err
     assert not back.exists()
 
 
@@ -609,6 +611,9 @@ def test_synthesize_rejects_log_axes_outside_the_chart(tmp_path, capsys, log_axe
     header = json.loads(header_path.read_text())
     header["log_axes"] = log_axes
     header_path.write_text(json.dumps(header))
+    back = tmp_path / "back.csv"
     assert main(["synthesize", "--group", "affine", "--coefficients", prefix,
-                 "--output", str(tmp_path / "back.csv"), "--reference", str(sig)]) == 2
-    assert "log axes" in capsys.readouterr().err
+                 "--output", str(back), "--reference", str(sig)]) == 2
+    err = capsys.readouterr().err
+    assert "coefficient file is for grid" in err and f"'log_axes': {log_axes}" in err, err
+    assert not back.exists()

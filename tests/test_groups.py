@@ -113,13 +113,19 @@ def test_haar_grid_affine_counts_and_weights():
     assert np.all(grid.nodes[:, 1] > 0)
 
 
-def test_haar_grid_clips_to_domain():
+def test_haar_grid_rejects_box_below_domain():
+    """A box reaching below the chart domain (a > 0) raises; it was once
+    clipped to it.  A box starting on the domain's bound keeps its midpoint
+    nodes inside it."""
     A = make_affine(1)
-    grid = haar_grid(A, [(-1, 1), (-1.0, 2.0)], [8, 8])
-    assert grid.box[1][0] == 0.0
+    for box in [(-1.0, 2.0), (-3.0, -1.0)]:
+        with pytest.raises(ValueError, match="violate the chart domain"):
+            haar_grid(A, [(-1, 1), box], [8, 8])
+    grid = haar_grid(A, [(-1, 1), (0.0, 2.0)], [8, 8])
+    assert grid.box[1] == (0.0, 2.0)
     assert np.all(grid.nodes[:, 1] > 0)
-    with pytest.raises(ValueError, match="does not intersect"):
-        haar_grid(A, [(-1, 1), (-3.0, -1.0)], [8, 8])
+    with pytest.raises(ValueError, match="is empty"):
+        haar_grid(A, [(-1, 1), (2.0, 1.0)], [8, 8])
 
 
 def test_haar_grid_total_weight_wh():
@@ -312,7 +318,6 @@ def test_haar_grid_rejects_bad_grids_at_construction(monkeypatch):
     outside = dataclasses.replace(V, domain_lower=(0.8, float("nan")))
     with pytest.raises(ValueError, match="violate the chart domain"):
         groups.QuadratureGrid(outside, ((-1.0, 1.0),) * 2, (8, 8))
-    assert haar_grid(outside, box, res).box == ((0.8, 1.0), (-1.0, 1.0))
     vanishing = dataclasses.replace(
         V, haar_density=lambda x: np.where(np.asarray(x[0]) < 0.8, 1.0, 0.0))
     with pytest.raises(ValueError, match="non-positive Haar weights"):

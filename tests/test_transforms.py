@@ -73,19 +73,7 @@ def test_analyze_energy_bound_and_metadata(gabor):
     )
     assert res.energy() <= 1.0 + 1e-3  # ||D psi||^2 ||phi||^2 (1 + tol)
     assert res.meta["shell_fraction"] < 1e-3 / 10.0
-    assert res.meta["clipped"] is False
-
-
-def test_analyze_clips_to_safe_box(gabor, caplog):
-    wide = haar_grid(gabor.x_group, [(-30, 30)] * 2, [64] * 2)
-    with caplog.at_level("WARNING", logger="groupwave"):
-        res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["gauss"], wide)
-    assert res.meta["clipped"] is True
-    assert res.grid.box[1][1] <= 8.0  # q clipped to the state box halfwidth
-    messages = [r.getMessage() for r in caplog.records if r.name == "groupwave"]
-    assert len(messages) == 1
-    assert gabor.proj.label in messages[0]
-    assert str(list(wide.box)) in messages[0] and str(list(res.grid.box)) in messages[0]
+    assert set(res.meta) == {"energy", "shell_fraction"}
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +620,77 @@ def test_reproduce_check_rejects_grid_beyond_safe_box(gabor):
         reproduce_check(result(8.1), gabor.proj, psi)
 
 
+PAST_SAFE_BOX = ["analyze", "coefficient_energy", "admissibility", "orthogonality_check",
+                 "calibrate_affine_dm", "mod_K_equiv_check_on_G", "mod_K_equiv_check_on_X",
+                 "reproduce_check", "synthesize", "lift_analyze"]
+
+
+@pytest.mark.parametrize("consumer", PAST_SAFE_BOX)
+def test_grid_one_cell_past_safe_box_raises(consumer, gabor, affine):
+    """Every consumer of a grid raises ``GridSafetyError`` on a grid whose
+    last axis ends one cell past the rep's safe box (q: +-8 on Weyl-Heisenberg,
+    b: +-16 on affine), and the message names both boxes.  No consumer clips
+    the grid: a clipped grid once gave ``reproduce_check`` 1.7e-3 for 2.5e-9,
+    and an exotic orthogonality relation 3.1e-2 for 5.8e-7."""
+    from groupwave.representations import lift_to_extension
+
+    psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
+    lift = lift_to_extension(gabor.proj)
+    x_inside = haar_grid(gabor.x_group, [(-4, 4)] * 2, [8, 8])
+    x_past = haar_grid(gabor.x_group, [(-4, 4), (-8, 10)], [8, 9])
+    g_inside = haar_grid(gabor.group, [(-2, 2), (-4, 4), (-4, 4)], [4, 8, 8])
+    g_past = haar_grid(gabor.group, [(-2, 2), (-4, 4), (-8, 10)], [4, 8, 9])
+    lift_past = haar_grid(lift.group, [(-2, 2), (-4, 4), (-8, 10)], [4, 8, 9])
+    a_past = haar_grid(affine.group, [(-16, 20), (0.5, 2.0)], [9, 4], log_axes=(1,))
+    rho = make_rho("gaussian", gabor.subgroup)
+    # coefficients given on a grid, as a coefficient file gives them
+    given = transforms.TransformResult(np.zeros(x_past.n_nodes, dtype=complex), x_past,
+                                       "psi", gabor.proj.label, dm_norm=1.0)
+    rep, grid, call = {
+        "analyze": (gabor.proj, x_past, lambda: analyze(gabor.proj, psi, phi, x_past)),
+        "coefficient_energy": (gabor.proj, x_past,
+                               lambda: coefficient_energy(gabor.proj, psi, phi, x_past)),
+        "admissibility": (gabor.proj, x_past,
+                          lambda: admissibility(gabor.proj, psi, [x_inside, x_past])),
+        "orthogonality_check": (gabor.proj, x_past, lambda: orthogonality_check(
+            gabor.proj, [(psi, psi, phi, phi)], duflo_moore("gabor"), x_past)),
+        "calibrate_affine_dm": (affine.rep, a_past, lambda: calibrate_affine_dm(
+            affine.rep, [(affine.states["morlet"], affine.states["signal"])], a_past)),
+        "mod_K_equiv_check_on_G": (gabor.rep, g_past, lambda: mod_K_equiv_check(
+            gabor.rep, [rho], psi, phi, g_past, x_inside, gabor.proj)),
+        "mod_K_equiv_check_on_X": (gabor.proj, x_past, lambda: mod_K_equiv_check(
+            gabor.rep, [rho], psi, phi, g_inside, x_past, gabor.proj)),
+        "reproduce_check": (gabor.proj, x_past, lambda: reproduce_check(given, gabor.proj, psi)),
+        "synthesize": (gabor.proj, x_past, lambda: synthesize(given, gabor.proj, psi)),
+        "lift_analyze": (lift, lift_past, lambda: analyze(lift, psi, phi, lift_past)),
+    }[consumer]
+    with pytest.raises(GridSafetyError) as err:
+        call()
+    assert type(err.value) is GridSafetyError
+    assert str(list(grid.box)) in str(err.value), err.value
+    assert str(list(rep.safe_box)) in str(err.value), err.value
+
+
+def test_grid_of_another_group_raises(gabor, affine):
+    """A grid of another group of the same dimension was once accepted: the
+    Gabor relation below gave lhs 2.21, rhs 1.0 and relerr 1.21 on an
+    affine_n1 grid (3.6e-14 on the Gabor grid), and ``analyze`` returned a
+    result on it."""
+    s = gabor.states
+    relation = [(s["gauss"], s["gauss"], s["hermite1"], s["hermite1"])]
+    grid = haar_grid(affine.group, [(-8, 8), (0.5, 6)], [64, 64], log_axes=(1,))
+    calls = [
+        lambda: orthogonality_check(gabor.proj, relation, duflo_moore("gabor"), grid),
+        lambda: analyze(gabor.proj, s["gauss"], s["hermite1"], grid),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="grid of group 'affine_n1'") as err:
+            call()
+        assert type(err.value) is ValueError
+    [(_, _, rel)] = orthogonality_check(gabor.proj, relation, duflo_moore("gabor"), gabor.x_grid)
+    assert rel < 1e-12
+
+
 def test_engine_rejects_phi_on_another_grid(gabor, affine):
     """phi sampled on a grid of doubled spacing once analyzed to the
     same-grid energy 0.99999999999996 (its true value is 2): the engine
@@ -692,22 +751,6 @@ def test_synthesize_requires_dm_norm(gabor):
         synthesize(res, gabor.proj, gabor.states["gauss"])
 
 
-def test_synthesize_rejects_grid_beyond_safe_box(affine):
-    """A coefficient grid wider than the safe box (which ``analyze`` would
-    have clipped) was once synthesized without a word; the error names the
-    grid box and the safe box."""
-    psi = affine.states["morlet"]
-    wide = haar_grid(affine.group, [(-40, 40), (0.5, 2.0)], [16, 4], log_axes=(1,))
-    res = analyze(affine.rep, psi, affine.states["signal"], wide, dm_norm=1.0)
-    assert res.meta["clipped"] is True
-    synthesize(res, affine.rep, psi)
-    res.grid = wide
-    with pytest.raises(GridSafetyError) as err:
-        synthesize(res, affine.rep, psi)
-    assert str(list(wide.box)) in str(err.value)
-    assert str(list(affine.rep.safe_box)) in str(err.value)
-
-
 @pytest.mark.parametrize(
     "config",
     ["gabor", "affine", "affine_n2", "gabor_n2", "exotic", "exotic_bundled", "gabor_s_sym",
@@ -758,21 +801,6 @@ def test_fast_adjoint_matches_generic(config, gabor, affine, affine_n2, gabor_n2
     fast = synthesize(res, rep, psi)
     slow = per_node.adjoint(rep, res.coefficients, res.grid, psi).samples / dm_norm ** 2
     assert np.max(np.abs(fast.samples - slow)) < tol
-
-
-def test_lift_grid_clipped_to_safe_box(gabor, caplog):
-    from groupwave.representations import lift_to_extension
-
-    lift = lift_to_extension(gabor.proj)
-    p_max = lift.safe_box[1][1]
-    grid = haar_grid(lift.group, [(-1, 1), (-2 * p_max, 2 * p_max), (-2, 2)], [2, 3, 3])
-    psi = gabor.states["gauss"]
-    with caplog.at_level("WARNING", logger="groupwave"):
-        res = analyze(lift, psi, gabor.states["hermite1"], grid, dm_norm=1.0)
-    messages = [r.getMessage() for r in caplog.records if r.name == "groupwave"]
-    assert len(messages) == 1 and lift.label in messages[0] and "clipped" in messages[0]
-    assert res.meta["clipped"] and res.grid.box[1] == (-p_max, p_max)
-    assert res.grid.box[0] == (-1, 1) and res.grid.box[2] == (-2, 2)
 
 
 def test_bundled_configurations_run_batched(gabor, affine, exotic, gabor_n2, caplog):
@@ -920,22 +948,6 @@ def test_result_csv_round_trip(gabor, tmp_path):
     assert loaded.rep_id == res.rep_id
 
 
-def test_load_result_csv_restores_clipped_grid(gabor, tmp_path):
-    """A clipped analysis keeps the resolution; loading it against the
-    unclipped grid must still synthesize on the clipped grid."""
-    wide = haar_grid(gabor.x_group, [(-30, 30)] * 2, [64] * 2)
-    psi = gabor.states["gauss"]
-    res = analyze(gabor.proj, psi, gabor.states["hermite1"], wide, dm_norm=1.0)
-    assert res.meta["clipped"] is True
-    prefix = str(tmp_path / "coef")
-    save_result_csv(prefix, res)
-    loaded = load_result_csv(prefix, wide)
-    assert loaded.grid.box == res.grid.box
-    assert np.array_equal(loaded.grid.weights, res.grid.weights)
-    expected = synthesize(res, gabor.proj, psi)
-    assert np.array_equal(synthesize(loaded, gabor.proj, psi).samples, expected.samples)
-
-
 def _save_result_csv_rows(path, result):
     """Reference: the row-by-row coefficient writer."""
     dim = result.grid.nodes.shape[1]
@@ -1078,11 +1090,11 @@ def test_csv_reader(kind, case, edit, message, gabor, tmp_path):
             read()
 
 
-def test_bundled_affine_grid_is_not_clipped(affine, caplog):
-    with caplog.at_level("WARNING", logger="groupwave"):
-        res = analyze(affine.rep, affine.states["morlet"], affine.states["morlet"], affine.x_grid)
-    assert not res.meta["clipped"]
-    assert [r for r in caplog.records if r.name == "groupwave"] == []
+def test_bundled_affine_grid_is_not_clipped(affine):
+    """The bundled affine grid lies inside the rep's safe box: ``analyze``
+    runs on it and returns it."""
+    res = analyze(affine.rep, affine.states["morlet"], affine.states["morlet"], affine.x_grid)
+    assert res.grid is affine.x_grid
 
 
 def test_exotic_analyze_leaves_nodes_unbuilt():

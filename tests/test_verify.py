@@ -87,15 +87,6 @@ def test_exotic_quotient_density_mutation_moves_orthogonality_only(monkeypatch):
         assert 1e-2 < by_name[name].defect < 5e-2, by_name[name]
 
 
-def test_exotic_suite_grids_are_not_clipped(caplog):
-    """No grid of the exotic suite reaches outside the rep's safe box: the
-    orthogonality grid's q box (±7.2) sits near the safe edge (±8), and a
-    clipped grid moves those defects to about 3e-2."""
-    with caplog.at_level("WARNING", logger="groupwave"):
-        verify.exotic_suite(0)
-    assert [r.getMessage() for r in caplog.records if "clipped" in r.getMessage()] == []
-
-
 @pytest.mark.parametrize("psi", ["morlet", "gaussian"])
 def test_verify_psi_report_as_stored(psi, tmp_path):
     """``verify --group affine --psi`` writes the stored report byte for byte
