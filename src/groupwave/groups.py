@@ -19,9 +19,10 @@ its axes as an open mesh and a point array P passes ``np.moveaxis(P, -1,
 The chart domain of a group is one declaration, the per-axis open lower
 bounds ``domain_lower`` (a > 0 on the scale axes): a :class:`QuadratureGrid`
 checks its box against it once per axis, and a box below it raises.
-A grid keeps its chart axes: its Haar weights are eager, the density
-evaluated once on the open mesh (``np.ix_``) of the axes, never on the
-nodes; its (n_nodes x dim) node array is lazy.
+A grid keeps its chart axes and the factors of its Haar weights: the
+per-axis cell lengths and the density, evaluated once on the open mesh
+(``np.ix_``) of the axes, never on the nodes.  Weights and nodes are made
+per slab from them; the whole-grid weight and node arrays are lazy.
 
 Normalization conventions (also emitted by ``groupwave conventions``):
 
@@ -410,13 +411,18 @@ class QuadratureGrid:
     rule in the log coordinate, cell Jacobian folded into the weights) --
     the natural ladder for scale coordinates a > 0.  The box must lie in the
     chart domain (``GroupDescriptor.domain_lower``), checked once per axis:
-    every midpoint node then lies strictly inside it.  ``weights`` are eager:
-    the outer product of the per-axis :meth:`cell` lengths times the Haar
-    density, evaluated once on the open mesh (``np.ix_``) of the axes and
-    broadcast, so each node's weight is the same product as on its node;
-    every weight is checked positive.  ``nodes`` (n_nodes x dim) is lazy,
-    built from the axes on first access; the transform engine never reads
-    it.
+    every midpoint node then lies strictly inside it.  The grid keeps the
+    factors of its weights: the per-axis :meth:`cell` lengths and the Haar
+    density, evaluated once on the open mesh (``np.ix_``) of the axes.
+    :meth:`slab_weights` multiplies them out for one slab, the outer product
+    of the cells times the density, so each node's weight is the same
+    product wherever it is built.  The factors are checked at construction:
+    every cell and density value is positive (not NaN), and so is the
+    product of their minima, which bounds every weight from below since
+    rounding is monotone.  ``weights`` (n_nodes) and ``nodes``
+    (n_nodes x dim) are lazy, built from the whole slab and the axes on
+    first access; the transform engine and every block sum read slabs and
+    never build them.
     """
 
     group: GroupDescriptor
@@ -430,11 +436,33 @@ class QuadratureGrid:
                 raise ValueError(f"axis {i}: box {list(self.box[i])} reaches below {bound}: "
                                  "its nodes violate the chart domain")
         dims = range(len(self.resolution))
-        weights = functools.reduce(np.multiply.outer, [self.cell(i) for i in dims])
-        weights *= np.asarray(self.group.haar_density(np.ix_(*map(self.axis, dims))), dtype=float)
-        if not np.all(weights > 0):  # NaN too
+        cells = tuple(_frozen(self.cell(i)) for i in dims)
+        density = np.asarray(self.group.haar_density(np.ix_(*map(self.axis, dims))), dtype=float)
+        density = _frozen(density.reshape((1,) * (len(dims) - density.ndim) + density.shape))
+        # multiplied in the weights' order, the least factors bound every
+        # weight from below, since rounding is monotone
+        least = functools.reduce(np.multiply, [np.min(c) for c in cells + (density,)], 1.0)
+        if not (all(np.all(c > 0) for c in cells + (density,)) and least > 0):  # NaN too
             raise ValueError("non-positive Haar weights on the grid")
-        object.__setattr__(self, "weights", weights.ravel())
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_density", density)
+
+    def slab_weights(self, at) -> np.ndarray:
+        """Haar weights of the nodes that ``at`` (one slice per axis) cuts
+        out of a chart-shaped array, shaped like that slab: the weights of
+        ``weights.reshape(resolution)[at]``, bit for bit."""
+        # from a 0-d one (1 * c is c exactly), so the product is a new array
+        w = functools.reduce(np.multiply.outer, [c[s] for c, s in zip(self._cells, at)],
+                             np.ones(()))
+        w *= self._density[tuple(s if n > 1 else slice(None)
+                                 for s, n in zip(at, self._density.shape))]
+        return w
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Haar weights of all nodes, raveled like ``nodes``: the whole
+        slab, built on first access and kept on the grid."""
+        return self.slab_weights((slice(None),) * len(self.resolution)).ravel()
 
     @property
     def n_nodes(self) -> int:
@@ -450,19 +478,22 @@ class QuadratureGrid:
         return np.array([self.axis(k)[j] for k, j in enumerate(index)])
 
     def axis_blocks(self):
-        """Yield (node slice, per-axis coordinates) over blocks of whole
-        first-axis rows, about ``BLOCK`` nodes each; the block's nodes are
-        the C-order product of its coordinates."""
+        """Yield (node slice, slab, per-axis coordinates) over blocks of
+        whole first-axis rows, about ``BLOCK`` nodes each: ``slab`` (one
+        slice per axis) cuts the block out of a chart-shaped array, as
+        :meth:`slab_nodes` and :meth:`slab_weights` take it, and the
+        block's nodes are the C-order product of its coordinates."""
         axes = [self.axis(i) for i in range(len(self.resolution))]
         row = self.n_nodes // self.resolution[0]
         step = max(1, BLOCK // row)
         for i0 in range(0, self.resolution[0], step):
             i1 = min(i0 + step, self.resolution[0])
-            yield slice(i0 * row, i1 * row), [axes[0][i0:i1]] + axes[1:]
+            at = (slice(i0, i1),) + (slice(None),) * (len(axes) - 1)
+            yield slice(i0 * row, i1 * row), at, [axes[0][i0:i1]] + axes[1:]
 
     def node_blocks(self):
         """Yield (slice, self.nodes[slice]) over :meth:`axis_blocks`."""
-        for sl, axes in self.axis_blocks():
+        for sl, _, axes in self.axis_blocks():
             yield sl, _mesh_points(axes)
 
     def slab_nodes(self, at) -> np.ndarray:
@@ -488,6 +519,12 @@ class QuadratureGrid:
         return self.axis(i) * h if i in self.log_axes else np.full(self.resolution[i], h)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, as every grid factor is."""
+    a.setflags(write=False)
+    return a
+
+
 def _mesh_points(axes) -> np.ndarray:
     """Chart points of the C-order product of ``axes``, last axis fastest."""
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), -1).reshape(-1, len(axes))
@@ -505,7 +542,8 @@ def haar_grid(
     :class:`QuadratureGrid` raises; midpoint nodes then sit half a cell away
     from any chart singularity.  Scale-type axes can be declared in
     ``log_axes`` to get geometric node ladders.
-    Weights are computed here, nodes on demand (see :class:`QuadratureGrid`).
+    The weights' factors are computed here, weights and nodes per slab on
+    demand (see :class:`QuadratureGrid`).
     """
     box = [tuple(map(float, b)) for b in box]
     resolution = tuple(int(r) for r in resolution)
@@ -573,10 +611,10 @@ def modular_homomorphism_defect(group: GroupDescriptor, g, h) -> float:
 
 def _haar_integral(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """int f dmu by the grid's quadrature, summed over its node blocks in
-    order, so the grid's ``nodes`` stay unbuilt."""
+    order, so the grid's ``nodes`` and ``weights`` stay unbuilt."""
     total = 0.0
-    for sl, nodes in grid.node_blocks():
-        total += float(np.sum(f(nodes) * grid.weights[sl]))
+    for _, at, axes in grid.axis_blocks():
+        total += float(np.sum(f(_mesh_points(axes)) * grid.slab_weights(at).ravel()))
     return total
 
 

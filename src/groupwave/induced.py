@@ -31,8 +31,11 @@ __all__ = [
 
 
 def xgrid_norm(f: np.ndarray, grid: QuadratureGrid) -> float:
-    """Weighted L2(X, mu_X) norm of a grid function."""
-    return float(np.sqrt(np.sum(np.abs(f).ravel() ** 2 * grid.weights)))
+    """Weighted L2(X, mu_X) norm of a grid function, with the weights of
+    the whole slab (:meth:`QuadratureGrid.slab_weights`), made per call and
+    not kept on the grid."""
+    weights = grid.slab_weights((slice(None),) * len(grid.resolution)).ravel()
+    return float(np.sqrt(np.sum(np.abs(f).ravel() ** 2 * weights)))
 
 
 def R_chi_s(section: Section, g, values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:

@@ -274,10 +274,12 @@ class ActionTable:
                 psi: DiscretizedState) -> DiscretizedState:
         """sum_g coeffs(g) w(g) U(g) psi over the nodes of ``grid``: the exact
         adjoint of :meth:`coefficients` in phi.  The calling thread makes
-        each block's coeffs w, gauge phase applied, as it draws the block."""
+        each block's coeffs w, from the block's slab of the weights
+        (:meth:`QuadratureGrid.slab_weights`), gauge phase applied, as it
+        draws the block."""
         self.check(psi)
         domain = frequency_grid(psi.grid) if self.fourier else psi.grid
-        c, w = np.asarray(coeffs).reshape(grid.resolution), grid.weights.reshape(grid.resolution)
+        c = np.asarray(coeffs).reshape(grid.resolution)
         plan = self._plan(grid, domain, 1)
         chart, state, phases, mods, steps, moved, lead = plan
         unphased = tuple(i for i in chart if self.roles[i].kind != "phase")
@@ -292,7 +294,7 @@ class ActionTable:
                              state)
 
         acc = np.zeros(domain.counts, dtype=complex)
-        blocks = (b + (self._gauge_block(c[b[0]] * w[b[0]], grid, b[0], 1),)
+        blocks = (b + (self._gauge_block(c[b[0]] * grid.slab_weights(b[0]), grid, b[0], 1),)
                   for b in self._dictionary(psi, grid, plan))
         # summed here in block order: the same additions as a serial loop
         for term in _blockwise(task, blocks):
@@ -390,11 +392,11 @@ def _blockwise(task, blocks):
     the tasks run on a thread pool of the call, while ``blocks`` is drawn
     in the calling thread at most ``workers + 1`` blocks ahead of the
     results yielded: in-flight blocks bound the memory, and a task touches
-    only numpy, so the benchmark tracer's span stack never sees a worker
-    thread.  A task's exception is raised here, and the pool is shut down
-    (queued tasks cancelled, running ones waited for) before the call
-    returns or raises: no idle thread outlives it, and a forked child
-    never inherits one."""
+    only numpy and the grid's slabs, so the benchmark tracer's span stack
+    never sees a worker thread.  A task's exception is raised here, and
+    the pool is shut down (queued tasks cancelled, running ones waited
+    for) before the call returns or raises: no idle thread outlives it,
+    and a forked child never inherits one."""
     workers = _workers()
     blocks = iter(blocks)
     head = list(itertools.islice(blocks, 2)) if workers > 1 else []

@@ -29,7 +29,11 @@ central-extension lifts.  Every integral of coefficients over a grid
 admissibility and the Duflo-Moore calibration, the reproducing kernel's
 Gram rows, both sides of the modulo-K equivalence) is one block sum over
 the engine's coefficient blocks as they stream, and never holds a
-coefficient array of the grid.
+coefficient array of the grid.  Every weight comes from the grid's slab of
+the block (``QuadratureGrid.slab_weights``): no function here reads, and
+so builds, the grid's whole ``weights`` array.  ``analyze``'s energy pass
+runs its axis blocks on the engine's pool and adds their sums in block
+order.
 
 Every state goes through the rep's state-space guard (``ActionTable.check``
 in ``representations``).  Every grid goes through one grid guard
@@ -52,7 +56,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .groups import QuadratureGrid
-from .representations import GridSafetyError, UnitaryRepSpec
+from .representations import GridSafetyError, UnitaryRepSpec, _blockwise
 from .states import (
     DiscretizedState,
     check_finite_rows,
@@ -186,14 +190,16 @@ def _energy_and_shell(coefficients: np.ndarray, grid: QuadratureGrid) -> tuple[f
     like its nodes), and the share of it carried by the outermost 10% shell
     of the box -- a cheap truncation-tail estimate recorded in metadata.
     The shell is the union of per-axis slabs of 5% of the axis at each end,
-    cut in ln a on a log axis, where the nodes are uniform.  Both add their
-    sums over :meth:`QuadratureGrid.axis_blocks` in block order; the shell
-    is masked from each block's axes, so no array of the whole grid is
-    made."""
+    cut in ln a on a log axis, where the nodes are uniform.  The blocks of
+    :meth:`QuadratureGrid.axis_blocks` run on the engine's pool
+    (``representations._blockwise``), each with its slab's weights and its
+    shell masked from its axes, and both sums add the blocks' parts in
+    block order, so no array of the whole grid is made and the sums do not
+    depend on the worker count."""
     dim = len(grid.resolution)
-    energy = shell = 0.0
-    for sl, axes in grid.axis_blocks():
-        part = np.abs(coefficients[sl]) ** 2 * grid.weights[sl]
+
+    def task(sl, at, axes):
+        part = np.abs(coefficients[sl]) ** 2 * grid.slab_weights(at).ravel()
         outer = np.zeros(tuple(map(len, axes)), dtype=bool)
         for i, ((lo, hi), ax) in enumerate(zip(grid.box, axes)):
             if i in grid.log_axes:
@@ -201,8 +207,12 @@ def _energy_and_shell(coefficients: np.ndarray, grid: QuadratureGrid) -> tuple[f
             width = hi - lo
             slab = (ax < lo + 0.05 * width) | (ax > hi - 0.05 * width)
             outer = outer | slab.reshape([-1 if m == i else 1 for m in range(dim)])
-        energy += float(np.sum(part))
-        shell += float(np.sum(part[outer.ravel()]))
+        return float(np.sum(part)), float(np.sum(part[outer.ravel()]))
+
+    energy = shell = 0.0
+    for part, shell_part in _blockwise(task, grid.axis_blocks()):
+        energy += part
+        shell += shell_part
     return energy, (shell / energy if energy else 0.0)
 
 
@@ -337,7 +347,6 @@ def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) ->
     stream raises, the others are closed before the call raises.
     """
     _analysis_grid(rep, [psi for psi, _ in pairs], grid)
-    weights = grid.weights.reshape(grid.resolution)
     totals = [None] * len(integrands)
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(contextlib.closing(
@@ -352,7 +361,7 @@ def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) ->
             for i, integrand in enumerate(integrands):
                 # a C-ordered block: the sum of one block covering the grid
                 # is that of the raveled arrays
-                part = np.sum(integrand(c, weights[at], at)).item()
+                part = np.sum(integrand(c, grid.slab_weights(at), at)).item()
                 totals[i] = part if totals[i] is None else totals[i] + part
     return totals
 
@@ -544,17 +553,18 @@ def save_result_csv(path_prefix: str, result: TransformResult) -> tuple[str, str
     """Write <prefix>.csv (node coords, weight, re, im) and <prefix>.json.
 
     The rows are formatted one :meth:`QuadratureGrid.axis_blocks` block at a
-    time from the block's axes (:func:`grid_csv_rows`: each coordinate and
-    each distinct weight formatted once), so the node array stays unbuilt.
+    time from the block's axes and slab weights (:func:`grid_csv_rows`: each
+    coordinate and each distinct weight formatted once), so neither the
+    node nor the weight array of the grid is built.
     """
     csv_path = f"{path_prefix}.csv"
     json_path = f"{path_prefix}.json"
-    c, w = np.asarray(result.coefficients), result.grid.weights
+    c, grid = np.asarray(result.coefficients), result.grid
     check_finite_rows(c, "coefficient")
     with open(csv_path, "wb") as fh:
-        fh.write((",".join(_result_columns(len(result.grid.resolution))) + "\n").encode())
-        for sl, axes in result.grid.axis_blocks():
-            fh.write(grid_csv_rows(axes, c[sl], sl.start, w[sl]))
+        fh.write((",".join(_result_columns(len(grid.resolution))) + "\n").encode())
+        for sl, at, axes in grid.axis_blocks():
+            fh.write(grid_csv_rows(axes, c[sl], sl.start, grid.slab_weights(at).ravel()))
     dump_json(json_path, {
         "group": result.grid.group.name,
         "rep": result.rep_id,

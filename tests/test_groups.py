@@ -16,6 +16,7 @@ from groupwave.groups import (
     make_exotic_quotient,
     make_polarized_wh,
     make_standard_wh,
+    make_vector_group,
     make_wh_quotient,
     modular_homomorphism_defect,
     modular_quadrature_estimate,
@@ -281,6 +282,43 @@ def test_grid_weights_and_nodes_equal_meshgrid_reference(name):
     assert "nodes" not in vars(grid)
     assert np.array_equal(grid.nodes, nodes)
     assert grid.n_nodes == nodes.shape[0]
+
+
+def test_slab_weights_are_the_sliced_weights():
+    """``slab_weights(at)`` gives the bits of ``weights.reshape(resolution)[at]``:
+    on the six reference grids for their axis blocks, the whole grid and a
+    slab cut on every axis, and on engine slabs of the bundled exotic grid
+    (a slice of the lead axis p by one of the log a axis, which the engine
+    dilates; its slices may run past the end).  The factors are guarded: a
+    zero, negative or NaN density raises, and so does a product of positive
+    factors that underflows to a zero weight."""
+    slabs = {}
+    for name, make in GRIDS.items():
+        grid = make()
+        cut = tuple(slice(1, n - 1) for n in grid.resolution)
+        slabs[name] = (grid, [at for _, at, _ in grid.axis_blocks()]
+                       + [(slice(None),) * len(grid.resolution), cut])
+    whole = slice(None)
+    slabs["exotic_engine"] = (configs.exotic_setup().x_grid, [
+        (slice(0, 1), whole, whole, slice(0, 64)), (slice(17, 19), whole, whole, slice(16, 32)),
+        (slice(38, 41), whole, whole, slice(40, 56))])
+    for name, (grid, ats) in slabs.items():
+        weights = grid.weights.reshape(grid.resolution)
+        for at in ats:
+            w = grid.slab_weights(at)
+            assert w.shape == weights[at].shape and w.tobytes() == weights[at].tobytes(), (name, at)
+
+    V = make_wh_quotient(1)
+    for density in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="non-positive Haar weights"):
+            haar_grid(dataclasses.replace(V, haar_density=lambda x, d=density: d),
+                      [(-1, 1)] * 2, [8, 8])
+    # cells of 1e-15: times a density of 1e-290 every weight is 1e-320, a
+    # positive subnormal; times 1e-300 every one underflows to 0
+    tiny = [(0.0, 8e-15)] * 2
+    assert np.all(haar_grid(make_vector_group(2, "v", 1e-290), tiny, [8, 8]).weights > 0)
+    with pytest.raises(ValueError, match="non-positive Haar weights"):
+        haar_grid(make_vector_group(2, "v", 1e-300), tiny, [8, 8])
 
 
 def test_grid_evaluates_haar_density_once_per_axis_node(exotic):

@@ -778,7 +778,7 @@ def test_gauged_adjoint_blocks_match_whole_array_gauge(exotic, gabor_n2, monkeyp
     table = projective_from_section(exotic.rep, exotic.section_prime).table
     c = table.coefficients(psi, phi, grid)
     unit = copy.copy(grid)
-    object.__setattr__(unit, "weights", np.ones(grid.n_nodes))
+    object.__setattr__(unit, "slab_weights", lambda at: 1.0)
     cw = c * grid.weights * np.exp(1j * table.gauge(grid.nodes))
     expected = replace(table, gauge=None).adjoint(cw, unit, psi).samples
     for workers in (1, 2):

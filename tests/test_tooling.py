@@ -6,9 +6,10 @@ changed spec field in the library breaks ``perfbench/run.py --trace 1``.
 The tracer patches module attributes, so it runs in its own process; the
 engine's worker threads must not call what it wraps.
 A memory guard keeps the bundled exotic grid from growing an eager node
-array again, an ``ast`` scan stands in for a linter's unused-import
-check, another keeps ``cli.main`` the CLI's one error boundary, and the
-README's command synopsis is checked against the parser.
+or weight array again, an ``ast`` scan keeps the transform modules off the
+whole-grid weights, another stands in for a linter's unused-import check,
+another keeps ``cli.main`` the CLI's one error boundary, and the README's
+command synopsis is checked against the parser.
 """
 
 import argparse
@@ -83,9 +84,11 @@ assert {{"transforms.admissibility", "measures.center_divergence_probe"}} <= ran
 for span in tracer.spans:
     if span[0] in ("transforms.analyze", "representations.fast_coefficients"):
         assert not set(ancestors(span)) & streamed, (span[0], sorted(set(ancestors(span))))
-# one exotic analyze of 16 engine blocks, inline and then on two threads:
-# the tasks touch only numpy, so the two runs record the same spans
+# one exotic analyze of 16 engine blocks and 5 energy blocks, inline and
+# then on two threads: the tasks touch only numpy and the grid's slab
+# weights, so the two runs record the same spans
 representations.CHUNK = 1024
+groups.BLOCK = 80
 small = groups.haar_grid(ex.x_group, [(-3, 3), (-2, 2), (-3, 3), (0.5, 2.0)], [5, 4, 5, 4],
                          log_axes=(3,))
 contract, threads, counts = representations._contract, set(), []
@@ -93,6 +96,9 @@ representations._contract = lambda *args: threads.add(threading.current_thread()
 resample, resample_threads = representations.axis_resample, set()
 representations.axis_resample = (
     lambda *args: resample_threads.add(threading.current_thread()) or resample(*args))
+slab_weights, weight_threads = groups.QuadratureGrid.slab_weights, set()
+groups.QuadratureGrid.slab_weights = (
+    lambda *args: weight_threads.add(threading.current_thread()) or slab_weights(*args))
 tracer.active = True
 for workers in (1, 2):
     representations._workers = lambda: workers
@@ -103,6 +109,7 @@ for workers in (1, 2):
     counts.append((run.count("transforms.analyze"), run.count("states.axis_resample")))
 tracer.active = False
 assert threads - {{threading.main_thread()}}, "the second run did not use threads"
+assert weight_threads - {{threading.main_thread()}}, "the energy pass did not use threads"
 assert resample_threads == {{threading.main_thread()}}, resample_threads
 assert counts[0] == counts[1] == (1, 4), counts
 names = sorted({{span[0] for span in tracer.spans}})
@@ -175,9 +182,10 @@ def test_cli_import_builds_no_csv_text_tables():
 
 
 def test_exotic_setup_memory_peak():
-    """The bundled exotic X grid (2.9 M nodes) keeps its axes and weights,
-    not an eager node array: the traced peak of building the configuration
-    stays far below the 93 MB that array alone would add."""
+    """The bundled exotic X grid (2.9 M nodes) keeps its axes and the
+    factors of its weights, neither an eager node array nor an eager weight
+    array: the traced peak of building the configuration stays far below
+    the 93 MB that the node array alone would add."""
     from groupwave import configs
 
     tracemalloc.start()
@@ -187,6 +195,7 @@ def test_exotic_setup_memory_peak():
     finally:
         tracemalloc.stop()
     assert "nodes" not in vars(setup.x_grid)
+    assert "weights" not in vars(setup.x_grid)
     assert peak < 64e6, peak
 
 
@@ -202,6 +211,18 @@ def _unused_imports(path: Path) -> list[str]:
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(imported - read)
+
+
+def test_hot_path_modules_never_read_grid_weights():
+    """``transforms``, ``representations`` and ``induced`` take Haar weights
+    slab by slab (``QuadratureGrid.slab_weights``); none reads a grid's lazy
+    whole-array ``weights``, which once built stays on the grid (23.6 MB on
+    the bundled exotic one)."""
+    for name in ("transforms", "representations", "induced"):
+        path = ROOT / "src" / "groupwave" / f"{name}.py"
+        reads = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute) and node.attr == "weights"]
+        assert reads == [], (name, reads)
 
 
 def test_no_unused_imports():

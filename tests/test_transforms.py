@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from groupwave import configs, groups, transforms, verify
+from groupwave import configs, groups, representations, transforms, verify
 from groupwave.groups import haar_grid
 from groupwave.configs import affine_nested_grids
 from groupwave.representations import ActionTable, GridSafetyError, projective_from_section
@@ -236,13 +238,33 @@ def _outer_nodes(grid, log_aware=True):
     return outer
 
 
+def test_transforms_leave_the_grid_weights_unbuilt(exotic, affine, tmp_path):
+    """``analyze`` with its energy pass, ``result.energy()``,
+    ``coefficient_energy`` and ``fast_adjoint`` on the bundled exotic grid,
+    and ``save_result_csv`` on the affine grid, take the Haar weights slab by
+    slab: the grid's whole weight array (23.6 MB on the exotic grid) is
+    never built."""
+    s = exotic.states
+    grid = dataclasses.replace(exotic.x_grid)  # a grid no other test has touched
+    res = analyze(exotic.proj, s["psi"], s["phi"], grid, dm_norm=1.0)
+    assert res.energy() == res.meta["energy"] > 0
+    assert coefficient_energy(exotic.proj, s["psi2"], s["phi2"], grid) > 0
+    exotic.proj.fast_adjoint(res.coefficients, grid, s["psi"])
+    assert "weights" not in vars(grid)
+    grid = dataclasses.replace(affine.x_grid)
+    save_result_csv(str(tmp_path / "coef"),
+                    analyze(affine.rep, affine.states["morlet"], affine.states["signal"], grid))
+    assert "weights" not in vars(grid)
+
+
 @pytest.mark.parametrize("case", ["gabor_x", "wh_3d", "affine_log_axis", "wh_3d_rows",
                                   "exotic_log_axis"])
 def test_shell_fraction_matches_node_mask(case, gabor, affine, exotic, rng, monkeypatch):
     """The energy and the shell energy add their sums over the grid's axis
     blocks in block order: exactly the block-order oracle of the
     node-by-node shell mask, which is the whole-array sum on the one-block
-    grids.  ``wh_3d_rows`` takes 12 blocks of one first-axis row.  On a log
+    grids, inline and with the blocks on two threads.  ``wh_3d_rows`` takes
+    12 blocks of one first-axis row.  On a log
     axis the slabs are cut in ln a, where the nodes are uniform: the linear
     cut, which the shell fraction once used, takes other nodes there (on
     the bundled affine analysis of the signal with Morlet it gave 1.01e-4
@@ -255,13 +277,15 @@ def test_shell_fraction_matches_node_mask(case, gabor, affine, exotic, rng, monk
                          [6, 5, 6, 12], log_axes=(3,))
     grid = {"gabor_x": gabor.x_grid, "wh_3d": wh_3d, "affine_log_axis": affine.x_grid,
             "wh_3d_rows": wh_3d, "exotic_log_axis": exotic_x}[case]
-    slices = [sl for sl, _ in grid.axis_blocks()]
+    slices = [sl for sl, *_ in grid.axis_blocks()]
     assert len(slices) == (12 if case == "wh_3d_rows" else 1)
     c = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
     energy, outer = np.abs(c) ** 2 * grid.weights, _outer_nodes(grid)
     total = sum(float(np.sum(energy[sl])) for sl in slices)
     shell = sum(float(np.sum(energy[sl][outer[sl]])) for sl in slices)
-    assert _energy_and_shell(c, grid) == (total, shell / total)
+    for workers in (1, 2):  # the blocks run on the engine's pool, summed in block order
+        monkeypatch.setattr(representations, "_workers", lambda: workers)
+        assert _energy_and_shell(c, grid) == (total, shell / total)
     assert _energy_and_shell(np.zeros(grid.n_nodes), grid) == (0.0, 0.0)
     linear = _outer_nodes(grid, log_aware=False)
     assert np.array_equal(outer, linear) == (not grid.log_axes)
