@@ -34,7 +34,6 @@ from .groups import (
     make_polarized_wh,
     make_standard_wh,
 )
-from .measures import center_divergence_probe
 from .states import (
     FLOAT_FORMAT,
     DiscretizedState,
@@ -57,14 +56,28 @@ from .transforms import (
     semi_invariance_check,
     synthesize,
 )
-from .verify import SUITE_NAMES, run_suites
 
-ALL_GROUPS = list(SUITE_NAMES)
+# the group factories of each conventions sheet, in sheet order; its keys
+# are the verify suites' names, so the group choices need no import of verify
+CONVENTION_GROUPS = {
+    "wh": (make_polarized_wh, make_standard_wh),
+    "affine": (make_affine,),
+    "exotic": (make_exotic, make_exotic_quotient),
+}
+ALL_GROUPS = list(CONVENTION_GROUPS)
 
 
 def _fail_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
+
+
+def _seed(text: str) -> int:
+    """Type of ``--seed``: an integer >= 0.  numpy's generators take no
+    other seed, and a suite that seeds ``seed + 1`` would accept -1."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+    return int(text)
 
 
 def _require_finite(what: str, **values: float) -> None:
@@ -90,21 +103,14 @@ def _read_signal(path, state_grid, what: str) -> DiscretizedState:
     return state
 
 
-def _convention_groups() -> dict:
-    """The groups of each conventions sheet, in sheet order."""
-    return {
-        "wh": [make_polarized_wh(1), make_standard_wh(1)],
-        "affine": [make_affine(1)],
-        "exotic": [make_exotic(1), make_exotic_quotient(1)],
-    }
+def _conventions_sheets(name: str) -> list[str]:
+    """The conventions sheet of each group of ``name``, for n = 1."""
+    return [conventions_text(make(1)) for make in CONVENTION_GROUPS[name]]
 
 
 def cmd_conventions(args) -> int:
-    groups = _convention_groups()
     selected = ALL_GROUPS if args.group == "all" else [args.group]
-    text = "\n".join(
-        conventions_text(g) for name in selected for g in groups[name]
-    )
+    text = "\n".join(sheet for name in selected for sheet in _conventions_sheets(name))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -114,6 +120,8 @@ def cmd_conventions(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
+
     groups = ALL_GROUPS if args.group == "all" else [args.group]
     if args.psi is not None and "affine" not in groups:
         return _fail_usage(f"--psi is checked by the affine suite only; --group {args.group} "
@@ -222,6 +230,8 @@ def _orthogonality_rows(group: str, rep, dm, grid, pairs: dict) -> list:
 
 
 def cmd_report(args) -> int:
+    from .measures import center_divergence_probe
+
     os.makedirs(args.outdir, exist_ok=True)
     written = []
 
@@ -290,8 +300,8 @@ def cmd_report(args) -> int:
     # conventions sheet
     path = os.path.join(args.outdir, "conventions.txt")
     with open(path, "w") as fh:
-        for groups in _convention_groups().values():
-            fh.write("".join(conventions_text(g) + "\n" for g in groups))
+        for name in ALL_GROUPS:
+            fh.write("".join(sheet + "\n" for sheet in _conventions_sheets(name)))
     written.append(path)
 
     for p in written:
@@ -313,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--group", choices=ALL_GROUPS + ["all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--psi", choices=["gaussian", "morlet"], default=None,
                    help="extra analyzing vector whose admissibility status the "
                         "affine suite reports (expected-negative outcomes still pass); "
@@ -342,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="emit verification tables as CSV")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_report)
 
     return parser

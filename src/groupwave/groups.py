@@ -491,6 +491,16 @@ class QuadratureGrid:
             at = (slice(i0, i1),) + (slice(None),) * (len(axes) - 1)
             yield slice(i0 * row, i1 * row), at, [axes[0][i0:i1]] + axes[1:]
 
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
+        """int f dmu by the grid's quadrature: sum f(nodes) w over
+        :meth:`axis_blocks`, block by block in order, so ``nodes`` and
+        ``weights`` stay unbuilt.  On a grid of one block it is the
+        whole-array sum ``np.sum(f(nodes) * weights)``, bit for bit."""
+        total = 0.0
+        for _, at, axes in self.axis_blocks():
+            total += float(np.sum(f(_mesh_points(axes)) * self.slab_weights(at).ravel()))
+        return total
+
     def node_blocks(self):
         """Yield (slice, self.nodes[slice]) over :meth:`axis_blocks`."""
         for sl, _, axes in self.axis_blocks():
@@ -609,15 +619,6 @@ def modular_homomorphism_defect(group: GroupDescriptor, g, h) -> float:
     return float(max(np.max(defect), e_defect))
 
 
-def _haar_integral(grid: QuadratureGrid, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """int f dmu by the grid's quadrature, summed over its node blocks in
-    order, so the grid's ``nodes`` and ``weights`` stay unbuilt."""
-    total = 0.0
-    for _, at, axes in grid.axis_blocks():
-        total += float(np.sum(f(_mesh_points(axes)) * grid.slab_weights(at).ravel()))
-    return total
-
-
 def left_invariance_defect(
     group: GroupDescriptor,
     g0: np.ndarray,
@@ -629,9 +630,8 @@ def left_invariance_defect(
     ``test_fn`` must be concentrated well inside the grid box, both before
     and after translation by g0.
     """
-    base = _haar_integral(grid, test_fn)
-    shifted = _haar_integral(
-        grid, lambda x: test_fn(group.product(np.broadcast_to(g0, x.shape), x)))
+    base = grid.integrate(test_fn)
+    shifted = grid.integrate(lambda x: test_fn(group.product(np.broadcast_to(g0, x.shape), x)))
     return abs(shifted - base) / max(abs(base), 1e-300)
 
 
@@ -642,8 +642,8 @@ def modular_quadrature_estimate(
     test_fn: Callable[[np.ndarray], np.ndarray],
 ) -> float:
     """Estimate Delta(g0) as  int f dmu / int f(g' g0) dmu(g')."""
-    base = _haar_integral(grid, test_fn)
-    right = _haar_integral(grid, lambda x: test_fn(group.product(x, np.broadcast_to(g0, x.shape))))
+    base = grid.integrate(test_fn)
+    right = grid.integrate(lambda x: test_fn(group.product(x, np.broadcast_to(g0, x.shape))))
     return base / right
 
 

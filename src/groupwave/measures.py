@@ -94,7 +94,7 @@ def decompose_check(
     Returns (lhs, rhs, relative error).  ``test_fn`` must be compactly
     supported (to quadrature accuracy) inside every grid involved.
     """
-    lhs = float(np.sum(np.asarray(test_fn(g_grid.nodes)) * g_grid.weights))
+    lhs = g_grid.integrate(test_fn)
     xk_nodes = gamma_s(
         section,
         np.repeat(x_grid.nodes, k_grid.n_nodes, axis=0),
@@ -188,9 +188,9 @@ def rho_validate(
 def integrate_mod_K(
     f: Callable[[np.ndarray], np.ndarray], rho: RhoDensity, grid: QuadratureGrid
 ) -> float:
-    """Quadrature of  int_G f dmu_{G,K} = int f rho dmu_G over the grid."""
-    vals = np.asarray(f(grid.nodes), dtype=float)
-    return float(np.sum(vals * rho.eval(grid.nodes) * grid.weights))
+    """Quadrature of  int_G f dmu_{G,K} = int f rho dmu_G over the grid,
+    block by block (:meth:`QuadratureGrid.integrate`)."""
+    return grid.integrate(lambda nodes: np.asarray(f(nodes), dtype=float) * rho.eval(nodes))
 
 
 def center_divergence_probe(

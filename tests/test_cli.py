@@ -37,6 +37,42 @@ def test_conventions_match_stored_sheet(capsys):
     assert capsys.readouterr().out == stored.read_text()
 
 
+def test_group_choices_are_the_verify_suites(capsys):
+    """The CLI's group list is its conventions table's keys, in the verify
+    suites' order, and every group has a conventions sheet: the sheets of
+    the groups one by one make up the ``--group all`` sheet."""
+    from groupwave import cli, verify
+
+    assert cli.ALL_GROUPS == list(verify.SUITE_NAMES)
+    sheets = []
+    for group in cli.ALL_GROUPS:
+        assert main(["conventions", "--group", group]) == 0
+        sheets.append(capsys.readouterr().out)
+        assert sheets[-1].startswith("=== conventions: "), group
+    assert main(["conventions", "--group", "all"]) == 0
+    assert capsys.readouterr().out == "\n".join(sheets)
+
+
+@pytest.mark.parametrize("group", ["wh", "affine", "exotic"])
+def test_verify_rejects_a_negative_seed(group, tmp_path, capsys):
+    """A negative seed is a usage error of the parser, for every suite
+    (affine and exotic seed ``seed + 1`` and ``seed + 2``, which numpy
+    would accept), and no report is written."""
+    out = tmp_path / "r.json"
+    assert main(["verify", "--group", group, "--seed", "-1", "--output", str(out)]) == 2
+    assert "argument --seed: expected a non-negative integer, not '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_rejects_a_negative_seed(tmp_path, capsys):
+    """``report --seed -1`` exits 2 before it makes the directory or
+    writes a table."""
+    outdir = tmp_path / "tables"
+    assert main(["report", "--outdir", str(outdir), "--seed", "-1"]) == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_verify_single_group_and_determinism(tmp_path):
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert main(["verify", "--group", "affine", "--output", str(p1)]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from groupwave.groups import haar_grid, random_chart_points
+from groupwave.groups import BLOCK, haar_grid, random_chart_points
 from groupwave.measures import (
     RhoDensity,
     center_divergence_probe,
@@ -209,6 +209,26 @@ def test_integrate_mod_K_largest_box_value(gabor):
     value = integrate_mod_K(gaussian_fn, rho, grid)
     # k-fibre: int e^{-k^2/2} w(k) dk = 1/sqrt(2); (p,q): 2 pi / (2 pi) = 1
     assert value == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-4)
+
+
+def test_integrate_mod_K_sums_by_block(gabor):
+    """``integrate_mod_K`` sums (f rho) w block by block: on a grid of more
+    than ``BLOCK`` nodes it builds neither ``nodes`` nor ``weights`` and
+    matches the whole-array sum to rounding; on a grid of one block it is
+    that sum bit for bit."""
+    rho = make_rho("gaussian", gabor.subgroup)
+
+    def whole_array_sum(grid):
+        return float(np.sum(gaussian_fn(grid.nodes) * rho.eval(grid.nodes) * grid.weights))
+
+    box = [(-6, 6), (-4, 4), (-4, 4)]
+    grid, whole = (haar_grid(gabor.group, box, [1040, 16, 16]) for _ in range(2))
+    assert grid.n_nodes > BLOCK and len(list(grid.axis_blocks())) == 2
+    value = integrate_mod_K(gaussian_fn, rho, grid)
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+    assert value == pytest.approx(whole_array_sum(whole), rel=1e-13)
+    small = haar_grid(gabor.group, box, [64, 16, 16])
+    assert integrate_mod_K(gaussian_fn, rho, small) == whole_array_sum(small)
 
 
 def test_divergence_probe_zero_state(gabor):

@@ -8,8 +8,9 @@ engine's worker threads must not call what it wraps.
 A memory guard keeps the bundled exotic grid from growing an eager node
 or weight array again, an ``ast`` scan keeps the transform modules off the
 whole-grid weights, another stands in for a linter's unused-import check,
-another keeps ``cli.main`` the CLI's one error boundary, and the README's
-command synopsis is checked against the parser.
+another keeps ``cli.main`` the CLI's one error boundary, the README's
+command synopsis is checked against the parser, and fresh processes check
+what importing the package and the CLI loads.
 """
 
 import argparse
@@ -143,19 +144,27 @@ def test_tracer_installs_and_traces_analyze(tmp_path):
         assert name in names, (name, sorted(names))
 
 
-def _after_cli_import(expression: str) -> list[str]:
+def _printed_after(imports: str, expression: str) -> list[str]:
     """The printed words of ``expression`` in a fresh process that has
-    imported ``groupwave.cli`` (and ``sys`` and ``groupwave.states``)."""
+    imported ``sys`` and ``imports``."""
     src = str(Path(groupwave.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, groupwave.cli, groupwave.states; "
-         f"print({expression})"],
+        [sys.executable, "-c", f"import sys, {imports}; print({expression})"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def _after_cli_import(expression: str) -> list[str]:
+    """The printed words of ``expression`` in a fresh process that has
+    imported ``groupwave.cli`` (and ``sys`` and ``groupwave.states``)."""
+    return _printed_after("groupwave.cli, groupwave.states", expression)
+
+
+SUBMODULES = "*sorted(m for m in sys.modules if m.startswith('groupwave.'))"
 
 
 def test_cli_import_leaves_thread_pool_unimported():
@@ -170,6 +179,21 @@ def test_cli_import_leaves_multiprocessing_unimported():
     child, never by importing the CLI, so ``analyze`` and ``synthesize``
     processes start without it."""
     assert _after_cli_import("'multiprocessing' in sys.modules") == ["False"]
+
+
+def test_package_import_loads_no_submodule():
+    """``groupwave/__init__.py`` re-exports nothing, so importing the
+    package imports none of its modules."""
+    assert _printed_after("groupwave", SUBMODULES) == []
+
+
+def test_cli_import_leaves_verify_induced_and_measures_unimported():
+    """``cli`` imports ``verify`` in ``cmd_verify`` and ``measures`` in
+    ``cmd_report``, so an ``analyze`` or ``synthesize`` process never loads
+    the suites, the induced representations or the measure densities."""
+    loaded = _printed_after("groupwave.cli", SUBMODULES)
+    assert "groupwave.cli" in loaded
+    assert {"groupwave.verify", "groupwave.induced", "groupwave.measures"} & set(loaded) == set()
 
 
 def test_cli_import_builds_no_csv_text_tables():
@@ -226,10 +250,8 @@ def test_hot_path_modules_never_read_grid_weights():
 
 
 def test_no_unused_imports():
-    """Every imported name in the tests and the library is read; the
-    package ``__init__`` is skipped, its imports are the public re-exports."""
+    """Every imported name in the tests and the library is read."""
     paths = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("src/groupwave/*.py"))
-    paths = [p for p in paths if p != ROOT / "src" / "groupwave" / "__init__.py"]
     assert len(paths) > 20
     unused = {str(p.relative_to(ROOT)): names for p in paths if (names := _unused_imports(p))}
     assert unused == {}
