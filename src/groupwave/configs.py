@@ -94,10 +94,7 @@ def gabor_setup(
 ) -> GaborSetup:
     kc = -1.0  # duflo_moore("gabor") is the identity only for |kc| = 1
     state_grid = centered_grid(state_halfwidth, state_points, dim=n)
-    # grid safety: translations must stay clear of the periodic wrap of the
-    # state box, modulations clear of the Nyquist band
-    nyquist = np.pi / state_grid.spacings[0]
-    rep = wh_rep(kc, n, safe_momentum=0.8 * nyquist, safe_shift=state_halfwidth)
+    rep = wh_rep(kc, n)
     x_group = make_wh_quotient(n)
 
     subgroup = RelCentralSubgroup(
@@ -160,7 +157,7 @@ class AffineSetup:
 
 
 def affine_setup() -> AffineSetup:
-    rep = affine_rep(1, shift_max=16.0)
+    rep = affine_rep(1)
     state_grid = centered_grid(16.0, 512, dim=1)
     # geometric ladder on the scale axis: uniform resolution per octave
     x_grid = haar_grid(rep.group, [(-14.0, 14.0), (1.0 / 16.0, 8.0)], [160, 160], log_axes=(1,))

@@ -34,10 +34,12 @@ projective table; both keep the state space.  The literal ``action`` stays
 the independent reference.
 
 Non-grid translations use FFT phase ramps, dilations band-limited
-resampling; states are treated as band-limited, so every action declares a
-``safe_box`` of group parameters for which aliasing stays negligible for the
-shipped test states.  A transform grid past this box raises
-(``transforms``' grid guard).
+resampling, so a sampled coefficient is the paper's only inside the grid-safe
+box that :meth:`ActionTable.safe_box` derives from the roles and psi's state
+grid: |c g| <= L_j / 2 (L_j = N_j h_j) for a shift by c g in position (a
+translation, or a modulation of a ``fourier`` table), 0.8 pi / h_j in
+frequency, a declared scale range for a dilation, none for a phase.  ``act``
+and ``transforms``' grid guard raise past it (``ActionTable.require_safe``).
 
 The engine never translates a state.  Along its axis ``states.translate``
 is T_s = F^-1 diag(e^{-i w_k s}) F, with F the DFT and w_k = 2 pi k / (N h)
@@ -171,7 +173,7 @@ CHUNK = 1 << 18
 
 
 class GridSafetyError(ValueError):
-    """Group parameter outside the rep's declared grid-safe box."""
+    """A point or grid past an action table's grid-safe box, or a state outside its space."""
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,7 @@ class AxisRole:
     kind: str  # phase | modulate | translate | dilate
     axes: tuple[int, ...] = ()  # the state axes it acts on
     coef: float = 0.0  # c of the phase c g or of the translation by c g
+    scale_max: float = np.inf  # a dilation's declared scale range [1/scale_max, scale_max]
 
 
 @dataclass(frozen=True)
@@ -321,6 +324,36 @@ class ActionTable:
             if grid.offsets[j] <= bound:  # False for NaN: unbounded
                 raise GridSafetyError(f"state axis {j} starts at {grid.offsets[j]:g}, at or "
                                       f"below its open lower bound {bound:g}")
+
+    def safe_box(self, grid) -> tuple[tuple[float, float], ...]:
+        """The grid-safe (lo, hi) of each chart axis on psi's state ``grid`` (module header)."""
+        box = []
+        for r in self.roles:
+            if r.kind == "dilate":
+                box.append((1.0 / r.scale_max, r.scale_max))
+            elif r.kind == "phase":
+                box.append((-np.inf, np.inf))
+            else:
+                j, c = r.axes[0], abs(r.coef) if r.kind == "translate" else 1.0
+                bound = float(grid.counts[j] * grid.spacings[j] / (2.0 * c)  # a shift in position
+                              if (r.kind == "translate") != self.fourier
+                              else 0.8 * (np.pi / grid.spacings[j]) / c)  # one in frequency
+                box.append((-bound, bound))
+        return tuple(box)
+
+    def require_safe(self, label: str, box, state: DiscretizedState) -> None:
+        """The one grid-safety check: ``state`` passes :meth:`check`, and each (lo, hi) of
+        ``box`` (a grid's box, or (g, g) for a point g) lies in :meth:`safe_box` of its grid."""
+        self.check(state)
+        if len(box) != len(self.roles):
+            raise ValueError(f"{label}: {len(box)} chart coordinates, not {len(self.roles)}")
+        safe = self.safe_box(state.grid)
+        for i, ((lo, hi), (slo, shi)) in enumerate(zip(box, safe)):
+            if not (slo <= lo and hi <= shi):  # NaN fails too
+                raise GridSafetyError(
+                    f"{label}: box {list(box)} leaves the grid-safe box {list(safe)} of its "
+                    f"state grid: chart axis {i} ({self.roles[i].kind}) reaches [{lo:g}, {hi:g}] "
+                    f"past its limit [{slo:g}, {shi:g}]")
 
     def _plan(self, grid, state_grid, sign):
         """The cached :func:`_factor_plan` of ``grid``'s chart-axis nodes."""
@@ -502,10 +535,8 @@ class UnitaryRepSpec:
 
     ``action(coords, state)`` must be unitary for grid-safe coords and satisfy
     action(g, action(h, f)) = action(gh, f) up to the declared tolerance.
-    ``safe_box`` bounds each chart coordinate to its grid-safe range:
-    ``act`` rejects a point outside it, and every transform a grid that
-    leaves it (``GridSafetyError``).
-    ``act`` also rejects a state outside the table's state space.
+    ``act`` rejects a state outside the table's state space and a point past
+    the table's grid-safe box on the state's grid (``table.require_safe``).
     ``table`` is the same action in factored form (see the module header);
     ``fast_coefficients(psi, phi, grid)`` and ``fast_adjoint(coeffs, grid,
     psi)`` are its batched engine, which ``analyze`` and ``synthesize`` run
@@ -518,17 +549,10 @@ class UnitaryRepSpec:
     table: ActionTable
     fast_coefficients: Callable[[DiscretizedState, DiscretizedState, QuadratureGrid], np.ndarray]
     fast_adjoint: Callable[[np.ndarray, QuadratureGrid, DiscretizedState], DiscretizedState]
-    safe_box: tuple[tuple[float, float], ...]
 
     def act(self, g, state: DiscretizedState) -> DiscretizedState:
         g = np.asarray(g, dtype=float)
-        for i, (lo, hi) in enumerate(self.safe_box):
-            if not (lo <= g[i] <= hi):
-                raise GridSafetyError(
-                    f"{self.label}: coordinate {i} = {g[i]} outside grid-safe "
-                    f"range [{lo}, {hi}]"
-                )
-        self.table.check(state)
+        self.table.require_safe(self.label, [(x, x) for x in g.tolist()], state)
         return self.action(g, state)
 
 
@@ -554,7 +578,7 @@ def coefficient(rep: UnitaryRepSpec, psi: DiscretizedState, phi: DiscretizedStat
 # ---------------------------------------------------------------------------
 
 
-def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: float = 12.0) -> UnitaryRepSpec:
+def wh_rep(k_check: float, n: int = 1) -> UnitaryRepSpec:
     """U_kc(k, p, q) f(x) = e^{i(k kc + p.x)} f(x + kc q) on L2(R^n).
 
     kc = 0 is rejected: the representation with trivial central character has
@@ -573,9 +597,6 @@ def wh_rep(k_check: float, n: int = 1, safe_momentum: float = 16.0, safe_shift: 
         group=make_polarized_wh(n),
         action=action,
         label=f"wh[k={kc}]",
-        safe_box=((-np.inf, np.inf),)
-        + ((-safe_momentum, safe_momentum),) * n
-        + ((-safe_shift, safe_shift),) * n,
         **_engine(ActionTable(
             (AxisRole("phase", coef=kc),)
             + tuple(AxisRole("modulate", (j,)) for j in range(n))
@@ -606,15 +627,15 @@ def displacement(q, p) -> Callable[[DiscretizedState], DiscretizedState]:
 # ---------------------------------------------------------------------------
 
 
-def affine_rep(n: int = 1, shift_max: float = 64.0) -> UnitaryRepSpec:
+def affine_rep(n: int = 1) -> UnitaryRepSpec:
     """(U(b, a) f)(x) = a^{-n/2} f((x - b)/a), computed in the frequency domain.
 
     The Fourier side is a^{n/2} e^{i w.b} fhat(a w): resampling the spectrum
     keeps the small-scale (a << 1) coefficients accurate even when the
     position-space image of the state would fall below grid resolution.
-    The safe box (|b| <= shift_max, 1/64 <= a <= 64) bounds coefficient
-    accuracy; unitarity of the action itself additionally needs the dilated
-    state to stay inside band and box.
+    The grid-safe box is |b_j| <= L_j / 2 on a state box of side L_j and the
+    declared 1/64 <= a <= 64; unitarity of the action itself additionally
+    needs the dilated state to stay inside band and box.
     """
 
     def action(g, state):
@@ -635,10 +656,9 @@ def affine_rep(n: int = 1, shift_max: float = 64.0) -> UnitaryRepSpec:
         group=make_affine(n),
         action=action,
         label=f"affine[n={n}]",
-        safe_box=((-shift_max, shift_max),) * n + ((1.0 / 64.0, 64.0),),
         **_engine(ActionTable(
             tuple(AxisRole("modulate", (j,)) for j in range(n))
-            + (AxisRole("dilate", tuple(range(n))),),
+            + (AxisRole("dilate", tuple(range(n)), scale_max=64.0),),
             state_lower=(np.nan,) * n,
             fourier=True,
         )),
@@ -659,9 +679,9 @@ def exotic_rep(n: int = 1) -> UnitaryRepSpec:
     a homomorphism in the r-a sector.  The s coordinate never acts (the
     inducing character has scheck = 0 on the orbit), nor does r at k = 0, so
     the restriction to T x S x R is the scalar e^{it} by construction.  The
-    safe box is constant: |p| <= 32, |q| <= 8 and 1/16 <= a <= 16, every
-    other coordinate free.  A state grid sits half a cell clear of bc = 0;
-    one reaching bc <= 0 raises :class:`GridSafetyError`.
+    grid-safe box is 1/16 <= a <= 16 and, on the bundled state grid, |b| <=
+    20.1, |p| <= 10.05 and |q| <= 8.  A state grid sits half a cell clear of
+    bc = 0; one reaching bc <= 0 raises :class:`GridSafetyError`.
     """
     sl_p = slice(3, 3 + n)
     sl_q = slice(3 + n, 3 + 2 * n)
@@ -679,17 +699,12 @@ def exotic_rep(n: int = 1) -> UnitaryRepSpec:
         group=make_exotic(n),
         action=action,
         label=f"exotic[n={n}]",
-        safe_box=((-np.inf, np.inf),) * 3
-        + ((-32.0, 32.0),) * n
-        + ((-8.0, 8.0),) * n
-        + ((-np.inf, np.inf),) * n
-        + ((1.0 / 16.0, 16.0),),
         **_engine(ActionTable(
             (AxisRole("phase", coef=1.0), AxisRole("phase"), AxisRole("modulate", (0,)))
             + tuple(AxisRole("modulate", (1 + j,)) for j in range(n))
             + tuple(AxisRole("translate", (1 + j,), -1.0) for j in range(n))
             + (AxisRole("phase"),) * n
-            + (AxisRole("dilate", (0,)),),
+            + (AxisRole("dilate", (0,), scale_max=16.0),),
             state_lower=(0.0,) + (np.nan,) * n,
         )),
     )
@@ -703,10 +718,10 @@ def exotic_rep(n: int = 1) -> UnitaryRepSpec:
 def projective_from_section(rep: UnitaryRepSpec, section: Section) -> ProjectiveRepSpec:
     """P_s(x) = U(s(x)): projective representation of X with multiplier m_s.
 
-    The rep's action table and safe box are restricted to the subgroup's X
-    axes: that is U(s0(x)) for the coordinate section s0, and since K acts by
-    the scalar chi, a section with K-offset k(x) only adds the gauge phase
-    gamma(x) = chi(k(x)) (see the module header).
+    The rep's action table (and with it the grid-safe box) is restricted to
+    the subgroup's X axes: that is U(s0(x)) for the coordinate section s0,
+    and since K acts by the scalar chi, a section with K-offset k(x) only
+    adds the gauge phase gamma(x) = chi(k(x)) (see the module header).
     """
     sub = section.subgroup
     if sub.ambient.name != rep.group.name:
@@ -721,7 +736,6 @@ def projective_from_section(rep: UnitaryRepSpec, section: Section) -> Projective
         action=action,
         label=f"P[{rep.label};{section.label}]",
         multiplier=multiplier_from_section(section),
-        safe_box=tuple(rep.safe_box[i] for i in sub.x_axes),
         **_engine(replace(rep.table, roles=tuple(rep.table.roles[i] for i in sub.x_axes),
                           gauge=gauge)),
     )
@@ -753,7 +767,6 @@ def lift_to_extension(proj: ProjectiveRepSpec, variant: str = "standard") -> Uni
         group=extension,
         action=action,
         label=f"lift[{proj.label};{variant}]",
-        safe_box=((-np.inf, np.inf),) + proj.safe_box,
         **_engine(replace(
             proj.table,
             roles=(AxisRole("phase", coef=sign),) + proj.table.roles,

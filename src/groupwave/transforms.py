@@ -35,10 +35,9 @@ so builds, the grid's whole ``weights`` array.  ``analyze``'s energy pass
 runs its axis blocks on the engine's pool and adds their sums in block
 order.
 
-Every state goes through the rep's state-space guard (``ActionTable.check``
-in ``representations``).  Every grid goes through one grid guard
-(``_require_safe_box``): it is a grid of the rep's group (else
-``ValueError``) and its box lies inside the rep's safe box (else
+Every grid goes through one grid guard (``_require_safe_box``): psi is
+nonzero and the grid one of the rep's group (else ``ValueError``), and both
+pass ``act``'s check (``ActionTable.require_safe``, else
 ``GridSafetyError``); no grid is clipped.  ``analyze``, ``synthesize``,
 ``reproduce_check`` and every caller of ``_block_sums`` apply it.
 ``semi_invariance_check`` and ``kernel`` take group elements, which
@@ -56,7 +55,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .groups import QuadratureGrid
-from .representations import GridSafetyError, UnitaryRepSpec, _blockwise
+from .representations import UnitaryRepSpec, _blockwise
 from .states import (
     DiscretizedState,
     check_finite_rows,
@@ -227,7 +226,7 @@ def analyze(
     batch on the rep's action table, under the grid guard of the module
     header.
     """
-    _analysis_grid(rep, [psi], grid)
+    _require_safe_box(rep, grid, [psi])
     coeffs = rep.fast_coefficients(psi, phi, grid)
     result = TransformResult(
         coefficients=np.asarray(coeffs, dtype=complex),
@@ -242,24 +241,15 @@ def analyze(
     return result
 
 
-def _analysis_grid(rep: UnitaryRepSpec, psis, grid: QuadratureGrid) -> None:
-    """The guards of an analysis: every analyzing vector of ``psis`` is
-    nonzero, and ``grid`` passes :func:`_require_safe_box`."""
+def _require_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid, psis) -> None:
+    """The grid guard of the module header, for each analyzing vector of ``psis``."""
     if any(norm(psi) == 0.0 for psi in psis):
         raise ValueError("analyzing vector must be nonzero")
-    _require_safe_box(rep, grid)
-
-
-def _require_safe_box(rep: UnitaryRepSpec, grid: QuadratureGrid) -> None:
-    """The grid guard of the module header: ``grid`` is a grid of the rep's
-    group, and its box lies inside the rep's safe box."""
     if grid.group.name != rep.group.name:
         raise ValueError(f"{rep.label}: grid of group {grid.group.name!r}, not of the rep's "
                          f"group {rep.group.name!r}")
-    box = grid.box
-    if any(lo < slo or hi > shi for (lo, hi), (slo, shi) in zip(box, rep.safe_box)):
-        raise GridSafetyError(f"{rep.label}: grid box {list(box)} leaves the "
-                              f"grid-safe box {list(rep.safe_box)}")
+    for psi in psis:
+        rep.table.require_safe(rep.label, grid.box, psi)
 
 
 def synthesize(
@@ -271,11 +261,11 @@ def synthesize(
     inverse; on a truncated grid the reconstruction error is the quadrature
     plus truncation error of the reproducing integral.  Runs in one batch on
     the exact adjoint of :func:`analyze`'s engine.  A grid reaching outside
-    the rep's safe box raises :class:`GridSafetyError`.
+    the grid-safe box of psi's state grid raises :class:`GridSafetyError`.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm metadata is unset; synthesize needs it")
-    _require_safe_box(rep, result.grid)
+    _require_safe_box(rep, result.grid, [psi])
     out = rep.fast_adjoint(result.coefficients, result.grid, psi)
     return out.with_samples(out.samples / result.dm_norm ** 2)
 
@@ -346,7 +336,7 @@ def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) ->
     psi has the same number of samples (``ValueError`` otherwise).  If a
     stream raises, the others are closed before the call raises.
     """
-    _analysis_grid(rep, [psi for psi, _ in pairs], grid)
+    _require_safe_box(rep, grid, [psi for psi, _ in pairs])
     totals = [None] * len(integrands)
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(contextlib.closing(
@@ -469,11 +459,11 @@ def reproduce_check(
     with int kernel(g, g') f(g') dmu(g') over the grid; returns the max
     relative error (scaled by the largest |f| sample).  Deterministic:
     repeated evaluation returns identical numbers.  A grid reaching outside
-    the rep's safe box raises :class:`GridSafetyError`.
+    the grid-safe box of psi's state grid raises :class:`GridSafetyError`.
     """
     if result.dm_norm is None:
         raise ValueError("dm_norm is unset")
-    _require_safe_box(rep, result.grid)
+    _require_safe_box(rep, result.grid, [psi])
     idx = np.random.default_rng(7).choice(result.grid.n_nodes, size=16, replace=False)
     # Gram rows <U(g_i) psi, U(g_j) psi> via the coefficient of U(g_i)psi
     scale = max(np.max(np.abs(result.coefficients)), 1e-300)

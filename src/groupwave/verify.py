@@ -477,8 +477,8 @@ def exotic_suite(seed: int = 0) -> list[Check]:
     # The orthogonality relations are limited by the box, not the
     # resolution: the bundled 40·32·48·48 grid gives 4.2e-6 / 5.9e-6, and
     # this grid, 1.2x its box at coarser spacing, 5.8e-7 / 6.0e-7 on 317 k
-    # nodes; 1.25x this grid's resolution moves them by under 2 %.  Its q
-    # range stays inside the rep's safe box (±8), past which a grid raises.
+    # nodes; 1.25x this grid's resolution moves them by under 2 %.  Its box
+    # stays inside the grid-safe box (|q| <= 8 binds), past which a grid raises.
     ortho_grid = haar_grid(
         X, [(-8.4, 8.4), (-7.2, 7.2), (-10.8, 10.8), (0.125, 8.0)], [24, 19, 29, 24],
         log_axes=(3,),

@@ -43,7 +43,7 @@ def affine():
 def affine_n2():
     """(rep, psi, phi, grid) of the affine group on R^2: the one engine path
     that dilates two state axes, on a 3·3·4 log-ladder grid."""
-    rep = affine_rep(2, shift_max=8.0)
+    rep = affine_rep(2)
     state_grid = centered_grid(8.0, 32, dim=2)
     psi = gaussian_state(state_grid, momentum=[2.0, -1.0])
     phi = gaussian_state(state_grid, center=[0.3, -0.2], momentum=[1.5, 1.0])

@@ -93,7 +93,7 @@ def test_bump_profile_support_and_bounds(center, radius):
 @pytest.fixture(scope="module")
 def wh2():
     grid = centered_grid(7.0, 56, dim=2)
-    rep = wh_rep(-1.0, n=2, safe_momentum=10.0, safe_shift=7.0)
+    rep = wh_rep(-1.0, n=2)
     psi = gaussian_state(grid)
     return rep, grid, psi
 

@@ -166,6 +166,106 @@ def test_affine_safe_box(affine):
         affine.rep.act(np.array([0.0, 1.0 / 1024.0]), affine.states["morlet"])
 
 
+@pytest.mark.parametrize("spec", ["rep", "proj"])
+def test_act_rejects_point_of_wrong_length(gabor, spec):
+    """A point with one chart coordinate too few or too many raises a
+    ``ValueError`` that names the count, before the action runs (it once
+    raised ``IndexError`` or a shape error from inside the action)."""
+    rep, psi = getattr(gabor, spec), gabor.states["gauss"]
+    for g in (np.zeros(rep.group.dim - 1), np.zeros(rep.group.dim + 1)):
+        with pytest.raises(ValueError, match=f"{len(g)} chart coordinates, not {rep.group.dim}"):
+            rep.act(g, psi)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_act_rejects_nan_coordinate(affine, axis):
+    """A NaN shift or scale lies in no grid-safe range."""
+    g = np.array([0.0, 1.0])
+    g[axis] = np.nan
+    with pytest.raises(GridSafetyError, match=f"chart axis {axis}"):
+        affine.rep.act(g, affine.states["morlet"])
+
+
+def test_exotic_act_past_sampling_limit_raises(exotic):
+    """p = 12 lies inside the once hand-set |p| <= 32 but past the p limit
+    of the bundled state grid, 0.8 pi / 0.25 = 10.05: ``act`` rejects it."""
+    g = np.array([0.0, 0.0, 0.0, 12.0, 0.0, 0.0, 1.0])
+    with pytest.raises(GridSafetyError, match=r"chart axis 3 \(modulate\) reaches \[12, 12\]"):
+        exotic.rep.act(g, exotic.states["psi"])
+    g[3] = 10.0
+    assert abs(norm(exotic.rep.act(g, exotic.states["psi"])) - 1.0) < 1e-6
+
+
+def test_safe_box_policy(gabor, gabor_wide, gabor_n2, affine, affine_n2, exotic):
+    """The box derived from each table and its state grid keeps every bound
+    the configurations once set by hand, bit for bit, where it was right:
+    Gabor |p| <= 0.8 pi / h and |q| <= the state half-width, affine
+    |b| <= 16 (half the state box), exotic |q| <= 8, and the two declared
+    scale ranges.  The exotic p and b bounds follow the same Nyquist rule as
+    Gabor's p (the hand-set |p| <= 32 was past the p period of 25.13)."""
+    free = (-np.inf, np.inf)
+
+    def nyquist(grid, j):
+        return (-0.8 * (np.pi / grid.spacings[j]), 0.8 * (np.pi / grid.spacings[j]))
+
+    h = gabor.state_grid.spacings[0]
+    x_box = gabor.proj.table.safe_box(gabor.state_grid)
+    assert x_box == ((-0.8 * (np.pi / h), 0.8 * (np.pi / h)), (-8.0, 8.0))
+    assert gabor.rep.table.safe_box(gabor.state_grid) == (free,) + x_box
+    assert lift_to_extension(gabor.proj).table.safe_box(gabor.state_grid) == (free,) + x_box
+    assert gabor_wide.proj.table.safe_box(gabor_wide.state_grid)[1] == (-10.0, 10.0)
+    assert gabor_n2.proj.table.safe_box(gabor_n2.state_grid) == (
+        (nyquist(gabor_n2.state_grid, 0),) * 2 + ((-6.0, 6.0),) * 2)
+    assert affine.rep.table.safe_box(affine.state_grid) == ((-16.0, 16.0), (1.0 / 64.0, 64.0))
+    rep, psi, _, _ = affine_n2
+    assert rep.table.safe_box(psi.grid) == ((-8.0, 8.0), (-8.0, 8.0), (1.0 / 64.0, 64.0))
+    grid = exotic.state_grid
+    # chart (t, s, b, p, q, r, a); X chart (p, q, b, a)
+    assert exotic.rep.table.safe_box(grid) == (
+        free, free, nyquist(grid, 0), nyquist(grid, 1), (-8.0, 8.0), free, (1.0 / 16.0, 16.0))
+    assert exotic.proj.table.safe_box(grid) == (
+        nyquist(grid, 1), (-8.0, 8.0), nyquist(grid, 0), (1.0 / 16.0, 16.0))
+    assert nyquist(grid, 1)[1] == pytest.approx(10.053, abs=1e-3)
+    assert nyquist(grid, 0)[1] == pytest.approx(20.106, abs=1e-3)
+
+
+# case: (configuration fixture, spec, analyzing vector, chart axis)
+LIMITS = {
+    "gabor-p-modulate": ("gabor", "proj", "gauss", 0),
+    "gabor-q-translate": ("gabor", "proj", "gauss", 1),
+    "affine-b-fourier-modulate": ("affine", "rep", "morlet", 0),
+    "exotic-p-modulate": ("exotic", "proj", "psi", 0),
+    "exotic-q-translate": ("exotic", "proj", "psi", 1),
+    "exotic-b-modulate": ("exotic", "proj", "psi", 2),
+}
+
+
+@pytest.mark.parametrize("case", LIMITS)
+def test_grid_one_cell_past_sampling_limit(case, request):
+    """For each role of a bundled rep with a sampling limit: a grid whose
+    axis ends at the limit is analyzed, and one ending one cell past it
+    raises ``GridSafetyError`` naming the axis, its role and the limit."""
+    config, spec, state, axis = LIMITS[case]
+    setup = request.getfixturevalue(config)
+    rep, psi = getattr(setup, spec), setup.states[state]
+    lo, hi = rep.table.safe_box(psi.grid)[axis]
+    # two nodes on every other axis, scales in [0.5, 2]
+    dilate = [r.kind == "dilate" for r in rep.table.roles]
+    box = [(0.5, 2.0) if d else (-1.0, 1.0) for d in dilate]
+    log_axes = tuple(i for i, d in enumerate(dilate) if d)
+
+    def grid(top, cells):
+        box[axis] = (lo, top)
+        resolution = [cells if i == axis else 2 for i in range(len(box))]
+        return haar_grid(rep.group, box, resolution, log_axes=log_axes)
+
+    assert np.all(np.isfinite(analyze(rep, psi, psi, grid(hi, 4)).coefficients))
+    kind = rep.table.roles[axis].kind
+    with pytest.raises(GridSafetyError, match=rf"chart axis {axis} \({kind}\) reaches .* past "
+                                              rf"its limit \[{lo:g}, {hi:g}\]"):
+        analyze(rep, psi, psi, grid(hi + (hi - lo) / 4, 5))
+
+
 def test_exotic_rep_scalar_action_and_unitarity(exotic, rng):
     psi = exotic.states["psi"]
     assert diff(exotic.rep.act(exotic.group.identity, psi), psi) < 1e-13
@@ -653,8 +753,7 @@ def _hand_built_spec(group, table, action):
     from groupwave.representations import UnitaryRepSpec
 
     return UnitaryRepSpec(group=group, action=action, label="hand-built", table=table,
-                          fast_coefficients=table.coefficients, fast_adjoint=table.adjoint,
-                          safe_box=((-np.inf, np.inf),) * group.dim)
+                          fast_coefficients=table.coefficients, fast_adjoint=table.adjoint)
 
 
 def _engine_against_oracle(rep, psi, phi, grid, per_node):

@@ -595,6 +595,25 @@ def test_exotic_orthogonality(exotic):
     assert rel2 < 5e-2
 
 
+@pytest.mark.parametrize("axis", [0, 2], ids=["p", "b"])
+def test_exotic_orthogonality_past_sampling_limit_raises(exotic, axis):
+    """The exotic modulations repeat with period 2 pi / h of their state
+    axis (25.13 in p, 50.27 in b on the bundled state grid), so the sampled
+    coefficient is the paper's only well inside that.  The hand-set box
+    |p| <= 32 (b free) once let ``verify``'s exotic relation grid widened to
+    p in +-30 return relerr 1.60, and to b in +-30 relerr 2.7e-2 (under the
+    5e-2 threshold, against 5.8e-7 on ``verify``'s own grid), without an
+    error.  The box derived from the state grid (|p| <= 10.05,
+    |b| <= 20.1) rejects both grids."""
+    box = [(-8.4, 8.4), (-7.2, 7.2), (-10.8, 10.8), (0.125, 8.0)]
+    box[axis] = (-30.0, 30.0)
+    grid = haar_grid(exotic.x_group, box, [24, 19, 29, 24], log_axes=(3,))
+    s = exotic.states
+    with pytest.raises(GridSafetyError, match=f"chart axis {axis} \\(modulate\\)"):
+        orthogonality_check(exotic.proj, [(s["psi"], s["psi"], s["phi"], s["phi"])],
+                            duflo_moore("exotic"), grid)
+
+
 # ---------------------------------------------------------------------------
 # kernel / reproduction / synthesis
 # ---------------------------------------------------------------------------
@@ -652,8 +671,9 @@ PAST_SAFE_BOX = ["analyze", "coefficient_energy", "admissibility", "orthogonalit
 @pytest.mark.parametrize("consumer", PAST_SAFE_BOX)
 def test_grid_one_cell_past_safe_box_raises(consumer, gabor, affine):
     """Every consumer of a grid raises ``GridSafetyError`` on a grid whose
-    last axis ends one cell past the rep's safe box (q: +-8 on Weyl-Heisenberg,
-    b: +-16 on affine), and the message names both boxes.  No consumer clips
+    q (Weyl-Heisenberg) or b (affine) axis ends one cell past the grid-safe
+    box that the rep's table derives for psi's state grid (q: +-8, b: +-16),
+    and the message names both boxes and the axis past its limit.  No consumer clips
     the grid: a clipped grid once gave ``reproduce_check`` 1.7e-3 for 2.5e-9,
     and an exotic orthogonality relation 3.1e-2 for 5.8e-7."""
     from groupwave.representations import lift_to_extension
@@ -691,8 +711,11 @@ def test_grid_one_cell_past_safe_box_raises(consumer, gabor, affine):
     with pytest.raises(GridSafetyError) as err:
         call()
     assert type(err.value) is GridSafetyError
+    state = affine.states["morlet"] if rep is affine.rep else psi
+    axis = 0 if rep is affine.rep else len(grid.box) - 1  # b, or q
     assert str(list(grid.box)) in str(err.value), err.value
-    assert str(list(rep.safe_box)) in str(err.value), err.value
+    assert str(list(rep.table.safe_box(state.grid))) in str(err.value), err.value
+    assert f"chart axis {axis} ({rep.table.roles[axis].kind})" in str(err.value), err.value
 
 
 def test_grid_of_another_group_raises(gabor, affine):
