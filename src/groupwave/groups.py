@@ -46,6 +46,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .states import frozen
+
 __all__ = [
     "GroupDescriptor",
     "QuadratureGrid",
@@ -436,9 +438,9 @@ class QuadratureGrid:
                 raise ValueError(f"axis {i}: box {list(self.box[i])} reaches below {bound}: "
                                  "its nodes violate the chart domain")
         dims = range(len(self.resolution))
-        cells = tuple(_frozen(self.cell(i)) for i in dims)
+        cells = tuple(frozen(self.cell(i)) for i in dims)
         density = np.asarray(self.group.haar_density(np.ix_(*map(self.axis, dims))), dtype=float)
-        density = _frozen(density.reshape((1,) * (len(dims) - density.ndim) + density.shape))
+        density = frozen(density.reshape((1,) * (len(dims) - density.ndim) + density.shape))
         # multiplied in the weights' order, the least factors bound every
         # weight from below, since rounding is monotone
         least = functools.reduce(np.multiply, [np.min(c) for c in cells + (density,)], 1.0)
@@ -527,12 +529,6 @@ class QuadratureGrid:
         """Lebesgue length of the cell at each node of the axis."""
         h = self.spacing(i)
         return self.axis(i) * h if i in self.log_axes else np.full(self.resolution[i], h)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only, as every grid factor is."""
-    a.setflags(write=False)
-    return a
 
 
 def _mesh_points(axes) -> np.ndarray:

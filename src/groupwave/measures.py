@@ -15,8 +15,8 @@ is ``subgroup.coordinate_section``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -110,12 +110,25 @@ def decompose_check(
 
 @dataclass(frozen=True)
 class RhoDensity:
-    """Density of a measure in the class: rho(g) = w(k-part of gamma_s^{-1} g)
-    for a fixed reference section, with w normalized over the K-chart."""
+    """Density of a measure in the class: rho(g) = w(k-part of gamma_s^{-1}(g0 g))
+    for the subgroup's coordinate section s, the ``profile`` w normalized over
+    the K-chart and g0 the ``shift`` of :func:`translate_rho` (None: identity)."""
 
-    eval: Callable[[np.ndarray], np.ndarray]
+    profile: Callable[[np.ndarray], np.ndarray]
     subgroup: RelCentralSubgroup
     label: str = "rho"
+    shift: Optional[np.ndarray] = None
+
+    def k_part(self, g) -> np.ndarray:
+        """The K part of gamma_s^{-1}(g0 g) at the chart points ``g``."""
+        g = np.asarray(g, dtype=float)
+        if self.shift is not None:
+            g = self.subgroup.ambient.product(np.broadcast_to(self.shift, g.shape), g)
+        return gamma_s_inv(self.subgroup.coordinate_section, g)[1]
+
+    def eval(self, g) -> np.ndarray:
+        """rho at the chart points ``g``."""
+        return self.profile(self.k_part(g))
 
 
 def make_rho(kind: str, subgroup: RelCentralSubgroup) -> RhoDensity:
@@ -128,7 +141,6 @@ def make_rho(kind: str, subgroup: RelCentralSubgroup) -> RhoDensity:
     identity exactly by translation invariance of Lebesgue measure.
     """
     m = subgroup.k_group.dim
-    section = subgroup.coordinate_section
     if kind == "gaussian":
         def profile(k):
             k = np.asarray(k, dtype=float)
@@ -152,22 +164,14 @@ def make_rho(kind: str, subgroup: RelCentralSubgroup) -> RhoDensity:
     else:
         raise ValueError(f"unknown density kind {kind!r} (expected gaussian|bump)")
 
-    return RhoDensity(eval=lambda g: profile(gamma_s_inv(section, g)[1]),
-                      subgroup=subgroup, label=f"rho[{kind}]")
+    return RhoDensity(profile, subgroup, f"rho[{kind}]")
 
 
 def translate_rho(rho: RhoDensity, g0) -> RhoDensity:
     """rho^g(g') = rho(g g'); the translated measure stays in the class."""
     g0 = np.asarray(g0, dtype=float)
-    G = rho.subgroup.ambient
-
-    def eval_translated(g):
-        g = np.asarray(g, dtype=float)
-        return rho.eval(G.product(np.broadcast_to(g0, g.shape), g))
-
-    return RhoDensity(
-        eval=eval_translated, subgroup=rho.subgroup, label=f"{rho.label}^g"
-    )
+    shift = g0 if rho.shift is None else rho.subgroup.ambient.product(rho.shift, g0)
+    return replace(rho, label=f"{rho.label}^g", shift=shift)
 
 
 def rho_validate(

@@ -73,8 +73,10 @@ contraction steps; in ``states`` the chirp-z factors of each scale ladder)
 is done once per grid and held in bounded ``functools.lru_cache``s of
 ``PLAN_CACHE`` entries, keyed by value (roles, chart-axis nodes, state
 grid, sign), so a rebuilt grid hits them too.  A plan is made of tuples
-and read-only arrays, since every later call shares it.  The psi side is
-cached the same way, one entry per dictionary block
+and read-only arrays computed in memory maps (``states.mapped``), since
+every later call shares it; only the analysis plan (sign -1) evaluates
+exponentials, and the adjoint's is its conjugate, bit for bit.  The psi
+side is cached the same way, one entry per dictionary block
 (``_dictionary_block``): the dilated, weighted and Fourier transformed
 psi, keyed by the dilated state axes, the transformed array axes, the
 table's ``fourier`` flag, psi's own sample bytes with their dtype and
@@ -87,8 +89,8 @@ An entry holds at most ``CHUNK`` complex samples (4 MiB) for a state of at
 most ``CHUNK`` samples, so the cache holds at most 64 MiB; the bundled grids
 take 4 KiB (Gabor, one block of the undilated psi), 1.3 MB (affine, 160
 scales of 512 samples) and 3.1 MB (exotic, 48 scales of 64^2 samples).
-Entries are filled in the calling thread and kept in anonymous memory maps
-(``states.frozen_copy``), as the plans are.
+Entries are filled in the calling thread and computed in anonymous memory
+maps (``states.mapped``), as the plans are.
 
 The blocks of one call are independent: a coefficient block writes its own
 slice of the result, and an adjoint block returns its state-sized term of
@@ -141,11 +143,14 @@ from .states import (
     DiscretizedState,
     _check_compatible,
     axis_resample,
+    conjugate_into,
+    exp_into,
     fourier_plancherel,
     frequency_grid,
-    frozen_copy,
+    frozen,
     inner,
     inverse_fourier_plancherel,
+    mapped,
     modulate,
     translate,
 )
@@ -413,9 +418,7 @@ def _workers() -> int:
                 threads = int(os.environ[var])
             except ValueError:
                 return 1
-            if threads < 1:
-                return 1
-            return max(1, usable_cpus() // threads)
+            return max(1, usable_cpus() // threads) if threads >= 1 else 1
     return 1
 
 
@@ -466,9 +469,9 @@ def _dictionary_block(dilated, moved, fourier, samples, dtype, shape, state_grid
     dilated along the state axes ``dilated`` for the scales
     ``np.frombuffer(scales)`` (the block's slice of a ladder cut in blocks
     of ``step``) and Fourier transformed along the array axes ``moved``.
-    Cached by value, read-only (see :func:`states.frozen_copy`), so a
-    rebuilt psi hits, and a hit transforms nothing; the caller folds a
-    copy."""
+    Cached by value, computed in its memory map and read-only (see
+    :func:`states.mapped`), so a rebuilt psi hits, and a hit transforms
+    nothing; the caller folds a copy."""
     a = np.frombuffer(scales)
     out = DiscretizedState(np.frombuffer(samples, dtype).reshape(shape), state_grid)
     if fourier:
@@ -477,9 +480,10 @@ def _dictionary_block(dilated, moved, fourier, samples, dtype, shape, state_grid
         out = axis_resample(out, j, a, 0.0)
     # float_power is libm's pow, as a per-scale a^{m/2} was; an array
     # ``** 2`` squares and differs in the last bit
-    block = out.samples * np.float_power(np.sqrt(a), len(dilated)).reshape(
-        (-1,) + (1,) * state_grid.dim)
-    return frozen_copy(np.fft.fftn(block, axes=moved))  # no translation role: ``block`` itself
+    weight = np.float_power(np.sqrt(a), len(dilated)).reshape((-1,) + (1,) * state_grid.dim)
+    block = np.multiply(out.samples, weight,
+                        out=mapped(np.broadcast_shapes(out.samples.shape, weight.shape)))
+    return frozen(np.fft.fftn(block, axes=moved, out=block) if moved else block)
 
 
 class _Plan(NamedTuple):
@@ -506,7 +510,10 @@ def _factor_plan(roles, axes, state_grid, sign):
     are folded into the phi side (``mods``); the other matrices are
     contraction ``steps``, translations (of the last state axis first, which
     needs no transposed copy) before modulations.  Cached by value, every
-    array read-only (see :func:`states.frozen_copy`)."""
+    array computed in its memory map and read-only (see :func:`states.mapped`);
+    the sign +1 plan is the sign -1 plan conjugated, no exponential evaluated."""
+    if sign == 1:
+        return _Plan(*_conjugated(_factor_plan(roles, axes, state_grid, -1)))
     dim = state_grid.dim
     chart, state = tuple(range(len(roles))), tuple(len(roles) + j for j in range(dim))
     moved = tuple(r.axes[0] - dim for r in roles if r.kind == "translate")
@@ -514,12 +521,12 @@ def _factor_plan(roles, axes, state_grid, sign):
     for i, r in enumerate(roles):
         g = np.frombuffer(axes[i])
         if r.kind == "phase":
-            phases += (frozen_copy(np.exp(sign * 1j * r.coef * g)), (i,))
+            phases += (frozen(exp_into(sign * 1j * r.coef, g, mapped(g.shape))), (i,))
         elif r.kind != "dilate":
             j = r.axes[0]
             x = (state_grid.axis(j) if r.kind == "modulate" else -r.coef * 2.0 * np.pi
                  * np.fft.fftfreq(state_grid.counts[j], d=state_grid.spacings[j]))
-            f = frozen_copy(np.exp(sign * 1j * np.outer(g, x)))
+            f = frozen(exp_into(sign * 1j, np.outer(g, x), mapped((len(g), len(x)))))
             if r.kind == "modulate" and j - dim in moved:
                 mods += (f, (i, state[j]))
             else:
@@ -527,6 +534,13 @@ def _factor_plan(roles, axes, state_grid, sign):
     steps.sort(key=lambda step: (roles[step[1][0]].kind == "modulate", -step[1][1]))
     return _Plan(chart, state, phases, mods, tuple(steps), moved,
                  tuple(labels[0] for labels in mods[1::2]))
+
+
+def _conjugated(part):
+    """``part`` with every array in it conjugated, read-only in a memory map."""
+    if isinstance(part, tuple):
+        return tuple(map(_conjugated, part))
+    return frozen(conjugate_into(part, mapped(part.shape))) if isinstance(part, np.ndarray) else part
 
 
 @dataclass(frozen=True)
@@ -641,15 +655,10 @@ def affine_rep(n: int = 1) -> UnitaryRepSpec:
     def action(g, state):
         g = np.asarray(g, dtype=float)
         b, a = g[:n], g[n]
-        spec = fourier_plancherel(state)
-        out = spec
+        out = fourier_plancherel(state)
         for ax in range(n):
             out = axis_resample(out, ax, a, 0.0)
-        phase = np.zeros(out.grid.counts)
-        meshes = out.grid.meshes()
-        for ax in range(n):
-            phase = phase + b[ax] * meshes[ax]
-        out = out.with_samples(out.samples * (a ** (n / 2.0)) * np.exp(1j * phase))
+        out = modulate(out.with_samples(out.samples * (a ** (n / 2.0))), b)
         return inverse_fourier_plancherel(out, state.grid)
 
     return UnitaryRepSpec(

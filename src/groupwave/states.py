@@ -239,9 +239,7 @@ def translate(state: DiscretizedState, shift) -> DiscretizedState:
     spec = np.fft.fftn(state.samples, axes=axes)
     for i in moved:
         w = 2.0 * np.pi * np.fft.fftfreq(g.counts[i], d=g.spacings[i])
-        shape = [1] * g.dim
-        shape[i] = g.counts[i]
-        spec = spec * np.exp(-1j * w.reshape(shape) * shift[i])
+        spec = spec * np.exp(-1j * w.reshape((-1,) + (1,) * (g.dim - 1 - i)) * shift[i])
     return DiscretizedState(np.fft.ifftn(spec, axes=axes), g)
 
 
@@ -256,20 +254,31 @@ def modulate(state: DiscretizedState, freq, extra_phase: float = 0.0) -> Discret
     return DiscretizedState(state.samples * np.exp(1j * phase), g)
 
 
-def frozen_copy(a: np.ndarray) -> np.ndarray:
-    """Read-only copy of ``a`` in an anonymous memory map of its own.
+def mapped(shape: tuple, dtype=complex) -> np.ndarray:
+    """``np.empty`` in an anonymous memory map of its own, for the arrays the
+    plan caches keep: on the heap they pin the memory around them (a perfbench
+    ``long_lived`` worker peaked at 314 MB resident with them, 273 MB mapped)."""
+    size = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1))
+    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
 
-    The plan caches keep their arrays for the life of the process.  On the
-    malloc heap such arrays pin the memory around them, so the heap cannot
-    give back what the large transients of later transforms used: a
-    perfbench ``long_lived`` worker (set-up, ``verify --group all``, then
-    transform passes) peaked at 314 MB resident with heap-held plans and at
-    273 MB with mapped ones (285 MB without plan caches).
-    """
-    out = np.frombuffer(mmap.mmap(-1, max(a.nbytes, 1)), dtype=a.dtype, count=a.size)
-    out = out.reshape(a.shape)
-    out[...] = a
-    out.setflags(write=False)
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+def exp_into(a, b, out: np.ndarray) -> np.ndarray:
+    """e^{a b} computed in ``out``: where the plan caches evaluate exponentials."""
+    return np.exp(np.multiply(a, b, out=out), out=out)
+
+
+def conjugate_into(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """conj(a) in ``out``, e^{-i t} bit for bit for a = e^{i t}: + 0.0 turns
+    the -0.0 imaginary part of conj(e^{+i 0}) into e^{-i 0}'s +0.0."""
+    np.conjugate(a, out=out)
+    out.imag += 0.0
     return out
 
 
@@ -280,16 +289,17 @@ def frozen_copy(a: np.ndarray) -> np.ndarray:
 PLAN_CACHE = 16
 
 
-def _chirp_factors(grid: StateGrid, axis: int, scale: np.ndarray, shift: float):
+def _chirp_factors(grid: StateGrid, axis: int, scale: np.ndarray, shift: float, empty=np.empty):
     """psi-independent factors of :func:`axis_resample` for the scales
-    ``scale`` (any shape): arrays of shape ``scale.shape + (N,)``, the
-    kernel spectrum ``scale.shape + (L,)``.
+    ``scale`` (any shape): new arrays of ``empty``, of shape ``scale.shape +
+    (N,)``, the kernel spectrum ``scale.shape + (L,)``.
 
     Evaluation point u_j = (y_j - x0)/h = u0 + scale*j turns the resampled
     series into a chirp-z transform with beta = 2 pi scale / N:
     sum_n C_n e^{i beta n (j + u0/scale)} = quad_j (K * (C lin quad))_j with
     lin_n = e^{i beta n u0/scale}, quad_n = e^{i beta n^2/2} and the kernel
-    K_r = e^{-i beta r^2/2} (Bluestein), convolved by FFTs of length L.
+    K_r = e^{-i beta r^2/2} = conj(quad_r) (Bluestein), convolved by FFTs of
+    length L.
     """
     n, h, x0 = grid.counts[axis], grid.spacings[axis], grid.offsets[axis]
     scale = scale[..., None]
@@ -297,29 +307,28 @@ def _chirp_factors(grid: StateGrid, axis: int, scale: np.ndarray, shift: float):
     u0 = (y[..., :1] - x0) / h
     beta = 2.0 * np.pi * scale / n
     ns = np.arange(n)
-    lin = np.exp(1j * beta * ns * (u0 / scale))
-    quad = np.exp(0.5j * beta * ns.astype(float) ** 2)
-    length = 1
-    while length < 2 * n - 1:
-        length *= 2
+    lin, quad, prefac = (empty(y.shape, complex) for _ in range(3))
+    exp_into(1j * beta * ns, u0 / scale, lin)
+    exp_into(0.5j * beta, ns.astype(float) ** 2, quad)
+    length = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2 N - 1
     kernel = np.zeros(scale.shape[:-1] + (length,), dtype=complex)
-    vals = np.exp(-0.5j * beta * ns.astype(float) ** 2)
-    kernel[..., :n] = vals
+    vals = conjugate_into(quad, kernel[..., :n])
     kernel[..., length - n + 1 :] = vals[..., 1:][..., ::-1]
     u = u0 + scale * ns
     # the fftshift's reordering m~ = m - N/2 leaves the phase e^{-2 pi i (N/2) u / N}
-    prefac = np.exp(-2j * np.pi * (n // 2) * u / n) / n
-    outside = (y < x0) | (y >= x0 + n * h)
-    return lin, quad, np.fft.fft(kernel), prefac, outside
+    np.divide(np.multiply(-2j * np.pi * (n // 2), u, out=prefac), n, out=prefac)
+    np.divide(np.exp(prefac, out=prefac), n, out=prefac)
+    outside = np.bitwise_or(y < x0, y >= x0 + n * h, out=empty(y.shape, bool))
+    return lin, quad, np.fft.fft(kernel, out=empty(kernel.shape, complex)), prefac, outside
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _chirp_plan(grid: StateGrid, axis: int, scale_bytes: bytes, shape: tuple, shift: float):
     """:func:`_chirp_factors` of the scale ladder
-    ``np.frombuffer(scale_bytes).reshape(shape)``, cached by value and
-    read-only since every caller shares them (see :func:`frozen_copy`)."""
+    ``np.frombuffer(scale_bytes).reshape(shape)``, cached by value, each
+    computed in its memory map and read-only (see :func:`mapped`)."""
     scale = np.frombuffer(scale_bytes).reshape(shape)
-    return tuple(frozen_copy(a) for a in _chirp_factors(grid, axis, scale, shift))
+    return tuple(frozen(f) for f in _chirp_factors(grid, axis, scale, shift, mapped))
 
 
 def axis_resample(
@@ -408,8 +417,7 @@ def morlet_state(grid: StateGrid, omega0: float = 6.0) -> DiscretizedState:
         raise ValueError("morlet_state is one-dimensional")
     x = grid.axis(0)
     raw = (np.cos(omega0 * x) - np.exp(-(omega0 ** 2) / 2.0)) * np.exp(-(x ** 2) / 2.0)
-    s = DiscretizedState(raw.astype(complex), grid)
-    return normalized(s)
+    return normalized(DiscretizedState(raw.astype(complex), grid))
 
 
 def dog_state(grid: StateGrid, order: int = 2) -> DiscretizedState:
@@ -426,9 +434,7 @@ def dog_state(grid: StateGrid, order: int = 2) -> DiscretizedState:
     fgrid = frequency_grid(grid)
     w = fgrid.axis(0)
     spec = (w ** order) * np.exp(-(w ** 2) / 2.0)
-    state = inverse_fourier_plancherel(
-        DiscretizedState(spec.astype(complex), fgrid), grid
-    )
+    state = inverse_fourier_plancherel(DiscretizedState(spec.astype(complex), fgrid), grid)
     return normalized(DiscretizedState(state.samples.real.astype(complex), grid))
 
 
@@ -448,9 +454,7 @@ def product_state(grid: StateGrid, *factors) -> DiscretizedState:
     samples = np.ones(grid.counts, dtype=complex)
     for i, f in enumerate(factors):
         vals = np.asarray(f(grid.axis(i)), dtype=complex)
-        shape = [1] * grid.dim
-        shape[i] = grid.counts[i]
-        samples = samples * vals.reshape(shape)
+        samples = samples * vals.reshape((-1,) + (1,) * (grid.dim - 1 - i))
     return normalized(DiscretizedState(samples, grid))
 
 
@@ -471,9 +475,8 @@ def random_bandlimited_state(
     for i in range(grid.dim):
         w_max = band_fraction * np.pi / grid.spacings[i]
         mask &= np.abs(meshes[i]) <= w_max
-    spec[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(
-        int(mask.sum())
-    )
+    k = int(mask.sum())
+    spec[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     if low_cut > 0.0:
         for i in range(grid.dim):
             spec[np.abs(meshes[i]) < low_cut] = 0.0

@@ -328,16 +328,16 @@ def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) ->
     each (psi, phi) of ``pairs`` streams its coefficients once
     (:meth:`ActionTable.coefficient_blocks`), the streams run in lockstep,
     and total i adds, in block order from the first block's part (so signed
-    zeros survive), the sums of ``integrands[i](c, w, at)`` -- ``c`` the
-    pairs' blocks in pair order, ``w`` the block's weights, ``at`` its slices
-    of a chart-shaped array.  A block of each stream, never a whole
+    zeros survive), the sums of the i-th array that ``integrands(c, w, at)``
+    yields -- ``c`` the pairs' blocks in pair order, ``w`` the block's
+    weights, ``at`` its slices of a chart-shaped array.  A block of each stream, never a whole
     coefficient array, is held.  :func:`analyze`'s guards apply (every psi
     nonzero, the grid guard).  The streams must share their blocks, so every
     psi has the same number of samples (``ValueError`` otherwise).  If a
     stream raises, the others are closed before the call raises.
     """
     _require_safe_box(rep, grid, [psi for psi, _ in pairs])
-    totals = [None] * len(integrands)
+    totals = None
     with contextlib.ExitStack() as stack:
         streams = [stack.enter_context(contextlib.closing(
             rep.table.coefficient_blocks(psi, phi, grid))) for psi, phi in pairs]
@@ -347,12 +347,11 @@ def _block_sums(rep: UnitaryRepSpec, pairs, grid: QuadratureGrid, integrands) ->
                 # the engine sizes its blocks by psi's sample count
                 raise ValueError("the analyzing vectors' state grids differ in size, so "
                                  "their coefficient blocks do not align")
-            c = [values for _, values in blocks]
-            for i, integrand in enumerate(integrands):
-                # a C-ordered block: the sum of one block covering the grid
-                # is that of the raveled arrays
-                part = np.sum(integrand(c, grid.slab_weights(at), at)).item()
-                totals[i] = part if totals[i] is None else totals[i] + part
+            # a C-ordered block: the sum of one block covering the grid is
+            # that of the raveled arrays
+            parts = [np.sum(part).item() for part in integrands(
+                [values for _, values in blocks], grid.slab_weights(at), at)]
+            totals = parts if totals is None else [t + p for t, p in zip(totals, parts)]
     return totals
 
 
@@ -360,7 +359,7 @@ def coefficient_energy(rep: UnitaryRepSpec, psi: DiscretizedState, phi: Discreti
                        grid: QuadratureGrid) -> float:
     """int |c_{psi,phi}|^2 dmu over ``grid``: the energy of
     :func:`analyze`'s result, streamed (:func:`_block_sums`)."""
-    return _block_sums(rep, [(psi, phi)], grid, [lambda c, w, at: np.abs(c[0]) ** 2 * w])[0]
+    return _block_sums(rep, [(psi, phi)], grid, lambda c, w, at: [np.abs(c[0]) ** 2 * w])[0]
 
 
 def orthogonality_check(
@@ -386,10 +385,9 @@ def orthogonality_check(
         pairs.setdefault((id(p1), id(f1)), (p1, f1))
         pairs.setdefault((id(p2), id(f2)), (p2, f2))
     index = {key: i for i, key in enumerate(pairs)}
-    integrands = [
-        lambda c, w, at, i=index[id(p1), id(f1)], j=index[id(p2), id(f2)]: np.conj(c[i]) * c[j] * w
-        for p1, p2, f1, f2 in relations]
-    lhs = _block_sums(rep, list(pairs.values()), grid, integrands)
+    ij = [(index[id(p1), id(f1)], index[id(p2), id(f2)]) for p1, p2, f1, f2 in relations]
+    lhs = _block_sums(rep, list(pairs.values()), grid,
+                      lambda c, w, at: (np.conj(c[i]) * c[j] * w for i, j in ij))
     return [_relation(total, *relation, dm) for total, relation in zip(lhs, relations)]
 
 
@@ -472,7 +470,7 @@ def reproduce_check(
     for i in idx:
         # row(g') = <U(g') psi, U(g_i) psi> = ||Dpsi||^2 kernel(g_i, g')*
         integ = _block_sums(rep, [(psi, rep.act(result.grid.node(i), psi))], result.grid,
-                            [lambda row, w, at: np.conj(row[0]) * f[at] * w])[0]
+                            lambda row, w, at: [np.conj(row[0]) * f[at] * w])[0]
         worst = max(worst, abs(integ / result.dm_norm ** 2 - result.coefficients[i]) / scale)
     return worst
 
@@ -520,12 +518,17 @@ def mod_K_equiv_check(
     relerr) per rho.  The left side integrates |c^U|^2 against rho over the
     G grid, rho evaluated on each block's nodes; the right side is the
     X-quadrature of the section pullback's coefficients.  Each grid streams
-    its coefficients once for all densities (:func:`_block_sums`).
+    its coefficients once for all densities (:func:`_block_sums`), and a
+    block's K part once for all densities of one subgroup and shift.
     """
-    lhs = _block_sums(rep, [(psi, phi)], g_grid, [
-        lambda c, w, at, rho=rho: (np.abs(c[0]) ** 2
-                                   * rho.eval(g_grid.slab_nodes(at)).reshape(w.shape) * w)
-        for rho in rhos])
+    keys = [(id(rho.subgroup), None if rho.shift is None else rho.shift.tobytes()) for rho in rhos]
+
+    def integrands(c, w, at):
+        nodes, energy = g_grid.slab_nodes(at), np.abs(c[0]) ** 2
+        k = {key: rho.k_part(nodes) for key, rho in dict(zip(keys, rhos)).items()}
+        return (energy * rho.profile(k[key]).reshape(w.shape) * w for key, rho in zip(keys, rhos))
+
+    lhs = _block_sums(rep, [(psi, phi)], g_grid, integrands)
     rhs = coefficient_energy(proj_rep, psi, phi, x_grid)
     return [(total, rhs, abs(total - rhs) / max(abs(total), abs(rhs), 1e-300)) for total in lhs]
 

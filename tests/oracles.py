@@ -3,7 +3,9 @@
 Each one computes a quantity of the paper literally, by G-chart products
 at every point, where the library takes a shorter path (or, for the
 covariant extension, stores only its section trace).  The CSV writers are
-pinned by the edge values of their ``%.17g`` text.
+pinned by the edge values of their ``%.17g`` text, and the cached plan
+arrays by their defining exponentials, which the library evaluates only
+for the analysis side.
 """
 
 import numpy as np
@@ -84,3 +86,47 @@ FLOAT_TEXT_EDGES = [
     5e-324, 1e-300, 1e300,  # outside the kernel's exponent range: Python's %
     0.0, -0.0,  # Python's %
 ]
+
+
+def factor_plan_arrays(roles, axes, state_grid, sign) -> dict:
+    """The arrays of the engine's contraction plan by their defining
+    formulas, keyed by the chart axis of their role: e^{sign i c g} for a
+    phase role, e^{sign i g x_j} over (g, x_j) for a modulation and
+    e^{-sign i c g w_k} over (g, w_k) for a translation, ``axes`` holding
+    each chart axis's nodes as bytes."""
+    out = {}
+    for i, r in enumerate(roles):
+        g = np.frombuffer(axes[i])
+        if r.kind == "phase":
+            out[i] = np.exp(sign * 1j * r.coef * g)
+        elif r.kind != "dilate":
+            j = r.axes[0]
+            x = (state_grid.axis(j) if r.kind == "modulate" else -r.coef * 2.0 * np.pi
+                 * np.fft.fftfreq(state_grid.counts[j], d=state_grid.spacings[j]))
+            out[i] = np.exp(sign * 1j * np.outer(g, x))
+    return out
+
+
+def chirp_factors(grid, axis, scale, shift):
+    """(lin, quad, FFT of the kernel, prefac, outside) of the Bluestein
+    resampling by their defining formulas, three exponentials evaluated
+    (see ``states._chirp_factors``)."""
+    n, h, x0 = grid.counts[axis], grid.spacings[axis], grid.offsets[axis]
+    scale = scale[..., None]
+    y = scale * grid.axis(axis) + shift
+    u0 = (y[..., :1] - x0) / h
+    beta = 2.0 * np.pi * scale / n
+    ns = np.arange(n)
+    lin = np.exp(1j * beta * ns * (u0 / scale))
+    quad = np.exp(0.5j * beta * ns.astype(float) ** 2)
+    length = 1
+    while length < 2 * n - 1:
+        length *= 2
+    kernel = np.zeros(scale.shape[:-1] + (length,), dtype=complex)
+    vals = np.exp(-0.5j * beta * ns.astype(float) ** 2)
+    kernel[..., :n] = vals
+    kernel[..., length - n + 1 :] = vals[..., 1:][..., ::-1]
+    u = u0 + scale * ns
+    prefac = np.exp(-2j * np.pi * (n // 2) * u / n) / n
+    outside = (y < x0) | (y >= x0 + n * h)
+    return lin, quad, np.fft.fft(kernel), prefac, outside

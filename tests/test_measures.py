@@ -145,7 +145,7 @@ def test_rho_translate_and_convexity(gabor, rng):
     )
     rho_b = make_rho("bump", sub)
     mix = RhoDensity(
-        eval=lambda g: 0.3 * rho_g.eval(g) + 0.7 * rho_b.eval(g),
+        profile=lambda k: 0.3 * rho_g.profile(k) + 0.7 * rho_b.profile(k),
         subgroup=sub,
         label="mix",
     )
@@ -156,7 +156,7 @@ def test_constant_density_rejected(gabor, rng):
     # the constant function integrates to the K-box measure, which grows
     # without bound: it belongs to no measure of the class
     sub = gabor.subgroup
-    const = RhoDensity(eval=lambda g: np.ones(np.asarray(g).shape[:-1]), subgroup=sub)
+    const = RhoDensity(profile=lambda k: np.ones(np.asarray(k).shape[:-1]), subgroup=sub)
     xs = np.zeros((1, 2))
     defects = []
     for box in (4.0, 8.0, 16.0):

@@ -603,6 +603,95 @@ def test_plan_caches_stay_bounded(affine):
         assert info.currsize == info.maxsize == states.PLAN_CACHE
 
 
+@pytest.fixture(scope="module")
+def plan_cases(gabor, gabor_n2, affine, affine_n2, exotic):
+    """(rep, psi, phi, grid) of every engine configuration the benchmark
+    runs, and of the two-axis dilation of ``affine_n2``."""
+    from groupwave import configs
+
+    reduced = configs.exotic_setup(x_resolution=(4, 4, 4, 4))
+    wh2_psi = gaussian_state(gabor_n2.state_grid)
+    return {
+        "gabor": (gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], gabor.x_grid),
+        "wh_n2": (gabor_n2.proj, wh2_psi, gaussian_state(gabor_n2.state_grid, center=[0.5, -0.3]),
+                  gabor_n2.x_grid),
+        "affine": (affine.rep, affine.states["morlet"], affine.states["signal"], affine.x_grid),
+        "affine_n2": affine_n2,
+        "exotic": (exotic.proj, exotic.states["psi"], exotic.states["phi"], exotic.x_grid),
+        "exotic_4^4": (reduced.proj, reduced.states["psi"], reduced.states["phi"],
+                       reduced.x_grid),
+    }
+
+
+def _plan_arrays(plan) -> dict:
+    """The arrays of an engine plan, keyed by the chart axis of their role."""
+    parts = (list(zip(plan.phases[::2], plan.phases[1::2]))
+             + list(zip(plan.mods[::2], plan.mods[1::2])) + list(plan.steps))
+    return {labels[0]: a for a, labels in parts}
+
+
+def test_plans_and_chirp_factors_match_their_formulas_bit_for_bit(plan_cases, affine):
+    """Every array of both signs' engine plans, and every chirp-z factor of
+    the scale ladders the engine dilates by, has the bytes of its defining
+    formula (``oracles``), on every benchmark configuration: the adjoint's
+    plan, the conjugate of the analysis plan, keeps e^{+i 0} = (1, +0.0)."""
+    from groupwave import representations, states
+    from oracles import chirp_factors, factor_plan_arrays
+
+    for name, (rep, psi, _, grid) in plan_cases.items():
+        table = rep.table
+        domain = states.frequency_grid(psi.grid) if table.fourier else psi.grid
+        axes = tuple(grid.axis(i).tobytes() for i in range(len(table.roles)))
+        for sign in (-1, 1):
+            got = _plan_arrays(table._plan(grid, domain, sign))
+            want = factor_plan_arrays(table.roles, axes, domain, sign)
+            assert got.keys() == want.keys(), (name, sign)
+            for i, a in want.items():
+                assert (got[i].shape, got[i].tobytes()) == (a.shape, a.tobytes()), (name, sign, i)
+        dil = [r for r in table.roles if r.kind == "dilate"]
+        if dil:
+            step = max(1, representations.CHUNK // psi.samples.size)
+            scales = grid.axis(table.roles.index(dil[0]))
+            for d0 in range(0, len(scales), step):
+                block = scales[d0 : d0 + step]
+                for j in dil[0].axes:
+                    got = states._chirp_plan(domain, j, block.tobytes(), block.shape, 0.0)
+                    for g, w in zip(got, chirp_factors(domain, j, block, 0.0)):
+                        assert (g.shape, g.tobytes()) == (w.shape, w.tobytes()), (name, j)
+    for scale in (np.float64(1.7), np.geomspace(0.2, 5.0, 7)):  # one node's action; a ladder
+        got = states._chirp_factors(affine.state_grid, 0, scale, 0.3)
+        for g, w in zip(got, chirp_factors(affine.state_grid, 0, scale, 0.3)):
+            assert (g.shape, g.tobytes()) == (w.shape, w.tobytes())
+
+
+@pytest.mark.parametrize("config", ["gabor", "affine", "exotic_4^4"])
+def test_adjoint_plan_is_the_conjugated_analysis_plan(config, plan_cases, monkeypatch):
+    """After analyze, synthesize on the same grid evaluates no exponential
+    (``exp_into`` is where the plans evaluate them): its plan is the
+    analysis plan conjugated, read-only, with the bits of a synthesize on
+    cold plan caches."""
+    from groupwave import representations, states
+
+    rep, psi, phi, grid = plan_cases[config]
+    calls, evaluate = [], representations.exp_into
+    monkeypatch.setattr(representations, "exp_into",
+                        lambda a, b, out: calls.append(out.shape) or evaluate(a, b, out))
+    representations._factor_plan.cache_clear()
+    res = analyze(rep, psi, phi, grid, dm_norm=1.0)
+    assert calls  # the analysis plan evaluated its exponentials here
+    representations._factor_plan.cache_clear()
+    cold = synthesize(res, rep, psi)
+    representations._factor_plan.cache_clear()
+    analyze(rep, psi, phi, grid, dm_norm=1.0)
+    calls.clear()
+    warm = synthesize(res, rep, psi)
+    assert calls == []
+    assert warm.samples.tobytes() == cold.samples.tobytes()
+    domain = states.frequency_grid(psi.grid) if rep.table.fourier else psi.grid
+    adjoint_plan = _plan_arrays(rep.table._plan(grid, domain, 1))
+    assert not any(a.flags.writeable for a in adjoint_plan.values())
+
+
 def test_single_scale_bypasses_plan_cache(affine, exotic):
     from groupwave import states
 

@@ -944,6 +944,30 @@ def test_mod_K_equiv_check_analyzes_each_grid_once(gabor, monkeypatch):
     assert len(grids) == 2 and grids[0] is g_grid and grids[1] is x_grid
 
 
+def test_mod_K_equiv_check_takes_each_blocks_K_part_once(gabor, monkeypatch):
+    """The densities of make_rho share one gamma_s^{-1} per block of G
+    nodes; a translated density evaluates its own.  Each triple is that of
+    a one-density call."""
+    from groupwave import measures, representations
+    from groupwave.measures import translate_rho
+
+    monkeypatch.setattr(representations, "CHUNK", 1024)
+    sub = gabor.subgroup
+    g_grid = haar_grid(gabor.group, [(-4, 4), (-3, 3), (-3, 3)], [32, 8, 8])
+    x_grid = haar_grid(gabor.x_group, [(-3, 3)] * 2, [8] * 2)
+    rho_g = make_rho("gaussian", sub)
+    rhos = [rho_g, make_rho("bump", sub), translate_rho(rho_g, np.array([1.0, 0.4, -0.2]))]
+    psi, phi = gabor.states["gauss"], gabor.states["hermite1"]
+    alone = [mod_K_equiv_check(gabor.rep, [rho], psi, phi, g_grid, x_grid, gabor.proj)[0]
+             for rho in rhos]
+    blocks = len(_slabs(gabor.rep, psi, phi, g_grid))
+    calls, inverse = [], measures.gamma_s_inv
+    monkeypatch.setattr(measures, "gamma_s_inv",
+                        lambda section, g: calls.append(len(g)) or inverse(section, g))
+    assert mod_K_equiv_check(gabor.rep, rhos, psi, phi, g_grid, x_grid, gabor.proj) == alone
+    assert blocks > 1 and len(calls) == 2 * blocks  # shared, and the translated density's
+
+
 def test_mod_K_zero_phi(gabor):
     sub = gabor.subgroup
     zero = DiscretizedState(
