@@ -142,23 +142,19 @@ def cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def _analysis_setup(group: str, psi_kind: str, psi_file):
-    setup = configs.gabor_setup() if group == "gabor" else configs.affine_setup()
+def _analysis_setup(args):
+    setup = configs.gabor_setup() if args.group == "gabor" else configs.affine_setup()
     state_grid = setup.state_grid
-    if psi_kind == "gaussian":
-        psi = gaussian_state(state_grid)
-    elif psi_kind == "morlet":
-        psi = morlet_state(state_grid)
+    if args.psi == "file":
+        psi = _read_signal(args.psi_file, state_grid, "--psi-file")
     else:
-        if not psi_file:
-            raise ValueError("--psi file requires --psi-file")
-        psi = _read_signal(psi_file, state_grid, "--psi-file")
-    rep = setup.proj if group == "gabor" else setup.rep
-    return rep, setup.x_grid, state_grid, duflo_moore(group), psi
+        psi = {"gaussian": gaussian_state, "morlet": morlet_state}[args.psi](state_grid)
+    rep = setup.proj if args.group == "gabor" else setup.rep
+    return rep, setup.x_grid, state_grid, duflo_moore(args.group), psi
 
 
 def cmd_analyze(args) -> int:
-    rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
+    rep, grid, state_grid, dm, psi = _analysis_setup(args)
     phi = (load_state_csv(args.input, state_grid) if args.assume_grid
            else _read_signal(args.input, state_grid, "input signal"))
     result = analyze(rep, psi, phi, grid, dm_norm=dm.norm_of(psi))
@@ -187,7 +183,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    rep, grid, state_grid, dm, psi = _analysis_setup(args.group, args.psi, args.psi_file)
+    rep, grid, state_grid, dm, psi = _analysis_setup(args)
     result = load_result_csv(args.coefficients, grid)
     ref = _read_signal(args.reference, state_grid, "--reference") if args.reference else None
     # coefficients synthesize correctly only with the rep and psi that made them
@@ -309,6 +305,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _add_psi_source(p) -> None:
+    """The analyzing vector: a bundled one by name or a psi CSV, not both."""
+    psi = p.add_mutually_exclusive_group()
+    psi.add_argument("--psi", choices=["gaussian", "morlet"])
+    psi.add_argument("--psi-file", help="psi CSV (index,x,re,im)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupwave",
@@ -333,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="signal CSV -> coefficient CSV")
     p.add_argument("--group", choices=["gabor", "affine"], required=True)
-    p.add_argument("--psi", choices=["gaussian", "morlet", "file"], default=None)
-    p.add_argument("--psi-file", default=None, help="psi CSV, read only with --psi file")
+    _add_psi_source(p)
     p.add_argument("--input", required=True, help="signal CSV (index,x,re,im)")
     p.add_argument("--output", required=True, help="output path prefix")
     p.add_argument("--assume-grid", action="store_true",
@@ -343,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="coefficient CSV -> signal CSV")
     p.add_argument("--group", choices=["gabor", "affine"], required=True)
-    p.add_argument("--psi", choices=["gaussian", "morlet", "file"], default=None)
-    p.add_argument("--psi-file", default=None, help="psi CSV, read only with --psi file")
+    _add_psi_source(p)
     p.add_argument("--coefficients", required=True, help="coefficient path prefix")
     p.add_argument("--output", required=True, help="signal CSV path")
     p.add_argument("--reference", default=None, help="original signal for round-trip error")
@@ -365,13 +366,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code) if exc.code is not None else 2
-    analysis = args.command in ("analyze", "synthesize")
-    if analysis and args.psi_file is not None and args.psi != "file":
-        return _fail_usage("--psi-file is read only with --psi file; without it the default "
-                           "analyzing vector would be used and the file ignored")
-    # default analyzing vector per group; verify adds a psi check only on request
-    if analysis and args.psi is None:
-        args.psi = {"gabor": "gaussian", "affine": "morlet"}[args.group]
+    # a psi file is recorded as "file", else the default analyzing vector per
+    # group; verify adds a psi check only on request
+    if args.command in ("analyze", "synthesize") and args.psi is None:
+        args.psi = ("file" if args.psi_file is not None
+                    else {"gabor": "gaussian", "affine": "morlet"}[args.group])
     # the CLI's one error boundary: bad input and unreadable or unwritable
     # files exit 2 with the message, whichever layer raised it
     try:

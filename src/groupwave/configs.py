@@ -5,16 +5,15 @@ vectors).
 
 All grids and vectors here are tuned so the shipped verification suites
 meet their tolerances.  A function takes a parameter only where a caller
-needs a second value: the Gabor state and X grids and its n, the exotic
-state grid and X resolution, and the number of nested affine grids; every
-other value is a constant here.  The Gabor central parameter is the
-constant -1, since ``transforms.duflo_moore("gabor")`` is the identity only
-for |kc| = 1.  The exotic configuration is the paper's worked example with
-n = 1 and k = 0, the one case in which its display is a homomorphism, so it
-has no n or k to set.  Each relatively central subgroup is declared by its
-chart axes alone (``RelCentralSubgroup.k_group`` is derived from them).  A
-setup's ``group`` is its rep's ``group``, and the ambient group of its
-subgroup, one object.
+outside the tests needs a second value: the Gabor state and X grids and its
+n, and the exotic X resolution; every other value is a constant here.  The
+Gabor central parameter is the constant -1, since
+``transforms.duflo_moore("gabor")`` is the identity only for |kc| = 1.  The
+exotic configuration is the paper's worked example with n = 1 and k = 0,
+the one case in which its display is a homomorphism, so it has no n or k to
+set.  Each relatively central subgroup is declared by its chart axes alone
+(``RelCentralSubgroup.k_group`` is derived from them).  A setup's ``group``
+is its rep's ``group``, and the ambient group of its subgroup, one object.
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ def gabor_setup(
         states["gauss"] = hermite_state(state_grid, 0)
         states["hermite1"] = hermite_state(state_grid, 1)
         states["hermite2"] = hermite_state(state_grid, 2)
-        states["hermite3"] = hermite_state(state_grid, 3)
         mix = hermite_state(state_grid, 0).samples + hermite_state(state_grid, 1).samples
         states["mix"] = DiscretizedState(mix / np.sqrt(2.0), state_grid)
 
@@ -163,7 +161,7 @@ def affine_setup() -> AffineSetup:
     x_grid = haar_grid(rep.group, [(-14.0, 14.0), (1.0 / 16.0, 8.0)], [160, 160], log_axes=(1,))
     rng = np.random.default_rng(2024)
     states = {
-        "morlet": morlet_state(state_grid, omega0=6.0),
+        "morlet": morlet_state(state_grid),
         "gauss": gaussian_state(state_grid),
         "dog2": dog_state(state_grid, 2),
         "dog4": dog_state(state_grid, 4),
@@ -181,14 +179,14 @@ def affine_setup() -> AffineSetup:
     )
 
 
-def affine_nested_grids(setup: AffineSetup, levels: int = 5) -> list[QuadratureGrid]:
-    """Disjoint scale slabs whose unions are the nested boxes
-    [0.5 / 2^j, 6] x b in [-14, 14]: a base grid over a in [0.5, 6] (96
-    scales) followed by one octave slab (24 scales) per extra level, all with
-    geometric scale ladders and 128 b nodes.  Feed to
+def affine_nested_grids(setup: AffineSetup) -> list[QuadratureGrid]:
+    """Six disjoint scale slabs whose unions are the nested boxes
+    [0.5 / 2^j, 6] x b in [-14, 14], j = 0..5: a base grid over a in
+    [0.5, 6] (96 scales) followed by one octave slab (24 scales) per level,
+    all with geometric scale ladders and 128 b nodes.  Feed to
     :func:`transforms.admissibility`, which accumulates their energies into
     nested partial integrals."""
-    slabs = [((0.5, 6.0), 96)] + [((0.5 / 2.0 ** j, 1.0 / 2.0 ** j), 24) for j in range(1, levels)]
+    slabs = [((0.5, 6.0), 96)] + [((0.5 / 2.0 ** j, 1.0 / 2.0 ** j), 24) for j in range(1, 6)]
     return [haar_grid(setup.group, [(-14.0, 14.0), a_box], [128, a_resolution], log_axes=(1,))
             for a_box, a_resolution in slabs]
 
@@ -212,14 +210,9 @@ class ExoticSetup:
     states: dict = field(default_factory=dict)
 
 
-def exotic_setup(
-    b_length: float = 8.0,
-    b_points: int = 64,
-    p_points: int = 64,
-    x_resolution: tuple = (40, 32, 48, 48),
-) -> ExoticSetup:
+def exotic_setup(x_resolution: tuple = (40, 32, 48, 48)) -> ExoticSetup:
     """The worked example for n = 1 at k = 0: chi(t, s, r) = e^{it}.  The
-    state grid is (0, b_length] x [-8, 8]; the X grid covers
+    state grid is (0, 8] x [-8, 8], 64 x 64 samples; the X grid covers
     p in [-7, 7], q in [-6, 6], b in [-9, 9] and a in [1/8, 8]."""
     rep = exotic_rep()
     x_group = make_exotic_quotient(1)
@@ -241,9 +234,7 @@ def exotic_setup(
 
     proj = projective_from_section(rep, section)
 
-    state_grid = product_grid(
-        halfline_grid(b_length, b_points), centered_grid(8.0, p_points, dim=1)
-    )
+    state_grid = product_grid(halfline_grid(8.0, 64), centered_grid(8.0, 64, dim=1))
     x_grid = haar_grid(
         x_group, [(-7.0, 7.0), (-6.0, 6.0), (-9.0, 9.0), (0.125, 8.0)], list(x_resolution),
         log_axes=(3,),

@@ -191,13 +191,12 @@ def make_standard_wh(n: int) -> GroupDescriptor:
     )
 
 
-def delta_iso(g, n: int | None = None):
+def delta_iso(g):
     """Isomorphism H_n -> H'_n:  (k, p, q) |-> (k + p.q/2, p, q) on chart
-    coordinates (..., 2n + 1); ``n`` defaults to the one the last axis implies.
+    coordinates (..., 2n + 1), with n read from the last axis.
     """
     coords = np.asarray(g, dtype=float)
-    if n is None:
-        n = (coords.shape[-1] - 1) // 2
+    n = (coords.shape[-1] - 1) // 2
     out = coords.copy()
     out[..., 0] = coords[..., 0] + 0.5 * _dot(
         coords[..., 1 : 1 + n], coords[..., 1 + n :]
@@ -503,11 +502,6 @@ class QuadratureGrid:
             total += float(np.sum(f(_mesh_points(axes)) * self.slab_weights(at).ravel()))
         return total
 
-    def node_blocks(self):
-        """Yield (slice, self.nodes[slice]) over :meth:`axis_blocks`."""
-        for sl, _, axes in self.axis_blocks():
-            yield sl, _mesh_points(axes)
-
     def slab_nodes(self, at) -> np.ndarray:
         """Chart points of the nodes that ``at`` (one slice per axis) cuts
         out of a chart-shaped array, in C order."""
@@ -573,14 +567,9 @@ def haar_grid(
 # ---------------------------------------------------------------------------
 
 
-def random_chart_points(
-    group: GroupDescriptor,
-    rng: np.random.Generator,
-    count: int,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> np.ndarray:
-    """``count`` uniform points of ``box``, by default the group's sample box."""
-    lo, hi = np.asarray(group.sample_box if box is None else box, dtype=float).T
+def random_chart_points(group: GroupDescriptor, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniform points of the group's sample box."""
+    lo, hi = np.asarray(group.sample_box, dtype=float).T
     return lo + (hi - lo) * rng.random((count, group.dim))
 
 

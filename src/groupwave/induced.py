@@ -114,7 +114,8 @@ def left_reg_m(
     x0_inv = X.inverse(x0)
     moved = _apply_x_translation(X, x0_inv, values, grid).reshape(-1)
     out = np.empty(grid.n_nodes, dtype=complex)
-    for sl, nodes in grid.node_blocks():
+    for sl, at, _ in grid.axis_blocks():
+        nodes = grid.slab_nodes(at)
         args = X.product(np.broadcast_to(x0_inv, nodes.shape), nodes)
         phase = np.exp(-1j * np.asarray(m.phase(x0, args)))
         np.multiply(phase, moved[sl], out=out[sl])
@@ -132,14 +133,11 @@ def intertwine_defect(
     """max over test states v and group elements g of
     ||A U_left(g) v - U_right(g) A v|| / ||A v||.
 
-    ``g`` is one element or a sequence of them; A v is computed once per test
+    ``g`` is a sequence of group elements; A v is computed once per test
     state.  A maps states to X-grid functions; U_right acts on X-grid
     functions.
     """
-    elements = np.asarray(g, dtype=float)
-    if elements.ndim == 1:
-        elements = elements[None]
-    worst = 0.0
+    elements, worst = np.asarray(g, dtype=float), 0.0
     for v in test_states:
         a_v = np.asarray(A(v))
         scale = max(xgrid_norm(a_v, grid), 1e-300)

@@ -193,21 +193,11 @@ def check_normalization(m: Multiplier, points: np.ndarray) -> float:
     return float(max(d1, d2))
 
 
-def check_cocycle(
-    m: Multiplier,
-    trials: int = 200,
-    rng: np.random.Generator | None = None,
-    points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """max phase defect of m(x1, x2 x3) m(x2, x3) = m(x1 x2, x3) m(x1, x2),
-    at ``points`` (x1, x2, x3) or at ``trials`` points of each drawn from
-    ``rng``; one of the two must be given."""
+def check_cocycle(m: Multiplier, trials: int, rng: np.random.Generator) -> float:
+    """max phase defect of m(x1, x2 x3) m(x2, x3) = m(x1 x2, x3) m(x1, x2)
+    at ``trials`` points x1, x2, x3 each, drawn from ``rng``."""
     X = m.base_group
-    if points is None:
-        if rng is None:
-            raise TypeError("check_cocycle needs rng or points")
-        points = [random_chart_points(X, rng, trials) for _ in range(3)]
-    x1, x2, x3 = points
+    x1, x2, x3 = (random_chart_points(X, rng, trials) for _ in range(3))
     lhs = m.phase(x1, X.product(x2, x3)) + m.phase(x2, x3)
     rhs = m.phase(X.product(x1, x2), x3) + m.phase(x1, x2)
     return float(np.max(phase_distance(lhs, rhs)))

@@ -404,19 +404,19 @@ def hermite_state(grid: StateGrid, k: int) -> DiscretizedState:
     return DiscretizedState(h.astype(complex), grid)
 
 
-def morlet_state(grid: StateGrid, omega0: float = 6.0) -> DiscretizedState:
+def morlet_state(grid: StateGrid) -> DiscretizedState:
     """Real Morlet wavelet with exact zero mean.
 
-    (cos(w0 x) - e^{-w0^2/2}) e^{-x^2/2}, grid-normalized to unit L2 norm.
-    The correction term makes the Fourier transform vanish exactly at w = 0,
-    which is what the wavelet admissibility condition needs; the default
-    carrier frequency keeps the spectrum clear of the |w|^{-1/2} kink of the
-    scale-side Duflo-Moore symbol.
+    (cos(w0 x) - e^{-w0^2/2}) e^{-x^2/2} with w0 = 6, grid-normalized to unit
+    L2 norm.  The correction term makes the Fourier transform vanish exactly
+    at w = 0, which is what the wavelet admissibility condition needs; the
+    carrier frequency 6 keeps the spectrum clear of the |w|^{-1/2} kink of
+    the scale-side Duflo-Moore symbol.
     """
     if grid.dim != 1:
         raise ValueError("morlet_state is one-dimensional")
     x = grid.axis(0)
-    raw = (np.cos(omega0 * x) - np.exp(-(omega0 ** 2) / 2.0)) * np.exp(-(x ** 2) / 2.0)
+    raw = (np.cos(6.0 * x) - np.exp(-18.0)) * np.exp(-(x ** 2) / 2.0)
     return normalized(DiscretizedState(raw.astype(complex), grid))
 
 

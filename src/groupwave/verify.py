@@ -132,8 +132,8 @@ def gabor_suite(seed: int = 0) -> list[Check]:
     g, h = random_chart_points(Hs, rng, 1000), random_chart_points(Hs, rng, 1000)
     hom = np.max(
         np.abs(
-            delta_iso(Hs.product(g, h), 1)
-            - setup.group.product(delta_iso(g, 1), delta_iso(h, 1))
+            delta_iso(Hs.product(g, h))
+            - setup.group.product(delta_iso(g), delta_iso(h))
         )
     )
     checks.append(Check("delta isomorphism: homomorphism", float(hom), 1e-12))
@@ -365,7 +365,7 @@ def affine_suite(seed: int = 0, psi_kind: str | None = None) -> list[Check]:
         Check("affine DM: fitted kappa vs sqrt(pi)", abs(cal["kappa"] / dm.meta["kappa"] - 1.0), 5e-3)
     )
 
-    grids = configs.affine_nested_grids(setup, levels=6)
+    grids = configs.affine_nested_grids(setup)
     rep_m = admissibility(setup.rep, s["morlet"], grids)
     psi_hat = fourier_plancherel(s["morlet"])
     w, dw = psi_hat.grid.axis(0), psi_hat.grid.spacings[0]
@@ -563,22 +563,27 @@ def _receive(name: str, proc, conn) -> list[dict]:
 
 
 def _can_fork(groups: list[str]) -> bool:
-    """Whether the suites after the first may run in a forked child: more
-    than one suite, more than one usable CPU, no other thread alive (a
-    forked child inherits only the calling thread, and a lock another
-    thread holds would stay held in it), none of those suites wrapped by
-    an instrument such as a tracer or profiler (``__wrapped__``, as
-    ``functools.wraps`` sets it: what it records in a child would be lost),
-    the platform has ``fork``, and this is no daemonic ``multiprocessing``
-    worker (which may not start children).  ``multiprocessing`` (about
-    4 ms) is imported here, never at import."""
-    if (len(groups) < 2 or usable_cpus() < 2 or threading.active_count() > 1
-            or any(hasattr(SUITE_NAMES[name], "__wrapped__") for name in groups[1:])):
+    """Whether the suites after the first may run in a forked child.  With
+    one suite or one usable CPU a child gains nothing; every other reason to
+    run serially (another live thread, a suite wrapped by an instrument such
+    as a tracer or profiler, which ``functools.wraps`` marks with
+    ``__wrapped__``, or no usable ``fork``) is logged at INFO.
+    ``multiprocessing`` (about 4 ms) is imported here, never at import."""
+    if len(groups) < 2 or usable_cpus() < 2:
         return False
-    import multiprocessing
+    if threading.active_count() > 1:
+        reason = "another thread is alive, and a forked child would keep the locks it holds"
+    elif any(hasattr(SUITE_NAMES[name], "__wrapped__") for name in groups[1:]):
+        reason = "a suite is instrumented, and what it records in a child would be lost"
+    else:
+        import multiprocessing
 
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon)
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return True
+        reason = "this process cannot fork (no fork start method, or a daemonic worker)"
+    _log.info("verify: running %s in this process: %s", ", ".join(groups), reason)
+    return False
 
 
 def _checks_by_suite(groups: list[str], seed: int, psi_kind: str | None) -> dict:

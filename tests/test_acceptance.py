@@ -105,8 +105,8 @@ def test_criterion_01_algebraic_suite(gabor, exotic, rng):
         float(
             np.max(
                 np.abs(
-                    delta_iso(Hs.product(g, h), 1)
-                    - gabor.group.product(delta_iso(g, 1), delta_iso(h, 1))
+                    delta_iso(Hs.product(g, h))
+                    - gabor.group.product(delta_iso(g), delta_iso(h))
                 )
             )
         ),
@@ -180,7 +180,7 @@ def test_criterion_04_gabor_isometry_round_trip(gabor, rng):
 
 def test_criterion_05_affine_admissibility_dichotomy(affine):
     dm = duflo_moore("affine")
-    grids = configs.affine_nested_grids(affine, levels=6)
+    grids = configs.affine_nested_grids(affine)
     rep_m = admissibility(affine.rep, affine.states["morlet"], grids)
     psi_hat = fourier_plancherel(affine.states["morlet"])
     w, dw = psi_hat.grid.axis(0), psi_hat.grid.spacings[0]
@@ -313,7 +313,7 @@ def test_criterion_12_intertwining(gabor_wide, rng):
                 C,
                 lambda x, v: gabor_wide.proj.act(x, v),
                 lambda x, F: left_reg_m(gabor_wide.proj.multiplier, x, F, grid),
-                x0, tests, grid,
+                [x0], tests, grid,
             ),
         )
         g = np.concatenate([rng.uniform(-2, 2, 1), rng.uniform(-1.5, 1.5, 2)])
@@ -323,7 +323,7 @@ def test_criterion_12_intertwining(gabor_wide, rng):
                 C,
                 lambda gg, v: gabor_wide.rep.act(gg, v),
                 lambda gg, F: R_chi_s(gabor_wide.section, gg, F, grid),
-                g, tests, grid,
+                [g], tests, grid,
             ),
         )
     report(12, "C_psi P_s = R^m C_psi at 20 random elements", worst_m, 1e-6,

@@ -191,26 +191,32 @@ def test_verify_psi_without_affine_suite_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize"])
-def test_psi_file_without_psi_file_kind_is_a_usage_error(command, tmp_path, capsys):
-    """--psi-file is read only with --psi file: without it the default psi
-    would be used and the file silently ignored."""
+def test_psi_comes_from_psi_or_psi_file(command, tmp_path, capsys):
+    """The analyzing vector comes from --psi or --psi-file, never both:
+    the pair, and the retired ``--psi file``, exit 2 before any file is
+    written; --psi-file alone is read, and the report records it as
+    "file"."""
     setup = gabor_setup()
     sig, psi_csv = tmp_path / "sig.csv", tmp_path / "psi.csv"
     save_state_csv(sig, setup.states["hermite2"])
-    save_state_csv(psi_csv, setup.states["gauss"])
+    save_state_csv(psi_csv, setup.states["hermite1"])
     prefix, out = str(tmp_path / "coef"), tmp_path / "out"
+    assert main(["analyze", "--group", "gabor", "--psi-file", str(psi_csv), "--input", str(sig),
+                 "--output", prefix]) == 0
+    with open(prefix + ".report.json") as fh:
+        assert json.load(fh)["psi"] == "file"
     if command == "analyze":
-        argv = ["analyze", "--group", "gabor", "--input", str(sig), "--assume-grid",
-                "--output", str(out)]
+        argv = ["analyze", "--group", "gabor", "--input", str(sig), "--output", str(out)]
     else:
-        assert main(["analyze", "--group", "gabor", "--input", str(sig), "--assume-grid",
-                     "--output", prefix]) == 0
         argv = ["synthesize", "--group", "gabor", "--coefficients", prefix, "--output", str(out)]
     capsys.readouterr()
-    for psi in ([], ["--psi", "gaussian"]):
-        assert main(argv + psi + ["--psi-file", str(psi_csv)]) == 2
-        assert "--psi-file" in capsys.readouterr().err
+    assert main(argv + ["--psi", "gaussian", "--psi-file", str(psi_csv)]) == 2
+    assert "argument --psi-file: not allowed with argument --psi" in capsys.readouterr().err
+    assert main(argv + ["--psi", "file", "--psi-file", str(psi_csv)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --psi: invalid choice" in err and "file" in err
     assert not list(tmp_path.glob("out*"))
+    assert main(argv + ["--psi-file", str(psi_csv)]) == 0
 
 
 def test_verify_without_psi_adds_no_psi_check(tmp_path):
@@ -433,8 +439,7 @@ def test_analyze_rejects_psi_file_on_another_grid(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     save_state_csv(sig, gabor_setup().states["hermite2"])
     prefix = tmp_path / "coef"
-    assert main(["analyze", "--group", "gabor", "--psi", "file", "--psi-file",
-                 str(_shifted_signal(tmp_path)), "--input", str(sig), "--assume-grid",
+    assert main(["analyze", "--group", "gabor", "--psi-file", str(_shifted_signal(tmp_path)), "--input", str(sig), "--assume-grid",
                  "--output", str(prefix)]) == 2
     _assert_grid_mismatch_named(capsys.readouterr().err)
     assert not os.path.exists(str(prefix) + ".csv")
@@ -451,7 +456,7 @@ def test_analyze_rejects_affine_psi_file_of_two_axes(tmp_path, capsys):
     save_state_csv(psi, gaussian_state(product_grid(centered_grid(16.0, 64),
                                                     centered_grid(6.0, 8))))
     save_state_csv(sig, affine_setup().states["signal"])
-    assert main(["analyze", "--group", "affine", "--psi", "file", "--psi-file", str(psi),
+    assert main(["analyze", "--group", "affine", "--psi-file", str(psi),
                  "--input", str(sig), "--output", str(tmp_path / "coef")]) == 2
     err = capsys.readouterr().err
     assert "grid metadata required for multi-dimensional signals" in err

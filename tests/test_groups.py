@@ -30,7 +30,9 @@ ALL_GROUPS = [
     make_affine(1),
     make_affine(2),
     make_exotic(1),
+    make_exotic(2),
     make_exotic_quotient(1),
+    make_exotic_quotient(2),
     make_wh_quotient(1),
 ]
 
@@ -62,19 +64,19 @@ def test_polarized_wh_inverse_formula(rng):
 
 
 def test_delta_iso_examples(rng):
-    assert np.allclose(delta_iso(np.array([0.0, 2.0, 3.0]), 1), [3, 2, 3])
+    assert np.allclose(delta_iso(np.array([0.0, 2.0, 3.0])), [3, 2, 3])
     Hs = make_standard_wh(1)
-    assert np.allclose(delta_iso(Hs.identity, 1), make_polarized_wh(1).identity)
+    assert np.allclose(delta_iso(Hs.identity), make_polarized_wh(1).identity)
     g = random_chart_points(Hs, rng, 1000)
     h = random_chart_points(Hs, rng, 1000)
-    lhs = delta_iso(Hs.product(g, h), 1)
-    rhs = make_polarized_wh(1).product(delta_iso(g, 1), delta_iso(h, 1))
+    lhs = delta_iso(Hs.product(g, h))
+    rhs = make_polarized_wh(1).product(delta_iso(g), delta_iso(h))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_delta_iso_on_elements():
-    """n defaults to the one the chart width implies, for one element and
-    for a batch; the input is not modified."""
+    """n is the one the chart width implies, for one element and for a
+    batch; the input is not modified."""
     g = np.array([0.0, 2.0, 3.0])
     assert np.allclose(delta_iso(g), [3, 2, 3])
     assert np.allclose(g, [0, 2, 3])
@@ -210,7 +212,7 @@ def test_haar_quadratures_sum_node_blocks_and_leave_nodes_unbuilt(monkeypatch):
     )
     g0 = np.array([0.0, 0.0, 0.4, 1.7])
     grid, whole = (haar_grid(X, box_x, [2, 2, 384, 384]) for _ in range(2))
-    assert len(list(grid.node_blocks())) == 2
+    assert len(list(grid.axis_blocks())) == 2
     shifted = lambda x: f_x(X.product(x, np.broadcast_to(g0, x.shape)))
     assert modular_quadrature_estimate(X, g0, grid, f_x) == \
         _whole_array_integral(whole, f_x) / _whole_array_integral(whole, shifted)
@@ -227,7 +229,7 @@ def test_haar_quadratures_sum_node_blocks_and_leave_nodes_unbuilt(monkeypatch):
     assert left_invariance_defect(A, h0, grid, f_a) == abs(moved - base) / base
     assert "nodes" not in vars(grid)
     monkeypatch.setattr(groups, "BLOCK", 1000)  # 2 rows of 384 nodes per block
-    assert len(list(grid.node_blocks())) == 128
+    assert len(list(grid.axis_blocks())) == 128
     assert left_invariance_defect(A, h0, grid, f_a) == pytest.approx(abs(moved - base) / base,
                                                                      rel=1e-6, abs=1e-15)
 
@@ -343,9 +345,10 @@ def test_grid_evaluates_haar_density_once_per_axis_node(exotic):
 def test_node_blocks_cover_the_nodes_in_order(monkeypatch):
     monkeypatch.setattr(groups, "BLOCK", 8)  # 2 rows of 4 nodes per block
     grid = haar_grid(make_affine(1), [(-1, 1), (0.5, 2.0)], [5, 4], log_axes=(1,))
-    blocks = list(grid.node_blocks())
-    assert [(sl.start, sl.stop) for sl, _ in blocks] == [(0, 8), (8, 16), (16, 20)]
-    assert np.array_equal(np.concatenate([b for _, b in blocks]), grid.nodes)
+    blocks = list(grid.axis_blocks())
+    assert [(sl.start, sl.stop) for sl, _, _ in blocks] == [(0, 8), (8, 16), (16, 20)]
+    assert np.array_equal(np.concatenate([grid.slab_nodes(at) for _, at, _ in blocks]),
+                          grid.nodes)
     assert np.array_equal(grid.weights, _meshgrid_reference(grid)[1])
 
 

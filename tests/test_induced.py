@@ -145,7 +145,7 @@ def test_intertwine_trivial_is_zero(gabor, gabor_field):
         A,
         lambda x, v: gabor.proj.act(x, v),
         lambda x, F: left_reg_m(gabor.proj.multiplier, x, F, grid),
-        np.zeros(2),
+        [np.zeros(2)],
         [gabor.states["hermite1"]],
         grid,
     )
@@ -166,7 +166,7 @@ def test_gabor_intertwining_relations(gabor_wide, rng):
             A,
             lambda x, v: gabor_wide.proj.act(x, v),
             lambda x, F: left_reg_m(gabor_wide.proj.multiplier, x, F, grid),
-            x0,
+            [x0],
             tests,
             grid,
         )
@@ -176,7 +176,7 @@ def test_gabor_intertwining_relations(gabor_wide, rng):
             A,
             lambda gg, v: gabor_wide.rep.act(gg, v),
             lambda gg, F: R_chi_s(gabor_wide.section, gg, F, grid),
-            g,
+            [g],
             tests,
             grid,
         )
@@ -204,7 +204,7 @@ def test_intertwine_defect_over_elements_is_max_of_single_calls(gabor_wide, rng)
         )
 
     gs = [np.concatenate([rng.uniform(-2, 2, 1), rng.uniform(-1.5, 1.5, 2)]) for _ in range(3)]
-    singles = [defect(g) for g in gs]
+    singles = [defect([g]) for g in gs]
     calls.clear()
     assert defect(gs) == max(singles)
     # A v once per test state, A U(g) v once per (state, element)
@@ -229,7 +229,7 @@ def test_intertwine_fault_injection(gabor_wide):
         A,
         lambda x, v: gabor_wide.proj.act(x, v),
         lambda x, F: left_reg_m(wrong, x, F, grid),
-        np.array([1.2, 0.9]),
+        [np.array([1.2, 0.9])],
         [gabor_wide.states["hermite1"]],
         grid,
     )
@@ -251,7 +251,7 @@ def test_exotic_intertwining_truncation_bound(exotic, rng):
         A,
         lambda gg, v: exotic.rep.act(gg, v),
         lambda gg, F: R_chi_s(exotic.section, gg, F, grid),
-        g,
+        [g],
         [exotic.states["phi"]],
         grid,
     )

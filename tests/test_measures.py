@@ -119,7 +119,7 @@ def test_rho_densities_wh(gabor, rng):
     )
     # normalization holds through the other section as well
     k_wide = haar_grid(sub.k_group, [(-14, 14)], [512])
-    xs_small = random_chart_points(gabor.x_group, rng, 8, box=[(-2, 2)] * 2)
+    xs_small = rng.uniform(-2.0, 2.0, (8, 2))  # |p q| / 2 <= 2, inside the K box
     assert rho_validate(rho_g, gabor.section_prime, xs_small, k_wide) < 1e-10
 
 

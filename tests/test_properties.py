@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from groupwave.groups import (
     haar_grid,
     make_affine,
-    make_exotic,
     make_polarized_wh,
 )
 from groupwave.multipliers import phase_distance, wrap_phase
@@ -146,25 +145,6 @@ def test_wh_n2_coefficient_via_generic_analyze(wh2):
     assert np.max(np.abs(np.abs(res.coefficients) - expected)) < 1e-5
     # energy ratio approaches 1 under mu_X = dp dq / (2 pi)^2
     assert res.energy() == pytest.approx(1.0, rel=1e-3)
-
-
-def test_exotic_group_axioms_n2(rng):
-    G = make_exotic(2)
-    assert G.dim == 10
-    from groupwave.groups import (
-        associativity_defect,
-        identity_defect,
-        inverse_defect,
-        modular_homomorphism_defect,
-        random_chart_points,
-    )
-
-    pts = random_chart_points(G, rng, 500)
-    g, h, l = (random_chart_points(G, rng, 500) for _ in range(3))
-    assert identity_defect(G, pts) < 1e-12
-    assert inverse_defect(G, pts) < 1e-12
-    assert associativity_defect(G, g, h, l) < 1e-12
-    assert modular_homomorphism_defect(G, g, h) < 1e-12
 
 
 def test_coefficient_conjugate_symmetry(wh2, rng):

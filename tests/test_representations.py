@@ -23,7 +23,9 @@ from groupwave.states import (
     modulate,
     norm,
     centered_grid,
+    halfline_grid,
     product_grid,
+    product_state,
     translate,
 )
 from groupwave.transforms import (
@@ -284,31 +286,30 @@ def test_exotic_rep_scalar_action_and_unitarity(exotic, rng):
 
 def test_exotic_rep_composition_at_zero_character(rng):
     # a state with Gaussian bcheck profile keeps both flanks resolved and far
-    # from the box ends under the double dilation of a composition
-    from groupwave.configs import exotic_setup
-    from groupwave.states import product_state
+    # from the box ends under the double dilation of a composition; n = 2
+    # has 64 times the samples (128 x 64^2), so it composes fewer pairs
+    for n, pairs in ((1, 15), (2, 3)):
+        rep = exotic_rep(n)
+        grid = product_grid(halfline_grid(10.0, 128), centered_grid(8.0, 64, dim=n))
+        psi = product_state(
+            grid,
+            lambda b: np.exp(-((b - 2.5) ** 2) / (2 * 0.35 ** 2)),
+            *[lambda p: np.exp(-(p ** 2) / 2)] * n,
+        )
+        worst = 0.0
+        for _ in range(pairs):
+            def rnd():
+                g = np.zeros(4 + 3 * n)  # (t, s, b, p, q, r, a)
+                g[:3] = rng.uniform(-0.8, 0.8, 3)
+                g[3:-1] = rng.uniform(-0.8, 0.8, 3 * n)
+                g[-1] = np.exp(rng.uniform(-0.25, 0.25))
+                return g
 
-    setup = exotic_setup(b_length=10.0, b_points=128, p_points=64)
-    grid = setup.state_grid
-    psi = product_state(
-        grid,
-        lambda b: np.exp(-((b - 2.5) ** 2) / (2 * 0.35 ** 2)),
-        lambda p: np.exp(-(p ** 2) / 2),
-    )
-    worst = 0.0
-    for _ in range(15):
-        def rnd():
-            g = np.zeros(7)
-            g[:3] = rng.uniform(-0.8, 0.8, 3)
-            g[3:6] = rng.uniform(-0.8, 0.8, 3)
-            g[6] = np.exp(rng.uniform(-0.25, 0.25))
-            return g
-
-        g, h = rnd(), rnd()
-        lhs = setup.rep.act(g, setup.rep.act(h, psi))
-        rhs = setup.rep.act(setup.group.product(g, h), psi)
-        worst = max(worst, diff(lhs, rhs))
-    assert worst < 1e-8
+            g, h = rnd(), rnd()
+            lhs = rep.act(g, rep.act(h, psi))
+            rhs = rep.act(rep.group.product(g, h), psi)
+            worst = max(worst, diff(lhs, rhs))
+        assert worst < 1e-8, (n, worst)
 
 
 def test_exotic_rep_rejects_grid_touching_singularity(exotic):
@@ -467,8 +468,8 @@ def test_coefficient_bounds_and_k_independence(gabor, rng):
 
 @pytest.mark.parametrize(
     "config",
-    ["gabor", "affine", "affine_n2", "exotic", "gabor_n2", "exotic_full_chart", "gabor_s_sym",
-     "exotic_s_tw", "lift_standard", "lift_starred", "lift_s_sym"],
+    ["gabor", "affine", "affine_n2", "exotic", "gabor_n2", "exotic_full_chart", "exotic_n2",
+     "gabor_s_sym", "exotic_s_tw", "lift_standard", "lift_starred", "lift_s_sym"],
 )
 def test_fast_coefficients_match_generic_loop(config, gabor, affine, affine_n2, exotic, gabor_n2,
                                               gauged_and_lifted, per_node):
@@ -505,6 +506,20 @@ def test_fast_coefficients_match_generic_loop(config, gabor, affine, affine_n2, 
             [(-1, 1), (-1, 1), (-3, 3), (-3, 3), (-2, 2), (-1, 1), (0.5, 2.0)],
             [2, 2, 3, 3, 3, 2, 3],
             log_axes=(6,),
+        )
+    elif config == "exotic_n2":
+        # chart (t, s, b, p, q, r, a) with p, q, r in R^2, on a 32 x 16^2 state grid
+        rep = exotic_rep(2)
+        state_grid = product_grid(halfline_grid(8.0, 32), centered_grid(8.0, 16, dim=2))
+        log_gauss = lambda c: (lambda b: np.exp(-np.log(b / c) ** 2 / 0.18))
+        gauss = lambda c: (lambda p: np.exp(-((p - c) ** 2) / 2.0))
+        psi = product_state(state_grid, log_gauss(2.0), gauss(0.0), gauss(0.3))
+        phi = product_state(state_grid, log_gauss(2.5), gauss(0.5), gauss(-0.4))
+        grid = haar_grid(
+            rep.group,
+            [(-1, 1), (-1, 1), (-3, 3)] + [(-2, 2)] * 4 + [(-1, 1)] * 2 + [(0.5, 2.0)],
+            [2] * 9 + [3],
+            log_axes=(9,),
         )
     else:
         rep, psi, phi, grid = gauged_and_lifted[config]

@@ -239,13 +239,16 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_hot_path_modules_never_read_grid_weights():
     """``transforms``, ``representations`` and ``induced`` take Haar weights
-    slab by slab (``QuadratureGrid.slab_weights``); none reads a grid's lazy
-    whole-array ``weights``, which once built stays on the grid (23.6 MB on
-    the bundled exotic one)."""
+    and nodes slab by slab (``QuadratureGrid.slab_weights`` and
+    ``slab_nodes``); none reads a grid's lazy whole-array ``weights`` or
+    ``nodes``, which once built stay on the grid (23.6 MB and 94 MB on the
+    bundled exotic one), nor the retired ``node_blocks``."""
     for name in ("transforms", "representations", "induced"):
         path = ROOT / "src" / "groupwave" / f"{name}.py"
-        reads = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
-                 if isinstance(node, ast.Attribute) and node.attr == "weights"]
+        reads = [(node.lineno, node.attr)
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("weights", "nodes", "node_blocks")]
         assert reads == [], (name, reads)
 
 
@@ -258,7 +261,8 @@ def test_no_unused_imports():
 
 
 def _readme_synopsis() -> dict:
-    """The ``--flags`` of each command in README's "Command line" synopsis."""
+    """The ``--flags`` of each command in README's "Command line" synopsis,
+    each with its choices (the ``a|b`` word after it) or None."""
     text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```")[1]
     flags, command = {}, None
@@ -267,18 +271,22 @@ def _readme_synopsis() -> dict:
         if words[:1] == ["groupwave"]:
             command = words[1]
         if command is not None:
-            flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+            for flag, value in re.findall(r"(--[a-z][a-z-]*)(?: ([^\s\[\]]+))?", line):
+                choices = set(value.split("|")) if "|" in value else None
+                flags.setdefault(command, {})[flag] = choices
     return flags
 
 
 def test_readme_synopsis_matches_parser():
     """Every flag of the README synopsis is a parser option of its command,
-    and every parser option (``--help`` aside) is in the synopsis."""
+    every parser option (``--help`` aside) is in the synopsis, and each
+    shows exactly the option's choices."""
     from groupwave.cli import build_parser
 
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    options = {name: {flag for action in sub._actions for flag in action.option_strings
+    options = {name: {flag: set(action.choices) if action.choices else None
+                      for action in sub._actions for flag in action.option_strings
                       if flag.startswith("--") and flag != "--help"}
                for name, sub in commands.items()}
     assert _readme_synopsis() == options

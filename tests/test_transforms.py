@@ -10,10 +10,14 @@ from groupwave.representations import ActionTable, GridSafetyError, projective_f
 from groupwave.measures import make_rho
 from groupwave.states import (
     DiscretizedState,
+    centered_grid,
     fourier_plancherel,
+    halfline_grid,
     inverse_fourier_plancherel,
     load_state_csv,
     norm,
+    product_grid,
+    product_state,
     random_bandlimited_state,
     save_state_csv,
 )
@@ -186,7 +190,7 @@ def test_dm_symbol_form_matches_three_formulas(config, gabor, affine, exotic):
 
 
 def test_affine_admissibility_dichotomy(affine):
-    grids = affine_nested_grids(affine, levels=6)
+    grids = affine_nested_grids(affine)
     dm = duflo_moore("affine")
     rep_m = admissibility(affine.rep, affine.states["morlet"], grids)
     assert rep_m.admissible is True
@@ -204,7 +208,7 @@ def test_affine_admissibility_dichotomy(affine):
 
 
 def test_admissibility_inconclusive_status(affine):
-    grids = affine_nested_grids(affine, levels=2)
+    grids = affine_nested_grids(affine)[:2]
     report = admissibility(affine.rep, affine.states["gauss"], grids)
     assert report.admissible is None
     assert report.status == "inconclusive"
@@ -500,12 +504,13 @@ def test_streams_of_unequal_state_grids_are_rejected(exotic, monkeypatch):
     from groupwave import representations
 
     monkeypatch.setattr(representations, "CHUNK", 8192)  # 2 scales of 64^2, 4 of 32 x 64
-    coarse = configs.exotic_setup(b_points=32, x_resolution=(2, 2, 2, 2)).states
+    coarse = product_state(product_grid(halfline_grid(8.0, 32), centered_grid(8.0, 64)),
+                           lambda b: np.exp(-np.log(b / 2.0) ** 2 / 0.18),
+                           lambda p: np.exp(-p ** 2 / 2.0))
     s, dm, grid = exotic.states, duflo_moore("exotic"), _small_exotic_grid(exotic.x_group)
     with pytest.raises(ValueError, match="do not align"):
         orthogonality_check(exotic.proj, [(s["psi"], s["psi"], s["phi"], s["phi"]),
-                                          (coarse["psi"], coarse["psi"], coarse["phi"],
-                                           coarse["phi"])], dm, grid)
+                                          (coarse, coarse, coarse, coarse)], dm, grid)
 
 
 def test_exotic_orthogonality_check_memory(exotic):
@@ -1064,7 +1069,7 @@ def test_result_csv_written_over_node_blocks(gabor, tmp_path, monkeypatch):
     monkeypatch.setattr(groups, "BLOCK", 40)  # 5 rows of 8 nodes per block
     grid = haar_grid(gabor.x_group, [(-4, 4)] * 2, [10, 8])
     res = analyze(gabor.proj, gabor.states["gauss"], gabor.states["hermite1"], grid)
-    assert len(list(grid.node_blocks())) == 2
+    assert len(list(grid.axis_blocks())) == 2
     prefix = str(tmp_path / "coef")
     save_result_csv(prefix, res)
     assert "nodes" not in vars(grid)

@@ -175,26 +175,41 @@ def test_run_suites_forks_one_child_for_the_other_suites(cpus, children, forks, 
         for name in ALL}}
 
 
-def test_run_suites_forks_nothing_for_one_suite_or_with_another_thread(forks):
-    """One suite, or another live thread (a forked child would inherit its
-    locks but not the thread), runs every suite in this process."""
-    assert verify.run_suites(["exotic"])["n_checks"] == 1
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
+def test_run_suites_forks_nothing_for_one_suite_or_with_another_thread(forks, monkeypatch,
+                                                                      caplog):
+    """One suite, another live thread (a forked child would inherit its
+    locks but not the thread) or a platform without ``fork`` runs every
+    suite in this process.  The thread and the platform are logged as the
+    reason at INFO; one suite or one CPU, where a child gains nothing, logs
+    nothing."""
+    with caplog.at_level("INFO", logger="groupwave"):
+        assert verify.run_suites(["exotic"])["n_checks"] == 1
+        with monkeypatch.context() as m:
+            m.setattr(verify, "usable_cpus", lambda: 1)
+            assert verify.run_suites(ALL)["n_checks"] == 3
+        assert caplog.records == []
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert verify.run_suites(ALL)["n_checks"] == 3
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert verify.run_suites(ALL)["n_checks"] == 3
-    finally:
-        stop.set()
-        thread.join(timeout=10)
     assert not thread.is_alive()
     assert forks == []
     _assert_no_children()
+    assert [r.levelname for r in caplog.records] == ["INFO", "INFO"]
+    assert "another thread is alive" in caplog.records[0].getMessage()
+    assert "cannot fork" in caplog.records[1].getMessage()
 
 
-def test_run_suites_forks_nothing_when_a_suite_is_instrumented(forks, monkeypatch):
+def test_run_suites_forks_nothing_when_a_suite_is_instrumented(forks, monkeypatch, caplog):
     """A suite wrapped by a tracer or profiler (``functools.wraps`` sets
-    ``__wrapped__``) runs in this process, where the wrapper's records stay."""
+    ``__wrapped__``) runs in this process, where the wrapper's records stay,
+    and the reason is logged at INFO."""
     seen = []
     inner = verify.SUITE_NAMES["exotic"]
 
@@ -204,9 +219,12 @@ def test_run_suites_forks_nothing_when_a_suite_is_instrumented(forks, monkeypatc
         return inner(*args, **kwargs)
 
     monkeypatch.setitem(verify.SUITE_NAMES, "exotic", traced)
-    assert verify.run_suites(ALL)["n_checks"] == 3
+    with caplog.at_level("INFO", logger="groupwave"):
+        assert verify.run_suites(ALL)["n_checks"] == 3
     assert forks == [] and seen == [os.getpid()]
     _assert_no_children()
+    [record] = caplog.records
+    assert record.levelname == "INFO" and "a suite is instrumented" in record.getMessage()
 
 
 def test_run_suites_runs_serially_when_fork_fails(forks, monkeypatch, caplog):
